@@ -237,6 +237,10 @@ def _cmd_gradcheck(args) -> int:
              f"checked\t{report.checked}",
              f"status\t{'PASS' if report.passed else 'FAIL'}"]
     print("\n".join(lines))
+    if not report.passed and report.worst is not None:
+        leaf, coord = report.worst
+        _log(f"gradcheck worst coordinate: {leaf}[{coord}] "
+             f"rel_err={report.max_rel_err:.3e}")
     outputs = []
     if args.out:
         out = Path(args.out)
@@ -345,16 +349,26 @@ def _cmd_index(args) -> int:
     return 0
 
 
+def _query_file(source: str) -> Path | None:
+    """`source` as a path when it names an existing file, else None. A string
+    too long to be a file name is an inline query, not an error."""
+    p = Path(source)
+    try:
+        return p if p.exists() else None
+    except OSError:
+        return None
+
+
 def _read_query(source: str) -> np.ndarray:
     """Query vector from a float32 .bin file, a CSV file, or an inline CSV string."""
-    p = Path(source)
-    if not p.exists():
+    p = _query_file(source)
+    if p is None:
         if "," in source:
             try:
                 return np.array([float(v) for v in source.split(",") if v.strip()])
             except ValueError:
                 raise ValueError(f"unparseable inline CSV query: {source!r}") from None
-        raise ValueError(f"query file not found: {p}")
+        raise ValueError(f"query file not found: {source}")
     if p.suffix in (".csv", ".txt"):
         return np.array([float(v) for v in p.read_text().replace("\n", ",").split(",")
                          if v.strip()])
@@ -373,8 +387,9 @@ def _cmd_retrieve(args) -> int:
     if header.suffix != ".json":
         header = header.with_suffix(".json")
     inputs = [header]
-    if Path(args.query).exists():
-        inputs.append(Path(args.query))
+    query_file = _query_file(args.query)
+    if query_file is not None:
+        inputs.append(query_file)
     if args.ckpt:
         inputs.append(Path(args.ckpt))
     _write_manifest("retrieve", {"k": args.k}, None, inputs, [], started)

@@ -107,7 +107,7 @@ class TileRecord:
             raise ValueError(f"tile {self.tile_id}: pixels must be (C, H, W), "
                              f"got shape {self.pixels.shape}")
         lo, hi = self.pixels.min(initial=0.0), self.pixels.max(initial=0.0)
-        if lo < 0.0 or hi > 1.0:
+        if not (lo >= 0.0 and hi <= 1.0):  # also catches NaN
             raise ValueError(f"tile {self.tile_id}: pixels outside [0, 1] "
                              f"(min {lo:.4g}, max {hi:.4g})")
 

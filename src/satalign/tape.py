@@ -18,23 +18,20 @@ import numpy as np
 
 NORM_EPS = 1e-12
 
-SUPPORTED_OPS = frozenset({
-    "leaf", "const", "add", "mul", "matmul", "relu", "conv2d",
-    "global_avg_pool", "channel_norm", "l2norm_rows", "logsumexp",
-    "sum", "mean", "concat",
-})
-
 
 def l2_normalize_rows(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
     """Scale each row of a 2-D matrix to unit Euclidean norm.
 
-    Rows with norm <= eps cannot be normalized and raise, identifying the
-    offending row.
+    Rows whose norm is not finite or is <= eps cannot be normalized and
+    raise, identifying the offending row.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"l2_normalize_rows expects a 2-D matrix, got shape {m.shape}")
     norms = np.sqrt(np.sum(m * m, axis=1))
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ValueError(f"embedding row {int(bad[0])} has a non-finite norm")
     bad = np.flatnonzero(norms <= eps)
     if bad.size:
         raise ValueError(f"degenerate embedding row {int(bad[0])}")
@@ -300,26 +297,49 @@ def _compute(node: Node, vals: list[np.ndarray]) -> np.ndarray:
 # -- replay and differentiation ---------------------------------------------
 
 
-def _evaluate(tape: Tape, overrides: dict[str, np.ndarray] | None) -> list[np.ndarray]:
+def replay_schedule(tape: Tape, leaf: str, output: int) -> list[Node]:
+    """Nodes a replay must recompute when only `leaf` changes.
+
+    One forward scan in tape order collects the leaf and every node that
+    depends on it, stopping at node `output`. The schedule is empty when
+    `output` does not depend on the leaf. Every node left out sees the inputs
+    it was recorded with, so its recorded value is what a full replay would
+    recompute.
+    """
+    start = tape._leaf_ids[leaf]
+    if start > output:
+        return []
+    dirty = [False] * (output + 1)
+    dirty[start] = True
+    schedule = [tape.nodes[start]]
+    for node in tape.nodes[start + 1:output + 1]:
+        if any(dirty[i] for i in node.inputs):
+            dirty[node.idx] = True
+            schedule.append(node)
+    return schedule if dirty[output] else []
+
+
+def _evaluate(tape: Tape, overrides: dict[str, np.ndarray] | None,
+              nodes: list[Node] | None = None) -> list[np.ndarray]:
+    """Values of every node with the named leaves overridden.
+
+    By default every node is recomputed. Given `nodes`, a schedule in tape
+    order such as :func:`replay_schedule` returns, only those nodes are
+    recomputed and all others keep their recorded values.
+    """
     overrides = overrides or {}
     unknown = set(overrides) - set(tape._leaf_ids)
     if unknown:
         raise ValueError(f"unknown leaf names in forward_eval: {sorted(unknown)}")
-    values: list[np.ndarray] = [None] * len(tape.nodes)
-    for node in tape.nodes:
-        if node.op == "leaf":
-            v = overrides.get(node.name)
-            if v is None:
-                values[node.idx] = node.value
-            else:
-                v = np.asarray(v, dtype=np.float64)
-                if v.shape != node.value.shape:
-                    raise ValueError(f"leaf {node.name!r} expects shape {node.value.shape}, "
-                                     f"got {v.shape}")
-                values[node.idx] = v
-        elif node.op == "const":
-            values[node.idx] = node.value
-        else:
+    values = [node.value for node in tape.nodes]
+    for name, v in overrides.items():
+        v = np.asarray(v, dtype=np.float64)
+        shape = tape.leaf_value(name).shape
+        if v.shape != shape:
+            raise ValueError(f"leaf {name!r} expects shape {shape}, got {v.shape}")
+        values[tape._leaf_ids[name]] = v
+    for node in tape.nodes if nodes is None else nodes:
+        if node.op not in ("leaf", "const"):
             values[node.idx] = _compute(node, [values[i] for i in node.inputs])
     return values
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import satalign.cli as cli
 from satalign.cli import dispatch, hash_path
+from satalign.tape import Tape
 
 SYNTH_CFG = {"n_species": 6, "n_habitats": 3, "raster_rows": 12, "raster_cols": 12,
              "tiles_per_habitat": 6, "n_observations": 80, "d_txt": 12,
@@ -138,6 +140,56 @@ def test_retrieve_k_clamped(workspace, capsys, tmp_path):
     assert dispatch(["retrieve", "--index", str(idx), "--query", str(query),
                      "--k", "999", "--ckpt", str(workspace / "run" / "ckpt.json")]) == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 18  # all tiles
+
+
+def test_retrieve_long_inline_query_matches_bin_file(workspace, capsys, tmp_path):
+    idx = tmp_path / "idx"
+    ckpt = str(workspace / "run" / "ckpt.json")
+    assert dispatch(["index", "--data", str(workspace / "world"), "--ckpt", ckpt,
+                     "--out", str(idx)]) == 0
+    vec = np.random.default_rng(0).normal(size=TRAIN_CFG["model"]["d_txt"]).astype("<f4")
+    query = tmp_path / "q.bin"
+    vec.tofile(query)
+    # Exact decimal expansions: longer than any file name, same float64 values.
+    inline = ",".join(f"{float(v):.60f}" for v in vec)
+    assert len(inline) > 255
+    capsys.readouterr()
+    assert dispatch(["retrieve", "--index", str(idx), "--query", str(query),
+                     "--k", "5", "--ckpt", ckpt]) == 0
+    from_file = capsys.readouterr().out
+    assert dispatch(["retrieve", "--index", str(idx), "--query", inline,
+                     "--k", "5", "--ckpt", ckpt]) == 0
+    assert capsys.readouterr().out == from_file
+    assert len(from_file.strip().splitlines()) == 5
+
+
+def test_retrieve_nan_query_exits_1(workspace, capsys, tmp_path):
+    idx = tmp_path / "idx"
+    ckpt = str(workspace / "run" / "ckpt.json")
+    assert dispatch(["index", "--data", str(workspace / "world"), "--ckpt", ckpt,
+                     "--out", str(idx)]) == 0
+    capsys.readouterr()
+    query = ",".join(["nan"] * TRAIN_CFG["model"]["d_txt"])
+    assert dispatch(["retrieve", "--index", str(idx), "--query", query,
+                     "--ckpt", ckpt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite norm" in captured.err
+
+
+def test_failed_gradcheck_names_worst_coordinate(monkeypatch, capsys):
+    def relu_at_kink(seed):
+        # x[1] sits exactly on the relu kink: analytic slope 0, numeric 0.5.
+        tape = Tape()
+        x = tape.leaf("x", np.array([0.5, 0.0, -0.7]), trainable=True)
+        tape.mark_output("loss", tape.sum(tape.relu(x)))
+        return tape
+
+    monkeypatch.setattr(cli, "_gradcheck_setup", relu_at_kink)
+    assert dispatch(["gradcheck", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "status\tFAIL"
+    assert "gradcheck worst coordinate: x[1] rel_err=1.000e+00" in captured.err
 
 
 def test_zeroshot_prints_predictions_and_accuracy(workspace, capsys):

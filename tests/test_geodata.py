@@ -27,6 +27,10 @@ class TestTypes:
         TileRecord(tile_id=0, lat=0, lon=0, timestamp=0, pixels=np.zeros((3, 4, 4)))
         with pytest.raises(ValueError, match="outside"):
             TileRecord(tile_id=1, lat=0, lon=0, timestamp=0, pixels=np.full((3, 4, 4), 1.5))
+        nan_pixel = np.full((3, 4, 4), 0.5)
+        nan_pixel[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="tile 2: pixels outside"):
+            TileRecord(tile_id=2, lat=0, lon=0, timestamp=0, pixels=nan_pixel)
 
     def test_raster_validation(self):
         with pytest.raises(ValueError, match="positive"):

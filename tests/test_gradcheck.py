@@ -1,7 +1,8 @@
 import numpy as np
 
+from satalign.cli import _gradcheck_setup
 from satalign.gradcheck import finite_diff_check
-from satalign.tape import Tape, backward
+from satalign.tape import Tape, _evaluate, backward, replay_schedule
 
 
 def quadratic_tape(x_val):
@@ -71,4 +72,39 @@ def test_subset_of_names():
     tape.mark_output("loss", tape.mul(a, b))
     report = finite_diff_check(tape, names=["b"])
     assert report.checked == 1
+    assert report.passed
+
+
+def test_scheduled_replay_matches_full_replay_bitwise():
+    tape = _gradcheck_setup(0)
+    out_idx = tape.outputs["loss"]
+    recorded = tape.nodes[out_idx].value.tobytes()
+    rng = np.random.default_rng(0)
+    for name in tape.leaf_names(trainable_only=True):
+        base = tape.leaf_value(name)
+        perturbed = {name: base + 1e-3 * rng.normal(size=base.shape)}
+        schedule = replay_schedule(tape, name, out_idx)
+        idx = [node.idx for node in schedule]
+        assert idx == sorted(idx) and idx[0] == tape._leaf_ids[name] and idx[-1] == out_idx
+        full = _evaluate(tape, perturbed)[out_idx]
+        scheduled = _evaluate(tape, perturbed, schedule)[out_idx]
+        assert full.tobytes() != recorded, name
+        assert scheduled.tobytes() == full.tobytes(), name
+
+
+def test_leaf_off_the_output_path_has_empty_schedule():
+    tape = Tape()
+    x = tape.leaf("x", np.array([1.0, -2.0]), trainable=True)
+    side = tape.leaf("side", np.array([3.0, 0.5]), trainable=True)
+    tape.mark_output("aux", tape.sum(tape.mul(side, side)))
+    tape.mark_output("loss", tape.sum(tape.mul(x, x)))
+    tape.leaf("late", np.array(4.0), trainable=True)
+    out_idx = tape.outputs["loss"]
+    assert replay_schedule(tape, "side", out_idx) == []
+    assert replay_schedule(tape, "late", out_idx) == []
+    # The analytic gradient is zero; a max_rel_err of exactly 0 means every
+    # numeric gradient was exactly 0 too.
+    report = finite_diff_check(tape, names=["side", "late"], output="loss")
+    assert report.checked == 3
+    assert report.max_rel_err == 0.0
     assert report.passed

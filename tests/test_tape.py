@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from satalign.tape import Tape, backward, channel_batch_stats, forward_eval, l2_normalize_rows
+from satalign.tape import (Tape, _evaluate, backward, channel_batch_stats, forward_eval,
+                           l2_normalize_rows)
 from satalign.gradcheck import finite_diff_check
 
 
@@ -64,6 +65,11 @@ class TestForward:
         tape = scalar_graph()
         with pytest.raises(ValueError, match="unknown leaf"):
             forward_eval(tape, {"nope": np.zeros(2)})
+
+    def test_scheduled_replay_checks_override_shape(self):
+        tape = scalar_graph()
+        with pytest.raises(ValueError, match="leaf 'w' expects shape"):
+            _evaluate(tape, {"w": np.zeros(3)}, [])
 
     def test_unsupported_op_kind_rejected(self):
         tape = scalar_graph()
@@ -304,6 +310,11 @@ class TestL2NormalizeRows:
             l2_normalize_rows(np.array([[0.0, 0.0]]))
         with pytest.raises(ValueError, match="degenerate embedding row 2"):
             l2_normalize_rows(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_error_names_row(self, bad):
+        with pytest.raises(ValueError, match="embedding row 1 has a non-finite norm"):
+            l2_normalize_rows(np.array([[1.0, 0.0], [bad, 1.0]]))
 
     @pytest.mark.parametrize("scale", [0.5, 2.0, 10.0])
     def test_positive_scale_invariant(self, scale):
