@@ -67,9 +67,7 @@ def run_seed(seed, epochs):
         hits = query_index(index, world.text_prototypes[habitat], k=10, model=trained)
         precisions.append(np.mean([world.tile_habitats[tid] == habitat
                                    for tid, _ in hits]))
-    zs_preds = [zero_shot_classify(trained, t, world.text_prototypes)
-                for t in world.tiles]
-    zs_acc = accuracy(zs_preds, labels)
+    zs_acc = accuracy(zero_shot_classify(trained, world.tiles, world.text_prototypes), labels)
     return random_acc, trained_acc, ss_acc, float(np.mean(precisions)), zs_acc
 
 

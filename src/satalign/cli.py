@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import dataset_from_world, ingest_dataset, save_dataset
+from .dataio import dataset_from_world, ingest_dataset, pair_paths, save_dataset
 from .encoders import (ImageEncoderConfig, LocationEncoderConfig, Model, ModelConfig,
                        location_input_features)
 from .evaluate import (ProbeConfig, accuracy, build_index, confusion_matrix,
@@ -88,51 +88,32 @@ def _write_manifest(command: str, config: dict, seed: int | None,
     }
     text = json.dumps(manifest, sort_keys=True, indent=2)
     if outputs:
-        anchor = Path(str(outputs[0]).rstrip("/"))
-        _atomic_write_text(anchor.parent / (anchor.name + ".manifest.json"), text + "\n")
+        anchor = outputs[0]
+        _atomic(anchor.with_name(anchor.name + ".manifest.json"),
+                lambda tmp: tmp.write_text(text + "\n"))
     else:
         _log(text)
 
 
-def _atomic_dir(target: Path, build) -> None:
-    """Build a directory under a temp name, then swap it into place."""
-    target = Path(str(target).rstrip("/"))
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.parent / f".{target.name}.tmp-{os.getpid()}"
-    if tmp.exists():
-        shutil.rmtree(tmp)
+def _atomic(out: Path, build) -> None:
+    """Run `build(tmp)` on a path named like `out` inside a temporary
+    directory beside it, then rename everything it wrote into place (a file,
+    a `.json`/`.bin` pair, or a directory). Only a produced directory
+    replaces an existing directory; a file never does. When `build` raises,
+    existing targets stay untouched and the temporary directory is removed."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.parent / f".{out.name}.tmp-{os.getpid()}"
+    shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir()
     try:
-        build(tmp)
-        if target.exists():
-            shutil.rmtree(target)
-        os.replace(tmp, target)
-    finally:
-        if tmp.exists():
-            shutil.rmtree(tmp)
-
-
-def _atomic_files(out_dir: Path, build) -> list[Path]:
-    """Run `build(tmpdir)`, then move every produced file into out_dir."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tmp = out_dir / f".tmp-{os.getpid()}"
-    tmp.mkdir(exist_ok=True)
-    try:
-        produced = build(tmp)
-        final = []
-        for path in produced:
-            dest = out_dir / path.name
-            os.replace(path, dest)
-            final.append(dest)
-        return final
+        build(tmp / out.name)
+        for produced in sorted(tmp.iterdir()):
+            dest = out.parent / produced.name
+            if produced.is_dir() and dest.is_dir():
+                shutil.rmtree(dest)
+            os.replace(produced, dest)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".{path.name}.tmp-{os.getpid()}"
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _load_json_config(path: str | None) -> dict:
@@ -152,7 +133,7 @@ def _cmd_synth(args) -> int:
     world = generate_synthetic_world(config)
     dataset = dataset_from_world(world)
     out = Path(args.out)
-    _atomic_dir(out, lambda tmp: save_dataset(tmp, dataset))
+    _atomic(out, lambda tmp: save_dataset(tmp, dataset))
     _write_manifest("synth", dataclasses.asdict(config), args.seed,
                     [Path(args.config)] if args.config else [], [out], started)
     print(json.dumps({"out": str(out), "tiles": len(world.tiles),
@@ -192,13 +173,12 @@ def _cmd_train(args) -> int:
     _log(f"paired {len(paired.samples)} samples "
          f"({sum(paired.skips.values())} observations skipped)")
     ckpt = train(config, paired.samples)
-    out_json = Path(args.out if args.out.endswith(".json") else args.out + ".json")
-    final = _atomic_files(out_json.parent,
-                          lambda tmp: list(save_checkpoint(ckpt, tmp / out_json.name)))
+    out = pair_paths(args.out)
+    _atomic(out[0], lambda tmp: save_checkpoint(ckpt, tmp))
     _write_manifest("train", config_to_dict(config), config.seed,
                     [Path(args.data)] + ([Path(args.config)] if args.config else []),
-                    final, started)
-    print(json.dumps({"ckpt": str(final[0]), "epochs": ckpt.epoch,
+                    list(out), started)
+    print(json.dumps({"ckpt": str(out[0]), "epochs": ckpt.epoch,
                       "steps": len(ckpt.step_losses),
                       "final_epoch_loss": ckpt.epoch_losses[-1]}, sort_keys=True))
     return 0
@@ -244,10 +224,9 @@ def _cmd_gradcheck(args) -> int:
     outputs = []
     if args.out:
         out = Path(args.out)
-        _atomic_write_text(out, json.dumps({"max_rel_err": report.max_rel_err,
-                                            "checked": report.checked,
-                                            "passed": report.passed},
-                                           sort_keys=True) + "\n")
+        text = json.dumps({"max_rel_err": report.max_rel_err, "checked": report.checked,
+                           "passed": report.passed}, sort_keys=True)
+        _atomic(out, lambda tmp: tmp.write_text(text + "\n"))
         outputs.append(out)
     _write_manifest("gradcheck", {"seed": args.seed, "tolerance": args.tolerance},
                     args.seed, [], outputs, started)
@@ -326,11 +305,11 @@ def _cmd_probe(args) -> int:
     outputs = []
     if args.out:
         out = Path(args.out)
-        _atomic_write_text(out, text + "\n")
+        _atomic(out, lambda tmp: tmp.write_text(text + "\n"))
         outputs.append(out)
     _write_manifest("probe", {"task": args.task, "seed": args.seed,
                               "probe_epochs": args.probe_epochs},
-                    args.seed, [Path(args.data), Path(args.ckpt)], outputs, started)
+                    args.seed, [Path(args.data), pair_paths(args.ckpt)[0]], outputs, started)
     return 0
 
 
@@ -339,12 +318,11 @@ def _cmd_index(args) -> int:
     dataset = ingest_dataset(args.data)
     model = model_from_checkpoint(load_checkpoint(args.ckpt))
     index = build_index(model, dataset.tiles)
-    out_json = Path(args.out if args.out.endswith(".json") else args.out + ".json")
-    final = _atomic_files(out_json.parent,
-                          lambda tmp: list(save_index(index, tmp / out_json.name)))
+    out = pair_paths(args.out)
+    _atomic(out[0], lambda tmp: save_index(index, tmp))
     _write_manifest("index", {"tiles": index.n}, None,
-                    [Path(args.data), Path(args.ckpt)], final, started)
-    print(json.dumps({"index": str(final[0]), "tiles": index.n, "dim": index.d},
+                    [Path(args.data), pair_paths(args.ckpt)[0]], list(out), started)
+    print(json.dumps({"index": str(out[0]), "tiles": index.n, "dim": index.d},
                      sort_keys=True))
     return 0
 
@@ -383,15 +361,12 @@ def _cmd_retrieve(args) -> int:
     results = query_index(index, query, k=args.k, model=model)
     for tile_id, cosine in results:
         print(f"{tile_id}\t{cosine!r}")
-    header = Path(args.index)
-    if header.suffix != ".json":
-        header = header.with_suffix(".json")
-    inputs = [header]
+    inputs = [pair_paths(args.index)[0]]
     query_file = _query_file(args.query)
     if query_file is not None:
         inputs.append(query_file)
     if args.ckpt:
-        inputs.append(Path(args.ckpt))
+        inputs.append(pair_paths(args.ckpt)[0])
     _write_manifest("retrieve", {"k": args.k}, None, inputs, [], started)
     return 0
 
@@ -408,21 +383,17 @@ def _cmd_zeroshot(args) -> int:
             raise ValueError("zeroshot needs --classes or a dataset with ground_truth.json")
         classes = dataset.truth.text_prototypes
         labels = [dataset.truth.tile_habitats[t.tile_id] for t in dataset.tiles]
-    lines = []
-    preds = []
-    for tile in dataset.tiles:
-        chosen = zero_shot_classify(model, tile, classes)
-        preds.append(chosen)
-        lines.append(f"{tile.tile_id}\t{chosen}")
+    preds = zero_shot_classify(model, dataset.tiles, classes)
+    lines = [f"{tile.tile_id}\t{chosen}" for tile, chosen in zip(dataset.tiles, preds)]
     print("\n".join(lines))
     if labels is not None:
         print(f"accuracy\t{accuracy(preds, labels)!r}")
     outputs = []
     if args.out:
         out = Path(args.out)
-        _atomic_write_text(out, "\n".join(lines) + "\n")
+        _atomic(out, lambda tmp: tmp.write_text("\n".join(lines) + "\n"))
         outputs.append(out)
-    inputs = [Path(args.data), Path(args.ckpt)]
+    inputs = [Path(args.data), pair_paths(args.ckpt)[0]]
     if args.classes:
         inputs.append(Path(args.classes))
     _write_manifest("zeroshot", {"classes": int(classes.shape[0])}, None,

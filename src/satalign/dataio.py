@@ -44,6 +44,18 @@ class GeoDataset:
         return self.texts[0].embedding.size
 
 
+def pair_paths(path: str | Path) -> tuple[Path, Path]:
+    """The `<prefix>.json` header and `<prefix>.bin` blob named by `path`.
+
+    `path` is the prefix or either file of the pair. Only a trailing `.json`
+    or `.bin` is stripped, so a dotted prefix such as `runs/exp.1` keeps its
+    dots.
+    """
+    path = Path(path)
+    prefix = path.with_suffix("") if path.suffix in (".json", ".bin") else path
+    return prefix.with_name(prefix.name + ".json"), prefix.with_name(prefix.name + ".bin")
+
+
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 

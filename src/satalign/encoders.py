@@ -158,24 +158,17 @@ class Model:
     def image_features(self, pixels: np.ndarray) -> np.ndarray:
         """Eval-mode features for a batch of tiles, shape (n, d_img)."""
         pixels = np.asarray(pixels, dtype=np.float64)
-        if pixels.ndim != 4:
-            raise ValueError(f"expected (n, C, H, W) pixels, got shape {pixels.shape}")
+        img = self.cfg.image
+        if pixels.ndim != 4 or pixels.shape[1:] != (img.in_channels, img.in_size, img.in_size):
+            raise ValueError(f"expected pixels of shape "
+                             f"(n, {img.in_channels}, {img.in_size}, {img.in_size}), "
+                             f"got {pixels.shape}")
         tape = Tape()
         x = tape.leaf("pixels", pixels)
         leaves = self._leaves(tape, [n for n in self.params.names() if n.startswith("img.")])
         feat, _ = image_feature_graph(tape, leaves, self.cfg.image, x,
                                       stats=self.stats, training=False)
         return feat.value
-
-    def encode_image(self, pixels: np.ndarray) -> np.ndarray:
-        """Eval-mode feature vector for one (C, H, W) tile."""
-        pixels = np.asarray(pixels, dtype=np.float64)
-        img = self.cfg.image
-        if pixels.shape != (img.in_channels, img.in_size, img.in_size):
-            raise ValueError(f"expected pixels of shape "
-                             f"({img.in_channels}, {img.in_size}, {img.in_size}), "
-                             f"got {pixels.shape}")
-        return self.image_features(pixels[None])[0]
 
     def location_embeddings(self, features: np.ndarray) -> np.ndarray:
         """Location-encoder outputs for a batch of input features, (n, d_loc)."""
@@ -190,28 +183,9 @@ class Model:
         leaves = self._leaves(tape, [n for n in self.params.names() if n.startswith("loc.")])
         return location_feature_graph(tape, leaves, self.cfg.location, x).value
 
-    def encode_location(self, lat: float, lon: float,
-                        covariates: np.ndarray | None = None) -> np.ndarray:
-        if self.cfg.location.use_covariates and covariates is None:
-            raise ValueError("this model requires covariates for encode_location")
-        if not self.cfg.location.use_covariates and covariates is not None:
-            raise ValueError("covariates supplied but disabled in the model config")
-        return self.location_embeddings(location_input_features(lat, lon, covariates))[0]
-
     def _project(self, head: str, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         return l2_normalize_rows(rows @ self.params.get(head))
-
-    def project_image_heads(self, feature: np.ndarray):
-        """Unit-norm (z_image, z_text, z_location) triplet for one tile feature."""
-        outs = [self._project(name, feature)[0] for name in IMAGE_HEADS]
-        return tuple(outs)
-
-    def project_text(self, raw: np.ndarray) -> np.ndarray:
-        return self._project("heads.text.weight", raw)[0]
-
-    def project_location(self, loc_emb: np.ndarray) -> np.ndarray:
-        return self._project("heads.location.weight", loc_emb)[0]
 
     def project_text_rows(self, rows: np.ndarray) -> np.ndarray:
         return self._project("heads.text.weight", rows)

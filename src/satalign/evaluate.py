@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import pair_paths
 from .encoders import Model
 from .geodata import TileRecord
 from .optim import AdamState, ParameterStore, adam_step
@@ -60,12 +61,6 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=1, keepdims=True)
 
 
-def encoder_features(model: Model, tiles: list[TileRecord] | np.ndarray) -> np.ndarray:
-    if isinstance(tiles, np.ndarray):
-        return model.image_features(tiles)
-    return model.image_features(np.stack([t.pixels for t in tiles]))
-
-
 def fit_linear_probe(model: Model | None, features_or_tiles, labels, kind: str,
                      config: ProbeConfig = ProbeConfig()) -> ProbeHead:
     """Train only a linear head on frozen features with Adam.
@@ -80,7 +75,7 @@ def fit_linear_probe(model: Model | None, features_or_tiles, labels, kind: str,
     if isinstance(features_or_tiles, list):
         if model is None:
             raise ValueError("a model is required to probe raw tiles")
-        features = encoder_features(model, features_or_tiles)
+        features = model.image_features(np.stack([t.pixels for t in features_or_tiles]))
     else:
         features = np.asarray(features_or_tiles, dtype=np.float64)
     n, d = features.shape
@@ -265,7 +260,7 @@ def query_index(index: RetrievalIndex, query: np.ndarray, k: int,
         raise ValueError("k must be >= 1")
     query = np.asarray(query, dtype=np.float64).ravel()
     if model is not None and query.size == model.cfg.d_txt:
-        q = model.project_text(query)
+        q = model.project_text_rows(query[None])[0]
     elif query.size == index.d:
         q = l2_normalize_rows(query[None])[0]
     else:
@@ -279,22 +274,18 @@ def query_index(index: RetrievalIndex, query: np.ndarray, k: int,
     return out
 
 
-def zero_shot_classify(model: Model, tile: TileRecord | np.ndarray,
-                       class_text_embeddings: np.ndarray) -> int:
-    """Nearest class by cosine between the tile's text-head embedding and the
-    projected class embeddings; ties go to the lower class index."""
-    pixels = tile.pixels if isinstance(tile, TileRecord) else np.asarray(tile)
-    z = model.tile_text_embeddings(pixels[None])[0]
-    class_rows = np.atleast_2d(np.asarray(class_text_embeddings, dtype=np.float64))
-    scores = model.project_text_rows(class_rows) @ z
-    return int(np.argmax(scores))
+def zero_shot_classify(model: Model, tiles: list[TileRecord],
+                       class_text_embeddings: np.ndarray) -> np.ndarray:
+    """Per tile, the nearest class by cosine between the tile's text-head
+    embedding and the projected class embeddings; ties go to the lower class
+    index. All tiles are encoded in one batch."""
+    z = model.tile_text_embeddings(np.stack([t.pixels for t in tiles]))
+    return np.argmax(z @ model.project_text_rows(class_text_embeddings).T, axis=1)
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> tuple[Path, Path]:
     """Write `<prefix>.json` (ids and dims) and `<prefix>.bin` (float32 rows)."""
-    path = Path(path)
-    prefix = path.with_suffix("") if path.suffix == ".json" else path
-    json_path, bin_path = prefix.with_suffix(".json"), prefix.with_suffix(".bin")
+    json_path, bin_path = pair_paths(path)
     json_path.parent.mkdir(parents=True, exist_ok=True)
     json_path.write_text(json.dumps({"tile_ids": index.tile_ids, "n": index.n,
                                      "d": index.d}, sort_keys=True, indent=2) + "\n")
@@ -303,9 +294,7 @@ def save_index(index: RetrievalIndex, path: str | Path) -> tuple[Path, Path]:
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
-    path = Path(path)
-    prefix = path.with_suffix("") if path.suffix == ".json" else path
-    json_path, bin_path = prefix.with_suffix(".json"), prefix.with_suffix(".bin")
+    json_path, bin_path = pair_paths(path)
     if not json_path.exists():
         raise ValueError(f"index header not found: {json_path}")
     header = json.loads(json_path.read_text())

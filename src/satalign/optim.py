@@ -9,23 +9,21 @@ import numpy as np
 
 
 class ParameterStore:
-    """Map of unique parameter names to float64 tensors with a trainable flag.
+    """Map of unique parameter names to float64 tensors.
 
     Shapes are fixed at registration; `set` replaces values but never shapes.
     """
 
     def __init__(self):
         self._values: dict[str, np.ndarray] = {}
-        self._trainable: dict[str, bool] = {}
 
-    def add(self, name: str, value, trainable: bool = True) -> None:
+    def add(self, name: str, value) -> None:
         if name in self._values:
             raise ValueError(f"duplicate parameter name {name!r}")
         value = np.asarray(value, dtype=np.float64)
         if not np.all(np.isfinite(value)):
             raise ValueError(f"non-finite values in parameter {name!r}")
         self._values[name] = value
-        self._trainable[name] = bool(trainable)
 
     def get(self, name: str) -> np.ndarray:
         if name not in self._values:
@@ -38,11 +36,6 @@ class ParameterStore:
         if value.shape != old.shape:
             raise ValueError(f"parameter {name!r} has shape {old.shape}, refusing {value.shape}")
         self._values[name] = value
-
-    def trainable(self, name: str) -> bool:
-        if name not in self._trainable:
-            raise KeyError(f"unknown parameter {name!r}")
-        return self._trainable[name]
 
     def names(self) -> list[str]:
         return list(self._values)
@@ -90,18 +83,19 @@ class AdamState:
 def adam_step(params: ParameterStore, grads: dict[str, np.ndarray], state: AdamState) -> None:
     """One bias-corrected Adam update, applied in place to `params`.
 
-    Only the named gradients are touched; each must belong to a trainable
-    parameter of matching shape. Parameters without a gradient entry are left
-    bit-identical.
+    Only the named gradients are touched; each must belong to a parameter of
+    matching shape and be finite, or nothing is updated. Parameters without a
+    gradient entry are left bit-identical.
     """
     for name in grads:
         if name not in params:
             raise ValueError(f"gradient for unknown parameter {name!r}")
-        if not params.trainable(name):
-            raise ValueError(f"gradient supplied for non-trainable parameter {name!r}")
-        if np.asarray(grads[name]).shape != params.get(name).shape:
+        g = np.asarray(grads[name])
+        if g.shape != params.get(name).shape:
             raise ValueError(f"gradient shape mismatch for {name!r}: "
-                             f"{np.asarray(grads[name]).shape} vs {params.get(name).shape}")
+                             f"{g.shape} vs {params.get(name).shape}")
+        if not np.isfinite(g).all():
+            raise RuntimeError(f"non-finite gradient for {name!r} at step {state.t + 1}")
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t

@@ -20,6 +20,7 @@ import numpy as np
 
 from .augment import augment_geometric, augment_photometric, fit_to_input
 from .contrastive import LossConfig, trimodal_loss_graph
+from .dataio import pair_paths
 from .encoders import (ImageEncoderConfig, LocationEncoderConfig, Model, ModelConfig,
                        PEFT_MODES, head_graph, image_feature_graph,
                        location_feature_graph, location_input_features, trainable_mask)
@@ -115,8 +116,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> Model:
 
 
 def build_training_graph(model: Model, batch: dict[str, np.ndarray],
-                         mask: frozenset[str], loss_config: LossConfig,
-                         training: bool = True):
+                         mask: frozenset[str], loss_config: LossConfig):
     """Full loss graph: two tile towers, the location tower, all five heads.
 
     Returns the tape (outputs: loss and per-term breakdown) and the list of
@@ -132,9 +132,9 @@ def build_training_graph(model: Model, batch: dict[str, np.ndarray],
 
     img_cfg = model.cfg.image
     feat_a, norms_a = image_feature_graph(tape, leaves, img_cfg, tiles_a,
-                                          stats=model.stats, training=training)
+                                          stats=model.stats, training=True)
     feat_b, norms_b = image_feature_graph(tape, leaves, img_cfg, tiles_b,
-                                          stats=model.stats, training=training)
+                                          stats=model.stats, training=True)
     z_t1 = head_graph(tape, leaves, feat_a, "heads.image.weight")
     z_t2_aug = head_graph(tape, leaves, feat_b, "heads.image.weight")
     z_txt = head_graph(tape, leaves, feat_a, "heads.image_to_text.weight")
@@ -254,20 +254,9 @@ def train(config: TrainConfig, samples: list[TrainingSample],
 # -- checkpoint persistence ---------------------------------------------------
 
 
-def _checkpoint_paths(path: str | Path) -> tuple[Path, Path]:
-    path = Path(path)
-    if path.suffix == ".json":
-        prefix = path.with_suffix("")
-    elif path.is_dir():
-        prefix = path / "ckpt"
-    else:
-        prefix = path
-    return prefix.with_suffix(".json"), prefix.with_suffix(".bin")
-
-
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> tuple[Path, Path]:
     """Write `<prefix>.json` (header) and `<prefix>.bin` (float64-LE tensors)."""
-    json_path, bin_path = _checkpoint_paths(path)
+    json_path, bin_path = pair_paths(path)
     tensors = []
     blobs = []
     groups = (("param", ckpt.params), ("stat", ckpt.stats),
@@ -296,7 +285,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> tuple[Path, Path]:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    json_path, bin_path = _checkpoint_paths(path)
+    json_path, bin_path = pair_paths(path)
     if not json_path.exists():
         raise ValueError(f"checkpoint header not found: {json_path}")
     header = json.loads(json_path.read_text())

@@ -199,8 +199,7 @@ def test_zero_shot_classification_beats_chance(seed_runs):
     runs, _ = seed_runs
     for run in runs:
         world = run.world
-        preds = [zero_shot_classify(run.trained_model, t, world.text_prototypes)
-                 for t in world.tiles]
+        preds = zero_shot_classify(run.trained_model, world.tiles, world.text_prototypes)
         acc = accuracy(preds, [world.tile_habitats[t.tile_id] for t in world.tiles])
         assert acc >= 2.0 / world.config.n_habitats
 

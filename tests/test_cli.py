@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -245,3 +246,122 @@ def test_rerun_train_reproduces_checkpoint_bytes(workspace, tmp_path):
     assert dispatch(args + ["--out", str(tmp_path / "b" / "ckpt.json")]) == 0
     for name in ("ckpt.json", "ckpt.bin"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_dotted_out_names_keep_their_dots(workspace, tmp_path, capsys):
+    train = ["train", "--data", str(workspace / "world"),
+             "--config", str(workspace / "train.json"), "--epochs", "1"]
+    runs = tmp_path / "runs"
+    assert dispatch(train + ["--seed", "1", "--out", str(runs / "exp.1")]) == 0
+    assert dispatch(train + ["--seed", "2", "--out", str(runs / "exp.2")]) == 0
+    assert sorted(p.name for p in runs.iterdir()) == [
+        "exp.1.bin", "exp.1.json", "exp.1.json.manifest.json",
+        "exp.2.bin", "exp.2.json", "exp.2.json.manifest.json"]
+    assert (runs / "exp.1.bin").read_bytes() != (runs / "exp.2.bin").read_bytes()
+    assert dispatch(["index", "--data", str(workspace / "world"), "--ckpt", str(runs / "exp.1"),
+                     "--out", str(tmp_path / "idx" / "a.v1")]) == 0
+    assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == [
+        "a.v1.bin", "a.v1.json", "a.v1.json.manifest.json"]
+    printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [p.get("ckpt", p.get("index")) for p in printed] == [
+        str(runs / "exp.1.json"), str(runs / "exp.2.json"), str(tmp_path / "idx" / "a.v1.json")]
+
+
+def test_prefix_ckpt_manifests_name_the_header(workspace, tmp_path, capsys):
+    world = str(workspace / "world")
+    prefix = workspace / "run" / "ckpt"
+    header = str(prefix) + ".json"
+    idx = tmp_path / "idx"
+    assert dispatch(["index", "--data", world, "--ckpt", str(prefix), "--out", str(idx)]) == 0
+    manifest = json.loads((tmp_path / "idx.json.manifest.json").read_text())
+    assert manifest["inputs"] == {world: hash_path(world), header: hash_path(header)}
+    query = ",".join(["0.5"] * TRAIN_CFG["model"]["d_txt"])
+    for argv in (["probe", "--data", world, "--probe-epochs", "5"],
+                 ["zeroshot", "--data", world],
+                 ["retrieve", "--index", str(idx), "--query", query]):
+        capsys.readouterr()
+        assert dispatch(argv + ["--ckpt", str(prefix)]) == 0
+        stderr = capsys.readouterr().err
+        inputs = json.loads(stderr[stderr.index("{"):])["inputs"]
+        assert inputs[header] == hash_path(header)
+
+
+def test_eval_rejects_tiles_of_another_size(workspace, tmp_path, capsys):
+    config = tmp_path / "synth16.json"
+    config.write_text(json.dumps(dict(SYNTH_CFG, tile_size=16)))
+    world = str(tmp_path / "world16")
+    assert dispatch(["synth", "--out", world, "--seed", "3", "--config", str(config)]) == 0
+    ckpt = str(workspace / "run" / "ckpt.json")  # trained on 12-px tiles
+    for argv in (["index", "--out", str(tmp_path / "idx")], ["probe"], ["zeroshot"]):
+        capsys.readouterr()
+        assert dispatch(argv + ["--data", world, "--ckpt", ckpt]) == 1
+        captured = capsys.readouterr()
+        assert "expected pixels of shape (n, 3, 12, 12), got (18, 3, 16, 16)" in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "idx.json").exists()
+
+
+@pytest.mark.parametrize("command", ["probe", "zeroshot", "gradcheck"])
+def test_file_output_never_replaces_existing_directory(workspace, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("keep")
+    world, ckpt = str(workspace / "world"), str(workspace / "run" / "ckpt.json")
+    argv = {"probe": ["probe", "--data", world, "--ckpt", ckpt, "--probe-epochs", "5"],
+            "zeroshot": ["zeroshot", "--data", world, "--ckpt", ckpt],
+            "gradcheck": ["gradcheck", "--seed", "0"]}[command]
+    assert dispatch(argv + ["--out", str(out)]) != 0
+    capsys.readouterr()
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def _write_partial_then_fail(path, directory=False):
+    """Stand-in for a save function: leaves a partial file, then fails."""
+    path = pathlib.Path(path)
+    if directory:
+        path.mkdir()
+        path = path / "observations.csv"
+    path.write_text("partial")
+    raise ValueError("simulated failure while saving")
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "index", "probe"])
+def test_failed_save_leaves_outputs_untouched(workspace, tmp_path, monkeypatch, capsys,
+                                              command):
+    out = tmp_path / "out"
+    out.mkdir()
+    world, ckpt = str(workspace / "world"), str(workspace / "run" / "ckpt.json")
+    if command == "synth":
+        (out / "world").mkdir()
+        (out / "world" / "old.txt").write_text("old")
+        argv = ["synth", "--out", str(out / "world"), "--config", str(workspace / "synth.json")]
+        monkeypatch.setattr(cli, "save_dataset", lambda path, _: _write_partial_then_fail(path, directory=True))
+    elif command == "train":
+        for name in ("ckpt.json", "ckpt.bin"):
+            (out / name).write_text("old")
+        argv = ["train", "--data", world, "--config", str(workspace / "train.json"),
+                "--epochs", "1", "--out", str(out / "ckpt")]
+        monkeypatch.setattr(cli, "save_checkpoint", lambda _, path: _write_partial_then_fail(path))
+    elif command == "index":
+        for name in ("idx.json", "idx.bin"):
+            (out / name).write_text("old")
+        argv = ["index", "--data", world, "--ckpt", ckpt, "--out", str(out / "idx")]
+        monkeypatch.setattr(cli, "save_index", lambda _, path: _write_partial_then_fail(path))
+    else:
+        (out / "metrics.json").write_text("old")
+        argv = ["probe", "--data", world, "--ckpt", ckpt, "--probe-epochs", "5",
+                "--out", str(out / "metrics.json")]
+        real_write_text = pathlib.Path.write_text
+
+        def partial_write_text(self, data, *args, **kwargs):
+            real_write_text(self, data[:len(data) // 2], *args, **kwargs)
+            raise ValueError("simulated failure while saving")
+
+        monkeypatch.setattr(pathlib.Path, "write_text", partial_write_text)
+    before = {p.name: hash_path(p) for p in out.iterdir()}
+    assert dispatch(argv) == 1
+    assert "simulated failure while saving" in capsys.readouterr().err
+    after = {p.name: hash_path(p) for p in out.iterdir()}
+    assert after == before

@@ -48,95 +48,89 @@ class TestLocationFeatures:
 
 class TestImageEncoder:
     def test_all_zero_tile_finite(self, model):
-        out = model.encode_image(np.zeros((3, 16, 16)))
-        assert out.shape == (16,)
+        out = model.image_features(np.zeros((1, 3, 16, 16)))
+        assert out.shape == (1, 16)
         assert np.all(np.isfinite(out))
 
     def test_eval_mode_deterministic(self, model):
         rng = np.random.default_rng(1)
-        pixels = rng.random((3, 16, 16))
-        a = model.encode_image(pixels)
-        b = model.encode_image(pixels)
+        pixels = rng.random((2, 3, 16, 16))
+        a = model.image_features(pixels)
+        b = model.image_features(pixels)
         np.testing.assert_array_equal(a, b)
 
     def test_output_length_matches_config(self):
         for d_img in (8, 24):
             cfg = tiny_config(image=ImageEncoderConfig(in_size=16, widths=(4,), d_img=d_img))
             m = Model.initialize(cfg, seed=1)
-            assert m.encode_image(np.zeros((3, 16, 16))).shape == (d_img,)
+            assert m.image_features(np.zeros((1, 3, 16, 16))).shape == (1, d_img)
 
     def test_dim_mismatch_rejected(self, model):
-        with pytest.raises(ValueError, match="expected pixels"):
-            model.encode_image(np.zeros((3, 8, 8)))
+        for shape in ((2, 3, 8, 8), (3, 16, 16), (1, 4, 16, 16)):
+            with pytest.raises(ValueError, match=r"expected pixels of shape \(n, 3, 16, 16\)"):
+                model.image_features(np.zeros(shape))
 
     def test_batch_features_match_single(self, model):
         rng = np.random.default_rng(2)
         batch = rng.random((4, 3, 16, 16))
         feats = model.image_features(batch)
         for i in range(4):
-            np.testing.assert_allclose(feats[i], model.encode_image(batch[i]), atol=1e-12)
+            np.testing.assert_allclose(feats[i], model.image_features(batch[i:i + 1])[0],
+                                       atol=1e-12)
 
 
 class TestLocationEncoder:
     def test_output_dim(self, model):
-        out = model.encode_location(10.0, 20.0, np.zeros(20))
-        assert out.shape == (8,)
+        out = model.location_embeddings(location_input_features(10.0, 20.0, np.zeros(20)))
+        assert out.shape == (1, 8)
 
     def test_default_full_scale_dim_reachable(self):
         cfg = tiny_config(location=LocationEncoderConfig(hidden=32, depth=2, d_loc=256))
         m = Model.initialize(cfg, seed=3)
-        assert m.encode_location(0.0, 0.0, np.zeros(20)).shape == (256,)
+        feats = location_input_features(0.0, 0.0, np.zeros(20))
+        assert m.location_embeddings(feats).shape == (1, 256)
 
     def test_covariate_flag_mismatch(self, model):
-        with pytest.raises(ValueError, match="requires covariates"):
-            model.encode_location(0.0, 0.0)
+        with pytest.raises(ValueError, match="expects 24 input features"):
+            model.location_embeddings(location_input_features(0.0, 0.0))
         no_cov = Model.initialize(
             tiny_config(location=LocationEncoderConfig(use_covariates=False,
                                                        hidden=8, depth=1, d_loc=8)), seed=0)
-        with pytest.raises(ValueError, match="disabled"):
-            no_cov.encode_location(0.0, 0.0, np.zeros(20))
-        assert no_cov.encode_location(0.0, 0.0).shape == (8,)
+        with pytest.raises(ValueError, match="expects 4 input features"):
+            no_cov.location_embeddings(location_input_features(0.0, 0.0, np.zeros(20)))
+        assert no_cov.location_embeddings(location_input_features(0.0, 0.0)).shape == (1, 8)
 
 
 class TestProjectionHeads:
     def test_all_heads_unit_norm(self, model):
         rng = np.random.default_rng(4)
-        z_img, z_txt, z_loc = model.project_image_heads(rng.normal(size=16))
-        e_txt = model.project_text(rng.normal(size=12))
-        e_loc = model.project_location(rng.normal(size=8))
-        for v in (z_img, z_txt, z_loc, e_txt, e_loc):
-            assert v.shape == (8,)
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        z_txt = model.tile_text_embeddings(rng.random((3, 3, 16, 16)))
+        e_txt = model.project_text_rows(rng.normal(size=(3, 12)))
+        for rows in (z_txt, e_txt):
+            assert rows.shape == (3, 8)
+            np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
 
     def test_default_embed_dim_mirrors_full_scale(self):
         cfg = ModelConfig(image=ImageEncoderConfig(in_size=16, widths=(4,), d_img=16),
                           embed_dim=512)
         m = Model.initialize(cfg, seed=0)
-        assert m.project_text(np.ones(64)).shape == (512,)
+        assert m.project_text_rows(np.ones((1, 64))).shape == (1, 512)
 
     def test_large_text_dim_supported(self):
         cfg = tiny_config(d_txt=4096)
         m = Model.initialize(cfg, seed=0)
-        assert m.project_text(np.ones(4096)).shape == (8,)
+        assert m.project_text_rows(np.ones((1, 4096))).shape == (1, 8)
 
     @pytest.mark.parametrize("scale", [0.5, 2.0, 10.0])
     def test_positive_scale_invariance(self, model, scale):
         rng = np.random.default_rng(6)
-        feat = rng.normal(size=16)
-        base = model.project_image_heads(feat)
-        scaled = model.project_image_heads(scale * feat)
-        for a, b in zip(base, scaled):
-            np.testing.assert_allclose(a, b, atol=1e-12)
-        raw = rng.normal(size=12)
-        np.testing.assert_allclose(model.project_text(raw),
-                                   model.project_text(scale * raw), atol=1e-12)
-        emb = rng.normal(size=8)
-        np.testing.assert_allclose(model.project_location(emb),
-                                   model.project_location(scale * emb), atol=1e-12)
+        raw = rng.normal(size=(3, 12))
+        np.testing.assert_allclose(model.project_text_rows(raw),
+                                   model.project_text_rows(scale * raw), atol=1e-12)
 
     def test_degenerate_feature_rejected(self, model):
         with pytest.raises(ValueError, match="degenerate embedding row"):
-            model.project_text(np.zeros(12))
+            model.project_text_rows(np.zeros((1, 12)))
 
 
 class TestTrainableMask:

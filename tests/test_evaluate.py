@@ -274,9 +274,9 @@ class TestRetrievalIndex:
 
 class TestZeroShot:
     def test_single_class_always_chosen(self, model):
-        tiles = tiles_for(model, n=1, seed=9)
+        tiles = tiles_for(model, n=3, seed=9)
         classes = np.random.default_rng(0).normal(size=(1, model.cfg.d_txt))
-        assert zero_shot_classify(model, tiles[0], classes) == 0
+        assert zero_shot_classify(model, tiles, classes).tolist() == [0, 0, 0]
 
     def test_agrees_with_transposed_retrieval(self, model):
         # one-tile index queried by each class embedding must rank the winning
@@ -284,8 +284,15 @@ class TestZeroShot:
         tiles = tiles_for(model, n=1, seed=11)
         rng = np.random.default_rng(1)
         classes = rng.normal(size=(4, model.cfg.d_txt))
-        chosen = zero_shot_classify(model, tiles[0], classes)
+        chosen = zero_shot_classify(model, tiles, classes)[0]
         index = build_index(model, tiles)
         cosines = [query_index(index, classes[k], k=1, model=model)[0][1]
                    for k in range(4)]
         assert int(np.argmax(cosines)) == chosen
+
+    def test_batch_matches_one_tile_at_a_time(self, model):
+        tiles = tiles_for(model, n=6, seed=13)
+        classes = np.random.default_rng(2).normal(size=(12, model.cfg.d_txt))
+        singles = [int(zero_shot_classify(model, [t], classes)[0]) for t in tiles]
+        assert len(set(singles)) > 1
+        assert zero_shot_classify(model, tiles, classes).tolist() == singles

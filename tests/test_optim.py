@@ -78,11 +78,24 @@ class TestAdam:
         with pytest.raises(ValueError, match="gradient shape mismatch"):
             adam_step(store, {"w": np.ones(3)}, AdamState())
 
-    def test_unknown_and_frozen_names_rejected(self):
-        store = ParameterStore()
-        store.add("w", np.ones(2))
-        store.add("frozen", np.ones(2), trainable=False)
+    def test_unknown_name_rejected(self):
+        store = make_store(w=np.ones(2))
         with pytest.raises(ValueError, match="unknown parameter"):
             adam_step(store, {"nope": np.ones(2)}, AdamState())
-        with pytest.raises(ValueError, match="non-trainable"):
-            adam_step(store, {"frozen": np.ones(2)}, AdamState())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_rejected_before_any_update(self, bad):
+        store = make_store(a=np.ones(2), b=np.zeros(3))
+        state = AdamState(lr=0.1)
+        adam_step(store, {"a": np.ones(2), "b": np.ones(3)}, state)
+        before = store.copy_values()
+        m_before = {k: v.copy() for k, v in state.m.items()}
+        v_before = {k: v.copy() for k, v in state.v.items()}
+        # "a" sorts first, so a check made while updating would already have moved it
+        with pytest.raises(RuntimeError, match="non-finite gradient for 'b' at step 2"):
+            adam_step(store, {"a": np.ones(2), "b": np.array([0.0, bad, 1.0])}, state)
+        assert state.t == 1
+        for name, value in before.items():
+            np.testing.assert_array_equal(store.get(name), value)
+            np.testing.assert_array_equal(state.m[name], m_before[name])
+            np.testing.assert_array_equal(state.v[name], v_before[name])

@@ -96,7 +96,7 @@ def test_non_finite_loss_aborts_with_step_index(shared_world_samples, monkeypatc
     _, samples = shared_world_samples
     import satalign.training as training_module
 
-    def poisoned(model, batch, mask, loss_config, training=True):
+    def poisoned(model, batch, mask, loss_config):
         tape = Tape()
         tape.leaf("w", np.ones(()), trainable=True)
         tape.mark_output("loss", tape.mul(tape.const(np.inf), tape.const(1.0)))
@@ -104,6 +104,22 @@ def test_non_finite_loss_aborts_with_step_index(shared_world_samples, monkeypatc
 
     monkeypatch.setattr(training_module, "build_training_graph", poisoned)
     with pytest.raises(RuntimeError, match="non-finite loss at step 0"):
+        train(small_train_config(epochs=1), samples)
+
+
+def test_non_finite_gradient_aborts_naming_parameter(shared_world_samples, monkeypatch):
+    _, samples = shared_world_samples
+    import satalign.training as training_module
+    real_backward = training_module.backward
+
+    def poisoned(tape, output):
+        grads = real_backward(tape, output=output)
+        grads["heads.text.weight"] = grads["heads.text.weight"] * np.nan
+        return grads
+
+    monkeypatch.setattr(training_module, "backward", poisoned)
+    with pytest.raises(RuntimeError,
+                       match="non-finite gradient for 'heads.text.weight' at step 1"):
         train(small_train_config(epochs=1), samples)
 
 
