@@ -26,13 +26,19 @@ from satalign.training import TrainConfig, initial_model, model_from_checkpoint,
 
 
 def probe_accuracy(model, tiles, labels, seed):
+    """Linear-probe habitat accuracy on a 75/25 split made within each
+    habitat, so every habitat has the same share in both splits."""
     features = model.image_features(np.stack([t.pixels for t in tiles]))
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(tiles))
-    n_train = int(0.75 * len(tiles))
-    head = fit_linear_probe(None, features[order[:n_train]], labels[order[:n_train]],
+    train_idx, test_idx = [], []
+    for habitat in np.unique(labels):
+        members = rng.permutation(np.flatnonzero(labels == habitat))
+        n_train = int(0.75 * len(members))
+        train_idx.extend(members[:n_train])
+        test_idx.extend(members[n_train:])
+    head = fit_linear_probe(None, features[train_idx], labels[train_idx],
                             "single_label", ProbeConfig(lr=1e-3, epochs=200, seed=seed))
-    return accuracy(head.predict(features[order[n_train:]]), labels[order[n_train:]])
+    return accuracy(head.predict(features[test_idx]), labels[test_idx])
 
 
 def run_seed(seed, epochs):

@@ -29,7 +29,7 @@ from .evaluate import (ProbeConfig, accuracy, build_index, confusion_matrix,
                        fit_linear_probe, load_index, mean_top_k_accuracy, micro_f1,
                        query_index, save_index, top_k_accuracy, zero_shot_classify)
 from .gradcheck import finite_diff_check
-from .geodata import pair_samples
+from .geodata import pair_samples, tile_species_targets
 from .synthworld import SyntheticWorldConfig, generate_synthetic_world
 from .training import (TrainConfig, build_training_graph, config_from_dict,
                        config_to_dict, load_checkpoint, model_from_checkpoint,
@@ -233,18 +233,6 @@ def _cmd_gradcheck(args) -> int:
     return 0 if report.passed else 2
 
 
-def _tile_species_targets(dataset, radius: float) -> np.ndarray:
-    """Per-tile species presence: 1 when an observation of the species lies
-    within the matching radius of the tile center."""
-    n_species = max(o.species_id for o in dataset.observations) + 1
-    targets = np.zeros((len(dataset.tiles), n_species))
-    for t_idx, tile in enumerate(dataset.tiles):
-        for obs in dataset.observations:
-            if np.hypot(obs.lat - tile.lat, obs.lon - tile.lon) <= radius:
-                targets[t_idx, obs.species_id] = 1.0
-    return targets
-
-
 def _probe_metrics(dataset, model: Model, task: str, seed: int,
                    probe_epochs: int, radius: float) -> dict:
     tiles = dataset.tiles
@@ -282,7 +270,7 @@ def _probe_metrics(dataset, model: Model, task: str, seed: int,
         return {"task": "multilabel", "micro_f1": micro_f1(pred_sets, true_sets)}
 
     if task == "encounter":
-        targets = _tile_species_targets(dataset, radius)
+        targets = tile_species_targets(tiles, dataset.observations, radius)
         head = fit_linear_probe(None, features[train_idx], targets[train_idx],
                                 "encounter_rate", probe_cfg)
         rates = head.predict(features[test_idx])

@@ -185,6 +185,21 @@ def _planar_degrees(lat1, lon1, lat2, lon2) -> float:
     return math.hypot(lat1 - lat2, lon1 - lon2)
 
 
+def tile_species_targets(tiles: list[TileRecord], observations: list[GeoObservation],
+                         radius: float) -> np.ndarray:
+    """Per-tile species presence, shape (tiles, species): 1 when an
+    observation of the species lies within `radius` degrees of the tile
+    center (planar distance, boundary included)."""
+    lat = np.array([o.lat for o in observations], dtype=np.float64)
+    lon = np.array([o.lon for o in observations], dtype=np.float64)
+    species = np.array([o.species_id for o in observations])
+    targets = np.zeros((len(tiles), int(species.max()) + 1))
+    for t_idx, tile in enumerate(tiles):
+        near = np.hypot(lat - tile.lat, lon - tile.lon) <= radius
+        targets[t_idx, species[near]] = 1.0
+    return targets
+
+
 def pair_samples(observations: list[GeoObservation], tiles: list[TileRecord],
                  texts: list[TextSection], raster: CovariateRaster,
                  matching_radius: float = 0.05, seed: int = 0) -> PairingResult:

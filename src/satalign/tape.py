@@ -6,6 +6,15 @@ computed for it. Ops evaluate eagerly as the graph is built (so shape errors
 surface at the call site), and a finished tape can be replayed with
 :func:`forward_eval` and differentiated with :func:`backward`.
 
+:func:`backward` computes only the gradients some trainable leaf needs: a
+node whose inputs reach no trainable leaf gets no vector-Jacobian product,
+and a conv2d, matmul or channel_norm skips the input gradients nothing
+upstream uses (the conv kernel gradient under a frozen kernel, the gradient
+into the pixel leaves). A training-mode channel_norm records the batch mean
+and variance it normalized with next to its value, so the backward pass and
+the running-statistics update read them instead of recomputing them: batch
+statistics are computed once per step.
+
 The op set is deliberately small: dense matmul, broadcasting add/mul, relu,
 strided conv2d (patch-flattening + matmul), global average pooling,
 per-channel scale-shift normalization, row L2-normalization, log-sum-exp,
@@ -46,9 +55,13 @@ def channel_batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Node:
-    """One recorded operation: op kind, input node ids, and its value."""
+    """One recorded operation: op kind, input node ids, and its value.
 
-    __slots__ = ("idx", "op", "inputs", "value", "name", "trainable", "attrs")
+    A training-mode channel_norm also keeps `batch_stats`, the (mean, var)
+    pair its value was normalized with; it is replaced together with `value`.
+    """
+
+    __slots__ = ("idx", "op", "inputs", "value", "name", "trainable", "attrs", "batch_stats")
 
     def __init__(self, idx, op, inputs, value, name=None, trainable=False, attrs=None):
         self.idx = idx
@@ -58,6 +71,7 @@ class Node:
         self.name = name
         self.trainable = trainable
         self.attrs = attrs or {}
+        self.batch_stats = None
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -178,7 +192,9 @@ class Tape:
                 raise ValueError(f"op {op!r} received an input that is not on this tape")
             ids.append(n.idx)
         node = Node(len(self.nodes), op, ids, None, attrs=attrs)
-        node.value = _compute(node, [self.nodes[i].value for i in ids])
+        saved = {}
+        node.value = _compute(node, [self.nodes[i].value for i in ids], saved)
+        node.batch_stats = saved.get(node.idx)
         self.nodes.append(node)
         return node
 
@@ -234,7 +250,9 @@ def _logsumexp_nd(x: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def _compute(node: Node, vals: list[np.ndarray]) -> np.ndarray:
+def _compute(node: Node, vals: list[np.ndarray], saved: dict | None = None) -> np.ndarray:
+    """Value of `node` from its input values. A training-mode channel_norm
+    also stores its batch (mean, var) in `saved[node.idx]` when given."""
     op = node.op
     if op == "add" or op == "mul":
         a, b = vals
@@ -276,6 +294,8 @@ def _compute(node: Node, vals: list[np.ndarray]) -> np.ndarray:
                              f"shape ({x.shape[1]},)")
         if node.attrs["training"]:
             mean, var = channel_batch_stats(x)
+            if saved is not None:
+                saved[node.idx] = (mean, var)
         else:
             mean, var = node.attrs["running_mean"], node.attrs["running_var"]
         inv = 1.0 / np.sqrt(var + node.attrs["eps"])
@@ -320,12 +340,14 @@ def replay_schedule(tape: Tape, leaf: str, output: int) -> list[Node]:
 
 
 def _evaluate(tape: Tape, overrides: dict[str, np.ndarray] | None,
-              nodes: list[Node] | None = None) -> list[np.ndarray]:
+              nodes: list[Node] | None = None,
+              saved: dict | None = None) -> list[np.ndarray]:
     """Values of every node with the named leaves overridden.
 
     By default every node is recomputed. Given `nodes`, a schedule in tape
     order such as :func:`replay_schedule` returns, only those nodes are
-    recomputed and all others keep their recorded values.
+    recomputed and all others keep their recorded values. No node is
+    written; batch statistics go to `saved` when given (see :func:`_compute`).
     """
     overrides = overrides or {}
     unknown = set(overrides) - set(tape._leaf_ids)
@@ -340,19 +362,22 @@ def _evaluate(tape: Tape, overrides: dict[str, np.ndarray] | None,
         values[tape._leaf_ids[name]] = v
     for node in tape.nodes if nodes is None else nodes:
         if node.op not in ("leaf", "const"):
-            values[node.idx] = _compute(node, [values[i] for i in node.inputs])
+            values[node.idx] = _compute(node, [values[i] for i in node.inputs], saved)
     return values
 
 
 def forward_eval(tape: Tape, inputs: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Re-run the tape, optionally overriding named leaves.
 
-    Recorded node values are replaced by the re-evaluation (which is
-    bit-identical for identical inputs) and the marked outputs are returned.
+    Recorded node values, and the batch statistics of training-mode norms,
+    are replaced by the re-evaluation (which is bit-identical for identical
+    inputs) and the marked outputs are returned.
     """
-    values = _evaluate(tape, inputs)
+    saved = {}
+    values = _evaluate(tape, inputs, saved=saved)
     for node in tape.nodes:
         node.value = values[node.idx]
+        node.batch_stats = saved.get(node.idx)
     return {name: tape.nodes[idx].value for name, idx in tape.outputs.items()}
 
 
@@ -372,7 +397,9 @@ def backward(tape: Tape, output: str | None = None,
     """Gradients of a scalar output with respect to every trainable leaf.
 
     Trainable leaves that do not reach the output get a zero gradient entry;
-    non-trainable leaves get none.
+    non-trainable leaves get none. One forward scan marks the nodes that
+    depend on a trainable leaf; only those receive gradients, so a subgraph
+    of frozen parameters and batch inputs costs nothing.
     """
     out_idx = _resolve_output(tape, output)
     out = tape.nodes[out_idx]
@@ -384,14 +411,19 @@ def backward(tape: Tape, output: str | None = None,
     if seed.shape != ():
         raise ValueError(f"seed must be scalar, got shape {seed.shape}")
 
+    needs = [False] * (out_idx + 1)
+    for node in tape.nodes[:out_idx + 1]:
+        needs[node.idx] = node.trainable or any(needs[i] for i in node.inputs)
+
     grads: list[np.ndarray | None] = [None] * len(tape.nodes)
     grads[out_idx] = seed
     for node in reversed(tape.nodes[:out_idx + 1]):
         g = grads[node.idx]
-        if g is None or node.op in ("leaf", "const"):
+        if g is None or not needs[node.idx] or node.op in ("leaf", "const"):
             continue
-        for inp_idx, dg in zip(node.inputs, _vjp(node, g, tape)):
-            if dg is None:
+        wanted = [needs[i] for i in node.inputs]
+        for inp_idx, want, dg in zip(node.inputs, wanted, _vjp(node, g, tape, wanted)):
+            if not want:
                 continue
             if grads[inp_idx] is None:
                 grads[inp_idx] = dg
@@ -407,7 +439,10 @@ def backward(tape: Tape, output: str | None = None,
     return result
 
 
-def _vjp(node: Node, g: np.ndarray, tape: Tape) -> list[np.ndarray | None]:
+def _vjp(node: Node, g: np.ndarray, tape: Tape,
+         wanted: list[bool]) -> list[np.ndarray | None]:
+    """Gradients into the node's inputs. The costly ops return None for an
+    input whose `wanted` flag is False; callers ignore those entries."""
     op = node.op
     vals = [tape.nodes[i].value for i in node.inputs]
     if op == "add":
@@ -421,31 +456,39 @@ def _vjp(node: Node, g: np.ndarray, tape: Tape) -> list[np.ndarray | None]:
         ta, tb = node.attrs["trans_a"], node.attrs["trans_b"]
         at = a.T if ta else a
         bt = b.T if tb else b
-        da, db = g @ bt.T, at.T @ g
-        return [da.T if ta else da, db.T if tb else db]
+        da = db = None
+        if wanted[0]:
+            da = g @ bt.T
+            da = da.T if ta else da
+        if wanted[1]:
+            db = at.T @ g
+            db = db.T if tb else db
+        return [da, db]
     if op == "relu":
         return [g * (vals[0] > 0)]
     if op == "conv2d":
         x, k = vals
         n, c, f, kh, kw, s, p, oh, ow = _conv_geometry(node, x, k)
-        xp = _pad2d(x, p)
-        cols2 = _im2col(xp, kh, kw, s, oh, ow).reshape(n, c * kh * kw, oh * ow)
         gm = g.reshape(n, f, oh * ow)
-        dk = np.einsum("nfl,nkl->fk", gm, cols2).reshape(f, c, kh, kw)
-        dcols = np.matmul(k.reshape(f, c * kh * kw).T[None], gm)
-        dcols = dcols.reshape(n, c, kh, kw, oh, ow)
-        dxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols[:, :, i, j]
-        dx = dxp[:, :, p:p + x.shape[2], p:p + x.shape[3]] if p else dxp
+        dx = dk = None
+        if wanted[1]:
+            cols2 = _im2col(_pad2d(x, p), kh, kw, s, oh, ow).reshape(n, c * kh * kw, oh * ow)
+            dk = np.einsum("nfl,nkl->fk", gm, cols2).reshape(f, c, kh, kw)
+        if wanted[0]:
+            dcols = np.matmul(k.reshape(f, c * kh * kw).T[None], gm)
+            dcols = dcols.reshape(n, c, kh, kw, oh, ow)
+            dxp = np.zeros((n, c, x.shape[2] + 2 * p, x.shape[3] + 2 * p))
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols[:, :, i, j]
+            dx = dxp[:, :, p:p + x.shape[2], p:p + x.shape[3]] if p else dxp
         return [dx, dk]
     if op == "global_avg_pool":
         x = vals[0]
         scale = 1.0 / (x.shape[2] * x.shape[3])
         return [np.broadcast_to((g * scale)[:, :, None, None], x.shape)]
     if op == "channel_norm":
-        return _channel_norm_vjp(node, g, vals)
+        return _channel_norm_vjp(node, g, vals, wanted)
     if op == "l2norm_rows":
         x = vals[0]
         y = node.value
@@ -476,17 +519,19 @@ def _vjp(node: Node, g: np.ndarray, tape: Tape) -> list[np.ndarray | None]:
     raise ValueError(f"unsupported op kind {op!r} at node {node.idx}")
 
 
-def _channel_norm_vjp(node: Node, g: np.ndarray, vals: list[np.ndarray]):
+def _channel_norm_vjp(node: Node, g: np.ndarray, vals: list[np.ndarray], wanted: list[bool]):
     x, gamma, _ = vals
     eps = node.attrs["eps"]
     if node.attrs["training"]:
-        mean, var = channel_batch_stats(x)
+        mean, var = node.batch_stats
     else:
         mean, var = node.attrs["running_mean"], node.attrs["running_var"]
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
-    dgamma = np.sum(g * xhat, axis=(0, 2, 3))
-    dbeta = np.sum(g, axis=(0, 2, 3))
+    dgamma = np.sum(g * xhat, axis=(0, 2, 3)) if wanted[1] else None
+    dbeta = np.sum(g, axis=(0, 2, 3)) if wanted[2] else None
+    if not wanted[0]:
+        return [None, dgamma, dbeta]
     dxhat = g * gamma[None, :, None, None]
     if not node.attrs["training"]:
         return [dxhat * inv[None, :, None, None], dgamma, dbeta]

@@ -26,7 +26,7 @@ from .encoders import (ImageEncoderConfig, LocationEncoderConfig, Model, ModelCo
                        location_feature_graph, location_input_features, trainable_mask)
 from .geodata import TrainingSample
 from .optim import AdamState, ParameterStore, adam_step
-from .tape import Tape, backward, channel_batch_stats
+from .tape import Tape, backward
 
 CHECKPOINT_VERSION = 1
 
@@ -180,11 +180,11 @@ def steps_per_epoch(n_samples: int, batch_size: int) -> int:
     return n_samples // batch_size
 
 
-def _update_running_stats(model: Model, tape: Tape, norm_nodes) -> None:
+def _update_running_stats(model: Model, norm_nodes) -> None:
+    """Momentum update from the batch statistics each norm node recorded."""
     momentum = model.cfg.image.norm_momentum
     for key, node in norm_nodes:
-        x = tape.nodes[node.inputs[0]].value
-        mean, var = channel_batch_stats(x)
+        mean, var = node.batch_stats
         model.stats[f"{key}.mean"] = (1 - momentum) * model.stats[f"{key}.mean"] + momentum * mean
         model.stats[f"{key}.var"] = (1 - momentum) * model.stats[f"{key}.var"] + momentum * var
 
@@ -239,7 +239,7 @@ def train(config: TrainConfig, samples: list[TrainingSample],
                 raise RuntimeError(f"non-finite loss at step {global_step}")
             grads = backward(tape, output="loss")
             adam_step(model.params, grads, adam)
-            _update_running_stats(model, tape, norm_nodes)
+            _update_running_stats(model, norm_nodes)
             epoch_step_losses.append(loss)
             step_losses.append(loss)
             global_step += 1

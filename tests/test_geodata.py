@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satalign.geodata import (CovariateRaster, GeoObservation, TextSection,
-                              TileRecord, bilinear_sample, pair_samples)
+                              TileRecord, bilinear_sample, pair_samples,
+                              tile_species_targets)
+from satalign.synthworld import SyntheticWorldConfig, generate_synthetic_world
 
 
 def grid_raster(rows=4, cols=5, channels=20, seed=0):
@@ -172,3 +174,27 @@ class TestPairSamples:
         result = pair_samples(obs, tiles, texts, raster, seed=3)
         for sample in result.samples:
             assert sample.text.species_id == sample.location.species_id
+
+
+def test_tile_species_targets_match_pairwise_loop():
+    world = generate_synthetic_world(SyntheticWorldConfig(
+        seed=4, n_species=8, n_habitats=4, raster_rows=16, raster_cols=16,
+        tiles_per_habitat=8, n_observations=200, d_txt=8, tile_size=8,
+        sections_per_species=2))
+    tiles = world.tiles
+    # One observation of a species seen nowhere else sits exactly at the
+    # radius from one tile center, so the boundary test decides its target.
+    edge = GeoObservation(lat=tiles[5].lat + 0.03, lon=tiles[5].lon + 0.04, species_id=8)
+    observations = list(world.observations) + [edge]
+    radius = np.hypot(edge.lat - tiles[5].lat, edge.lon - tiles[5].lon)
+
+    expected = np.zeros((len(tiles), 9))
+    for t_idx, tile in enumerate(tiles):
+        for obs in observations:
+            if np.hypot(obs.lat - tile.lat, obs.lon - tile.lon) <= radius:
+                expected[t_idx, obs.species_id] = 1.0
+    assert expected[5, 8] == 1.0 and 0 < expected.sum() < expected.size
+
+    targets = tile_species_targets(tiles, observations, radius)
+    assert targets.dtype == np.float64
+    assert targets.tobytes() == expected.tobytes()

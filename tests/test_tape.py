@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+import satalign.tape as tape_module
+from satalign.cli import _gradcheck_setup
+from satalign.encoders import trainable_mask
+from satalign.optim import ParameterStore
 from satalign.tape import (Tape, _evaluate, backward, channel_batch_stats, forward_eval,
                            l2_normalize_rows)
 from satalign.gradcheck import finite_diff_check
@@ -334,3 +338,85 @@ def test_channel_batch_stats_match_numpy():
     mean, var = channel_batch_stats(x)
     np.testing.assert_allclose(mean, x.mean(axis=(0, 2, 3)), atol=1e-12)
     np.testing.assert_allclose(var, x.var(axis=(0, 2, 3)), atol=1e-12)
+
+
+# -- pruned backward on the full training graph --------------------------------
+
+MASKS = [("full", False), ("scale_shift", False), ("scale_shift", True)]
+
+
+def masked_setup(seed, mode, freeze_location):
+    """`_gradcheck_setup`'s tape with every leaf's trainable flag set from the
+    fine-tuning mask; the batch leaves stay frozen."""
+    tape = _gradcheck_setup(seed)
+    params = ParameterStore()
+    for name in tape.leaf_names():
+        if not name.startswith("batch."):
+            params.add(name, tape.leaf_value(name))
+    mask = trainable_mask(mode, params, freeze_location)
+    for name in tape.leaf_names():
+        tape.nodes[tape._leaf_ids[name]].trainable = name in mask
+    return tape, mask
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("mode, freeze_location", MASKS)
+def test_pruned_backward_matches_all_trainable_bitwise(seed, mode, freeze_location):
+    tape, mask = masked_setup(seed, mode, freeze_location)
+    grads = backward(tape, output="loss")
+    assert set(grads) == mask
+
+    reference = _gradcheck_setup(seed)
+    for name in reference.leaf_names():  # pixels, text and locfeat included
+        reference.nodes[reference._leaf_ids[name]].trainable = True
+    full = backward(reference, output="loss")
+    assert set(full) == set(reference.leaf_names())
+    for name in mask:
+        assert grads[name].shape == full[name].shape, name
+        assert grads[name].tobytes() == full[name].tobytes(), name
+
+
+def counting_backward(monkeypatch, tape):
+    """Run backward, recording every `_im2col` call and every node given a VJP."""
+    im2col_calls, vjp_nodes = [], []
+    real_im2col, real_vjp = tape_module._im2col, tape_module._vjp
+
+    def im2col(*args):
+        im2col_calls.append(args[0].shape)
+        return real_im2col(*args)
+
+    def vjp(node, *args):
+        vjp_nodes.append(node)
+        return real_vjp(node, *args)
+
+    monkeypatch.setattr(tape_module, "_im2col", im2col)
+    monkeypatch.setattr(tape_module, "_vjp", vjp)
+    backward(tape, output="loss")
+    monkeypatch.undo()
+    return im2col_calls, vjp_nodes
+
+
+def test_scale_shift_backward_never_calls_im2col(monkeypatch):
+    full, _ = masked_setup(0, "full", False)
+    calls, _ = counting_backward(monkeypatch, full)
+    assert len(calls) == 4  # kernel gradients of two conv stages in two towers
+    frozen, _ = masked_setup(0, "scale_shift", False)
+    calls, vjp_nodes = counting_backward(monkeypatch, frozen)
+    assert calls == []
+    # conv2 still passes its input gradient on to norm1's scale and shift;
+    # conv1 reaches no trainable leaf at all.
+    assert sum(node.op == "conv2d" for node in vjp_nodes) == 2
+
+
+def test_frozen_location_tower_gets_no_vjp(monkeypatch):
+    def location_matmuls(tape, nodes):
+        loc_leaves = {tape._leaf_ids[n] for n in tape.leaf_names() if n.startswith("loc.")}
+        return [node for node in nodes
+                if node.op == "matmul" and loc_leaves & set(node.inputs)]
+
+    trainable, _ = masked_setup(0, "scale_shift", False)
+    _, vjp_nodes = counting_backward(monkeypatch, trainable)
+    assert len(location_matmuls(trainable, vjp_nodes)) == 3  # fc0, res1, out
+    frozen, _ = masked_setup(0, "scale_shift", True)
+    _, vjp_nodes = counting_backward(monkeypatch, frozen)
+    assert location_matmuls(frozen, vjp_nodes) == []

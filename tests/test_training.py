@@ -3,7 +3,7 @@ import pytest
 
 from conftest import small_train_config, world_and_samples
 from satalign.encoders import trainable_mask
-from satalign.tape import Tape
+from satalign.tape import Tape, backward, channel_batch_stats, forward_eval
 from satalign.training import (Checkpoint, assemble_batch, build_training_graph,
                                config_from_dict, config_to_dict, initial_model,
                                load_checkpoint, model_from_checkpoint, save_checkpoint,
@@ -234,3 +234,50 @@ def test_model_from_checkpoint_reproduces_features(trained_checkpoint, shared_wo
     feats = model.image_features(pixels)
     assert feats.shape == (3, 32)
     assert np.all(np.isfinite(feats))
+
+
+def test_running_stats_are_momentum_update_of_batch_stats(shared_world_samples,
+                                                          monkeypatch):
+    _, samples = shared_world_samples
+    import satalign.training as training_module
+    real_build = training_module.build_training_graph
+    graphs = []
+
+    def recording(*args):
+        graphs.append(real_build(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(training_module, "build_training_graph", recording)
+    config = small_train_config(epochs=1)
+    ckpt = train(config, samples[:config.batch_size])
+    assert len(graphs) == 1
+
+    tape, norm_nodes = graphs[0]
+    expected = initial_model(config).stats
+    momentum = config.model.image.norm_momentum
+    for key, node in norm_nodes:  # tile_a tower first, then tile_b
+        mean, var = channel_batch_stats(tape.nodes[node.inputs[0]].value)
+        expected[f"{key}.mean"] = (1 - momentum) * expected[f"{key}.mean"] + momentum * mean
+        expected[f"{key}.var"] = (1 - momentum) * expected[f"{key}.var"] + momentum * var
+    assert sorted(ckpt.stats) == sorted(expected)
+    for name, value in expected.items():
+        assert ckpt.stats[name].tobytes() == value.tobytes(), name
+
+
+def test_backward_after_forward_eval_matches_fresh_tape(shared_world_samples):
+    _, samples = shared_world_samples
+    config = small_train_config()
+    model = initial_model(config)
+    mask = trainable_mask("full", model.params)
+    batch = assemble_batch(samples[:4], config, np.random.default_rng(1))
+    other = assemble_batch(samples[4:8], config, np.random.default_rng(2))
+    pixels = {"tiles_a": other["tiles_a"], "tiles_b": other["tiles_b"]}
+
+    tape, _ = build_training_graph(model, batch, mask, config.loss_config())
+    forward_eval(tape, {f"batch.{k}": v for k, v in pixels.items()})
+    replayed = backward(tape, output="loss")
+    fresh, _ = build_training_graph(model, {**batch, **pixels}, mask, config.loss_config())
+    expected = backward(fresh, output="loss")
+    assert sorted(replayed) == sorted(expected)
+    for name in expected:
+        assert replayed[name].tobytes() == expected[name].tobytes(), name
