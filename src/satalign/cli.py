@@ -116,10 +116,19 @@ def _atomic(out: Path, build) -> None:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _load_json_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    return json.loads(Path(path).read_text())
+def _config_from_file(path: str | None, build):
+    """`build(fields)` on the JSON object in `path` ({} without a file). The
+    config dataclasses raise TypeError for an unknown field or a value of the
+    wrong type; from a file, that is an input error naming the file."""
+    fields = json.loads(Path(path).read_text()) if path else {}
+    if not isinstance(fields, dict):
+        raise ValueError(f"{path}: expected a JSON object of config fields")
+    try:
+        return build(fields)
+    except TypeError as e:
+        if path is None:
+            raise
+        raise ValueError(f"{path}: invalid config ({e})") from None
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -127,9 +136,13 @@ def _load_json_config(path: str | None) -> dict:
 
 def _cmd_synth(args) -> int:
     started = time.monotonic()
-    overrides = _load_json_config(args.config)
-    overrides["seed"] = args.seed
-    config = SyntheticWorldConfig(**overrides)
+
+    def build(fields):
+        config = SyntheticWorldConfig(**dict(fields, seed=args.seed))
+        config.validate()
+        return config
+
+    config = _config_from_file(args.config, build)
     world = generate_synthetic_world(config)
     dataset = dataset_from_world(world)
     out = Path(args.out)
@@ -144,8 +157,6 @@ def _cmd_synth(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
-    overrides = _load_json_config(args.config)
-    config = config_from_dict(overrides) if overrides else TrainConfig()
     updates = {}
     for flag in ("seed", "epochs", "batch_size", "lr", "peft"):
         value = getattr(args, flag, None)
@@ -153,9 +164,14 @@ def _train_config(args) -> TrainConfig:
             updates[flag] = value
     if getattr(args, "freeze_location", False):
         updates["freeze_location"] = True
-    config = dataclasses.replace(config, **updates)
-    config.validate()
-    return config
+
+    def build(fields):
+        config = config_from_dict(fields) if fields else TrainConfig()
+        config = dataclasses.replace(config, **updates)
+        config.validate()
+        return config
+
+    return _config_from_file(args.config, build)
 
 
 def _paired_samples(data_dir: str, config: TrainConfig):
@@ -389,10 +405,23 @@ def _cmd_zeroshot(args) -> int:
     return 0
 
 
+def _read_json_list(path: str, nested: bool) -> list:
+    """A JSON list of numbers, or of number lists when `nested`, from `path`."""
+    obj = json.loads(Path(path).read_text())
+    rows = obj if nested else [obj]
+    if not (isinstance(obj, list) and all(
+            isinstance(row, list) and all(isinstance(v, (int, float)) for v in row)
+            for row in rows)):
+        raise ValueError(f"{path}: expected a JSON list of "
+                         f"{'number lists' if nested else 'numbers'}")
+    return obj
+
+
 def _cmd_eval_metrics(args) -> int:
     started = time.monotonic()
-    preds = json.loads(Path(args.preds).read_text())
-    labels = json.loads(Path(args.labels).read_text())
+    nested = args.task != "cls"
+    preds = _read_json_list(args.preds, nested)
+    labels = _read_json_list(args.labels, nested)
     if args.task == "cls":
         k = max(max(preds), max(labels)) + 1
         metrics = {"accuracy": accuracy(preds, labels),
@@ -482,8 +511,9 @@ def build_parser() -> _Parser:
 
 
 def dispatch(argv=None) -> int:
-    """Run one subcommand. Exit codes: 0 success, 1 validation error,
-    2 runtime failure (or a failed gradcheck)."""
+    """Run one subcommand. Exit codes: 0 success; 1 bad flags or inputs (a
+    ValueError, which includes malformed JSON, or a missing file); 2 anything
+    else, which is a bug or a runtime failure, and a failed gradcheck."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -491,7 +521,7 @@ def dispatch(argv=None) -> int:
         return 1
     try:
         return args.handler(args)
-    except (ValueError, TypeError, KeyError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (ValueError, FileNotFoundError) as e:
         _log(f"error: {e}")
         return 1
     except Exception:

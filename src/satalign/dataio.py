@@ -60,6 +60,27 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
+               dict: "an object"}
+
+
+def require_fields(obj, fields: dict, where) -> dict:
+    """`obj` if it is a JSON object holding every field of `fields` (name ->
+    int, float, str, list or dict; a float field also takes an integer).
+    Otherwise a ValueError naming `where`: a file, or a record inside one."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    missing = [name for name in fields if name not in obj]
+    if missing:
+        raise ValueError(f"{where}: missing fields {sorted(missing)}")
+    for name, kind in fields.items():
+        found = type(obj[name])  # exact: a JSON true is a bool, not an int
+        if found is not kind and not (kind is float and found is int):
+            raise ValueError(f"{where}: field {name!r} must be {_JSON_KINDS[kind]}, "
+                             f"got {obj[name]!r:.40}")
+    return obj
+
+
 def _read_json(path: Path):
     try:
         return json.loads(path.read_text())
@@ -156,12 +177,10 @@ def _load_observations(path: Path) -> list[GeoObservation]:
 
 
 def _load_raster(root: Path) -> CovariateRaster:
-    header = _read_json(root / "raster.json")
-    required = {"rows", "cols", "channels", "lat0", "lon0", "dlat", "dlon",
-                "channel_min", "channel_max"}
-    missing = required - set(header)
-    if missing:
-        raise ValueError(f"raster.json: missing fields {sorted(missing)}")
+    header = require_fields(_read_json(root / "raster.json"),
+                            {"rows": int, "cols": int, "channels": int, "lat0": float,
+                             "lon0": float, "dlat": float, "dlon": float,
+                             "channel_min": list, "channel_max": list}, "raster.json")
     rows, cols, channels = header["rows"], header["cols"], header["channels"]
     values = _read_f32(root / "raster.bin", rows * cols * channels, "raster.bin")
     return CovariateRaster(lat0=header["lat0"], lon0=header["lon0"],
@@ -173,8 +192,13 @@ def _load_raster(root: Path) -> CovariateRaster:
 
 def _load_tiles(root: Path) -> list[TileRecord]:
     manifest = _read_json(root / "tiles" / "manifest.json")
+    if not isinstance(manifest, list):
+        raise ValueError("tiles/manifest.json: expected a JSON list of tile records")
     tiles = []
     for i, entry in enumerate(manifest):
+        require_fields(entry, {"tile_id": int, "lat": float, "lon": float, "timestamp": int,
+                               "file": str, "c": int, "h": int, "w": int},
+                       f"tiles/manifest.json record {i}")
         try:
             c, h, w = entry["c"], entry["h"], entry["w"]
             pixels = _read_f32(root / "tiles" / entry["file"], c * h * w,
@@ -182,17 +206,14 @@ def _load_tiles(root: Path) -> list[TileRecord]:
             tiles.append(TileRecord(tile_id=entry["tile_id"], lat=entry["lat"],
                                     lon=entry["lon"], timestamp=entry["timestamp"],
                                     pixels=pixels.reshape(c, h, w)))
-        except KeyError as e:
-            raise ValueError(f"tiles/manifest.json: missing field {e}, record {i}") from None
         except ValueError as e:
             raise ValueError(f"tiles/manifest.json record {i}: {e}") from None
     return tiles
 
 
 def _load_texts(root: Path) -> list[TextSection]:
-    header = _read_json(root / "text" / "sections.json")
-    if "d_txt" not in header or "sections" not in header:
-        raise ValueError("text/sections.json: malformed header, needs d_txt and sections")
+    header = require_fields(_read_json(root / "text" / "sections.json"),
+                            {"d_txt": int, "sections": list}, "text/sections.json")
     d_txt = int(header["d_txt"])
     blob = np.frombuffer((root / "text" / "embeddings.bin").read_bytes(), dtype="<f4")
     if d_txt <= 0 or blob.size % d_txt != 0:
@@ -201,8 +222,10 @@ def _load_texts(root: Path) -> list[TextSection]:
     rows = blob.astype(np.float64).reshape(-1, d_txt)
     texts = []
     for i, entry in enumerate(header["sections"]):
-        row = entry.get("row")
-        if row is None or not 0 <= row < rows.shape[0]:
+        require_fields(entry, {"species_id": int, "section_id": int, "row": int},
+                       f"text/sections.json record {i}")
+        row = entry["row"]
+        if not 0 <= row < rows.shape[0]:
             raise ValueError(f"text/sections.json: row index out of range, record {i}")
         texts.append(TextSection(species_id=entry["species_id"],
                                  section_id=entry["section_id"],
@@ -214,7 +237,9 @@ def _load_truth(root: Path) -> GroundTruth | None:
     path = root / "ground_truth.json"
     if not path.exists():
         return None
-    obj = _read_json(path)
+    obj = require_fields(_read_json(path), {"n_habitats": int, "tile_habitats": dict,
+                                            "species_habitats": dict, "text_prototypes": list},
+                         "ground_truth.json")
     return GroundTruth(n_habitats=obj["n_habitats"],
                        tile_habitats={int(k): v for k, v in obj["tile_habitats"].items()},
                        species_habitats={int(k): v for k, v in obj["species_habitats"].items()},
@@ -229,8 +254,14 @@ def ingest_dataset(directory: str | Path) -> GeoDataset:
     for required in ("observations.csv", "raster.json", "raster.bin"):
         if not (root / required).exists():
             raise ValueError(f"dataset is missing {required}")
-    return GeoDataset(observations=_load_observations(root / "observations.csv"),
-                      raster=_load_raster(root),
-                      tiles=_load_tiles(root),
-                      texts=_load_texts(root),
-                      truth=_load_truth(root))
+    dataset = GeoDataset(observations=_load_observations(root / "observations.csv"),
+                         raster=_load_raster(root),
+                         tiles=_load_tiles(root),
+                         texts=_load_texts(root),
+                         truth=_load_truth(root))
+    if dataset.truth is not None:
+        unlabeled = [t.tile_id for t in dataset.tiles
+                     if t.tile_id not in dataset.truth.tile_habitats]
+        if unlabeled:
+            raise ValueError(f"ground_truth.json: no habitat for tile {unlabeled[0]}")
+    return dataset

@@ -170,19 +170,6 @@ class Model:
                                       stats=self.stats, training=False)
         return feat.value
 
-    def location_embeddings(self, features: np.ndarray) -> np.ndarray:
-        """Location-encoder outputs for a batch of input features, (n, d_loc)."""
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        expected = self.cfg.location.input_dim
-        if features.shape[1] != expected:
-            raise ValueError(f"location encoder expects {expected} input features "
-                             f"(use_covariates={self.cfg.location.use_covariates}), "
-                             f"got {features.shape[1]}")
-        tape = Tape()
-        x = tape.leaf("locfeat", features)
-        leaves = self._leaves(tape, [n for n in self.params.names() if n.startswith("loc.")])
-        return location_feature_graph(tape, leaves, self.cfg.location, x).value
-
     def _project(self, head: str, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         return l2_normalize_rows(rows @ self.params.get(head))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import pair_paths
+from .dataio import pair_paths, require_fields
 from .encoders import Model
 from .geodata import TileRecord
 from .optim import AdamState, ParameterStore, adam_step
@@ -297,7 +297,8 @@ def load_index(path: str | Path) -> RetrievalIndex:
     json_path, bin_path = pair_paths(path)
     if not json_path.exists():
         raise ValueError(f"index header not found: {json_path}")
-    header = json.loads(json_path.read_text())
+    header = require_fields(json.loads(json_path.read_text()),
+                            {"n": int, "d": int, "tile_ids": list}, json_path)
     data = np.frombuffer(bin_path.read_bytes(), dtype="<f4").astype(np.float64)
     n, d = header["n"], header["d"]
     if data.size != n * d:
@@ -306,7 +307,3 @@ def load_index(path: str | Path) -> RetrievalIndex:
     return RetrievalIndex(tile_ids=[int(t) for t in header["tile_ids"]],
                           matrix=l2_normalize_rows(data.reshape(n, d)))
 
-
-def encoder_blob_hash(model: Model) -> str:
-    """Hash of every encoder parameter bit; probes must not change it."""
-    return model.params.blob_hash()

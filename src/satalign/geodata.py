@@ -200,6 +200,27 @@ def tile_species_targets(tiles: list[TileRecord], observations: list[GeoObservat
     return targets
 
 
+def _cell(value: float, width: float) -> int | None:
+    """Grid index of a coordinate, or None where the index would be too
+    coarse a float (or not finite) to place the value within a cell."""
+    index = value / width
+    return math.floor(index) if abs(index) < 2.0 ** 50 else None
+
+
+def _center_grid(centers: list[tuple[float, float]], width: float):
+    """Bucket center indices by grid cell; centers that fit no cell are
+    returned apart, to be checked against every observation."""
+    grid: dict[tuple[int, int], list[int]] = {}
+    unplaced = []
+    for i, (lat, lon) in enumerate(centers):
+        cell = (_cell(lat, width), _cell(lon, width))
+        if None in cell:
+            unplaced.append(i)
+        else:
+            grid.setdefault(cell, []).append(i)
+    return grid, unplaced
+
+
 def pair_samples(observations: list[GeoObservation], tiles: list[TileRecord],
                  texts: list[TextSection], raster: CovariateRaster,
                  matching_radius: float = 0.05, seed: int = 0) -> PairingResult:
@@ -212,6 +233,11 @@ def pair_samples(observations: list[GeoObservation], tiles: list[TileRecord],
     from bilinear interpolation at the observation location and are min-max
     normalized to [-1, 1]. Observations that cannot be paired are skipped and
     counted, and pairing fails only when nothing survives.
+
+    Tile centers are bucketed on a grid of cells at least twice the radius
+    wide, and each observation measures only the centers in its own cell and
+    the 8 around it. A center within the radius is at most half a cell away,
+    which leaves half a cell of slack for the rounding of the cell indices.
     """
     if not observations:
         raise ValueError("empty observation list")
@@ -223,6 +249,10 @@ def pair_samples(observations: list[GeoObservation], tiles: list[TileRecord],
     for group in by_center.values():
         group.sort(key=lambda t: t.tile_id)
     centers = sorted(by_center)
+    # cells of at least 1e-6 degrees keep every observation's cell index far
+    # from the float precision limit
+    width = max(2.0 * matching_radius, 1e-6)
+    grid, unplaced = _center_grid(centers, width)
 
     by_species: dict[int, list[TextSection]] = {}
     for s in texts:
@@ -233,8 +263,14 @@ def pair_samples(observations: list[GeoObservation], tiles: list[TileRecord],
     samples: list[TrainingSample] = []
     skips = {"no_tile": 0, "no_text": 0, "covariates_out_of_bounds": 0}
     for obs in observations:
+        row, col = _cell(obs.lat, width), _cell(obs.lon, width)
+        candidates = list(unplaced)
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                candidates.extend(grid.get((row + dr, col + dc), ()))
         best = None
-        for center in centers:
+        for i in sorted(candidates):
+            center = centers[i]
             dist = _planar_degrees(obs.lat, obs.lon, center[0], center[1])
             if dist > matching_radius:
                 continue

@@ -90,10 +90,6 @@ class SyntheticWorld:
         hull = (cfg.raster_rows - 1) * cfg.dlat
         self.strip_height = hull / cfg.n_habitats
 
-    def habitat_of(self, lat: float) -> int:
-        idx = int((lat - self.config.lat0) / self.strip_height)
-        return min(max(idx, 0), self.config.n_habitats - 1)
-
 
 def _f32(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float32).astype(np.float64)

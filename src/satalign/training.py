@@ -1,8 +1,10 @@
 """Training loop for the three-term contrastive objective, plus checkpoints.
 
 Each step draws a batch without replacement (reshuffled per epoch, drop-last),
-augments the temporal tile pair, builds the full loss graph on a fresh tape,
-backpropagates, and applies Adam restricted to the active fine-tuning mask.
+augments the temporal tile pair with array operations over the whole batch
+(only the per-sample seeds and crops loop over samples), builds the full loss
+graph on a fresh tape, backpropagates, and applies Adam restricted to the
+active fine-tuning mask.
 Normalization running statistics update with momentum after every step. All
 randomness flows from one seeded generator whose state is checkpointed, so a
 saved run resumes bit-identically.
@@ -20,7 +22,7 @@ import numpy as np
 
 from .augment import augment_geometric, augment_photometric, fit_to_input
 from .contrastive import LossConfig, trimodal_loss_graph
-from .dataio import pair_paths
+from .dataio import pair_paths, require_fields
 from .encoders import (ImageEncoderConfig, LocationEncoderConfig, Model, ModelConfig,
                        PEFT_MODES, head_graph, image_feature_graph,
                        location_feature_graph, location_input_features, trainable_mask)
@@ -77,16 +79,16 @@ def config_to_dict(config: TrainConfig) -> dict:
 
 
 def config_from_dict(obj: dict) -> TrainConfig:
+    """Inverse of `config_to_dict`. A field the config does not have raises
+    TypeError, as the config dataclasses do."""
     obj = dict(obj)
-    model = obj.pop("model", {})
-    image = dict(model.get("image", {}))
+    model = dict(obj.pop("model", {}))
+    image = dict(model.pop("image", {}))
     if "widths" in image:
         image["widths"] = tuple(image["widths"])
-    location = dict(model.get("location", {}))
+    location = dict(model.pop("location", {}))
     model_cfg = ModelConfig(image=ImageEncoderConfig(**image),
-                            location=LocationEncoderConfig(**location),
-                            d_txt=model.get("d_txt", 64),
-                            embed_dim=model.get("embed_dim", 64))
+                            location=LocationEncoderConfig(**location), **model)
     return TrainConfig(model=model_cfg, **obj)
 
 
@@ -154,26 +156,30 @@ def build_training_graph(model: Model, batch: dict[str, np.ndarray],
 def assemble_batch(samples: list[TrainingSample], config: TrainConfig,
                    rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Augment and stack one batch. tile_a is deterministically resized and
-    photometrically jittered; tile_b additionally gets flips and a random crop."""
+    photometrically jittered; tile_b additionally gets flips and a random crop.
+
+    `rng` gives three seeds per sample, sample by sample (geometric, then
+    photometric for tile_a, then for tile_b); the augmentations then run over
+    the whole batch, with tile_a grouped by tile size for its resize.
+    """
     in_size = config.model.image.in_size
     use_cov = config.model.location.use_covariates
-    tiles_a, tiles_b, locfeat, text = [], [], [], []
-    for sample in samples:
-        seed_geo = int(rng.integers(2 ** 63))
-        seed_pa = int(rng.integers(2 ** 63))
-        seed_pb = int(rng.integers(2 ** 63))
-        tile_a = augment_photometric(fit_to_input(sample.tile_a, in_size),
-                                     config.jitter, config.channel_mix, seed_pa)
-        tile_b = augment_geometric(sample.tile_b, config.crop_size, seed_geo,
-                                   out_size=in_size)
-        tile_b = augment_photometric(tile_b, config.jitter, config.channel_mix, seed_pb)
-        tiles_a.append(tile_a.pixels)
-        tiles_b.append(tile_b.pixels)
-        locfeat.append(location_input_features(sample.location.lat, sample.location.lon,
-                                               sample.covariates if use_cov else None))
-        text.append(sample.text.embedding)
-    return {"tiles_a": np.stack(tiles_a), "tiles_b": np.stack(tiles_b),
-            "locfeat": np.stack(locfeat), "text": np.stack(text)}
+    seeds = rng.integers(2 ** 63, size=(len(samples), 3))
+    tiles_b = augment_geometric([s.tile_b.pixels for s in samples], config.crop_size,
+                                seeds[:, 0], out_size=in_size)
+    tiles_b = augment_photometric(tiles_b, config.jitter, config.channel_mix, seeds[:, 2])
+    by_size: dict[tuple[int, ...], list[int]] = {}
+    for i, sample in enumerate(samples):
+        by_size.setdefault(sample.tile_a.pixels.shape, []).append(i)
+    tiles_a = np.empty(tiles_b.shape)
+    for idx in by_size.values():
+        fitted = fit_to_input(np.stack([samples[i].tile_a.pixels for i in idx]), in_size)
+        tiles_a[idx] = augment_photometric(fitted, config.jitter, config.channel_mix,
+                                           seeds[idx, 1])
+    locfeat = [location_input_features(s.location.lat, s.location.lon,
+                                       s.covariates if use_cov else None) for s in samples]
+    return {"tiles_a": tiles_a, "tiles_b": np.ascontiguousarray(tiles_b),
+            "locfeat": np.stack(locfeat), "text": np.stack([s.text.embedding for s in samples])}
 
 
 def steps_per_epoch(n_samples: int, batch_size: int) -> int:
@@ -285,33 +291,52 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> tuple[Path, Path]:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint pair. A malformed header, a blob of the wrong length
+    and a non-finite tensor are each a ValueError naming the file."""
     json_path, bin_path = pair_paths(path)
     if not json_path.exists():
         raise ValueError(f"checkpoint header not found: {json_path}")
-    header = json.loads(json_path.read_text())
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint version mismatch: got {header.get('version')}, "
+    header = require_fields(json.loads(json_path.read_text()), {"version": int}, json_path)
+    if header["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint version mismatch: got {header['version']}, "
                          f"expected {CHECKPOINT_VERSION}")
-    config = config_from_dict(header["config"])
+    require_fields(header, {"config": dict, "tensors": list, "rng_state": dict, "epoch": int,
+                            "adam": dict, "epoch_losses": list, "step_losses": list},
+                   json_path)
+    try:
+        config = config_from_dict(header["config"])
+        config.validate()
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{json_path}: malformed config ({e})") from None
+    entries = [require_fields(entry, {"name": str, "shape": list, "kind": str},
+                              f"{json_path} tensor {i}")
+               for i, entry in enumerate(header["tensors"])]
+    for i, entry in enumerate(entries):
+        if not all(type(d) is int and d >= 0 for d in entry["shape"]):
+            raise ValueError(f"{json_path} tensor {i}: malformed shape {entry['shape']}")
 
     raw = bin_path.read_bytes()
-    expected = sum(int(np.prod(t["shape"])) if t["shape"] else 1 for t in header["tensors"])
+    expected = sum(math.prod(t["shape"]) for t in entries)
     if len(raw) != expected * 8:
         raise ValueError(f"blob length mismatch: {len(raw)} bytes, "
                          f"expected {expected * 8}")
     blob = np.frombuffer(raw, dtype="<f8")
+    finite = bool(np.isfinite(blob).all())
 
     groups: dict[str, dict[str, np.ndarray]] = {"param": {}, "stat": {},
                                                 "adam_m": {}, "adam_v": {}}
     offset = 0
-    for entry in header["tensors"]:
+    for entry in entries:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         arr = blob[offset:offset + count].reshape(shape).copy()
         offset += count
         if entry["kind"] not in groups:
             raise ValueError(f"unknown tensor kind {entry['kind']!r} "
                              f"for field {entry['name']!r}")
+        if not finite and not np.isfinite(arr).all():
+            raise ValueError(f"{bin_path}: non-finite values in {entry['kind']} "
+                             f"tensor {entry['name']!r}")
         groups[entry["kind"]][entry["name"]] = arr
 
     reference = Model.initialize(config.model, seed=0)
@@ -325,12 +350,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if name not in groups["stat"] or groups["stat"][name].shape != value.shape:
             raise ValueError(f"shape mismatch for tensor {name!r}")
 
-    adam_cfg = header["adam"]
+    adam_cfg = require_fields(header["adam"], {"lr": float, "beta1": float, "beta2": float,
+                                               "eps": float, "t": int}, f"{json_path} adam")
     adam = AdamState(lr=adam_cfg["lr"], beta1=adam_cfg["beta1"], beta2=adam_cfg["beta2"],
                      eps=adam_cfg["eps"], t=adam_cfg["t"],
                      m=groups["adam_m"], v=groups["adam_v"])
-    rng_state = header["rng_state"]
     return Checkpoint(config=config, params=groups["param"], stats=groups["stat"],
-                      adam=adam, rng_state=rng_state, epoch=header["epoch"],
+                      adam=adam, rng_state=header["rng_state"], epoch=header["epoch"],
                       epoch_losses=list(header["epoch_losses"]),
                       step_losses=list(header["step_losses"]))

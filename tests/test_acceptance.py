@@ -16,7 +16,7 @@ import pytest
 from satalign.cli import _gradcheck_setup, dispatch, hash_path
 from satalign.contrastive import info_nce, pairwise_loss, trimodal_loss
 from satalign.encoders import ImageEncoderConfig, LocationEncoderConfig, ModelConfig
-from satalign.evaluate import (ProbeConfig, accuracy, build_index, encoder_blob_hash,
+from satalign.evaluate import (ProbeConfig, accuracy, build_index,
                                fit_linear_probe, mean_iou, micro_f1, query_index,
                                top_k_accuracy)
 from satalign.geodata import CovariateRaster, bilinear_sample, pair_samples
@@ -346,7 +346,7 @@ def test_criterion_10_probe_leaves_encoder_frozen(seed_runs):
     }
     ok = True
     for kind, labels in features_labels.items():
-        before = encoder_blob_hash(model)
+        before = model.params.blob_hash()
         fit_linear_probe(model, list(tiles), labels, kind, ProbeConfig(epochs=30))
-        ok &= encoder_blob_hash(model) == before
+        ok &= model.params.blob_hash() == before
     report(10, "probe fits leave the encoder hash unchanged", ok)

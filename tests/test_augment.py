@@ -14,6 +14,11 @@ def tile(seed=0, c=3, h=12, w=12):
                       pixels=rng.random((c, h, w)))
 
 
+def batch(t: TileRecord) -> np.ndarray:
+    """A batch of one tile."""
+    return t.pixels[None]
+
+
 class TestFlips:
     def test_horizontal_flip_is_involution(self):
         px = tile().pixels
@@ -34,59 +39,67 @@ class TestFlips:
 class TestGeometric:
     def test_full_size_crop_is_identity_up_to_flips(self):
         t = tile(h=8, w=8)
-        out = augment_geometric(t, crop_size=8, seed=11)
+        out = augment_geometric(batch(t), crop_size=8, seeds=[11])[0]
         candidates = [flip_pixels(t.pixels, h, v) for h in (False, True) for v in (False, True)]
-        assert any(np.array_equal(out.pixels, cand) for cand in candidates)
+        assert any(np.array_equal(out, cand) for cand in candidates)
 
     def test_output_dims_match_requested_input_size(self):
         t = tile(h=16, w=16)
         for out_size in (8, 12, 16, 20):
-            out = augment_geometric(t, crop_size=10, seed=0, out_size=out_size)
-            assert out.pixels.shape == (3, out_size, out_size)
+            out = augment_geometric(batch(t), crop_size=10, seeds=[0], out_size=out_size)
+            assert out.shape == (1, 3, out_size, out_size)
 
     def test_crop_too_large_rejected(self):
         with pytest.raises(ValueError, match="crop size"):
-            augment_geometric(tile(h=8, w=8), crop_size=9, seed=0)
+            augment_geometric(batch(tile(h=8, w=8)), crop_size=9, seeds=[0])
 
     def test_deterministic_given_seed(self):
         t = tile(seed=2)
-        a = augment_geometric(t, crop_size=8, seed=42, out_size=12)
-        b = augment_geometric(t, crop_size=8, seed=42, out_size=12)
-        np.testing.assert_array_equal(a.pixels, b.pixels)
+        a = augment_geometric(batch(t), crop_size=8, seeds=[42], out_size=12)
+        b = augment_geometric(batch(t), crop_size=8, seeds=[42], out_size=12)
+        np.testing.assert_array_equal(a, b)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_values_stay_in_unit_interval(self, seed):
-        out = augment_geometric(tile(seed=seed % 17), crop_size=9, seed=seed, out_size=14)
-        assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+        out = augment_geometric(batch(tile(seed=seed % 17)), crop_size=9, seeds=[seed],
+                                out_size=14)
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
-    def test_metadata_preserved(self):
-        out = augment_geometric(tile(), crop_size=8, seed=0)
-        assert (out.tile_id, out.lat, out.lon, out.timestamp) == (7, 1.0, 2.0, 5)
+    def test_rows_keep_their_tile_and_seed(self):
+        # Row i of a batch is tile i augmented with seed i, whatever the rest
+        # of the batch holds; tiles of different sizes may share a batch.
+        tiles = [tile(seed=0, h=12, w=12), tile(seed=1, h=16, w=14), tile(seed=2, h=9, w=9)]
+        seeds = [5, 6, 7]
+        out = augment_geometric([t.pixels for t in tiles], crop_size=8, seeds=seeds,
+                                out_size=10)
+        for i, t in enumerate(tiles):
+            alone = augment_geometric(batch(t), crop_size=8, seeds=[seeds[i]], out_size=10)
+            assert out[i].tobytes() == alone[0].tobytes()
 
 
 class TestPhotometric:
     def test_zero_jitter_zero_mix_is_identity(self):
         t = tile(seed=3)
-        out = augment_photometric(t, jitter=0.0, mix_strength=0.0, seed=99)
-        np.testing.assert_array_equal(out.pixels, t.pixels)
+        out = augment_photometric(batch(t), jitter=0.0, mix_strength=0.0, seeds=[99])
+        np.testing.assert_array_equal(out[0], t.pixels)
 
     def test_identity_mixing_matrix_leaves_pixels(self):
         # mix_strength 0 forces the mixing matrix to the identity
         t = tile(seed=5)
-        out = augment_photometric(t, jitter=0.0, mix_strength=0.0, seed=1)
-        np.testing.assert_array_equal(out.pixels, t.pixels)
+        out = augment_photometric(batch(t), jitter=0.0, mix_strength=0.0, seeds=[1])
+        np.testing.assert_array_equal(out[0], t.pixels)
 
     @given(st.integers(0, 2**31 - 1), st.floats(0.0, 0.5), st.floats(0.0, 0.3))
     @settings(max_examples=60, deadline=None)
     def test_outputs_always_clamped(self, seed, jitter, mix):
-        out = augment_photometric(tile(seed=seed % 13), jitter=jitter,
-                                  mix_strength=mix, seed=seed)
-        assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+        out = augment_photometric(batch(tile(seed=seed % 13)), jitter=jitter,
+                                  mix_strength=mix, seeds=[seed])
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_negative_scales_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            augment_photometric(tile(), jitter=-0.1, mix_strength=0.0, seed=0)
+            augment_photometric(batch(tile()), jitter=-0.1, mix_strength=0.0, seeds=[0])
 
 
 class TestResize:
@@ -111,5 +124,5 @@ class TestResize:
             crop_pixels(tile().pixels, top=8, left=0, size=8)
 
     def test_fit_to_input(self):
-        out = fit_to_input(tile(h=20, w=20), 12)
-        assert out.pixels.shape == (3, 12, 12)
+        out = fit_to_input(batch(tile(h=20, w=20)), 12)
+        assert out.shape == (1, 3, 12, 12)

@@ -365,3 +365,108 @@ def test_failed_save_leaves_outputs_untouched(workspace, tmp_path, monkeypatch, 
     assert "simulated failure while saving" in capsys.readouterr().err
     after = {p.name: hash_path(p) for p in out.iterdir()}
     assert after == before
+
+
+# -- exit codes: 1 for bad input, 2 for a bug ------------------------------------
+
+
+def _copy_ckpt(workspace, dest):
+    for suffix in (".json", ".bin"):
+        (dest / f"ckpt{suffix}").write_bytes((workspace / "run" / f"ckpt{suffix}").read_bytes())
+    return dest / "ckpt.json"
+
+
+@pytest.mark.parametrize("error", [KeyError("tiles"), TypeError("unsupported operand")])
+def test_bug_inside_a_command_exits_2(workspace, tmp_path, monkeypatch, capsys, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "pair_samples", broken)
+    assert dispatch(["train", "--data", str(workspace / "world"), "--epochs", "1",
+                     "--config", str(workspace / "train.json"),
+                     "--out", str(tmp_path / "ckpt")]) == 2
+    assert "Traceback" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_checkpoint_header_without_config_exits_1_naming_the_file(workspace, tmp_path,
+                                                                  capsys):
+    header_path = _copy_ckpt(workspace, tmp_path)
+    header = json.loads(header_path.read_text())
+    del header["config"]
+    header_path.write_text(json.dumps(header))
+    assert dispatch(["probe", "--data", str(workspace / "world"), "--ckpt", str(header_path),
+                     "--probe-epochs", "5"]) == 1
+    err = capsys.readouterr().err
+    assert str(header_path) in err and "missing fields ['config']" in err
+
+
+def test_checkpoint_header_with_unknown_config_field_exits_1(workspace, tmp_path, capsys):
+    header_path = _copy_ckpt(workspace, tmp_path)
+    header = json.loads(header_path.read_text())
+    header["config"]["warmup"] = 3
+    header_path.write_text(json.dumps(header))
+    assert dispatch(["index", "--data", str(workspace / "world"), "--ckpt", str(header_path),
+                     "--out", str(tmp_path / "idx")]) == 1
+    err = capsys.readouterr().err
+    assert str(header_path) in err and "warmup" in err
+
+
+def test_index_header_missing_a_key_exits_1_naming_the_file(workspace, tmp_path, capsys):
+    ckpt = str(workspace / "run" / "ckpt.json")
+    assert dispatch(["index", "--data", str(workspace / "world"), "--ckpt", ckpt,
+                     "--out", str(tmp_path / "idx")]) == 0
+    header = json.loads((tmp_path / "idx.json").read_text())
+    del header["tile_ids"]
+    (tmp_path / "idx.json").write_text(json.dumps(header))
+    capsys.readouterr()
+    assert dispatch(["retrieve", "--index", str(tmp_path / "idx"),
+                     "--query", ",".join(["0.5"] * 12)]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "idx.json") in err and "tile_ids" in err
+
+
+def test_poisoned_adam_moment_exits_1_naming_file_and_tensor(workspace, tmp_path, capsys):
+    header_path = _copy_ckpt(workspace, tmp_path)
+    header = json.loads(header_path.read_text())
+    offset = 0
+    for entry in header["tensors"]:
+        if entry["kind"] == "adam_v" and entry["name"] == "img.fc.weight":
+            break
+        offset += int(np.prod(entry["shape"])) if entry["shape"] else 1
+    else:
+        raise AssertionError("no adam_v tensor for img.fc.weight")
+    blob = bytearray((tmp_path / "ckpt.bin").read_bytes())
+    blob[8 * offset + 16:8 * offset + 24] = np.array([np.nan], dtype="<f8").tobytes()
+    (tmp_path / "ckpt.bin").write_bytes(bytes(blob))
+    assert dispatch(["probe", "--data", str(workspace / "world"), "--ckpt", str(header_path),
+                     "--probe-epochs", "5"]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "ckpt.bin") in err
+    assert "non-finite values in adam_v tensor 'img.fc.weight'" in err
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize("fields", [{"warmup": 3}, {"epochs": "two"}, [1, 2]])
+def test_config_file_with_bad_fields_exits_1_naming_the_file(workspace, tmp_path, capsys,
+                                                             command, fields):
+    if command == "synth" and "epochs" in fields:
+        fields = {"n_species": "two"}
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(fields))
+    if command == "synth":
+        argv = ["synth", "--out", str(tmp_path / "world")]
+    else:
+        argv = ["train", "--data", str(workspace / "world"), "--out", str(tmp_path / "ckpt")]
+    assert dispatch(argv + ["--config", str(config)]) == 1
+    assert str(config) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task,preds", [("cls", '{"a": 1}'), ("cls", "[[0], [1]]"),
+                                        ("multilabel", "[1, 2]"), ("encounter", '[["x"]]')])
+def test_eval_metrics_malformed_predictions_exit_1(tmp_path, capsys, task, preds):
+    (tmp_path / "p.json").write_text(preds)
+    (tmp_path / "l.json").write_text("[[0], [1]]" if task != "cls" else "[0, 1]")
+    assert dispatch(["eval-metrics", "--task", task, "--preds", str(tmp_path / "p.json"),
+                     "--labels", str(tmp_path / "l.json")]) == 1
+    assert str(tmp_path / "p.json") in capsys.readouterr().err

@@ -104,3 +104,65 @@ def test_missing_raster_header_field(world_dir):
 def test_missing_directory():
     with pytest.raises(ValueError, match="not found"):
         ingest_dataset("/nonexistent/path")
+
+
+@pytest.mark.parametrize("drop", ["n_habitats", "tile_habitats", "species_habitats",
+                                  "text_prototypes"])
+def test_ground_truth_missing_field_named(world_dir, drop):
+    import json
+    out, _ = world_dir
+    truth = json.loads((out / "ground_truth.json").read_text())
+    del truth[drop]
+    (out / "ground_truth.json").write_text(json.dumps(truth))
+    with pytest.raises(ValueError, match=rf"ground_truth.json: missing fields \['{drop}'\]"):
+        ingest_dataset(out)
+
+
+def test_ground_truth_without_a_tile_named(world_dir):
+    import json
+    out, dataset = world_dir
+    truth = json.loads((out / "ground_truth.json").read_text())
+    del truth["tile_habitats"][str(dataset.tiles[3].tile_id)]
+    (out / "ground_truth.json").write_text(json.dumps(truth))
+    with pytest.raises(ValueError, match=f"no habitat for tile {dataset.tiles[3].tile_id}"):
+        ingest_dataset(out)
+
+
+def test_text_section_missing_field_named(world_dir):
+    import json
+    out, _ = world_dir
+    header = json.loads((out / "text" / "sections.json").read_text())
+    del header["sections"][1]["species_id"]
+    (out / "text" / "sections.json").write_text(json.dumps(header))
+    with pytest.raises(ValueError, match=r"record 1: missing fields \['species_id'\]"):
+        ingest_dataset(out)
+
+
+def _edit_json(path, edit):
+    import json
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize("file,edit,message", [
+    ("text/sections.json", lambda h: h["sections"][1].update(row="1"),
+     r"text/sections.json record 1: field 'row' must be an integer, got '1'"),
+    ("text/sections.json", lambda h: h.update(sections={}),
+     r"text/sections.json: field 'sections' must be a list"),
+    ("ground_truth.json", lambda h: h.update(tile_habitats=[]),
+     r"ground_truth.json: field 'tile_habitats' must be an object"),
+    ("tiles/manifest.json", lambda m: m[2].update(lat="north"),
+     r"tiles/manifest.json record 2: field 'lat' must be a number"),
+    ("tiles/manifest.json", lambda m: m[0].update(c=3.0),
+     r"tiles/manifest.json record 0: field 'c' must be an integer"),
+    ("raster.json", lambda h: h.update(rows="12"),
+     r"raster.json: field 'rows' must be an integer"),
+    ("raster.json", lambda h: h.update(dlat=True),
+     r"raster.json: field 'dlat' must be a number"),
+])
+def test_wrongly_typed_field_named(world_dir, file, edit, message):
+    out, _ = world_dir
+    _edit_json(out / file, edit)
+    with pytest.raises(ValueError, match=message):
+        ingest_dataset(out)

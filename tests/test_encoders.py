@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from satalign.encoders import (ImageEncoderConfig, LocationEncoderConfig, Model,
-                               ModelConfig, location_input_features, trainable_mask)
+                               ModelConfig, location_feature_graph, location_input_features,
+                               trainable_mask)
 from satalign.optim import AdamState, adam_step
+from satalign.tape import Tape
 
 
 def tiny_config(**overrides):
@@ -79,26 +81,35 @@ class TestImageEncoder:
                                        atol=1e-12)
 
 
+def location_outputs(model: Model, features: np.ndarray) -> np.ndarray:
+    """The location tower on a fresh tape, as the training graph builds it."""
+    tape = Tape()
+    leaves = {name: tape.leaf(name, model.params.get(name))
+              for name in model.params.names() if name.startswith("loc.")}
+    x = tape.leaf("batch.locfeat", np.atleast_2d(features))
+    return location_feature_graph(tape, leaves, model.cfg.location, x).value
+
+
 class TestLocationEncoder:
     def test_output_dim(self, model):
-        out = model.location_embeddings(location_input_features(10.0, 20.0, np.zeros(20)))
+        out = location_outputs(model, location_input_features(10.0, 20.0, np.zeros(20)))
         assert out.shape == (1, 8)
 
     def test_default_full_scale_dim_reachable(self):
         cfg = tiny_config(location=LocationEncoderConfig(hidden=32, depth=2, d_loc=256))
         m = Model.initialize(cfg, seed=3)
         feats = location_input_features(0.0, 0.0, np.zeros(20))
-        assert m.location_embeddings(feats).shape == (1, 256)
+        assert location_outputs(m, feats).shape == (1, 256)
 
     def test_covariate_flag_mismatch(self, model):
-        with pytest.raises(ValueError, match="expects 24 input features"):
-            model.location_embeddings(location_input_features(0.0, 0.0))
+        with pytest.raises(ValueError, match=r"matmul shape mismatch .*\(1, 4\) @ \(24, 16\)"):
+            location_outputs(model, location_input_features(0.0, 0.0))
         no_cov = Model.initialize(
             tiny_config(location=LocationEncoderConfig(use_covariates=False,
                                                        hidden=8, depth=1, d_loc=8)), seed=0)
-        with pytest.raises(ValueError, match="expects 4 input features"):
-            no_cov.location_embeddings(location_input_features(0.0, 0.0, np.zeros(20)))
-        assert no_cov.location_embeddings(location_input_features(0.0, 0.0)).shape == (1, 8)
+        with pytest.raises(ValueError, match=r"matmul shape mismatch .*\(1, 24\) @ \(4, 8\)"):
+            location_outputs(no_cov, location_input_features(0.0, 0.0, np.zeros(20)))
+        assert location_outputs(no_cov, location_input_features(0.0, 0.0)).shape == (1, 8)
 
 
 class TestProjectionHeads:

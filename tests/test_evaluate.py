@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import small_train_config
 from satalign.evaluate import (ProbeConfig, RetrievalIndex, accuracy, build_index,
-                               confusion_matrix, encoder_blob_hash, fit_linear_probe,
+                               confusion_matrix, fit_linear_probe,
                                load_index, mean_iou, mean_top_k_accuracy, micro_f1,
                                query_index, save_index, top_k_accuracy, zero_shot_classify)
 from satalign.geodata import TileRecord
@@ -175,9 +175,9 @@ class TestLinearProbe:
     def test_encoder_hash_unchanged_by_probe(self, model):
         tiles = tiles_for(model, n=8)
         labels = np.array([i % 2 for i in range(8)])
-        before = encoder_blob_hash(model)
+        before = model.params.blob_hash()
         fit_linear_probe(model, tiles, labels, "single_label", ProbeConfig(epochs=20))
-        assert encoder_blob_hash(model) == before
+        assert model.params.blob_hash() == before
 
     def test_multi_label_probabilities_in_unit_interval(self):
         rng = np.random.default_rng(1)

@@ -1,0 +1,319 @@
+"""The batched training input path against the per-tile pipeline it replaced.
+
+`assemble_batch` and `pair_samples` must give the same bits as the per-tile
+augmentation and the brute-force nearest-center scan copied below. The copies
+are oracles, kept as the plain-numpy losses are kept for the tape losses.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from conftest import small_train_config, world_and_samples
+from satalign.augment import resize_pixels
+from satalign.encoders import location_input_features
+from satalign.geodata import (CovariateRaster, GeoObservation, TextSection, TileRecord,
+                              TrainingSample, bilinear_sample, pair_samples)
+from satalign.training import assemble_batch
+
+# -- per-tile oracle ------------------------------------------------------------
+
+
+def _resize_tile(pixels, out_h, out_w):
+    c, h, w = pixels.shape
+    if (h, w) == (out_h, out_w):
+        return pixels.copy()
+    ys = np.linspace(0.0, h - 1, out_h) if out_h > 1 else np.zeros(1)
+    xs = np.linspace(0.0, w - 1, out_w) if out_w > 1 else np.zeros(1)
+    y0 = np.minimum(np.floor(ys).astype(int), max(h - 2, 0))
+    x0 = np.minimum(np.floor(xs).astype(int), max(w - 2, 0))
+    ty = (ys - y0)[None, :, None]
+    tx = (xs - x0)[None, None, :]
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    top = (1 - tx) * pixels[:, y0][:, :, x0] + tx * pixels[:, y0][:, :, x1]
+    bot = (1 - tx) * pixels[:, y1][:, :, x0] + tx * pixels[:, y1][:, :, x1]
+    return (1 - ty) * top + ty * bot
+
+
+def _geometric_tile(tile, crop_size, seed, out_size):
+    c, h, w = tile.pixels.shape
+    rng = np.random.default_rng(seed)
+    flip_h = bool(rng.random() < 0.5)
+    flip_v = bool(rng.random() < 0.5)
+    top = int(rng.integers(h - crop_size + 1))
+    left = int(rng.integers(w - crop_size + 1))
+    out = tile.pixels
+    if flip_h:
+        out = out[:, :, ::-1]
+    if flip_v:
+        out = out[:, ::-1, :]
+    out = np.ascontiguousarray(out)[:, top:top + crop_size, left:left + crop_size].copy()
+    out = _resize_tile(out, out_size, out_size)
+    return replace(tile, pixels=np.clip(out, 0.0, 1.0))
+
+
+def _photometric_tile(tile, jitter, mix_strength, seed):
+    rng = np.random.default_rng(seed)
+    c = tile.pixels.shape[0]
+    shift = rng.uniform(-jitter, jitter, size=c) if jitter > 0 else np.zeros(c)
+    out = tile.pixels + shift[:, None, None]
+    if mix_strength > 0:
+        mix = np.eye(c) + mix_strength * rng.uniform(-1.0, 1.0, size=(c, c))
+        row_sums = mix.sum(axis=1, keepdims=True)
+        row_sums = np.where(np.abs(row_sums) < 1e-6, 1.0, row_sums)
+        mix = mix / row_sums
+        out = np.einsum("dc,chw->dhw", mix, out)
+    return replace(tile, pixels=np.clip(out, 0.0, 1.0))
+
+
+def _fit_tile(tile, size):
+    return replace(tile, pixels=np.clip(_resize_tile(tile.pixels, size, size), 0.0, 1.0))
+
+
+def assemble_per_tile(samples, config, rng):
+    in_size = config.model.image.in_size
+    use_cov = config.model.location.use_covariates
+    tiles_a, tiles_b, locfeat, text = [], [], [], []
+    for sample in samples:
+        seed_geo = int(rng.integers(2 ** 63))
+        seed_pa = int(rng.integers(2 ** 63))
+        seed_pb = int(rng.integers(2 ** 63))
+        tile_a = _photometric_tile(_fit_tile(sample.tile_a, in_size),
+                                   config.jitter, config.channel_mix, seed_pa)
+        tile_b = _geometric_tile(sample.tile_b, config.crop_size, seed_geo, in_size)
+        tile_b = _photometric_tile(tile_b, config.jitter, config.channel_mix, seed_pb)
+        tiles_a.append(tile_a.pixels)
+        tiles_b.append(tile_b.pixels)
+        locfeat.append(location_input_features(sample.location.lat, sample.location.lon,
+                                               sample.covariates if use_cov else None))
+        text.append(sample.text.embedding)
+    return {"tiles_a": np.stack(tiles_a), "tiles_b": np.stack(tiles_b),
+            "locfeat": np.stack(locfeat), "text": np.stack(text)}
+
+
+# -- brute-force pairing oracle ------------------------------------------------
+
+
+def pair_brute_force(observations, tiles, texts, raster, matching_radius, seed):
+    rng = np.random.default_rng(seed)
+    by_center = {}
+    for t in tiles:
+        by_center.setdefault((t.lat, t.lon), []).append(t)
+    for group in by_center.values():
+        group.sort(key=lambda t: t.tile_id)
+    centers = sorted(by_center)
+    by_species = {}
+    for s in texts:
+        by_species.setdefault(s.species_id, []).append(s)
+    for group in by_species.values():
+        group.sort(key=lambda s: s.section_id)
+    samples = []
+    skips = {"no_tile": 0, "no_text": 0, "covariates_out_of_bounds": 0}
+    for obs in observations:
+        best = None
+        for center in centers:
+            dist = math.hypot(obs.lat - center[0], obs.lon - center[1])
+            if dist > matching_radius:
+                continue
+            key = (dist, by_center[center][0].tile_id)
+            if best is None or key < best[0]:
+                best = (key, center)
+        if best is None:
+            skips["no_tile"] += 1
+            continue
+        sections = by_species.get(obs.species_id)
+        if not sections:
+            skips["no_text"] += 1
+            continue
+        try:
+            covariates = bilinear_sample(raster, obs.lat, obs.lon)
+        except ValueError:
+            skips["covariates_out_of_bounds"] += 1
+            continue
+        group = by_center[best[1]]
+        tile_a = group[0]
+        alternates = [t for t in group if t.timestamp != tile_a.timestamp]
+        tile_b = alternates[rng.integers(len(alternates))] if alternates else tile_a
+        section = sections[rng.integers(len(sections))]
+        samples.append(TrainingSample(tile_a=tile_a, tile_b=tile_b, location=obs,
+                                      covariates=raster.normalize(covariates),
+                                      text=section))
+    return samples, {k: v for k, v in skips.items() if v}
+
+
+# -- assemble_batch ------------------------------------------------------------
+
+# (tile size, model input size, crop size, jitter, channel mix)
+BATCH_CASES = {
+    "tile_is_input_size": (16, 16, 12, 0.02, 0.05),
+    "tile_resized_to_input": (20, 16, 12, 0.02, 0.05),
+    "tile_upsampled_to_input": (12, 16, 10, 0.05, 0.1),
+    "crop_is_input_size": (20, 16, 16, 0.02, 0.05),
+    "no_resize_anywhere": (16, 16, 16, 0.02, 0.05),
+    "no_jitter": (20, 16, 12, 0.0, 0.05),
+    "no_channel_mix": (20, 16, 12, 0.02, 0.0),
+    "identity_photometric": (20, 16, 12, 0.0, 0.0),
+}
+
+
+def _config(in_size, crop, jitter, mix):
+    config = small_train_config(crop_size=crop, jitter=jitter, channel_mix=mix)
+    image = replace(config.model.image, in_size=in_size)
+    return replace(config, model=replace(config.model, image=image))
+
+
+def _assert_same_batch(samples, config, seed):
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = assemble_batch(samples, config, rng_new)
+    old = assemble_per_tile(samples, config, rng_old)
+    assert sorted(new) == sorted(old)
+    for key in old:
+        assert new[key].shape == old[key].shape, key
+        assert new[key].flags.c_contiguous, key
+        assert new[key].tobytes() == old[key].tobytes(), key
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_assemble_batch_matches_per_tile_pipeline(case):
+    tile_size, in_size, crop, jitter, mix = BATCH_CASES[case]
+    _, samples = world_and_samples(seed=1, tile_size=tile_size)
+    config = _config(in_size, crop, jitter, mix)
+    for seed in range(4):
+        order = np.random.default_rng(seed + 100).permutation(len(samples))[:16]
+        _assert_same_batch([samples[i] for i in order], config, seed)
+
+
+def test_assemble_batch_matches_per_tile_pipeline_with_mixed_tile_sizes():
+    # tile_a of three sizes in one batch: one resized group per size, one of
+    # them the identity, and tile_b crops from tiles of several sizes
+    _, samples = world_and_samples(seed=2, tile_size=20)
+    mixed = []
+    for i, s in enumerate(samples[:18]):
+        size = (20, 16, 24)[i % 3]
+        a = replace(s.tile_a, pixels=np.clip(_resize_tile(s.tile_a.pixels, size, size), 0, 1))
+        b = replace(s.tile_b, pixels=np.clip(_resize_tile(s.tile_b.pixels, size, size), 0, 1))
+        mixed.append(replace(s, tile_a=a, tile_b=b))
+    for seed in range(3):
+        _assert_same_batch(mixed, _config(16, 12, 0.02, 0.05), seed)
+
+
+@pytest.mark.parametrize("shape", [(3, 12, 12), (4, 3, 12, 12), (2, 4, 3, 9, 12)])
+def test_resize_keeps_the_per_tile_memory_layout(shape):
+    # The channel mix rounds by memory layout, so a batch must be laid out
+    # tile by tile as the per-tile resize laid out one tile.
+    pixels = np.random.default_rng(0).random(shape)
+    out = resize_pixels(pixels, 16, 14)
+    tiles = pixels.reshape((-1,) + shape[-3:])
+    for i, tile in enumerate(out.reshape((-1,) + out.shape[-3:])):
+        one = _resize_tile(tiles[i], 16, 14)
+        assert tile.strides == one.strides
+        assert tile.tobytes() == one.tobytes()
+
+
+# -- pair_samples --------------------------------------------------------------
+
+
+def _pairing(samples):
+    return [(s.tile_a.tile_id, s.tile_b.tile_id, s.text.section_id, s.location,
+             s.covariates.tobytes()) for s in samples]
+
+
+def _assert_same_pairing(observations, tiles, texts, raster, radius, seed=0):
+    expected = pair_brute_force(observations, tiles, texts, raster, radius, seed)
+    result = pair_samples(observations, tiles, texts, raster, radius, seed)
+    assert _pairing(result.samples) == _pairing(expected[0])
+    assert result.skips == expected[1]
+    return expected
+
+
+def _raster():
+    values = np.random.default_rng(0).normal(size=(9, 9, 20))
+    return CovariateRaster(lat0=-4.0, lon0=-4.0, dlat=1.0, dlon=1.0, values=values)
+
+
+def _texts(n_species=3):
+    rng = np.random.default_rng(1)
+    return [TextSection(species_id=s, section_id=k, embedding=rng.normal(size=4))
+            for s in range(n_species) for k in range(2)]
+
+
+def _tiles(centers, seed=0, timestamps=2):
+    """Tiles at the given centers with shuffled ids, so the lowest tile_id
+    is not tied to the first center in sorted order."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(len(centers) * timestamps)
+    pixels = np.zeros((3, 4, 4))
+    return [TileRecord(tile_id=int(ids[k * timestamps + t]), lat=lat, lon=lon,
+                       timestamp=100 * t, pixels=pixels)
+            for k, (lat, lon) in enumerate(centers) for t in range(timestamps)]
+
+
+def test_pairing_on_a_dyadic_lattice_matches_brute_force():
+    # Every coordinate is a multiple of 1/16, so subtraction and hypot are
+    # exact: observations sit exactly at the radius (offsets (5, 0) and
+    # (3, 4) sixteenths), exactly on cell edges (the cells are 10/16 wide),
+    # at negative coordinates, and halfway between centers, where the lower
+    # tile_id must win.
+    radius = 5 / 16
+    rng = np.random.default_rng(3)
+    centers = sorted({(int(a) / 8, int(b) / 8) for a, b in rng.integers(-24, 24, size=(60, 2))})
+    tiles = _tiles(centers, seed=3)
+    observations = []
+    for lat, lon in centers:
+        for dlat, dlon in ((5, 0), (0, -5), (-3, 4), (4, -3), (1, 1), (6, 2)):
+            observations.append(GeoObservation(lat=lat + dlat / 16, lon=lon + dlon / 16,
+                                               species_id=len(observations) % 4))
+    for k in range(-40, 40, 3):  # on cell edges, also far from any center
+        observations.append(GeoObservation(lat=k * 10 / 16 / 4, lon=-k * 10 / 16 / 4,
+                                           species_id=0))
+    samples, skips = _assert_same_pairing(observations, tiles, _texts(), _raster(), radius)
+    assert skips["no_tile"] and skips["no_text"]
+    at_radius = [s for s in samples
+                 if math.hypot(s.location.lat - s.tile_a.lat,
+                               s.location.lon - s.tile_a.lon) == radius]
+    assert at_radius
+
+
+def test_pairing_tie_goes_to_the_lower_tile_id():
+    # three centers exactly 0.25 away; the lowest tile_id sits at the center
+    # that sorts last
+    raster, texts = _raster(), _texts()
+    pixels = np.zeros((3, 4, 4))
+    tiles = [TileRecord(tile_id=7, lat=-0.5, lon=-0.75, timestamp=0, pixels=pixels),
+             TileRecord(tile_id=5, lat=-0.5, lon=-0.25, timestamp=0, pixels=pixels),
+             TileRecord(tile_id=3, lat=-0.25, lon=-0.5, timestamp=0, pixels=pixels)]
+    obs = [GeoObservation(lat=-0.5, lon=-0.5, species_id=0)]
+    samples, _ = _assert_same_pairing(obs, tiles, texts, raster, 0.25)
+    assert samples[0].tile_a.tile_id == 3
+
+
+@pytest.mark.parametrize("radius", [0.05, 0.1, 0.37, 1e-7])
+def test_pairing_on_random_worlds_matches_brute_force(radius):
+    # 200 centers about 1.4 radii apart, around a point with negative lat/lon
+    rng = np.random.default_rng(int(radius * 1e7))
+    centers = [(-1.3 + lat, -2.7 + lon)
+               for lat, lon in rng.uniform(-10 * radius, 10 * radius, size=(200, 2))]
+    tiles = _tiles(centers, seed=5) + [
+        TileRecord(tile_id=10_000, lat=1e300, lon=0.0, timestamp=0, pixels=np.zeros((3, 4, 4))),
+        TileRecord(tile_id=10_001, lat=math.inf, lon=1.0, timestamp=0,
+                   pixels=np.zeros((3, 4, 4)))]
+    observations = []
+    for lat, lon in centers[:150]:
+        angle = rng.uniform(0, 2 * math.pi, size=3)
+        scale = rng.uniform(0.5, 1.5, size=3) * radius
+        for a, s in zip(angle, scale):
+            observations.append(GeoObservation(lat=lat + s * math.sin(a), lon=lon + s * math.cos(a),
+                                               species_id=int(rng.integers(4))))
+    _assert_same_pairing(observations, tiles, _texts(), _raster(), radius, seed=11)
+
+
+def test_pairing_on_a_synthetic_world_matches_brute_force():
+    world, _ = world_and_samples(seed=6)
+    observations = list(world.observations) + [
+        GeoObservation(lat=world.tiles[3].lat + 0.03, lon=world.tiles[3].lon - 0.04,
+                       species_id=world.observations[0].species_id)]
+    _assert_same_pairing(observations, world.tiles, world.texts, world.raster, 0.05, seed=6)

@@ -49,7 +49,6 @@ def test_observations_inside_their_species_habitat(seed):
         lo = world.config.lat0 + habitat * world.strip_height
         hi = world.config.lat0 + (habitat + 1) * world.strip_height
         assert lo <= obs.lat < hi
-        assert world.habitat_of(obs.lat) == habitat
 
 
 @pytest.mark.parametrize("seed", range(5))

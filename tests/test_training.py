@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,48 @@ class TestCheckpointIO:
     def test_missing_header(self, tmp_path):
         with pytest.raises(ValueError, match="not found"):
             load_checkpoint(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: h.pop("tensors"), r"missing fields \['tensors'\]"),
+        (lambda h: h.update(epoch="2"), r"field 'epoch' must be an integer"),
+        (lambda h: h["tensors"][3].update(shape=["a"]), r"tensor 3: malformed shape"),
+        (lambda h: h["tensors"][0].pop("kind"), r"tensor 0: missing fields \['kind'\]"),
+        (lambda h: h["adam"].update(lr=None), r"adam: field 'lr' must be a number"),
+        (lambda h: h["config"]["model"].update(depth=3), r"malformed config"),
+        (lambda h: h["config"].update(model=[1]), r"malformed config"),
+        (lambda h: h["config"].update(matching_radius="near"), r"malformed config"),
+        (lambda h: h["config"].update(epochs=0), r"malformed config"),
+    ])
+    def test_malformed_header_names_the_file(self, trained_checkpoint, tmp_path, edit,
+                                             message):
+        import json
+        json_path, _ = save_checkpoint(trained_checkpoint, tmp_path / "ckpt.json")
+        header = json.loads(json_path.read_text())
+        edit(header)
+        json_path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=re.escape(str(json_path)) + ".*" + message):
+            load_checkpoint(json_path)
+
+    @pytest.mark.parametrize("kind", ["param", "stat", "adam_m", "adam_v"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_names_file_and_tensor(self, trained_checkpoint, tmp_path,
+                                                     kind, value):
+        import json
+        json_path, bin_path = save_checkpoint(trained_checkpoint, tmp_path / "ckpt.json")
+        offset, name = 0, None
+        for entry in json.loads(json_path.read_text())["tensors"]:
+            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+            if entry["kind"] == kind:
+                name = entry["name"]
+                offset += count - 1  # poison the tensor's last float
+                break
+            offset += count
+        blob = bytearray(bin_path.read_bytes())
+        blob[8 * offset:8 * offset + 8] = np.array([value], dtype="<f8").tobytes()
+        bin_path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=re.escape(f"{bin_path}: non-finite values in "
+                                                       f"{kind} tensor '{name}'")):
+            load_checkpoint(json_path)
 
 
 def test_resume_matches_straight_run(shared_world_samples, tmp_path):
