@@ -235,8 +235,9 @@ def _cmd_gradcheck(args) -> int:
     print("\n".join(lines))
     if not report.passed and report.worst is not None:
         leaf, coord = report.worst
+        crossing = "crosses" if report.crosses_relu_kink else "does not cross"
         _log(f"gradcheck worst coordinate: {leaf}[{coord}] "
-             f"rel_err={report.max_rel_err:.3e}")
+             f"rel_err={report.max_rel_err:.3e}; its +-step {crossing} a relu kink")
     outputs = []
     if args.out:
         out = Path(args.out)

@@ -75,23 +75,27 @@ class ModelConfig:
             raise ValueError("embedding dimensions must be positive")
 
 
-def location_input_features(lat: float, lon: float,
-                            covariates: np.ndarray | None = None) -> np.ndarray:
+def location_input_features(lat, lon, covariates: np.ndarray | None = None) -> np.ndarray:
     """Sinusoidal coordinate wrap, optionally joined with covariates in [-1, 1].
 
-    Longitude is unrestricted (the wrap is 360-degree periodic); latitude must
-    be a real coordinate.
+    Scalar coordinates give one feature vector; arrays of n coordinates (with
+    (n, channels) covariates) give an (n, features) matrix. Longitude is
+    unrestricted (the wrap is 360-degree periodic); latitude must be a real
+    coordinate.
     """
-    if not -90.0 <= lat <= 90.0 or not np.isfinite(lon):
-        raise ValueError(f"coordinates out of range: ({lat}, {lon})")
-    feats = [math.sin(math.pi * lon / 180.0), math.cos(math.pi * lon / 180.0),
-             math.sin(math.pi * lat / 90.0), math.cos(math.pi * lat / 90.0)]
+    lat, lon = np.broadcast_arrays(np.asarray(lat, dtype=np.float64),
+                                   np.asarray(lon, dtype=np.float64))
+    bad = np.flatnonzero(~((np.abs(lat) <= 90.0) & np.isfinite(lon)))
+    if bad.size:
+        raise ValueError(f"coordinates out of range: ({lat.flat[bad[0]]}, {lon.flat[bad[0]]})")
+    feats = np.stack([np.sin(np.pi * lon / 180.0), np.cos(np.pi * lon / 180.0),
+                      np.sin(np.pi * lat / 90.0), np.cos(np.pi * lat / 90.0)], axis=-1)
     if covariates is None:
-        return np.array(feats)
+        return feats
     covariates = np.asarray(covariates, dtype=np.float64)
     if np.any(np.abs(covariates) > 1.0 + 1e-9):
         raise ValueError("covariates must be normalized to [-1, 1]")
-    return np.concatenate([feats, covariates])
+    return np.concatenate([feats, covariates], axis=-1)
 
 
 def _uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

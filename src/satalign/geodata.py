@@ -3,6 +3,7 @@ plus the observation-to-sample pairing pipeline."""
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -181,10 +182,6 @@ def bilinear_sample(raster: CovariateRaster, lat: float, lon: float) -> np.ndarr
             + tr * tc * v[r0 + 1, c0 + 1])
 
 
-def _planar_degrees(lat1, lon1, lat2, lon2) -> float:
-    return math.hypot(lat1 - lat2, lon1 - lon2)
-
-
 def tile_species_targets(tiles: list[TileRecord], observations: list[GeoObservation],
                          radius: float) -> np.ndarray:
     """Per-tile species presence, shape (tiles, species): 1 when an
@@ -221,6 +218,54 @@ def _center_grid(centers: list[tuple[float, float]], width: float):
     return grid, unplaced
 
 
+def _nearest_centers(observations: list[GeoObservation], center_lat: np.ndarray,
+                     center_lon: np.ndarray, center_tile_id: np.ndarray,
+                     grid: dict, unplaced: list[int], width: float,
+                     radius: float) -> np.ndarray:
+    """Per observation, the index of the nearest center within `radius`
+    (ties by lowest tile_id, then lowest index), or -1 when there is none.
+
+    Each observation's candidates are the centers of its 3 x 3 block of
+    cells plus the unplaced ones. They are laid out as one padded row per
+    observation, and the rows are measured with one `np.hypot` per chunk of
+    about 2^20 candidates.
+    """
+    blocks = []
+    for obs in observations:
+        row, col = _cell(obs.lat, width), _cell(obs.lon, width)
+        block = list(unplaced)
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                block.extend(grid.get((row + dr, col + dc), ()))
+        blocks.append(block)
+    n = len(blocks)
+    nearest = np.full(n, -1, dtype=np.intp)
+    counts = np.array([len(b) for b in blocks])
+    most = int(counts.max())
+    if most == 0:
+        return nearest
+    filled = np.arange(most) < counts[:, None]
+    cand = np.zeros((n, most), dtype=np.intp)
+    cand[filled] = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.intp,
+                               count=int(counts.sum()))
+    rank = np.empty(len(center_lat), dtype=np.intp)
+    rank[np.lexsort((np.arange(len(center_lat)), center_tile_id))] = np.arange(len(center_lat))
+    lat = np.array([o.lat for o in observations], dtype=np.float64)
+    lon = np.array([o.lon for o in observations], dtype=np.float64)
+    chunk = max(1, 2 ** 20 // most)
+    for lo in range(0, n, chunk):
+        rows = slice(lo, lo + chunk)
+        c = cand[rows]
+        dist = np.hypot(lat[rows, None] - center_lat[c], lon[rows, None] - center_lon[c])
+        dist[~(filled[rows] & (dist <= radius))] = np.inf
+        closest = dist.min(axis=1)
+        # among the candidates at the closest distance, the lowest rank
+        best = np.argmin(np.where(dist == closest[:, None], rank[c], len(rank)), axis=1)
+        found = np.isfinite(closest)
+        nearest[rows][found] = c[found, best[found]]
+    return nearest
+
+
 def pair_samples(observations: list[GeoObservation], tiles: list[TileRecord],
                  texts: list[TextSection], raster: CovariateRaster,
                  matching_radius: float = 0.05, seed: int = 0) -> PairingResult:
@@ -236,8 +281,9 @@ def pair_samples(observations: list[GeoObservation], tiles: list[TileRecord],
 
     Tile centers are bucketed on a grid of cells at least twice the radius
     wide, and each observation measures only the centers in its own cell and
-    the 8 around it. A center within the radius is at most half a cell away,
-    which leaves half a cell of slack for the rounding of the cell indices.
+    the 8 around it (see `_nearest_centers`). A center within the radius is
+    at most half a cell away, which leaves half a cell of slack for the
+    rounding of the cell indices.
     """
     if not observations:
         raise ValueError("empty observation list")
@@ -249,6 +295,9 @@ def pair_samples(observations: list[GeoObservation], tiles: list[TileRecord],
     for group in by_center.values():
         group.sort(key=lambda t: t.tile_id)
     centers = sorted(by_center)
+    center_lat = np.array([lat for lat, _ in centers], dtype=np.float64)
+    center_lon = np.array([lon for _, lon in centers], dtype=np.float64)
+    center_tile_id = np.array([by_center[c][0].tile_id for c in centers])
     # cells of at least 1e-6 degrees keep every observation's cell index far
     # from the float precision limit
     width = max(2.0 * matching_radius, 1e-6)
@@ -260,25 +309,12 @@ def pair_samples(observations: list[GeoObservation], tiles: list[TileRecord],
     for group in by_species.values():
         group.sort(key=lambda s: s.section_id)
 
+    nearest = _nearest_centers(observations, center_lat, center_lon, center_tile_id,
+                               grid, unplaced, width, matching_radius)
     samples: list[TrainingSample] = []
     skips = {"no_tile": 0, "no_text": 0, "covariates_out_of_bounds": 0}
-    for obs in observations:
-        row, col = _cell(obs.lat, width), _cell(obs.lon, width)
-        candidates = list(unplaced)
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                candidates.extend(grid.get((row + dr, col + dc), ()))
-        best = None
-        for i in sorted(candidates):
-            center = centers[i]
-            dist = _planar_degrees(obs.lat, obs.lon, center[0], center[1])
-            if dist > matching_radius:
-                continue
-            tile_id = by_center[center][0].tile_id
-            key = (dist, tile_id)
-            if best is None or key < best[0]:
-                best = (key, center)
-        if best is None:
+    for obs, best in zip(observations, nearest):
+        if best < 0:
             skips["no_tile"] += 1
             continue
         sections = by_species.get(obs.species_id)
@@ -291,7 +327,7 @@ def pair_samples(observations: list[GeoObservation], tiles: list[TileRecord],
             skips["covariates_out_of_bounds"] += 1
             continue
 
-        group = by_center[best[1]]
+        group = by_center[centers[best]]
         tile_a = group[0]
         alternates = [t for t in group if t.timestamp != tile_a.timestamp]
         tile_b = alternates[rng.integers(len(alternates))] if alternates else tile_a

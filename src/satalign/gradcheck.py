@@ -15,6 +15,9 @@ class GradCheckReport:
     passed: bool
     checked: int
     worst: tuple[str, int] | None = None  # (leaf name, flat coordinate)
+    # on a failed check: whether the worst coordinate's +-step moves some relu
+    # input across zero, where the finite difference straddles the kink
+    crosses_relu_kink: bool | None = None
 
     def __str__(self):
         status = "PASS" if self.passed else "FAIL"
@@ -31,7 +34,8 @@ def finite_diff_check(tape: Tape, names: list[str] | None = None,
     gradient, using relative error |a - n| / max(|a|, |n|, 1e-8). Each
     perturbation recomputes only the nodes between the leaf and the output
     that depend on the leaf. The tape is left unmodified. Failures are
-    reported, never raised.
+    reported, never raised; a failed report also says whether the worst
+    coordinate's +-step crossed a relu kink.
     """
     if names is None:
         names = tape.leaf_names(trainable_only=True)
@@ -62,5 +66,23 @@ def finite_diff_check(tape: Tape, names: list[str] | None = None,
             if err > max_err:
                 max_err = err
                 worst = (name, i)
-    return GradCheckReport(max_rel_err=max_err, passed=max_err < tolerance,
-                           checked=checked, worst=worst)
+    report = GradCheckReport(max_rel_err=max_err, passed=max_err < tolerance,
+                             checked=checked, worst=worst)
+    if not report.passed and worst is not None:
+        report.crosses_relu_kink = _crosses_relu_kink(tape, worst, step, out_idx)
+    return report
+
+
+def _crosses_relu_kink(tape: Tape, coord: tuple[str, int], step: float, out_idx: int) -> bool:
+    """Whether some relu input lies on different sides of zero at the +step
+    and the -step replay of one leaf coordinate."""
+    name, i = coord
+    base = tape.leaf_value(name)
+    schedule = replay_schedule(tape, name, out_idx)
+    sides = []
+    for delta in (step, -step):
+        work = base.copy().ravel()
+        work[i] += delta
+        values = _evaluate(tape, {name: work.reshape(base.shape)}, schedule)
+        sides.append([values[node.inputs[0]] > 0 for node in schedule if node.op == "relu"])
+    return any(not np.array_equal(plus, minus) for plus, minus in zip(*sides))

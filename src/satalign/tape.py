@@ -19,6 +19,11 @@ The op set is deliberately small: dense matmul, broadcasting add/mul, relu,
 strided conv2d (patch-flattening + matmul), global average pooling,
 per-channel scale-shift normalization, row L2-normalization, log-sum-exp,
 sum, mean, and concat. Everything runs in float64.
+
+A conv2d's backward lays its patch columns out as one (c*kh*kw, n*oh*ow)
+matrix for the whole batch, so its kernel gradient and its input-column
+gradient are each one BLAS matrix product. The training-mode channel_norm
+gradient reuses the scale and shift gradient sums for its input gradient.
 """
 
 from __future__ import annotations
@@ -215,12 +220,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
     if p == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h + 2 * p, w + 2 * p))
+    out[:, :, p:p + h, p:p + w] = x
+    return out
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=np.float64)
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int,
+            cols: np.ndarray | None = None) -> np.ndarray:
+    """Patch columns of a padded (n, c, H, W) batch, written into `cols`: an
+    (n, c, kh, kw, oh, ow) array or view, by default a new C-ordered one."""
+    if cols is None:
+        n, c = xp.shape[:2]
+        cols = np.empty((n, c, kh, kw, oh, ow), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
@@ -469,18 +481,21 @@ def _vjp(node: Node, g: np.ndarray, tape: Tape,
     if op == "conv2d":
         x, k = vals
         n, c, f, kh, kw, s, p, oh, ow = _conv_geometry(node, x, k)
-        gm = g.reshape(n, f, oh * ow)
+        # the output gradient as (f, n*oh*ow), matching the im2col columns
+        g_t = g.reshape(n, f, oh * ow).transpose(1, 0, 2).reshape(f, n * oh * ow)
         dx = dk = None
         if wanted[1]:
-            cols2 = _im2col(_pad2d(x, p), kh, kw, s, oh, ow).reshape(n, c * kh * kw, oh * ow)
-            dk = np.einsum("nfl,nkl->fk", gm, cols2).reshape(f, c, kh, kw)
+            # columns laid out (c*kh*kw, n*oh*ow) in memory: one GEMM
+            cols = np.empty((c, kh, kw, n, oh, ow))
+            _im2col(_pad2d(x, p), kh, kw, s, oh, ow, cols.transpose(3, 0, 1, 2, 4, 5))
+            dk = (g_t @ cols.reshape(c * kh * kw, n * oh * ow).T).reshape(f, c, kh, kw)
         if wanted[0]:
-            dcols = np.matmul(k.reshape(f, c * kh * kw).T[None], gm)
-            dcols = dcols.reshape(n, c, kh, kw, oh, ow)
+            dcols = (k.reshape(f, c * kh * kw).T @ g_t).reshape(c, kh, kw, n, oh, ow)
             dxp = np.zeros((n, c, x.shape[2] + 2 * p, x.shape[3] + 2 * p))
+            dxt = dxp.transpose(1, 0, 2, 3)
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols[:, :, i, j]
+                    dxt[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols[:, i, j]
             dx = dxp[:, :, p:p + x.shape[2], p:p + x.shape[3]] if p else dxp
         return [dx, dk]
     if op == "global_avg_pool":
@@ -521,22 +536,23 @@ def _vjp(node: Node, g: np.ndarray, tape: Tape,
 
 def _channel_norm_vjp(node: Node, g: np.ndarray, vals: list[np.ndarray], wanted: list[bool]):
     x, gamma, _ = vals
-    eps = node.attrs["eps"]
-    if node.attrs["training"]:
+    training = node.attrs["training"]
+    if training:
         mean, var = node.batch_stats
     else:
         mean, var = node.attrs["running_mean"], node.attrs["running_var"]
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + node.attrs["eps"])
     xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
-    dgamma = np.sum(g * xhat, axis=(0, 2, 3)) if wanted[1] else None
-    dbeta = np.sum(g, axis=(0, 2, 3)) if wanted[2] else None
-    if not wanted[0]:
-        return [None, dgamma, dbeta]
-    dxhat = g * gamma[None, :, None, None]
-    if not node.attrs["training"]:
-        return [dxhat * inv[None, :, None, None], dgamma, dbeta]
-    m = x.shape[0] * x.shape[2] * x.shape[3]
-    sum_dxhat = np.sum(dxhat, axis=(0, 2, 3))[None, :, None, None]
-    sum_dxhat_xhat = np.sum(dxhat * xhat, axis=(0, 2, 3))[None, :, None, None]
-    dx = (inv[None, :, None, None] / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+    dgamma = np.sum(g * xhat, axis=(0, 2, 3))
+    dbeta = np.sum(g, axis=(0, 2, 3))
+    dx = None
+    if wanted[0] and not training:
+        dx = g * gamma[None, :, None, None] * inv[None, :, None, None]
+    elif wanted[0]:
+        # gamma * inv * (g - mean(g) - xhat * mean(g * xhat)); the two means
+        # are dbeta / m and dgamma / m
+        m = x.shape[0] * x.shape[2] * x.shape[3]
+        dx = g - (dbeta / m)[None, :, None, None]
+        dx -= xhat * (dgamma / m)[None, :, None, None]
+        dx *= (gamma * inv)[None, :, None, None]
     return [dx, dgamma, dbeta]

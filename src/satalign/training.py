@@ -2,9 +2,9 @@
 
 Each step draws a batch without replacement (reshuffled per epoch, drop-last),
 augments the temporal tile pair with array operations over the whole batch
-(only the per-sample seeds and crops loop over samples), builds the full loss
-graph on a fresh tape, backpropagates, and applies Adam restricted to the
-active fine-tuning mask.
+(the random draws are arrays; only the crops loop over samples), builds the
+full loss graph on a fresh tape, backpropagates, and applies Adam restricted
+to the active fine-tuning mask.
 Normalization running statistics update with momentum after every step. All
 randomness flows from one seeded generator whose state is checkpointed, so a
 saved run resumes bit-identically.
@@ -158,16 +158,23 @@ def assemble_batch(samples: list[TrainingSample], config: TrainConfig,
     """Augment and stack one batch. tile_a is deterministically resized and
     photometrically jittered; tile_b additionally gets flips and a random crop.
 
-    `rng` gives three seeds per sample, sample by sample (geometric, then
-    photometric for tile_a, then for tile_b); the augmentations then run over
-    the whole batch, with tile_a grouped by tile size for its resize.
+    `rng` gives four arrays of draws, one row per sample, in this order:
+    flips (n, 2), crop offsets (n, 2), jitter (2, n, C) and channel mixing
+    (2, n, C, C), the last two for tile_a then tile_b. The augmentations then
+    run over the whole batch, with tile_a grouped by tile size for its resize.
     """
+    n = len(samples)
     in_size = config.model.image.in_size
-    use_cov = config.model.location.use_covariates
-    seeds = rng.integers(2 ** 63, size=(len(samples), 3))
+    c = samples[0].tile_b.pixels.shape[0]
+    flips = rng.random((n, 2)) < 0.5
+    offsets = rng.random((n, 2))
+    shift_a, shift_b = rng.uniform(-1.0, 1.0, size=(2, n, c))
+    mix_a, mix_b = rng.uniform(-1.0, 1.0, size=(2, n, c, c))
+
     tiles_b = augment_geometric([s.tile_b.pixels for s in samples], config.crop_size,
-                                seeds[:, 0], out_size=in_size)
-    tiles_b = augment_photometric(tiles_b, config.jitter, config.channel_mix, seeds[:, 2])
+                                flips, offsets, out_size=in_size)
+    tiles_b = augment_photometric(tiles_b, config.jitter, config.channel_mix,
+                                  shift_b, mix_b)
     by_size: dict[tuple[int, ...], list[int]] = {}
     for i, sample in enumerate(samples):
         by_size.setdefault(sample.tile_a.pixels.shape, []).append(i)
@@ -175,11 +182,14 @@ def assemble_batch(samples: list[TrainingSample], config: TrainConfig,
     for idx in by_size.values():
         fitted = fit_to_input(np.stack([samples[i].tile_a.pixels for i in idx]), in_size)
         tiles_a[idx] = augment_photometric(fitted, config.jitter, config.channel_mix,
-                                           seeds[idx, 1])
-    locfeat = [location_input_features(s.location.lat, s.location.lon,
-                                       s.covariates if use_cov else None) for s in samples]
-    return {"tiles_a": tiles_a, "tiles_b": np.ascontiguousarray(tiles_b),
-            "locfeat": np.stack(locfeat), "text": np.stack([s.text.embedding for s in samples])}
+                                           shift_a[idx], mix_a[idx])
+    covariates = (np.stack([s.covariates for s in samples])
+                  if config.model.location.use_covariates else None)
+    locfeat = location_input_features(np.array([s.location.lat for s in samples]),
+                                      np.array([s.location.lon for s in samples]),
+                                      covariates)
+    return {"tiles_a": tiles_a, "tiles_b": tiles_b, "locfeat": locfeat,
+            "text": np.stack([s.text.embedding for s in samples])}
 
 
 def steps_per_epoch(n_samples: int, batch_size: int) -> int:

@@ -190,7 +190,8 @@ def test_failed_gradcheck_names_worst_coordinate(monkeypatch, capsys):
     assert dispatch(["gradcheck", "--seed", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out.splitlines()[-1] == "status\tFAIL"
-    assert "gradcheck worst coordinate: x[1] rel_err=1.000e+00" in captured.err
+    assert ("gradcheck worst coordinate: x[1] rel_err=1.000e+00; "
+            "its +-step crosses a relu kink") in captured.err
 
 
 def test_zeroshot_prints_predictions_and_accuracy(workspace, capsys):

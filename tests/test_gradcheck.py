@@ -33,6 +33,31 @@ def test_relu_passes_with_inputs_nudged_off_zero():
     assert finite_diff_check(tape, tolerance=1e-4).passed
 
 
+def test_failure_at_a_relu_kink_is_diagnosed():
+    # x[1] is exactly 0: the relu's analytic slope there is 0, while the
+    # central difference straddles the kink and reads 0.5
+    tape = Tape()
+    x = tape.leaf("x", np.array([0.5, 0.0, -0.7]), trainable=True)
+    tape.mark_output("loss", tape.sum(tape.relu(x)))
+    report = finite_diff_check(tape)
+    assert not report.passed
+    assert report.worst == ("x", 1)
+    assert report.crosses_relu_kink is True
+
+
+def test_failure_away_from_relu_kinks_is_not_blamed_on_one():
+    # a cubic through a relu whose input stays positive: the coarse step's
+    # truncation error fails the check, and no relu input changes sign
+    tape = Tape()
+    x = tape.leaf("x", np.array([1.0, 2.0]), trainable=True)
+    r = tape.relu(x)
+    tape.mark_output("loss", tape.sum(tape.mul(r, tape.mul(r, r))))
+    report = finite_diff_check(tape, step=0.1)
+    assert not report.passed
+    assert report.crosses_relu_kink is False
+    assert finite_diff_check(tape).crosses_relu_kink is None
+
+
 def test_corrupted_gradient_flagged():
     tape = quadratic_tape(np.array([1.0, 2.0]))
     honest = backward(tape)["x"]

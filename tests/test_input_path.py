@@ -1,8 +1,9 @@
-"""The batched training input path against the per-tile pipeline it replaced.
+"""The batched training input path against a per-tile pipeline.
 
 `assemble_batch` and `pair_samples` must give the same bits as the per-tile
-augmentation and the brute-force nearest-center scan copied below. The copies
-are oracles, kept as the plain-numpy losses are kept for the tape losses.
+augmentation, fed the same per-batch draws, and the brute-force
+nearest-center scan copied below. The copies are oracles, kept as the
+plain-numpy losses are kept for the tape losses.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import small_train_config, world_and_samples
-from satalign.augment import resize_pixels
+from satalign.augment import augment_photometric, resize_pixels
 from satalign.encoders import location_input_features
 from satalign.geodata import (CovariateRaster, GeoObservation, TextSection, TileRecord,
                               TrainingSample, bilinear_sample, pair_samples)
@@ -21,72 +22,72 @@ from satalign.training import assemble_batch
 # -- per-tile oracle ------------------------------------------------------------
 
 
+def _bilinear_weights(n_in, n_out):
+    pos = np.linspace(0.0, n_in - 1, n_out) if n_out > 1 else np.zeros(1)
+    weights = np.zeros((n_out, n_in))
+    for i, p in enumerate(pos):
+        lo = min(math.floor(p), max(n_in - 2, 0))
+        weights[i, lo] += 1 - (p - lo)
+        weights[i, min(lo + 1, n_in - 1)] += p - lo
+    return weights
+
+
 def _resize_tile(pixels, out_h, out_w):
+    """Channel by channel: the column weights, then the row weights."""
     c, h, w = pixels.shape
     if (h, w) == (out_h, out_w):
         return pixels.copy()
-    ys = np.linspace(0.0, h - 1, out_h) if out_h > 1 else np.zeros(1)
-    xs = np.linspace(0.0, w - 1, out_w) if out_w > 1 else np.zeros(1)
-    y0 = np.minimum(np.floor(ys).astype(int), max(h - 2, 0))
-    x0 = np.minimum(np.floor(xs).astype(int), max(w - 2, 0))
-    ty = (ys - y0)[None, :, None]
-    tx = (xs - x0)[None, None, :]
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    top = (1 - tx) * pixels[:, y0][:, :, x0] + tx * pixels[:, y0][:, :, x1]
-    bot = (1 - tx) * pixels[:, y1][:, :, x0] + tx * pixels[:, y1][:, :, x1]
-    return (1 - ty) * top + ty * bot
+    wy, wx = _bilinear_weights(h, out_h), _bilinear_weights(w, out_w)
+    return np.stack([wy @ (np.ascontiguousarray(pixels[k]) @ wx.T) for k in range(c)])
 
 
-def _geometric_tile(tile, crop_size, seed, out_size):
-    c, h, w = tile.pixels.shape
-    rng = np.random.default_rng(seed)
-    flip_h = bool(rng.random() < 0.5)
-    flip_v = bool(rng.random() < 0.5)
-    top = int(rng.integers(h - crop_size + 1))
-    left = int(rng.integers(w - crop_size + 1))
-    out = tile.pixels
-    if flip_h:
+def _geometric_tile(pixels, crop_size, flip, offset, out_size):
+    c, h, w = pixels.shape
+    top = math.floor(offset[0] * (h - crop_size + 1))
+    left = math.floor(offset[1] * (w - crop_size + 1))
+    out = pixels
+    if flip[0]:
         out = out[:, :, ::-1]
-    if flip_v:
+    if flip[1]:
         out = out[:, ::-1, :]
     out = np.ascontiguousarray(out)[:, top:top + crop_size, left:left + crop_size].copy()
-    out = _resize_tile(out, out_size, out_size)
-    return replace(tile, pixels=np.clip(out, 0.0, 1.0))
+    return np.clip(_resize_tile(out, out_size, out_size), 0.0, 1.0)
 
 
-def _photometric_tile(tile, jitter, mix_strength, seed):
-    rng = np.random.default_rng(seed)
-    c = tile.pixels.shape[0]
-    shift = rng.uniform(-jitter, jitter, size=c) if jitter > 0 else np.zeros(c)
-    out = tile.pixels + shift[:, None, None]
+def _photometric_tile(pixels, jitter, mix_strength, shift, mix):
+    c = pixels.shape[0]
+    out = pixels + jitter * shift[:, None, None]
     if mix_strength > 0:
-        mix = np.eye(c) + mix_strength * rng.uniform(-1.0, 1.0, size=(c, c))
-        row_sums = mix.sum(axis=1, keepdims=True)
-        row_sums = np.where(np.abs(row_sums) < 1e-6, 1.0, row_sums)
-        mix = mix / row_sums
-        out = np.einsum("dc,chw->dhw", mix, out)
-    return replace(tile, pixels=np.clip(out, 0.0, 1.0))
-
-
-def _fit_tile(tile, size):
-    return replace(tile, pixels=np.clip(_resize_tile(tile.pixels, size, size), 0.0, 1.0))
+        matrix = np.eye(c) + mix_strength * mix
+        row_sums = matrix.sum(axis=1, keepdims=True)
+        matrix = matrix / np.where(np.abs(row_sums) < 1e-6, 1.0, row_sums)
+        mixed = []
+        for d in range(c):
+            acc = matrix[d, 0] * out[0]
+            for k in range(1, c):
+                acc = acc + matrix[d, k] * out[k]
+            mixed.append(acc)
+        out = np.stack(mixed)
+    return np.clip(out, 0.0, 1.0)
 
 
 def assemble_per_tile(samples, config, rng):
     in_size = config.model.image.in_size
     use_cov = config.model.location.use_covariates
+    n, c = len(samples), samples[0].tile_b.pixels.shape[0]
+    flips = rng.random((n, 2)) < 0.5
+    offsets = rng.random((n, 2))
+    shift = rng.uniform(-1.0, 1.0, size=(2, n, c))
+    mix = rng.uniform(-1.0, 1.0, size=(2, n, c, c))
     tiles_a, tiles_b, locfeat, text = [], [], [], []
-    for sample in samples:
-        seed_geo = int(rng.integers(2 ** 63))
-        seed_pa = int(rng.integers(2 ** 63))
-        seed_pb = int(rng.integers(2 ** 63))
-        tile_a = _photometric_tile(_fit_tile(sample.tile_a, in_size),
-                                   config.jitter, config.channel_mix, seed_pa)
-        tile_b = _geometric_tile(sample.tile_b, config.crop_size, seed_geo, in_size)
-        tile_b = _photometric_tile(tile_b, config.jitter, config.channel_mix, seed_pb)
-        tiles_a.append(tile_a.pixels)
-        tiles_b.append(tile_b.pixels)
+    for i, sample in enumerate(samples):
+        fitted = np.clip(_resize_tile(sample.tile_a.pixels, in_size, in_size), 0.0, 1.0)
+        tiles_a.append(_photometric_tile(fitted, config.jitter, config.channel_mix,
+                                         shift[0, i], mix[0, i]))
+        tile_b = _geometric_tile(sample.tile_b.pixels, config.crop_size, flips[i],
+                                 offsets[i], in_size)
+        tiles_b.append(_photometric_tile(tile_b, config.jitter, config.channel_mix,
+                                         shift[1, i], mix[1, i]))
         locfeat.append(location_input_features(sample.location.lat, sample.location.lon,
                                                sample.covariates if use_cov else None))
         text.append(sample.text.embedding)
@@ -115,7 +116,7 @@ def pair_brute_force(observations, tiles, texts, raster, matching_radius, seed):
     for obs in observations:
         best = None
         for center in centers:
-            dist = math.hypot(obs.lat - center[0], obs.lon - center[1])
+            dist = float(np.hypot(obs.lat - center[0], obs.lon - center[1]))
             if dist > matching_radius:
                 continue
             key = (dist, by_center[center][0].tile_id)
@@ -201,17 +202,55 @@ def test_assemble_batch_matches_per_tile_pipeline_with_mixed_tile_sizes():
         _assert_same_batch(mixed, _config(16, 12, 0.02, 0.05), seed)
 
 
-@pytest.mark.parametrize("shape", [(3, 12, 12), (4, 3, 12, 12), (2, 4, 3, 9, 12)])
-def test_resize_keeps_the_per_tile_memory_layout(shape):
-    # The channel mix rounds by memory layout, so a batch must be laid out
-    # tile by tile as the per-tile resize laid out one tile.
+def _resize_scalar(pixels, out_h, out_w):
+    """Bilinear resize of one (H, W) array, one output pixel at a time."""
+    h, w = pixels.shape
+    ys = np.linspace(0.0, h - 1, out_h) if out_h > 1 else np.zeros(1)
+    xs = np.linspace(0.0, w - 1, out_w) if out_w > 1 else np.zeros(1)
+    out = np.empty((out_h, out_w))
+    for i, y in enumerate(ys):
+        y0 = min(math.floor(y), max(h - 2, 0))
+        y1, ty = min(y0 + 1, h - 1), y - y0
+        for j, x in enumerate(xs):
+            x0 = min(math.floor(x), max(w - 2, 0))
+            x1, tx = min(x0 + 1, w - 1), x - x0
+            top = (1 - tx) * pixels[y0, x0] + tx * pixels[y0, x1]
+            bot = (1 - tx) * pixels[y1, x0] + tx * pixels[y1, x1]
+            out[i, j] = (1 - ty) * top + ty * bot
+    return out
+
+
+@pytest.mark.parametrize("shape, out_hw", [((3, 12, 12), (16, 14)), ((4, 3, 12, 12), (16, 14)),
+                                           ((2, 4, 3, 9, 12), (16, 14)),
+                                           ((2, 3, 20, 17), (7, 1)), ((2, 3, 1, 5), (4, 9))])
+def test_resize_matches_a_scalar_bilinear_loop(shape, out_hw):
     pixels = np.random.default_rng(0).random(shape)
-    out = resize_pixels(pixels, 16, 14)
-    tiles = pixels.reshape((-1,) + shape[-3:])
-    for i, tile in enumerate(out.reshape((-1,) + out.shape[-3:])):
-        one = _resize_tile(tiles[i], 16, 14)
-        assert tile.strides == one.strides
-        assert tile.tobytes() == one.tobytes()
+    out = resize_pixels(pixels, *out_hw)
+    assert out.shape == shape[:-2] + out_hw
+    assert out.flags.c_contiguous
+    flat = pixels.reshape((-1,) + shape[-2:])
+    for i, channel in enumerate(out.reshape((-1,) + out_hw)):
+        np.testing.assert_allclose(channel, _resize_scalar(flat[i], *out_hw), rtol=0, atol=1e-15)
+
+
+def test_photometric_bits_do_not_depend_on_memory_layout():
+    rng = np.random.default_rng(0)
+    n, c = 8, 3
+    shift, mix = rng.uniform(-1, 1, size=(n, c)), rng.uniform(-1, 1, size=(n, c, c))
+    wide = rng.random((n, c, 16, 32))
+    # every other column of a wider batch, and the batch laid out (n, W, H, C)
+    # in memory, as the gather-based resize used to return it
+    batch = np.ascontiguousarray(wide[..., ::2])
+    whc = np.ascontiguousarray(np.transpose(batch, (0, 3, 2, 1)))
+    views = [wide[..., ::2], np.transpose(whc, (0, 3, 2, 1))]
+    expected = augment_photometric(batch, 0.05, 0.1, shift, mix)
+    assert expected.flags.c_contiguous
+    for view in views:
+        assert not view.flags.c_contiguous
+        np.testing.assert_array_equal(view, batch)
+        out = augment_photometric(view, 0.05, 0.1, shift, mix)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == expected.tobytes()
 
 
 # -- pair_samples --------------------------------------------------------------
@@ -273,8 +312,8 @@ def test_pairing_on_a_dyadic_lattice_matches_brute_force():
     samples, skips = _assert_same_pairing(observations, tiles, _texts(), _raster(), radius)
     assert skips["no_tile"] and skips["no_text"]
     at_radius = [s for s in samples
-                 if math.hypot(s.location.lat - s.tile_a.lat,
-                               s.location.lon - s.tile_a.lon) == radius]
+                 if np.hypot(s.location.lat - s.tile_a.lat,
+                             s.location.lon - s.tile_a.lon) == radius]
     assert at_radius
 
 
