@@ -25,6 +25,11 @@ PEFT_MODES = ("full", "scale_shift")
 IMAGE_HEADS = ("heads.image.weight", "heads.image_to_text.weight",
                "heads.image_to_location.weight")
 
+# Rows per eval-mode encoding slice. Each slice's conv temporaries stay a few
+# MB, so large batches reuse heap pages instead of faulting in fresh ones; 64
+# matches the default training batch.
+ENCODE_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class ImageEncoderConfig:
@@ -160,19 +165,29 @@ class Model:
         return {name: tape.leaf(name, self.params.get(name)) for name in names}
 
     def image_features(self, pixels: np.ndarray) -> np.ndarray:
-        """Eval-mode features for a batch of tiles, shape (n, d_img)."""
+        """Eval-mode features for a batch of tiles, shape (n, d_img).
+
+        The conv stages run on slices of ENCODE_CHUNK tiles; every op up to
+        the pooling is per sample in eval mode, and the linear layer runs
+        once over all pooled rows, so the bits equal one whole-batch graph.
+        """
         pixels = np.asarray(pixels, dtype=np.float64)
         img = self.cfg.image
         if pixels.ndim != 4 or pixels.shape[1:] != (img.in_channels, img.in_size, img.in_size):
             raise ValueError(f"expected pixels of shape "
                              f"(n, {img.in_channels}, {img.in_size}, {img.in_size}), "
                              f"got {pixels.shape}")
-        tape = Tape()
-        x = tape.leaf("pixels", pixels)
-        leaves = self._leaves(tape, [n for n in self.params.names() if n.startswith("img.")])
-        feat, _ = image_feature_graph(tape, leaves, self.cfg.image, x,
-                                      stats=self.stats, training=False)
-        return feat.value
+        conv_names = [n for n in self.params.names() if n.startswith(("img.conv", "img.norm"))]
+        pooled = []
+        for start in range(0, max(len(pixels), 1), ENCODE_CHUNK):  # 0 tiles: one empty slice
+            tape = Tape()
+            x = tape.leaf("pixels", pixels[start:start + ENCODE_CHUNK])
+            node, _ = pooled_feature_graph(tape, self._leaves(tape, conv_names), img, x,
+                                           stats=self.stats, training=False)
+            pooled.append(node.value)
+        pooled = np.concatenate(pooled)
+        # the same expressions as the matmul and add nodes of image_feature_graph
+        return pooled @ self.params.get("img.fc.weight") + self.params.get("img.fc.bias")
 
     def _project(self, head: str, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
@@ -189,9 +204,9 @@ class Model:
 # -- graph builders (shared by training and eval paths) ----------------------
 
 
-def image_feature_graph(tape: Tape, leaves: dict[str, Node], cfg: ImageEncoderConfig,
-                        x: Node, stats: dict[str, np.ndarray], training: bool):
-    """Conv stages + pooling + linear head; returns (feature node, norm nodes)."""
+def pooled_feature_graph(tape: Tape, leaves: dict[str, Node], cfg: ImageEncoderConfig,
+                         x: Node, stats: dict[str, np.ndarray], training: bool):
+    """Conv stages + global pooling; returns (pooled node, norm nodes)."""
     norm_nodes: list[tuple[str, Node]] = []
     h = x
     for i in range(1, len(cfg.widths) + 1):
@@ -203,7 +218,13 @@ def image_feature_graph(tape: Tape, leaves: dict[str, Node], cfg: ImageEncoderCo
                                  running_var=None if training else stats[f"img.norm{i}.var"])
         norm_nodes.append((f"img.norm{i}", norm))
         h = tape.relu(norm)
-    pooled = tape.global_avg_pool(h)
+    return tape.global_avg_pool(h), norm_nodes
+
+
+def image_feature_graph(tape: Tape, leaves: dict[str, Node], cfg: ImageEncoderConfig,
+                        x: Node, stats: dict[str, np.ndarray], training: bool):
+    """Conv stages + pooling + linear head; returns (feature node, norm nodes)."""
+    pooled, norm_nodes = pooled_feature_graph(tape, leaves, cfg, x, stats, training)
     feat = tape.add(tape.matmul(pooled, leaves["img.fc.weight"]), leaves["img.fc.bias"])
     return feat, norm_nodes
 

@@ -13,9 +13,13 @@ from .dataio import pair_paths, require_fields
 from .encoders import Model
 from .geodata import TileRecord
 from .optim import AdamState, ParameterStore, adam_step
-from .tape import l2_normalize_rows
+from .tape import RowNormError, l2_normalize_rows
 
 TASK_KINDS = ("single_label", "multi_label", "encounter_rate")
+
+# Rows per slab when an index is loaded or validated: the temporaries stay
+# slab-sized (2 MB at d = 64), however many rows the index holds.
+INDEX_SLAB_ROWS = 4096
 
 
 @dataclass
@@ -226,9 +230,18 @@ class RetrievalIndex:
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.tile_ids):
             raise ValueError("index row count must equal the tile id count")
-        off = np.max(np.abs(np.linalg.norm(self.matrix, axis=1) - 1.0))
-        if off > 1e-9:
-            raise ValueError(f"index rows must be unit norm (worst deviation {off:.2e})")
+        if self.n == 0:
+            raise ValueError("an index needs at least one row")
+        worst = 0.0
+        for start in range(0, self.n, INDEX_SLAB_ROWS):
+            slab = self.matrix[start:start + INDEX_SLAB_ROWS]
+            off = np.abs(np.sqrt(np.sum(slab * slab, axis=1)) - 1.0)
+            bad = np.flatnonzero(~np.isfinite(off))
+            if bad.size:
+                raise ValueError(f"index row {start + int(bad[0])} is not finite")
+            worst = max(worst, float(off.max()))
+        if worst > 1e-9:
+            raise ValueError(f"index rows must be unit norm (worst deviation {worst:.2e})")
 
     @property
     def n(self) -> int:
@@ -267,18 +280,22 @@ def query_index(index: RetrievalIndex, query: np.ndarray, k: int,
         raise ValueError(f"query length {query.size} matches neither the shared "
                          f"space ({index.d}) nor a raw text embedding")
     cosines = index.matrix @ q
-    order = np.lexsort((index.tile_ids, -cosines))
-    out = []
-    for idx in order[:min(k, index.n)]:
-        out.append((int(index.tile_ids[idx]), float(cosines[idx])))
-    return out
+    k = min(k, index.n)
+    # only rows at or above the k-th cosine can rank in the top k; sorting
+    # them with their ties gives the full sort's first k rows
+    kth = np.partition(cosines, index.n - k)[index.n - k]
+    rows = np.flatnonzero(cosines >= kth)
+    ids = [index.tile_ids[i] for i in rows]
+    order = rows[np.lexsort((ids, -cosines[rows]))[:k]]
+    return [(int(index.tile_ids[i]), float(cosines[i])) for i in order]
 
 
 def zero_shot_classify(model: Model, tiles: list[TileRecord],
                        class_text_embeddings: np.ndarray) -> np.ndarray:
     """Per tile, the nearest class by cosine between the tile's text-head
     embedding and the projected class embeddings; ties go to the lower class
-    index. All tiles are encoded in one batch."""
+    index. Tiles are encoded in slices of encoders.ENCODE_CHUNK, with the same bits
+    as one batch."""
     z = model.tile_text_embeddings(np.stack([t.pixels for t in tiles]))
     return np.argmax(z @ model.project_text_rows(class_text_embeddings).T, axis=1)
 
@@ -293,17 +310,46 @@ def save_index(index: RetrievalIndex, path: str | Path) -> tuple[Path, Path]:
     return json_path, bin_path
 
 
+def _checked_tile_ids(ids: list, where: Path) -> list[int]:
+    """`ids` if they are distinct JSON integers, else a ValueError naming
+    `where` and the first bad position."""
+    if not (set(map(type, ids)) <= {int} and len(set(ids)) == len(ids)):
+        seen = set()
+        for i, t in enumerate(ids):
+            if type(t) is not int:  # exact: a JSON true is a bool, not an int
+                raise ValueError(f"{where}: tile_ids[{i}] must be an integer, got {t!r:.40}")
+            if t in seen:
+                raise ValueError(f"{where}: tile_ids[{i}] repeats tile id {t}")
+            seen.add(t)
+    return ids
+
+
 def load_index(path: str | Path) -> RetrievalIndex:
+    """Read an index written by save_index, one slab of rows at a time."""
     json_path, bin_path = pair_paths(path)
     if not json_path.exists():
         raise ValueError(f"index header not found: {json_path}")
     header = require_fields(json.loads(json_path.read_text()),
                             {"n": int, "d": int, "tile_ids": list}, json_path)
-    data = np.frombuffer(bin_path.read_bytes(), dtype="<f4").astype(np.float64)
     n, d = header["n"], header["d"]
-    if data.size != n * d:
-        raise ValueError(f"index blob length mismatch: {data.size} values, expected {n * d}")
-    # float32 storage perturbs norms at ~1e-7; restore exact unit rows
-    return RetrievalIndex(tile_ids=[int(t) for t in header["tile_ids"]],
-                          matrix=l2_normalize_rows(data.reshape(n, d)))
-
+    if n < 1 or d < 1:
+        raise ValueError(f"{json_path}: n and d must be positive, got n={n}, d={d}")
+    if len(header["tile_ids"]) != n:
+        raise ValueError(f"{json_path}: {len(header['tile_ids'])} tile ids for n={n} rows")
+    tile_ids = _checked_tile_ids(header["tile_ids"], json_path)
+    size = bin_path.stat().st_size
+    if size != 4 * n * d:
+        raise ValueError(f"{bin_path}: index blob length mismatch: {size} bytes, "
+                         f"expected {4 * n * d}")
+    matrix = np.empty((n, d))
+    with open(bin_path, "rb") as f:
+        for start in range(0, n, INDEX_SLAB_ROWS):
+            slab = matrix[start:start + INDEX_SLAB_ROWS]
+            slab[...] = np.frombuffer(f.read(4 * slab.size), dtype="<f4").reshape(slab.shape)
+            # float32 storage perturbs norms at ~1e-7; restore exact unit rows
+            try:
+                slab[...] = l2_normalize_rows(slab)
+            except RowNormError as e:
+                raise ValueError(f"{bin_path}: row {start + e.row} has a {e.problem} "
+                                 f"norm") from None
+    return RetrievalIndex(tile_ids=tile_ids, matrix=matrix)

@@ -33,11 +33,21 @@ import numpy as np
 NORM_EPS = 1e-12
 
 
+class RowNormError(ValueError):
+    """A row l2_normalize_rows cannot scale: `row` is its index in the matrix
+    given, and `problem` says why ("non-finite" or "degenerate" norm)."""
+
+    def __init__(self, message: str, row: int, problem: str):
+        super().__init__(message)
+        self.row = row
+        self.problem = problem
+
+
 def l2_normalize_rows(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
     """Scale each row of a 2-D matrix to unit Euclidean norm.
 
     Rows whose norm is not finite or is <= eps cannot be normalized and
-    raise, identifying the offending row.
+    raise a RowNormError, identifying the offending row.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -45,10 +55,12 @@ def l2_normalize_rows(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
     norms = np.sqrt(np.sum(m * m, axis=1))
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
-        raise ValueError(f"embedding row {int(bad[0])} has a non-finite norm")
+        row = int(bad[0])
+        raise RowNormError(f"embedding row {row} has a non-finite norm", row, "non-finite")
     bad = np.flatnonzero(norms <= eps)
     if bad.size:
-        raise ValueError(f"degenerate embedding row {int(bad[0])}")
+        row = int(bad[0])
+        raise RowNormError(f"degenerate embedding row {row}", row, "degenerate")
     return m / norms[:, None]
 
 

@@ -427,6 +427,22 @@ def test_index_header_missing_a_key_exits_1_naming_the_file(workspace, tmp_path,
     assert str(tmp_path / "idx.json") in err and "tile_ids" in err
 
 
+def test_index_with_repeated_tile_ids_exits_1_naming_the_file(workspace, tmp_path, capsys):
+    ckpt = str(workspace / "run" / "ckpt.json")
+    assert dispatch(["index", "--data", str(workspace / "world"), "--ckpt", ckpt,
+                     "--out", str(tmp_path / "idx")]) == 0
+    header = json.loads((tmp_path / "idx.json").read_text())
+    header["tile_ids"][-1] = header["tile_ids"][0]
+    (tmp_path / "idx.json").write_text(json.dumps(header))
+    capsys.readouterr()
+    assert dispatch(["retrieve", "--index", str(tmp_path / "idx"),
+                     "--query", ",".join(["0.5"] * 12)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = len(header["tile_ids"]) - 1
+    assert f"{tmp_path / 'idx.json'}: tile_ids[{last}] repeats tile id" in captured.err
+
+
 def test_poisoned_adam_moment_exits_1_naming_file_and_tensor(workspace, tmp_path, capsys):
     header_path = _copy_ckpt(workspace, tmp_path)
     header = json.loads(header_path.read_text())

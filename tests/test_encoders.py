@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from satalign.encoders import (ImageEncoderConfig, LocationEncoderConfig, Model,
-                               ModelConfig, location_feature_graph, location_input_features,
-                               trainable_mask)
+from satalign.encoders import (ENCODE_CHUNK, ImageEncoderConfig, LocationEncoderConfig, Model,
+                               ModelConfig, image_feature_graph, location_feature_graph,
+                               location_input_features, trainable_mask)
 from satalign.optim import AdamState, adam_step
 from satalign.tape import Tape
 
@@ -79,6 +81,36 @@ class TestImageEncoder:
         for i in range(4):
             np.testing.assert_allclose(feats[i], model.image_features(batch[i:i + 1])[0],
                                        atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, ENCODE_CHUNK - 1, ENCODE_CHUNK, ENCODE_CHUNK + 1,
+                                   16 * ENCODE_CHUNK])
+    def test_chunked_features_equal_one_whole_batch_graph(self, n):
+        model = Model.initialize(tiny_config(), seed=3)
+        rng = np.random.default_rng(n)
+        for name in model.stats:  # running statistics away from their initial values
+            model.stats[name] = rng.random(model.stats[name].shape) + 0.5
+        pixels = rng.random((n, 3, 16, 16))
+        tape = Tape()
+        leaves = {name: tape.leaf(name, model.params.get(name))
+                  for name in model.params.names() if name.startswith("img.")}
+        whole, _ = image_feature_graph(tape, leaves, model.cfg.image,
+                                       tape.leaf("pixels", pixels), stats=model.stats,
+                                       training=False)
+        assert model.image_features(pixels).tobytes() == whole.value.tobytes()
+
+    def test_working_set_does_not_grow_with_the_batch(self):
+        model = Model.initialize(ModelConfig(), seed=0)
+        pixels = np.random.default_rng(0).random((16 * ENCODE_CHUNK, 3, 32, 32))
+        peaks = []
+        for n in (ENCODE_CHUNK, 16 * ENCODE_CHUNK):
+            batch = np.ascontiguousarray(pixels[:n])
+            tracemalloc.start()
+            try:
+                model.image_features(batch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
 
 def location_outputs(model: Model, features: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_train_config
-from satalign.evaluate import (ProbeConfig, RetrievalIndex, accuracy, build_index,
-                               confusion_matrix, fit_linear_probe,
+from satalign.evaluate import (INDEX_SLAB_ROWS, ProbeConfig, RetrievalIndex, accuracy,
+                               build_index, confusion_matrix, fit_linear_probe,
                                load_index, mean_iou, mean_top_k_accuracy, micro_f1,
                                query_index, save_index, top_k_accuracy, zero_shot_classify)
 from satalign.geodata import TileRecord
+from satalign.tape import l2_normalize_rows
 from satalign.training import initial_model
 
 
@@ -270,6 +272,110 @@ class TestRetrievalIndex:
         index = RetrievalIndex(tile_ids=[0], matrix=np.eye(3)[:1])
         with pytest.raises(ValueError, match="query length"):
             query_index(index, np.ones(7), k=1)
+
+
+def full_sort_ranking(index, query, k):
+    """Top-k by one full lexsort over every row: the reference for query_index."""
+    cosines = index.matrix @ l2_normalize_rows(query[None])[0]
+    order = np.lexsort((index.tile_ids, -cosines))[:k]
+    return [(int(index.tile_ids[i]), float(cosines[i])) for i in order]
+
+
+def unit_rows(rng, n, d):
+    return l2_normalize_rows(rng.normal(size=(n, d)))
+
+
+class TestPartialTopK:
+    N = INDEX_SLAB_ROWS + 37  # more rows than one slab
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 500, N - 1, N, N + 5])
+    def test_matches_a_full_sort_under_heavy_ties(self, k):
+        # rows drawn from 12 directions: every cosine is shared by hundreds of
+        # rows, so the k-th cosine is tied, and the shuffled ids decide ties
+        rng = np.random.default_rng(k)
+        directions = unit_rows(rng, 12, 8)
+        matrix = directions[rng.integers(0, 12, size=self.N)]
+        ids = rng.permutation(3 * self.N)[:self.N].tolist()
+        index = RetrievalIndex(tile_ids=ids, matrix=matrix)
+        for query in (directions[3], rng.normal(size=8)):
+            assert query_index(index, query, k=k) == full_sort_ranking(index, query, k)
+
+    @pytest.mark.parametrize("k", [1, 10, N, N + 5])
+    def test_matches_a_full_sort_without_ties(self, k):
+        rng = np.random.default_rng(100 + k)
+        index = RetrievalIndex(tile_ids=rng.permutation(self.N).tolist(),
+                               matrix=unit_rows(rng, self.N, 8))
+        query = rng.normal(size=8)
+        assert query_index(index, query, k=k) == full_sort_ranking(index, query, k)
+
+
+class TestIndexValidation:
+    def test_non_finite_row_rejected(self):
+        matrix = np.eye(3)
+        matrix[1, 0] = np.nan
+        with pytest.raises(ValueError, match="index row 1 is not finite"):
+            RetrievalIndex(tile_ids=[0, 1, 2], matrix=matrix)
+
+    def test_non_finite_row_past_the_first_slab_rejected_by_its_row_number(self):
+        matrix = unit_rows(np.random.default_rng(0), INDEX_SLAB_ROWS + 9, 4)
+        matrix[INDEX_SLAB_ROWS + 4, 2] = np.inf
+        with pytest.raises(ValueError, match=f"index row {INDEX_SLAB_ROWS + 4} is not finite"):
+            RetrievalIndex(tile_ids=list(range(len(matrix))), matrix=matrix)
+
+    def test_empty_index_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            RetrievalIndex(tile_ids=[], matrix=np.zeros((0, 4)))
+
+    def test_chunked_load_equals_one_whole_normalization(self, tmp_path):
+        n = 2 * INDEX_SLAB_ROWS + 123  # not a multiple of the slab
+        matrix = unit_rows(np.random.default_rng(1), n, 16)
+        save_index(RetrievalIndex(tile_ids=list(range(n)), matrix=matrix), tmp_path / "idx")
+        stored = np.frombuffer((tmp_path / "idx.bin").read_bytes(), dtype="<f4")
+        whole = l2_normalize_rows(stored.astype(np.float64).reshape(n, 16))
+        assert load_index(tmp_path / "idx").matrix.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("value, problem", [(np.nan, "non-finite"), (0.0, "degenerate")])
+    def test_bad_blob_row_named_by_file_and_global_row(self, tmp_path, value, problem):
+        n, d = INDEX_SLAB_ROWS + 10, 4
+        save_index(RetrievalIndex(tile_ids=list(range(n)),
+                                  matrix=unit_rows(np.random.default_rng(2), n, d)),
+                   tmp_path / "idx")
+        blob = np.frombuffer((tmp_path / "idx.bin").read_bytes(), dtype="<f4").copy()
+        row = INDEX_SLAB_ROWS + 3
+        blob[row * d:(row + 1) * d] = value
+        (tmp_path / "idx.bin").write_bytes(blob.tobytes())
+        with pytest.raises(ValueError) as err:
+            load_index(tmp_path / "idx")
+        assert str(err.value) == f"{tmp_path / 'idx.bin'}: row {row} has a {problem} norm"
+
+    @pytest.mark.parametrize("ids, pos, message", [
+        (["1", 2, 3], 0, "must be an integer, got '1'"),
+        ([1, 2.9, 3], 1, "must be an integer, got 2.9"),
+        ([1, 2, True], 2, "must be an integer, got True"),
+        ([4, 5, 4], 2, "repeats tile id 4"),
+    ])
+    def test_bad_tile_ids_named_by_file_and_position(self, tmp_path, ids, pos, message):
+        save_index(RetrievalIndex(tile_ids=[0, 1, 2], matrix=np.eye(3)), tmp_path / "idx")
+        header = json.loads((tmp_path / "idx.json").read_text())
+        header["tile_ids"] = ids
+        (tmp_path / "idx.json").write_text(json.dumps(header))
+        with pytest.raises(ValueError) as err:
+            load_index(tmp_path / "idx")
+        assert str(err.value) == f"{tmp_path / 'idx.json'}: tile_ids[{pos}] {message}"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 0, "n and d must be positive"),
+        ("d", -3, "n and d must be positive"),
+        ("tile_ids", [0, 1], "2 tile ids for n=3 rows"),
+        ("d", 2, "blob length mismatch: 36 bytes, expected 24"),
+    ])
+    def test_malformed_header_rejected(self, tmp_path, field, value, message):
+        save_index(RetrievalIndex(tile_ids=[0, 1, 2], matrix=np.eye(3)), tmp_path / "idx")
+        header = json.loads((tmp_path / "idx.json").read_text())
+        header[field] = value
+        (tmp_path / "idx.json").write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=message):
+            load_index(tmp_path / "idx")
 
 
 class TestZeroShot:
