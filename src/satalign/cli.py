@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -49,6 +50,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _finite_positive(text: str) -> float:
+    """argparse type for a float flag that must be finite and > 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
 
 
 # -- manifests and atomic output ----------------------------------------------
@@ -343,7 +352,9 @@ def _query_file(source: str) -> Path | None:
 
 
 def _read_query(source: str) -> np.ndarray:
-    """Query vector from a float32 .bin file, a CSV file, or an inline CSV string."""
+    """Query vector from a float32 .bin file, a CSV file, or an inline CSV
+    string. A malformed file, or a non-finite value in one, raises a
+    ValueError naming the file."""
     p = _query_file(source)
     if p is None:
         if "," in source:
@@ -353,9 +364,21 @@ def _read_query(source: str) -> np.ndarray:
                 raise ValueError(f"unparseable inline CSV query: {source!r}") from None
         raise ValueError(f"query file not found: {source}")
     if p.suffix in (".csv", ".txt"):
-        return np.array([float(v) for v in p.read_text().replace("\n", ",").split(",")
-                         if v.strip()])
-    return np.frombuffer(p.read_bytes(), dtype="<f4").astype(np.float64)
+        try:
+            query = np.array([float(v) for v in p.read_text().replace("\n", ",").split(",")
+                              if v.strip()])
+        except ValueError as e:
+            raise ValueError(f"{p}: unparseable CSV query ({e})") from None
+    else:
+        blob = p.read_bytes()
+        if len(blob) % 4:
+            raise ValueError(f"{p}: query blob length {len(blob)} bytes is not a "
+                             f"multiple of 4 (float32 values)")
+        query = np.frombuffer(blob, dtype="<f4").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(query))
+    if bad.size:
+        raise ValueError(f"{p}: query value {bad[0]} is not finite")
+    return query
 
 
 def _cmd_retrieve(args) -> int:
@@ -381,7 +404,12 @@ def _cmd_zeroshot(args) -> int:
     dataset = ingest_dataset(args.data)
     model = model_from_checkpoint(load_checkpoint(args.ckpt))
     if args.classes:
-        classes = _read_query(args.classes).reshape(-1, model.cfg.d_txt)
+        classes = _read_query(args.classes)
+        d_txt = model.cfg.d_txt
+        if classes.size == 0 or classes.size % d_txt:
+            raise ValueError(f"{args.classes}: {classes.size} values do not form class "
+                             f"rows of length d_txt = {d_txt}")
+        classes = classes.reshape(-1, d_txt)
         labels = None
     else:
         if dataset.truth is None:
@@ -469,7 +497,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full loss")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=_finite_positive, default=1e-4)
     p.add_argument("--out", help="optional JSON report path")
     p.set_defaults(handler=_cmd_gradcheck)
 

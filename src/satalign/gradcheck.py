@@ -35,8 +35,13 @@ def finite_diff_check(tape: Tape, names: list[str] | None = None,
     perturbation recomputes only the nodes between the leaf and the output
     that depend on the leaf. The tape is left unmodified. Failures are
     reported, never raised; a failed report also says whether the worst
-    coordinate's +-step crossed a relu kink.
+    coordinate's +-step crossed a relu kink. A `tolerance` or `step` that is
+    not finite and > 0 raises ValueError, as no check could fail (inf) or
+    pass (nan, 0, negative) under it.
     """
+    for label, value in (("tolerance", tolerance), ("step", step)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{label} must be finite and > 0, got {value!r}")
     if names is None:
         names = tape.leaf_names(trainable_only=True)
     out_name = output if output is not None else next(iter(tape.outputs))

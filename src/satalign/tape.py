@@ -4,7 +4,9 @@ Every computation is recorded on an explicit :class:`Tape`: an ordered list
 of nodes, each holding an op kind, the ids of its input nodes, and the value
 computed for it. Ops evaluate eagerly as the graph is built (so shape errors
 surface at the call site), and a finished tape can be replayed with
-:func:`forward_eval` and differentiated with :func:`backward`.
+:func:`forward_eval` and differentiated with :func:`backward`. Input shapes
+are checked once, when a node is recorded; a replay, whose leaf overrides
+keep the recorded shapes, runs each op's arithmetic alone.
 
 :func:`backward` computes only the gradients some trainable leaf needs: a
 node whose inputs reach no trainable leaf gets no vector-Jacobian product,
@@ -52,22 +54,34 @@ def l2_normalize_rows(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"l2_normalize_rows expects a 2-D matrix, got shape {m.shape}")
-    norms = np.sqrt(np.sum(m * m, axis=1))
-    bad = np.flatnonzero(~np.isfinite(norms))
-    if bad.size:
-        row = int(bad[0])
-        raise RowNormError(f"embedding row {row} has a non-finite norm", row, "non-finite")
-    bad = np.flatnonzero(norms <= eps)
-    if bad.size:
-        row = int(bad[0])
+    norms = np.sqrt(np.add.reduce(m * m, axis=1))
+    # a NaN fails both comparisons, so one min/max test clears every row
+    if norms.size and not (np.minimum.reduce(norms) > eps
+                           and np.maximum.reduce(norms) < np.inf):
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            row = int(bad[0])
+            raise RowNormError(f"embedding row {row} has a non-finite norm", row, "non-finite")
+        row = int(np.flatnonzero(norms <= eps)[0])
         raise RowNormError(f"degenerate embedding row {row}", row, "degenerate")
     return m / norms[:, None]
 
 
+def _center_channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An (N, C, H, W) batch minus its per-channel mean (a new array), with
+    that mean and the population variance."""
+    count = x.shape[0] * x.shape[2] * x.shape[3]
+    mean = np.add.reduce(x, axis=(0, 2, 3))
+    mean /= count
+    centered = x - mean[:, None, None]
+    var = np.add.reduce(centered * centered, axis=(0, 2, 3))
+    var /= count
+    return centered, mean, var
+
+
 def channel_batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and (population) variance of an (N, C, H, W) batch."""
-    mean = np.mean(x, axis=(0, 2, 3))
-    var = np.mean((x - mean[None, :, None, None]) ** 2, axis=(0, 2, 3))
+    _, mean, var = _center_channels(x)
     return mean, var
 
 
@@ -209,8 +223,10 @@ class Tape:
                 raise ValueError(f"op {op!r} received an input that is not on this tape")
             ids.append(n.idx)
         node = Node(len(self.nodes), op, ids, None, attrs=attrs)
+        vals = [self.nodes[i].value for i in ids]
+        _check_shapes(node, vals)
         saved = {}
-        node.value = _compute(node, [self.nodes[i].value for i in ids], saved)
+        node.value = _compute(node, vals, saved)
         node.batch_stats = saved.get(node.idx)
         self.nodes.append(node)
         return node
@@ -252,38 +268,21 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int,
 
 
 def _conv_geometry(node: Node, x: np.ndarray, k: np.ndarray):
-    if x.ndim != 4 or k.ndim != 4:
-        raise ValueError(f"conv2d at node {node.idx} needs 4-D input and kernel, "
-                         f"got {x.shape} and {k.shape}")
     n, c, h, w = x.shape
-    f, kc, kh, kw = k.shape
-    if kc != c:
-        raise ValueError(f"conv2d at node {node.idx}: kernel expects {kc} channels, input has {c}")
+    f, _, kh, kw = k.shape
     s, p = node.attrs["stride"], node.attrs["padding"]
-    oh = (h + 2 * p - kh) // s + 1
-    ow = (w + 2 * p - kw) // s + 1
-    if oh < 1 or ow < 1:
-        raise ValueError(f"conv2d at node {node.idx}: kernel {kh}x{kw} too large for "
-                         f"input {h}x{w} with padding {p}")
-    return n, c, f, kh, kw, s, p, oh, ow
+    return n, c, f, kh, kw, s, p, (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
 
 
-def _logsumexp_nd(x: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(x, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)) + m
-    return np.squeeze(out, axis=axis)
+def _check_shapes(node: Node, vals: list[np.ndarray]) -> None:
+    """Reject input shapes that do not fit the node's op, naming the node.
 
-
-def _compute(node: Node, vals: list[np.ndarray], saved: dict | None = None) -> np.ndarray:
-    """Value of `node` from its input values. A training-mode channel_norm
-    also stores its batch (mean, var) in `saved[node.idx]` when given."""
+    Runs once, when the node is recorded. A replay overrides leaves only with
+    arrays of their recorded shapes (see :func:`_evaluate`), so every node is
+    recomputed from inputs of the shapes checked here. add and mul are checked
+    by numpy's broadcasting inside :func:`_compute`.
+    """
     op = node.op
-    if op == "add" or op == "mul":
-        a, b = vals
-        try:
-            return a + b if op == "add" else a * b
-        except ValueError:
-            raise ValueError(f"{op} shape mismatch at node {node.idx}: {a.shape} vs {b.shape}")
     if op == "matmul":
         a, b = vals
         if a.ndim != 2 or b.ndim != 2:
@@ -294,7 +293,52 @@ def _compute(node: Node, vals: list[np.ndarray], saved: dict | None = None) -> n
         if at.shape[1] != bt.shape[0]:
             raise ValueError(f"matmul shape mismatch at node {node.idx}: "
                              f"{at.shape} @ {bt.shape}")
-        return at @ bt
+    elif op == "conv2d":
+        x, k = vals
+        if x.ndim != 4 or k.ndim != 4:
+            raise ValueError(f"conv2d at node {node.idx} needs 4-D input and kernel, "
+                             f"got {x.shape} and {k.shape}")
+        if k.shape[1] != x.shape[1]:
+            raise ValueError(f"conv2d at node {node.idx}: kernel expects {k.shape[1]} "
+                             f"channels, input has {x.shape[1]}")
+        oh, ow = _conv_geometry(node, x, k)[-2:]
+        if oh < 1 or ow < 1:
+            raise ValueError(f"conv2d at node {node.idx}: kernel {k.shape[2]}x{k.shape[3]} "
+                             f"too large for input {x.shape[2]}x{x.shape[3]} with "
+                             f"padding {node.attrs['padding']}")
+    elif op == "global_avg_pool":
+        if vals[0].ndim != 4:
+            raise ValueError(f"global_avg_pool at node {node.idx}: expects 4-D input, "
+                             f"got {vals[0].shape}")
+    elif op == "channel_norm":
+        x, gamma, beta = vals
+        if x.ndim != 4:
+            raise ValueError(f"channel_norm at node {node.idx}: expects 4-D input, got {x.shape}")
+        if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
+            raise ValueError(f"channel_norm at node {node.idx}: scale/shift must have "
+                             f"shape ({x.shape[1]},)")
+
+
+def _compute(node: Node, vals: list[np.ndarray], saved: dict | None = None) -> np.ndarray:
+    """Value of `node` from its input values, whose shapes
+    :func:`_check_shapes` accepted when the node was recorded. A
+    training-mode channel_norm also stores its batch (mean, var) in
+    `saved[node.idx]` when given.
+
+    Reductions call their ufunc's `reduce` directly and divide by the count
+    for a mean: the summation order, and so every bit, of `np.sum`,
+    `np.mean` and `np.max`, without their Python wrappers.
+    """
+    op = node.op
+    if op == "add" or op == "mul":
+        a, b = vals
+        try:
+            return a + b if op == "add" else a * b
+        except ValueError:
+            raise ValueError(f"{op} shape mismatch at node {node.idx}: {a.shape} vs {b.shape}")
+    if op == "matmul":
+        a, b = vals
+        return (a.T if node.attrs["trans_a"] else a) @ (b.T if node.attrs["trans_b"] else b)
     if op == "relu":
         return np.maximum(vals[0], 0.0)
     if op == "conv2d":
@@ -306,33 +350,40 @@ def _compute(node: Node, vals: list[np.ndarray], saved: dict | None = None) -> n
         return out.reshape(n, f, oh, ow)
     if op == "global_avg_pool":
         x = vals[0]
-        if x.ndim != 4:
-            raise ValueError(f"global_avg_pool at node {node.idx}: expects 4-D input, got {x.shape}")
-        return np.mean(x, axis=(2, 3))
+        out = np.add.reduce(x, axis=(2, 3))
+        out /= x.shape[2] * x.shape[3]
+        return out
     if op == "channel_norm":
         x, gamma, beta = vals
-        if x.ndim != 4:
-            raise ValueError(f"channel_norm at node {node.idx}: expects 4-D input, got {x.shape}")
-        if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
-            raise ValueError(f"channel_norm at node {node.idx}: scale/shift must have "
-                             f"shape ({x.shape[1]},)")
         if node.attrs["training"]:
-            mean, var = channel_batch_stats(x)
+            out, mean, var = _center_channels(x)
             if saved is not None:
                 saved[node.idx] = (mean, var)
         else:
             mean, var = node.attrs["running_mean"], node.attrs["running_var"]
-        inv = 1.0 / np.sqrt(var + node.attrs["eps"])
-        xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
-        return gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+            out = x - mean[:, None, None]
+        # xhat, then gamma * xhat + beta, each step in place in `out`
+        out *= (1.0 / np.sqrt(var + node.attrs["eps"]))[:, None, None]
+        out *= gamma[:, None, None]
+        out += beta[:, None, None]
+        return out
     if op == "l2norm_rows":
         return l2_normalize_rows(vals[0])
     if op == "logsumexp":
-        return _logsumexp_nd(vals[0], node.attrs["axis"])
+        x, axis = vals[0], node.attrs["axis"]
+        m = np.maximum.reduce(x, axis=axis, keepdims=True)
+        e = x - m
+        np.exp(e, out=e)
+        out = np.add.reduce(e, axis=axis, keepdims=True)
+        np.log(out, out=out)
+        out += m
+        return out.squeeze(axis)
     if op == "sum":
-        return np.asarray(np.sum(vals[0], axis=node.attrs["axis"]))
+        return np.asarray(np.add.reduce(vals[0], axis=node.attrs["axis"]))
     if op == "mean":
-        return np.asarray(np.mean(vals[0], axis=node.attrs["axis"]))
+        x, axis = vals[0], node.attrs["axis"]
+        count = x.size if axis is None else x.shape[axis]
+        return np.asarray(np.add.reduce(x, axis=axis) / count)
     if op == "concat":
         return np.concatenate(vals, axis=node.attrs["axis"])
     raise ValueError(f"unsupported op kind {op!r} at node {node.idx}")
@@ -373,17 +424,16 @@ def _evaluate(tape: Tape, overrides: dict[str, np.ndarray] | None,
     recomputed and all others keep their recorded values. No node is
     written; batch statistics go to `saved` when given (see :func:`_compute`).
     """
-    overrides = overrides or {}
-    unknown = set(overrides) - set(tape._leaf_ids)
-    if unknown:
-        raise ValueError(f"unknown leaf names in forward_eval: {sorted(unknown)}")
     values = [node.value for node in tape.nodes]
-    for name, v in overrides.items():
+    for name, v in (overrides or {}).items():
+        idx = tape._leaf_ids.get(name)
+        if idx is None:
+            unknown = sorted(n for n in overrides if n not in tape._leaf_ids)
+            raise ValueError(f"unknown leaf names in forward_eval: {unknown}")
         v = np.asarray(v, dtype=np.float64)
-        shape = tape.leaf_value(name).shape
-        if v.shape != shape:
-            raise ValueError(f"leaf {name!r} expects shape {shape}, got {v.shape}")
-        values[tape._leaf_ids[name]] = v
+        if v.shape != values[idx].shape:
+            raise ValueError(f"leaf {name!r} expects shape {values[idx].shape}, got {v.shape}")
+        values[idx] = v
     for node in tape.nodes if nodes is None else nodes:
         if node.op not in ("leaf", "const"):
             values[node.idx] = _compute(node, [values[i] for i in node.inputs], saved)

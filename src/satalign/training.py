@@ -52,6 +52,10 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def validate(self) -> None:
+        for name in ("lr", "temperature", "jitter", "channel_mix", "matching_radius",
+                     "image_weight", "text_weight", "location_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be >= 1")
         if self.lr <= 0 or self.temperature <= 0:

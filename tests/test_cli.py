@@ -178,6 +178,71 @@ def test_retrieve_nan_query_exits_1(workspace, capsys, tmp_path):
     assert "non-finite norm" in captured.err
 
 
+@pytest.mark.parametrize("name, blob", [
+    ("short.bin", np.zeros(12, dtype="<f4").tobytes()[:10]),
+    ("nan.bin", np.r_[np.ones(5), np.nan, np.ones(6)].astype("<f4").tobytes()),
+    ("nan.csv", ",".join(["0.5"] * 5 + ["nan"] + ["0.5"] * 6).encode()),
+    ("words.csv", b"0.5,zero"),
+])
+def test_malformed_query_file_exits_1_naming_the_file(workspace, capsys, tmp_path, name, blob):
+    idx = tmp_path / "idx"
+    ckpt = str(workspace / "run" / "ckpt.json")
+    assert dispatch(["index", "--data", str(workspace / "world"), "--ckpt", ckpt,
+                     "--out", str(idx)]) == 0
+    capsys.readouterr()
+    query = tmp_path / name
+    query.write_bytes(blob)
+    assert dispatch(["retrieve", "--index", str(idx), "--query", str(query),
+                     "--ckpt", ckpt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {query}: " in captured.err
+    expect = {"short.bin": "10 bytes is not a multiple of 4", "nan.bin": "value 5 is not finite",
+              "nan.csv": "value 5 is not finite", "words.csv": "unparseable CSV query"}
+    assert expect[name] in captured.err
+
+
+def test_zeroshot_classes_of_the_wrong_length_exit_1_naming_the_file(workspace, capsys,
+                                                                     tmp_path):
+    classes = tmp_path / "classes.bin"
+    np.ones(10, dtype="<f4").tofile(classes)
+    assert dispatch(["zeroshot", "--data", str(workspace / "world"),
+                     "--ckpt", str(workspace / "run" / "ckpt.json"),
+                     "--classes", str(classes)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: {classes}: 10 values do not form class rows of length d_txt = 12"
+            in captured.err)
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "0", "-1", "inf"])
+def test_gradcheck_tolerance_must_be_finite_and_positive(capsys, tolerance):
+    assert dispatch(["gradcheck", "--tolerance", tolerance]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --tolerance: must be finite and > 0, got '{tolerance}'" in captured.err
+
+
+@pytest.mark.parametrize("flags, config, field", [
+    (["--lr", "nan"], None, "lr"),
+    (["--lr", "inf"], None, "lr"),
+    ([], '{"jitter": NaN}', "jitter"),
+    ([], '{"location_weight": -Infinity}', "location_weight"),
+])
+def test_train_non_finite_hyperparameter_exits_1_before_reading_data(tmp_path, capsys, flags,
+                                                                     config, field):
+    # the data directory does not exist: the config is rejected before it is read
+    argv = ["train", "--data", str(tmp_path / "no_world"), "--out", str(tmp_path / "ckpt")]
+    if config is not None:
+        (tmp_path / "train.json").write_text(config)
+        argv += ["--config", str(tmp_path / "train.json")]
+    assert dispatch(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert f"error: {field} must be finite, got" in err
+    assert "no_world" not in err
+    assert not (tmp_path / "ckpt.json").exists()
+
+
 def test_failed_gradcheck_names_worst_coordinate(monkeypatch, capsys):
     def relu_at_kink(seed):
         # x[1] sits exactly on the relu kink: analytic slope 0, numeric 0.5.

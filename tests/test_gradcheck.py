@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from satalign.cli import _gradcheck_setup
 from satalign.gradcheck import finite_diff_check
@@ -133,3 +134,12 @@ def test_leaf_off_the_output_path_has_empty_schedule():
     assert report.checked == 3
     assert report.max_rel_err == 0.0
     assert report.passed
+
+
+@pytest.mark.parametrize("value", [np.nan, 0.0, -1.0, np.inf])
+@pytest.mark.parametrize("param", ["tolerance", "step"])
+def test_tolerance_and_step_must_be_finite_and_positive(param, value):
+    # nan, 0 and -1 would fail every check, inf would pass every one
+    tape = quadratic_tape(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match=f"{param} must be finite and > 0, got {value!r}"):
+        finite_diff_check(tape, **{param: value})

@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import satalign.tape as tape_module
 from satalign.cli import _gradcheck_setup
-from satalign.encoders import trainable_mask
+from satalign.encoders import Model, location_input_features, trainable_mask
+from satalign.geodata import COVARIATE_CHANNELS
 from satalign.optim import ParameterStore
 from satalign.tape import (Tape, _evaluate, backward, channel_batch_stats, forward_eval,
                            l2_normalize_rows)
 from satalign.gradcheck import finite_diff_check
+from satalign.training import TrainConfig, build_training_graph
 
 
 def scalar_graph():
@@ -64,6 +68,36 @@ class TestForward:
         b = tape.leaf("b", np.ones((4, 2)))
         with pytest.raises(ValueError, match="matmul shape mismatch at node"):
             tape.matmul(a, b)
+        # every op whose shape check runs when the node is recorded: each is
+        # rejected as node 8, the next after the leaves
+        img = tape.leaf("img", np.ones((2, 3, 5, 5)))
+        k = tape.leaf("k", np.ones((4, 3, 3, 3)))
+        k5 = tape.leaf("k5", np.ones((4, 5, 3, 3)))
+        k7 = tape.leaf("k7", np.ones((4, 3, 7, 7)))
+        v = tape.leaf("v", np.ones(3))
+        w = tape.leaf("w", np.ones(4))
+        cases = [
+            (lambda: tape.matmul(a, v), "matmul at node 8: expects 2-D operands"),
+            (lambda: tape.matmul(a, b, trans_a=True),
+             r"matmul shape mismatch at node 8: \(3, 2\) @ \(4, 2\)"),
+            (lambda: tape.conv2d(a, k), "conv2d at node 8 needs 4-D input and kernel"),
+            (lambda: tape.conv2d(img, k5), "conv2d at node 8: kernel expects 5 channels, "
+                                           "input has 3"),
+            (lambda: tape.conv2d(img, k7), "conv2d at node 8: kernel 7x7 too large for "
+                                           "input 5x5 with padding 0"),
+            (lambda: tape.global_avg_pool(a), "global_avg_pool at node 8: expects 4-D"),
+            (lambda: tape.channel_norm(a, v, v, training=True),
+             "channel_norm at node 8: expects 4-D input"),
+            (lambda: tape.channel_norm(img, w, v, training=True),
+             r"channel_norm at node 8: scale/shift must have shape \(3,\)"),
+            (lambda: tape.channel_norm(img, v, w, training=False, running_mean=np.zeros(3),
+                                       running_var=np.ones(3)),
+             r"channel_norm at node 8: scale/shift must have shape \(3,\)"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError, match=message):
+                build()
+        assert len(tape.nodes) == 8  # a rejected node is never recorded
 
     def test_unknown_leaf_override_rejected(self):
         tape = scalar_graph()
@@ -331,6 +365,17 @@ class TestL2NormalizeRows:
         out = l2_normalize_rows(rng.normal(size=(8, 6)) * 100)
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
+    def test_first_non_finite_row_is_named_ahead_of_a_degenerate_one(self):
+        m = np.array([[0.0, 0.0], [1.0, 2.0], [np.inf, 1.0], [np.nan, 0.0]])
+        with pytest.raises(ValueError, match="embedding row 2 has a non-finite norm") as got:
+            l2_normalize_rows(m)
+        assert (got.value.row, got.value.problem) == (2, "non-finite")
+        with pytest.raises(ValueError, match="embedding row 2 has a non-finite norm"):
+            reference_l2_normalize_rows(m)
+        with pytest.raises(ValueError, match="degenerate embedding row 0") as got:
+            l2_normalize_rows(m[:2])
+        assert (got.value.row, got.value.problem) == (0, "degenerate")
+
 
 def test_channel_batch_stats_match_numpy():
     rng = np.random.default_rng(2)
@@ -338,6 +383,173 @@ def test_channel_batch_stats_match_numpy():
     mean, var = channel_batch_stats(x)
     np.testing.assert_allclose(mean, x.mean(axis=(0, 2, 3)), atol=1e-12)
     np.testing.assert_allclose(var, x.var(axis=(0, 2, 3)), atol=1e-12)
+
+
+# -- kernels against the expressions they replaced --------------------------------
+#
+# The forward kernels call ufunc reductions directly and finish channel_norm in
+# place. These are the numpy-wrapper expressions they replaced; every rewritten
+# kernel must match its reference bit for bit.
+
+
+def reference_logsumexp(x, axis):
+    m = np.max(x, axis=axis, keepdims=True)
+    out = np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)) + m
+    return np.squeeze(out, axis=axis)
+
+
+def reference_sum(x, axis):
+    return np.asarray(np.sum(x, axis=axis))
+
+
+def reference_mean(x, axis):
+    return np.asarray(np.mean(x, axis=axis))
+
+
+def reference_global_avg_pool(x):
+    return np.mean(x, axis=(2, 3))
+
+
+def reference_channel_norm(x, gamma, beta, eps, mean=None, var=None):
+    """Five temporaries; batch statistics when no running ones are given."""
+    if mean is None:
+        mean = np.mean(x, axis=(0, 2, 3))
+        var = np.mean((x - mean[None, :, None, None]) ** 2, axis=(0, 2, 3))
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
+    return gamma[None, :, None, None] * xhat + beta[None, :, None, None], mean, var
+
+
+def reference_l2_normalize_rows(m, eps=1e-12):
+    norms = np.sqrt(np.sum(m * m, axis=1))
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ValueError(f"embedding row {int(bad[0])} has a non-finite norm")
+    bad = np.flatnonzero(norms <= eps)
+    if bad.size:
+        raise ValueError(f"degenerate embedding row {int(bad[0])}")
+    return m / norms[:, None]
+
+
+def reference_value(node, vals, batch_stats):
+    """The replaced expression's value for a node given its input values, or
+    None for an op whose kernel was not rewritten. A training-mode
+    channel_norm's statistics must also equal `batch_stats`."""
+    attrs = node.attrs
+    if node.op == "logsumexp":
+        return reference_logsumexp(vals[0], attrs["axis"])
+    if node.op == "sum":
+        return reference_sum(vals[0], attrs["axis"])
+    if node.op == "mean":
+        return reference_mean(vals[0], attrs["axis"])
+    if node.op == "global_avg_pool":
+        return reference_global_avg_pool(vals[0])
+    if node.op == "l2norm_rows":
+        return reference_l2_normalize_rows(vals[0])
+    if node.op == "channel_norm":
+        running = () if attrs["training"] else (attrs["running_mean"], attrs["running_var"])
+        value, mean, var = reference_channel_norm(*vals, attrs["eps"], *running)
+        if attrs["training"]:
+            assert mean.tobytes() == batch_stats[0].tobytes(), node
+            assert var.tobytes() == batch_stats[1].tobytes(), node
+        return value
+    return None
+
+
+def default_training_tape(seed=0):
+    """The full training graph at the default config's shapes (64 tiles of
+    32 px, d_txt 64)."""
+    cfg = TrainConfig(seed=seed)
+    model = Model.initialize(cfg.model, seed=seed)
+    rng = np.random.default_rng(seed)
+    n, size = cfg.batch_size, cfg.model.image.in_size
+    batch = {"tiles_a": rng.random((n, 3, size, size)),
+             "tiles_b": rng.random((n, 3, size, size)),
+             "locfeat": location_input_features(rng.uniform(-60, 60, n),
+                                                rng.uniform(-170, 170, n),
+                                                rng.uniform(-1, 1, (n, COVARIATE_CHANNELS))),
+             "text": rng.normal(size=(n, cfg.model.d_txt))}
+    tape, _ = build_training_graph(model, batch, frozenset(model.params.names()),
+                                   cfg.loss_config())
+    return tape
+
+
+def assert_nodes_match_references(tape, values, stats):
+    """Each rewritten node's value in `values`, and each batch (mean, var) in
+    `stats`, equals its reference's bytes."""
+    checked = set()
+    for node in tape.nodes:
+        expect = reference_value(node, [values[i] for i in node.inputs], stats.get(node.idx))
+        if expect is not None:
+            got = values[node.idx]
+            assert got.shape == expect.shape and got.tobytes() == expect.tobytes(), node
+            checked.add(node.op)
+    assert checked == {"logsumexp", "sum", "l2norm_rows", "global_avg_pool", "channel_norm"}
+
+
+@pytest.mark.parametrize("build", [lambda: _gradcheck_setup(3), default_training_tape],
+                         ids=["gradcheck_setup", "default_training"])
+def test_recorded_and_replayed_kernels_match_references(build):
+    tape = build()
+    assert_nodes_match_references(tape, [node.value for node in tape.nodes],
+                                  {node.idx: node.batch_stats for node in tape.nodes})
+    # a perturbed full replay runs the same kernels on new values
+    rng = np.random.default_rng(1)
+    overrides = {}
+    for name in tape.leaf_names():
+        base = tape.leaf_value(name)
+        overrides[name] = base + 1e-3 * rng.normal(size=base.shape)
+    saved = {}
+    values = _evaluate(tape, overrides, saved=saved)
+    assert values[tape.outputs["loss"]].tobytes() != tape.output_value("loss").tobytes()
+    assert_nodes_match_references(tape, values, saved)
+
+
+def assert_same_bits(got, expect, where):
+    assert got.shape == expect.shape and got.tobytes() == expect.tobytes(), where
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (64, 64), (3, 5, 2), (0, 6), (1, 1)])
+def test_reductions_match_references_on_every_axis(shape):
+    x = np.random.default_rng(7).normal(size=shape) * 30
+    tape = Tape()
+    leaf = tape.leaf("x", x)
+    for axis in [None] + list(range(-len(shape), len(shape))):
+        assert_same_bits(tape.sum(leaf, axis=axis).value, reference_sum(x, axis), axis)
+        with warnings.catch_warnings():  # the mean over nothing is nan
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert_same_bits(tape.mean(leaf, axis=axis).value, reference_mean(x, axis), axis)
+        if axis is not None and shape[axis] > 0:  # a max over nothing raises
+            assert_same_bits(tape.logsumexp(leaf, axis=axis).value,
+                             reference_logsumexp(x, axis), axis)
+
+
+@pytest.mark.parametrize("shape", [(4, 6, 4, 4), (2, 3, 1, 5), (0, 3, 4, 4)])
+def test_pool_norm_and_row_norm_kernels_match_references(shape):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=shape) * 5 + 2
+    c = shape[1]
+    gamma, beta = rng.normal(size=c), rng.normal(size=c)
+    running_mean, running_var = rng.normal(size=c), rng.random(c) + 0.5
+    tape = Tape()
+    leaves = [tape.leaf(name, v) for name, v in
+              (("x", x), ("gamma", gamma), ("beta", beta))]
+    assert_same_bits(tape.global_avg_pool(leaves[0]).value, reference_global_avg_pool(x),
+                     "global_avg_pool")
+    with warnings.catch_warnings():  # batch statistics of zero samples are nan
+        warnings.simplefilter("ignore", RuntimeWarning)
+        trained = tape.channel_norm(*leaves, training=True, eps=1e-5)
+        expect, mean, var = reference_channel_norm(x, gamma, beta, 1e-5)
+    assert_same_bits(trained.value, expect, "training channel_norm")
+    assert_same_bits(trained.batch_stats[0], mean, "batch mean")
+    assert_same_bits(trained.batch_stats[1], var, "batch var")
+    frozen = tape.channel_norm(*leaves, training=False, running_mean=running_mean,
+                               running_var=running_var, eps=1e-5)
+    expect, _, _ = reference_channel_norm(x, gamma, beta, 1e-5, running_mean, running_var)
+    assert_same_bits(frozen.value, expect, "eval channel_norm")
+    rows = x.reshape(shape[0], c * shape[2] * shape[3])
+    assert_same_bits(tape.l2norm_rows(tape.leaf("rows", rows)).value,
+                     reference_l2_normalize_rows(rows), "l2norm_rows")
 
 
 # -- pruned backward on the full training graph --------------------------------

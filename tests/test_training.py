@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 from conftest import small_train_config, world_and_samples
 from satalign.encoders import trainable_mask
 from satalign.tape import Tape, backward, channel_batch_stats, forward_eval
-from satalign.training import (Checkpoint, assemble_batch, build_training_graph,
-                               config_from_dict, config_to_dict, initial_model,
-                               load_checkpoint, model_from_checkpoint, save_checkpoint,
-                               steps_per_epoch, train)
+from satalign.training import (Checkpoint, TrainConfig, assemble_batch,
+                               build_training_graph, config_from_dict, config_to_dict,
+                               initial_model, load_checkpoint, model_from_checkpoint,
+                               save_checkpoint, steps_per_epoch, train)
 
 
 def checkpoints_equal(a: Checkpoint, b: Checkpoint) -> bool:
@@ -223,6 +224,16 @@ def test_resume_matches_straight_run(shared_world_samples, tmp_path):
     resumed = train(small_train_config(seed=5, epochs=4),
                     samples, resume=load_checkpoint(tmp_path / "half.json"))
     assert checkpoints_equal(straight, resumed)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["lr", "temperature", "jitter", "channel_mix",
+                                   "matching_radius", "image_weight", "text_weight",
+                                   "location_weight"])
+def test_validate_rejects_non_finite_floats_naming_the_field(field, value):
+    config = dataclasses.replace(TrainConfig(), **{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        config.validate()
 
 
 def test_config_dict_round_trip():
