@@ -5,7 +5,7 @@ covariates, and text embeddings, then evaluates the frozen encoder with
 linear probes, cosine retrieval, and zero-shot classification.
 """
 
-from .contrastive import EmbeddingBatch, LossConfig, info_nce, pairwise_loss, trimodal_loss
+from .contrastive import LossConfig, info_nce, pairwise_loss, trimodal_loss
 from .dataio import GeoDataset, dataset_from_world, ingest_dataset, save_dataset
 from .encoders import (ImageEncoderConfig, LocationEncoderConfig, Model, ModelConfig,
                        location_input_features, trainable_mask)
@@ -17,18 +17,17 @@ from .geodata import (CovariateRaster, GeoObservation, TextSection, TileRecord,
 from .gradcheck import finite_diff_check
 from .optim import AdamState, ParameterStore, adam_step
 from .synthworld import SyntheticWorldConfig, generate_synthetic_world
-from .tape import Tape, backward, forward_eval, l2_normalize_rows
+from .tape import Tape, backward, l2_normalize_rows
 from .training import (Checkpoint, TrainConfig, initial_model, load_checkpoint,
                        model_from_checkpoint, save_checkpoint, train)
 
 __all__ = [
-    "AdamState", "Checkpoint", "CovariateRaster", "EmbeddingBatch", "GeoDataset",
-    "GeoObservation", "ImageEncoderConfig", "LocationEncoderConfig", "LossConfig",
-    "Model", "ModelConfig", "ParameterStore", "ProbeConfig", "ProbeHead",
-    "RetrievalIndex", "SyntheticWorldConfig", "Tape", "TextSection", "TileRecord",
-    "TrainConfig", "TrainingSample", "accuracy", "adam_step", "backward",
-    "bilinear_sample", "build_index", "confusion_matrix", "dataset_from_world",
-    "finite_diff_check", "fit_linear_probe", "forward_eval",
+    "AdamState", "Checkpoint", "CovariateRaster", "GeoDataset", "GeoObservation",
+    "ImageEncoderConfig", "LocationEncoderConfig", "LossConfig", "Model", "ModelConfig",
+    "ParameterStore", "ProbeConfig", "ProbeHead", "RetrievalIndex", "SyntheticWorldConfig",
+    "Tape", "TextSection", "TileRecord", "TrainConfig", "TrainingSample", "accuracy",
+    "adam_step", "backward", "bilinear_sample", "build_index", "confusion_matrix",
+    "dataset_from_world", "finite_diff_check", "fit_linear_probe",
     "generate_synthetic_world", "info_nce", "ingest_dataset", "initial_model",
     "l2_normalize_rows", "load_checkpoint", "location_input_features", "mean_iou",
     "micro_f1", "model_from_checkpoint", "pair_samples", "pairwise_loss",

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import dataset_from_world, ingest_dataset, pair_paths, save_dataset
+from .dataio import dataset_from_world, ingest_dataset, pair_paths, read_json, save_dataset
 from .encoders import (ImageEncoderConfig, LocationEncoderConfig, Model, ModelConfig,
                        location_input_features)
 from .evaluate import (ProbeConfig, accuracy, build_index, confusion_matrix,
@@ -32,6 +32,7 @@ from .evaluate import (ProbeConfig, accuracy, build_index, confusion_matrix,
 from .gradcheck import finite_diff_check
 from .geodata import pair_samples, tile_species_targets
 from .synthworld import SyntheticWorldConfig, generate_synthetic_world
+from .tape import RowNormError
 from .training import (TrainConfig, build_training_graph, config_from_dict,
                        config_to_dict, load_checkpoint, model_from_checkpoint,
                        save_checkpoint, train)
@@ -128,13 +129,14 @@ def _atomic(out: Path, build) -> None:
 def _config_from_file(path: str | None, build):
     """`build(fields)` on the JSON object in `path` ({} without a file). The
     config dataclasses raise TypeError for an unknown field or a value of the
-    wrong type; from a file, that is an input error naming the file."""
-    fields = json.loads(Path(path).read_text()) if path else {}
+    wrong type, and their `validate` raises ValueError for a bad value; from
+    a file, either is an input error naming the file."""
+    fields = read_json(path) if path else {}
     if not isinstance(fields, dict):
         raise ValueError(f"{path}: expected a JSON object of config fields")
     try:
         return build(fields)
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         if path is None:
             raise
         raise ValueError(f"{path}: invalid config ({e})") from None
@@ -176,11 +178,13 @@ def _train_config(args) -> TrainConfig:
 
     def build(fields):
         config = config_from_dict(fields) if fields else TrainConfig()
-        config = dataclasses.replace(config, **updates)
         config.validate()
         return config
 
-    return _config_from_file(args.config, build)
+    # validated before the flags apply, so a bad flag is not blamed on the file
+    config = dataclasses.replace(_config_from_file(args.config, build), **updates)
+    config.validate()
+    return config
 
 
 def _paired_samples(data_dir: str, config: TrainConfig):
@@ -195,8 +199,9 @@ def _cmd_train(args) -> int:
     started = time.monotonic()
     config = _train_config(args)
     dataset, paired = _paired_samples(args.data, config)
+    reasons = "".join(f", {n} {reason}" for reason, n in paired.skips.items())
     _log(f"paired {len(paired.samples)} samples "
-         f"({sum(paired.skips.values())} observations skipped)")
+         f"({sum(paired.skips.values())} observations skipped{reasons})")
     ckpt = train(config, paired.samples)
     out = pair_paths(args.out)
     _atomic(out[0], lambda tmp: save_checkpoint(ckpt, tmp))
@@ -353,22 +358,18 @@ def _query_file(source: str) -> Path | None:
 
 def _read_query(source: str) -> np.ndarray:
     """Query vector from a float32 .bin file, a CSV file, or an inline CSV
-    string. A malformed file, or a non-finite value in one, raises a
-    ValueError naming the file."""
+    string. A malformed query, or a non-finite value in one, raises a
+    ValueError naming the file or the inline query."""
     p = _query_file(source)
-    if p is None:
-        if "," in source:
-            try:
-                return np.array([float(v) for v in source.split(",") if v.strip()])
-            except ValueError:
-                raise ValueError(f"unparseable inline CSV query: {source!r}") from None
+    if p is None and "," not in source:
         raise ValueError(f"query file not found: {source}")
-    if p.suffix in (".csv", ".txt"):
+    where = p or "inline query"
+    if p is None or p.suffix in (".csv", ".txt"):
+        text = source if p is None else p.read_text().replace("\n", ",")
         try:
-            query = np.array([float(v) for v in p.read_text().replace("\n", ",").split(",")
-                              if v.strip()])
+            query = np.array([float(v) for v in text.split(",") if v.strip()])
         except ValueError as e:
-            raise ValueError(f"{p}: unparseable CSV query ({e})") from None
+            raise ValueError(f"{where}: unparseable CSV query ({e})") from None
     else:
         blob = p.read_bytes()
         if len(blob) % 4:
@@ -377,7 +378,8 @@ def _read_query(source: str) -> np.ndarray:
         query = np.frombuffer(blob, dtype="<f4").astype(np.float64)
     bad = np.flatnonzero(~np.isfinite(query))
     if bad.size:
-        raise ValueError(f"{p}: query value {bad[0]} is not finite")
+        raise ValueError(f"{where}: query has a non-finite norm "
+                         f"(value {bad[0]} is not finite)")
     return query
 
 
@@ -385,12 +387,16 @@ def _cmd_retrieve(args) -> int:
     started = time.monotonic()
     index = load_index(args.index)
     query = _read_query(args.query)
+    query_file = _query_file(args.query)
     model = model_from_checkpoint(load_checkpoint(args.ckpt)) if args.ckpt else None
-    results = query_index(index, query, k=args.k, model=model)
+    try:
+        results = query_index(index, query, k=args.k, model=model)
+    except RowNormError as e:
+        raise ValueError(f"{query_file or 'inline query'}: query has a "
+                         f"{e.problem} norm") from None
     for tile_id, cosine in results:
         print(f"{tile_id}\t{cosine!r}")
     inputs = [pair_paths(args.index)[0]]
-    query_file = _query_file(args.query)
     if query_file is not None:
         inputs.append(query_file)
     if args.ckpt:
@@ -436,7 +442,7 @@ def _cmd_zeroshot(args) -> int:
 
 def _read_json_list(path: str, nested: bool) -> list:
     """A JSON list of numbers, or of number lists when `nested`, from `path`."""
-    obj = json.loads(Path(path).read_text())
+    obj = read_json(path)
     rows = obj if nested else [obj]
     if not (isinstance(obj, list) and all(
             isinstance(row, list) and all(isinstance(v, (int, float)) for v in row)

@@ -1,9 +1,11 @@
 """Contrastive losses: per-sample InfoNCE, the symmetric batch loss, and the
 three-term objective over image/text/location pairs.
 
-Each loss exists twice: as a plain-numpy function for evaluation and tests,
-and as a tape builder for training. Both share the same log-sum-exp layout,
-so their values agree to float64 roundoff.
+Each loss exists twice: as a plain-numpy function over embedding matrices
+(n x d, unit-norm rows, row i of paired matrices from the same sample), the
+independent oracle the tests check the tape against, and as a tape builder
+for training. Both share the same log-sum-exp layout, so their values agree
+to float64 roundoff.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tape import Node, Tape
-
-MODALITY_TAGS = ("image_t1", "image_t2", "txt_head", "loc_head", "e_txt", "e_loc")
 
 
 @dataclass(frozen=True)
@@ -29,43 +29,14 @@ class LossConfig:
             raise ValueError("temperature must be positive")
 
 
-@dataclass
-class EmbeddingBatch:
-    """n x d matrix of unit-norm rows for one modality head; row i of paired
-    batches refers to the same training sample."""
-
-    rows: np.ndarray
-    tag: str
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.float64)
-        if self.rows.ndim != 2 or self.rows.shape[0] < 1:
-            raise ValueError(f"embedding batch must be a non-empty 2-D matrix, "
-                             f"got shape {self.rows.shape}")
-        if self.tag not in MODALITY_TAGS:
-            raise ValueError(f"unknown modality tag {self.tag!r}")
-        norms = np.linalg.norm(self.rows, axis=1)
-        off = np.max(np.abs(norms - 1.0))
-        if off > 1e-9:
-            raise ValueError(f"embedding rows must be unit norm (worst deviation {off:.2e})")
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-
-def _rows(batch) -> np.ndarray:
-    return batch.rows if isinstance(batch, EmbeddingBatch) else np.asarray(batch, dtype=np.float64)
-
-
 def _lse_rows(logits: np.ndarray) -> np.ndarray:
     m = logits.max(axis=1, keepdims=True)
     return (np.log(np.exp(logits - m).sum(axis=1, keepdims=True)) + m)[:, 0]
 
 
-def info_nce(z_i: np.ndarray, batch, i: int, temperature: float) -> float:
+def info_nce(z_i: np.ndarray, batch: np.ndarray, i: int, temperature: float) -> float:
     """-log softmax of z_i against the batch, evaluated at its own row i."""
-    e = _rows(batch)
+    e = np.asarray(batch, dtype=np.float64)
     if not 0 <= i < e.shape[0]:
         raise ValueError(f"index {i} outside batch of {e.shape[0]}")
     if temperature <= 0:
@@ -76,9 +47,9 @@ def info_nce(z_i: np.ndarray, batch, i: int, temperature: float) -> float:
     return lse - float(logits[i])
 
 
-def pairwise_loss(z, e, temperature: float) -> float:
+def pairwise_loss(z: np.ndarray, e: np.ndarray, temperature: float) -> float:
     """Symmetric batch loss: mean InfoNCE over both matching directions."""
-    zm, em = _rows(z), _rows(e)
+    zm, em = np.asarray(z, dtype=np.float64), np.asarray(e, dtype=np.float64)
     if zm.shape != em.shape:
         raise ValueError(f"batch shape mismatch: {zm.shape} vs {em.shape}")
     n = zm.shape[0]
@@ -91,9 +62,9 @@ def pairwise_loss(z, e, temperature: float) -> float:
 def trimodal_loss(image_t1, image_t2_aug, txt_head, e_txt, loc_head, e_loc,
                   config: LossConfig = LossConfig()) -> tuple[float, dict[str, float]]:
     """Weighted sum of the image, text, and location pair losses."""
-    batches = [_rows(b) for b in (image_t1, image_t2_aug, txt_head, e_txt, loc_head, e_loc)]
-    n = batches[0].shape[0]
-    if any(b.shape[0] != n for b in batches):
+    batches = (image_t1, image_t2_aug, txt_head, e_txt, loc_head, e_loc)
+    n = len(batches[0])
+    if any(len(b) != n for b in batches):
         raise ValueError("all six batches must share the same sample count")
     tau = config.temperature
     terms = {

@@ -81,11 +81,12 @@ def require_fields(obj, fields: dict, where) -> dict:
     return obj
 
 
-def _read_json(path: Path):
+def read_json(path: str | Path):
+    """The JSON value in `path`; malformed JSON is a ValueError naming the file."""
     try:
-        return json.loads(path.read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
-        raise ValueError(f"{path.name}: malformed JSON ({e})") from e
+        raise ValueError(f"{path}: malformed JSON ({e})") from None
 
 
 def save_dataset(directory: str | Path, dataset: GeoDataset) -> None:
@@ -177,7 +178,7 @@ def _load_observations(path: Path) -> list[GeoObservation]:
 
 
 def _load_raster(root: Path) -> CovariateRaster:
-    header = require_fields(_read_json(root / "raster.json"),
+    header = require_fields(read_json(root / "raster.json"),
                             {"rows": int, "cols": int, "channels": int, "lat0": float,
                              "lon0": float, "dlat": float, "dlon": float,
                              "channel_min": list, "channel_max": list}, "raster.json")
@@ -191,7 +192,7 @@ def _load_raster(root: Path) -> CovariateRaster:
 
 
 def _load_tiles(root: Path) -> list[TileRecord]:
-    manifest = _read_json(root / "tiles" / "manifest.json")
+    manifest = read_json(root / "tiles" / "manifest.json")
     if not isinstance(manifest, list):
         raise ValueError("tiles/manifest.json: expected a JSON list of tile records")
     tiles = []
@@ -212,7 +213,7 @@ def _load_tiles(root: Path) -> list[TileRecord]:
 
 
 def _load_texts(root: Path) -> list[TextSection]:
-    header = require_fields(_read_json(root / "text" / "sections.json"),
+    header = require_fields(read_json(root / "text" / "sections.json"),
                             {"d_txt": int, "sections": list}, "text/sections.json")
     d_txt = int(header["d_txt"])
     blob = np.frombuffer((root / "text" / "embeddings.bin").read_bytes(), dtype="<f4")
@@ -237,7 +238,7 @@ def _load_truth(root: Path) -> GroundTruth | None:
     path = root / "ground_truth.json"
     if not path.exists():
         return None
-    obj = require_fields(_read_json(path), {"n_habitats": int, "tile_habitats": dict,
+    obj = require_fields(read_json(path), {"n_habitats": int, "tile_habitats": dict,
                                             "species_habitats": dict, "text_prototypes": list},
                          "ground_truth.json")
     return GroundTruth(n_habitats=obj["n_habitats"],

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import pair_paths, require_fields
+from .dataio import pair_paths, read_json, require_fields
 from .encoders import Model
 from .geodata import TileRecord
 from .optim import AdamState, ParameterStore, adam_step
@@ -329,8 +329,8 @@ def load_index(path: str | Path) -> RetrievalIndex:
     json_path, bin_path = pair_paths(path)
     if not json_path.exists():
         raise ValueError(f"index header not found: {json_path}")
-    header = require_fields(json.loads(json_path.read_text()),
-                            {"n": int, "d": int, "tile_ids": list}, json_path)
+    header = require_fields(read_json(json_path), {"n": int, "d": int, "tile_ids": list},
+                            json_path)
     n, d = header["n"], header["d"]
     if n < 1 or d < 1:
         raise ValueError(f"{json_path}: n and d must be positive, got n={n}, d={d}")

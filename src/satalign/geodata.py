@@ -4,13 +4,10 @@ plus the observation-to-sample pairing pipeline."""
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 COVARIATE_CHANNELS = 20
 
@@ -339,6 +336,4 @@ def pair_samples(observations: list[GeoObservation], tiles: list[TileRecord],
     skips = {k: v for k, v in skips.items() if v}
     if not samples:
         raise ValueError(f"all {len(observations)} observations skipped: {skips}")
-    if skips:
-        logger.info("pairing skipped %d observations: %s", sum(skips.values()), skips)
     return PairingResult(samples=samples, skips=skips)

@@ -3,10 +3,12 @@
 Every computation is recorded on an explicit :class:`Tape`: an ordered list
 of nodes, each holding an op kind, the ids of its input nodes, and the value
 computed for it. Ops evaluate eagerly as the graph is built (so shape errors
-surface at the call site), and a finished tape can be replayed with
-:func:`forward_eval` and differentiated with :func:`backward`. Input shapes
-are checked once, when a node is recorded; a replay, whose leaf overrides
-keep the recorded shapes, runs each op's arithmetic alone.
+surface at the call site), and a finished tape is differentiated with
+:func:`backward`. A node's value is written once, when it is recorded; a
+replay (:func:`_evaluate`, which the gradient check runs with perturbed
+leaves) returns new values and leaves the tape as it was. Input shapes are
+checked once, at recording; a replay, whose leaf overrides keep the recorded
+shapes, runs each op's arithmetic alone.
 
 :func:`backward` computes only the gradients some trainable leaf needs: a
 node whose inputs reach no trainable leaf gets no vector-Jacobian product,
@@ -17,10 +19,10 @@ and variance it normalized with next to its value, so the backward pass and
 the running-statistics update read them instead of recomputing them: batch
 statistics are computed once per step.
 
-The op set is deliberately small: dense matmul, broadcasting add/mul, relu,
-strided conv2d (patch-flattening + matmul), global average pooling,
-per-channel scale-shift normalization, row L2-normalization, log-sum-exp,
-sum, mean, and concat. Everything runs in float64.
+The op set is the model's and no more: dense matmul, broadcasting add/mul,
+relu, strided conv2d (patch-flattening + matmul), global average pooling,
+per-channel scale-shift normalization, row L2-normalization, log-sum-exp and
+sum. Everything runs in float64.
 
 A conv2d's backward lays its patch columns out as one (c*kh*kw, n*oh*ow)
 matrix for the whole batch, so its kernel gradient and its input-column
@@ -45,10 +47,10 @@ class RowNormError(ValueError):
         self.problem = problem
 
 
-def l2_normalize_rows(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
+def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     """Scale each row of a 2-D matrix to unit Euclidean norm.
 
-    Rows whose norm is not finite or is <= eps cannot be normalized and
+    Rows whose norm is not finite or is <= NORM_EPS cannot be normalized and
     raise a RowNormError, identifying the offending row.
     """
     m = np.asarray(m, dtype=np.float64)
@@ -56,13 +58,13 @@ def l2_normalize_rows(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
         raise ValueError(f"l2_normalize_rows expects a 2-D matrix, got shape {m.shape}")
     norms = np.sqrt(np.add.reduce(m * m, axis=1))
     # a NaN fails both comparisons, so one min/max test clears every row
-    if norms.size and not (np.minimum.reduce(norms) > eps
+    if norms.size and not (np.minimum.reduce(norms) > NORM_EPS
                            and np.maximum.reduce(norms) < np.inf):
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
             row = int(bad[0])
             raise RowNormError(f"embedding row {row} has a non-finite norm", row, "non-finite")
-        row = int(np.flatnonzero(norms <= eps)[0])
+        row = int(np.flatnonzero(norms <= NORM_EPS)[0])
         raise RowNormError(f"degenerate embedding row {row}", row, "degenerate")
     return m / norms[:, None]
 
@@ -79,17 +81,12 @@ def _center_channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return centered, mean, var
 
 
-def channel_batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and (population) variance of an (N, C, H, W) batch."""
-    _, mean, var = _center_channels(x)
-    return mean, var
-
-
 class Node:
     """One recorded operation: op kind, input node ids, and its value.
 
     A training-mode channel_norm also keeps `batch_stats`, the (mean, var)
-    pair its value was normalized with; it is replaced together with `value`.
+    pair its value was normalized with. Both are set once, by
+    :meth:`Tape._op`, when the node is recorded.
     """
 
     __slots__ = ("idx", "op", "inputs", "value", "name", "trainable", "attrs", "batch_stats")
@@ -143,8 +140,8 @@ class Tape:
     def mul(self, a: Node, b: Node) -> Node:
         return self._op("mul", [a, b])
 
-    def matmul(self, a: Node, b: Node, trans_a: bool = False, trans_b: bool = False) -> Node:
-        return self._op("matmul", [a, b], trans_a=trans_a, trans_b=trans_b)
+    def matmul(self, a: Node, b: Node, trans_b: bool = False) -> Node:
+        return self._op("matmul", [a, b], trans_b=trans_b)
 
     def relu(self, a: Node) -> Node:
         return self._op("relu", [a])
@@ -182,14 +179,6 @@ class Tape:
 
     def sum(self, a: Node, axis: int | None = None) -> Node:
         return self._op("sum", [a], axis=axis)
-
-    def mean(self, a: Node, axis: int | None = None) -> Node:
-        return self._op("mean", [a], axis=axis)
-
-    def concat(self, parts: list[Node], axis: int = 0) -> Node:
-        if not parts:
-            raise ValueError("concat needs at least one input")
-        return self._op("concat", list(parts), axis=axis)
 
     def mark_output(self, name: str, node: Node) -> None:
         self.outputs[name] = node.idx
@@ -288,11 +277,10 @@ def _check_shapes(node: Node, vals: list[np.ndarray]) -> None:
         if a.ndim != 2 or b.ndim != 2:
             raise ValueError(f"matmul at node {node.idx}: expects 2-D operands, "
                              f"got {a.shape} and {b.shape}")
-        at = a.T if node.attrs["trans_a"] else a
         bt = b.T if node.attrs["trans_b"] else b
-        if at.shape[1] != bt.shape[0]:
+        if a.shape[1] != bt.shape[0]:
             raise ValueError(f"matmul shape mismatch at node {node.idx}: "
-                             f"{at.shape} @ {bt.shape}")
+                             f"{a.shape} @ {bt.shape}")
     elif op == "conv2d":
         x, k = vals
         if x.ndim != 4 or k.ndim != 4:
@@ -321,9 +309,9 @@ def _check_shapes(node: Node, vals: list[np.ndarray]) -> None:
 
 def _compute(node: Node, vals: list[np.ndarray], saved: dict | None = None) -> np.ndarray:
     """Value of `node` from its input values, whose shapes
-    :func:`_check_shapes` accepted when the node was recorded. A
-    training-mode channel_norm also stores its batch (mean, var) in
-    `saved[node.idx]` when given.
+    :func:`_check_shapes` accepted when the node was recorded. When recording
+    (`saved` given), a training-mode channel_norm also stores its batch
+    (mean, var) in `saved[node.idx]`.
 
     Reductions call their ufunc's `reduce` directly and divide by the count
     for a mean: the summation order, and so every bit, of `np.sum`,
@@ -338,7 +326,7 @@ def _compute(node: Node, vals: list[np.ndarray], saved: dict | None = None) -> n
             raise ValueError(f"{op} shape mismatch at node {node.idx}: {a.shape} vs {b.shape}")
     if op == "matmul":
         a, b = vals
-        return (a.T if node.attrs["trans_a"] else a) @ (b.T if node.attrs["trans_b"] else b)
+        return a @ (b.T if node.attrs["trans_b"] else b)
     if op == "relu":
         return np.maximum(vals[0], 0.0)
     if op == "conv2d":
@@ -380,12 +368,6 @@ def _compute(node: Node, vals: list[np.ndarray], saved: dict | None = None) -> n
         return out.squeeze(axis)
     if op == "sum":
         return np.asarray(np.add.reduce(vals[0], axis=node.attrs["axis"]))
-    if op == "mean":
-        x, axis = vals[0], node.attrs["axis"]
-        count = x.size if axis is None else x.shape[axis]
-        return np.asarray(np.add.reduce(x, axis=axis) / count)
-    if op == "concat":
-        return np.concatenate(vals, axis=node.attrs["axis"])
     raise ValueError(f"unsupported op kind {op!r} at node {node.idx}")
 
 
@@ -415,44 +397,28 @@ def replay_schedule(tape: Tape, leaf: str, output: int) -> list[Node]:
 
 
 def _evaluate(tape: Tape, overrides: dict[str, np.ndarray] | None,
-              nodes: list[Node] | None = None,
-              saved: dict | None = None) -> list[np.ndarray]:
-    """Values of every node with the named leaves overridden.
+              nodes: list[Node] | None = None) -> list[np.ndarray]:
+    """Values of every node with the named leaves overridden: a replay.
 
     By default every node is recomputed. Given `nodes`, a schedule in tape
     order such as :func:`replay_schedule` returns, only those nodes are
     recomputed and all others keep their recorded values. No node is
-    written; batch statistics go to `saved` when given (see :func:`_compute`).
+    written, so the tape still differentiates what it recorded.
     """
     values = [node.value for node in tape.nodes]
     for name, v in (overrides or {}).items():
         idx = tape._leaf_ids.get(name)
         if idx is None:
             unknown = sorted(n for n in overrides if n not in tape._leaf_ids)
-            raise ValueError(f"unknown leaf names in forward_eval: {unknown}")
+            raise ValueError(f"unknown leaf names in replay: {unknown}")
         v = np.asarray(v, dtype=np.float64)
         if v.shape != values[idx].shape:
             raise ValueError(f"leaf {name!r} expects shape {values[idx].shape}, got {v.shape}")
         values[idx] = v
     for node in tape.nodes if nodes is None else nodes:
         if node.op not in ("leaf", "const"):
-            values[node.idx] = _compute(node, [values[i] for i in node.inputs], saved)
+            values[node.idx] = _compute(node, [values[i] for i in node.inputs])
     return values
-
-
-def forward_eval(tape: Tape, inputs: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Re-run the tape, optionally overriding named leaves.
-
-    Recorded node values, and the batch statistics of training-mode norms,
-    are replaced by the re-evaluation (which is bit-identical for identical
-    inputs) and the marked outputs are returned.
-    """
-    saved = {}
-    values = _evaluate(tape, inputs, saved=saved)
-    for node in tape.nodes:
-        node.value = values[node.idx]
-        node.batch_stats = saved.get(node.idx)
-    return {name: tape.nodes[idx].value for name, idx in tape.outputs.items()}
 
 
 def _resolve_output(tape: Tape, output: str | None) -> int:
@@ -466,8 +432,7 @@ def _resolve_output(tape: Tape, output: str | None) -> int:
                      f"{len(tape.outputs)} outputs")
 
 
-def backward(tape: Tape, output: str | None = None,
-             seed: np.ndarray | None = None) -> dict[str, np.ndarray]:
+def backward(tape: Tape, output: str | None = None) -> dict[str, np.ndarray]:
     """Gradients of a scalar output with respect to every trainable leaf.
 
     Trainable leaves that do not reach the output get a zero gradient entry;
@@ -479,18 +444,13 @@ def backward(tape: Tape, output: str | None = None,
     out = tape.nodes[out_idx]
     if out.value.ndim != 0:
         raise ValueError(f"backward requires a scalar output, got shape {out.value.shape}")
-    if seed is None:
-        seed = np.ones(())
-    seed = np.asarray(seed, dtype=np.float64)
-    if seed.shape != ():
-        raise ValueError(f"seed must be scalar, got shape {seed.shape}")
 
     needs = [False] * (out_idx + 1)
     for node in tape.nodes[:out_idx + 1]:
         needs[node.idx] = node.trainable or any(needs[i] for i in node.inputs)
 
     grads: list[np.ndarray | None] = [None] * len(tape.nodes)
-    grads[out_idx] = seed
+    grads[out_idx] = np.ones(())
     for node in reversed(tape.nodes[:out_idx + 1]):
         g = grads[node.idx]
         if g is None or not needs[node.idx] or node.op in ("leaf", "const"):
@@ -527,15 +487,12 @@ def _vjp(node: Node, g: np.ndarray, tape: Tape,
         return [_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)]
     if op == "matmul":
         a, b = vals
-        ta, tb = node.attrs["trans_a"], node.attrs["trans_b"]
-        at = a.T if ta else a
-        bt = b.T if tb else b
+        tb = node.attrs["trans_b"]
         da = db = None
         if wanted[0]:
-            da = g @ bt.T
-            da = da.T if ta else da
+            da = g @ (b if tb else b.T)
         if wanted[1]:
-            db = at.T @ g
+            db = a.T @ g
             db = db.T if tb else db
         return [da, db]
     if op == "relu":
@@ -582,17 +539,6 @@ def _vjp(node: Node, g: np.ndarray, tape: Tape,
         if axis is None:
             return [np.broadcast_to(g, x.shape)]
         return [np.broadcast_to(np.expand_dims(g, axis), x.shape)]
-    if op == "mean":
-        x = vals[0]
-        axis = node.attrs["axis"]
-        count = x.size if axis is None else x.shape[axis]
-        if axis is None:
-            return [np.broadcast_to(g / count, x.shape)]
-        return [np.broadcast_to(np.expand_dims(g / count, axis), x.shape)]
-    if op == "concat":
-        axis = node.attrs["axis"]
-        sizes = [v.shape[axis] for v in vals]
-        return list(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
     raise ValueError(f"unsupported op kind {op!r} at node {node.idx}")
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .augment import augment_geometric, augment_photometric, fit_to_input
 from .contrastive import LossConfig, trimodal_loss_graph
-from .dataio import pair_paths, require_fields
+from .dataio import pair_paths, read_json, require_fields
 from .encoders import (ImageEncoderConfig, LocationEncoderConfig, Model, ModelConfig,
                        PEFT_MODES, head_graph, image_feature_graph,
                        location_feature_graph, location_input_features, trainable_mask)
@@ -310,7 +310,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     json_path, bin_path = pair_paths(path)
     if not json_path.exists():
         raise ValueError(f"checkpoint header not found: {json_path}")
-    header = require_fields(json.loads(json_path.read_text()), {"version": int}, json_path)
+    header = require_fields(read_json(json_path), {"version": int}, json_path)
     if header["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version mismatch: got {header['version']}, "
                          f"expected {CHECKPOINT_VERSION}")

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -178,6 +179,24 @@ def test_retrieve_nan_query_exits_1(workspace, capsys, tmp_path):
     assert "non-finite norm" in captured.err
 
 
+@pytest.mark.parametrize("source", ["zero.bin", "inline"])
+def test_retrieve_zero_query_exits_1_naming_the_query(workspace, capsys, tmp_path, source):
+    idx = tmp_path / "idx"
+    assert dispatch(["index", "--data", str(workspace / "world"),
+                     "--ckpt", str(workspace / "run" / "ckpt.json"), "--out", str(idx)]) == 0
+    capsys.readouterr()
+    query = ",".join(["0"] * TRAIN_CFG["model"]["embed_dim"])
+    where = "inline query"
+    if source == "zero.bin":
+        where = tmp_path / "zero.bin"
+        np.zeros(TRAIN_CFG["model"]["embed_dim"], dtype="<f4").tofile(where)
+        query = str(where)
+    assert dispatch(["retrieve", "--index", str(idx), "--query", query]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {where}: query has a degenerate norm" in captured.err
+
+
 @pytest.mark.parametrize("name, blob", [
     ("short.bin", np.zeros(12, dtype="<f4").tobytes()[:10]),
     ("nan.bin", np.r_[np.ones(5), np.nan, np.ones(6)].astype("<f4").tobytes()),
@@ -228,17 +247,24 @@ def test_gradcheck_tolerance_must_be_finite_and_positive(capsys, tolerance):
     (["--lr", "inf"], None, "lr"),
     ([], '{"jitter": NaN}', "jitter"),
     ([], '{"location_weight": -Infinity}', "location_weight"),
+    (["--lr", "nan"], '{"jitter": 0.01}', "lr"),
 ])
 def test_train_non_finite_hyperparameter_exits_1_before_reading_data(tmp_path, capsys, flags,
                                                                      config, field):
     # the data directory does not exist: the config is rejected before it is read
     argv = ["train", "--data", str(tmp_path / "no_world"), "--out", str(tmp_path / "ckpt")]
+    config_path = tmp_path / "train.json"
     if config is not None:
-        (tmp_path / "train.json").write_text(config)
-        argv += ["--config", str(tmp_path / "train.json")]
+        config_path.write_text(config)
+        argv += ["--config", str(config_path)]
     assert dispatch(argv + flags) == 1
     err = capsys.readouterr().err
-    assert f"error: {field} must be finite, got" in err
+    # a bad value from the file names the file; a bad flag is not blamed on it
+    if flags:
+        assert f"error: {field} must be finite, got" in err
+        assert str(config_path) not in err
+    else:
+        assert f"error: {config_path}: invalid config ({field} must be finite, got" in err
     assert "no_world" not in err
     assert not (tmp_path / "ckpt.json").exists()
 
@@ -552,3 +578,39 @@ def test_eval_metrics_malformed_predictions_exit_1(tmp_path, capsys, task, preds
     assert dispatch(["eval-metrics", "--task", task, "--preds", str(tmp_path / "p.json"),
                      "--labels", str(tmp_path / "l.json")]) == 1
     assert str(tmp_path / "p.json") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["config", "checkpoint", "index", "preds"])
+def test_malformed_json_exits_1_naming_the_file(workspace, tmp_path, capsys, kind):
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text('{"n": 1,')
+    ckpt = str(workspace / "run" / "ckpt.json")
+    if kind == "config":
+        argv = ["train", "--data", str(workspace / "world"), "--out", str(tmp_path / "c"),
+                "--config", str(bad)]
+    elif kind == "checkpoint":
+        shutil.copy(workspace / "run" / "ckpt.bin", tmp_path / "checkpoint.bin")
+        argv = ["index", "--data", str(workspace / "world"), "--ckpt", str(bad),
+                "--out", str(tmp_path / "idx")]
+    elif kind == "index":
+        (tmp_path / "index.bin").write_bytes(b"")
+        argv = ["retrieve", "--index", str(bad), "--query", ",".join(["0.5"] * 12)]
+    else:
+        (tmp_path / "labels.json").write_text("[0, 1]")
+        argv = ["eval-metrics", "--task", "cls", "--preds", str(bad),
+                "--labels", str(tmp_path / "labels.json")]
+    assert dispatch(argv) == 1
+    assert f"error: {bad}: malformed JSON (Expecting" in capsys.readouterr().err
+
+
+def test_train_reports_skipped_observations_by_reason(workspace, tmp_path, capsys):
+    world = tmp_path / "world"
+    shutil.copytree(workspace / "world", world)
+    lines = (world / "observations.csv").read_text().splitlines()
+    lat, lon, _ = lines[1].split(",")
+    # one observation far from every tile, one of a species with no text
+    lines += ["89.0,179.0,0", f"{lat},{lon},999"]
+    (world / "observations.csv").write_text("\n".join(lines) + "\n")
+    assert dispatch(["train", "--data", str(world), "--out", str(tmp_path / "ckpt"),
+                     "--config", str(workspace / "train.json"), "--epochs", "1"]) == 0
+    assert "(2 observations skipped, 1 no_tile, 1 no_text)" in capsys.readouterr().err

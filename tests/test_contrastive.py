@@ -5,41 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satalign.contrastive import (EmbeddingBatch, LossConfig, info_nce,
+from satalign.contrastive import (LossConfig, info_nce,
                                   pairwise_loss, pairwise_loss_graph,
                                   trimodal_loss, trimodal_loss_graph)
 from satalign.gradcheck import finite_diff_check
 from satalign.tape import Tape, backward, l2_normalize_rows
 
 
-def unit_batch(n, d, seed, tag="image_t1"):
-    rng = np.random.default_rng(seed)
-    return EmbeddingBatch(rows=l2_normalize_rows(rng.normal(size=(n, d))), tag=tag)
-
-
-class TestEmbeddingBatch:
-    def test_rejects_non_unit_rows(self):
-        with pytest.raises(ValueError, match="unit norm"):
-            EmbeddingBatch(rows=np.ones((2, 3)), tag="e_txt")
-
-    def test_rejects_unknown_tag(self):
-        with pytest.raises(ValueError, match="unknown modality tag"):
-            EmbeddingBatch(rows=np.eye(2), tag="audio")
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            EmbeddingBatch(rows=np.zeros((0, 3)), tag="e_txt")
+def unit_batch(n, d, seed):
+    """An n x d matrix of unit-norm random rows."""
+    return l2_normalize_rows(np.random.default_rng(seed).normal(size=(n, d)))
 
 
 class TestInfoNCE:
     def test_single_element_is_exactly_zero(self):
         batch = unit_batch(1, 8, seed=0)
-        assert info_nce(batch.rows[0], batch, 0, temperature=0.07) == 0.0
+        assert info_nce(batch[0], batch, 0, temperature=0.07) == 0.0
 
     @pytest.mark.parametrize("tau", [0.07, 0.5, 1.0])
     def test_two_sample_aligned_orthogonal_closed_form(self, tau):
         # positive logit 1/tau, lone negative logit 0 -> ln(1 + e^(-1/tau))
-        e = EmbeddingBatch(rows=np.eye(2), tag="e_txt")
+        e = np.eye(2)
         z = np.array([1.0, 0.0])
         expected = math.log1p(math.exp(-1.0 / tau))
         assert abs(info_nce(z, e, 0, tau) - expected) < 1e-9
@@ -59,9 +45,9 @@ class TestInfoNCE:
     def test_nonnegative_and_strictly_positive_beyond_one_sample(self):
         for seed in range(30):
             z = unit_batch(5, 6, seed=seed)
-            e = unit_batch(5, 6, seed=seed + 100, tag="e_txt")
+            e = unit_batch(5, 6, seed=seed + 100)
             for i in range(5):
-                value = info_nce(z.rows[i], e, i, temperature=0.07)
+                value = info_nce(z[i], e, i, temperature=0.07)
                 assert value >= 0.0
                 assert value > 0.0  # generic batch: negatives carry finite weight
 
@@ -81,32 +67,32 @@ class TestInfoNCE:
     def test_index_bounds(self):
         batch = unit_batch(3, 4, seed=0)
         with pytest.raises(ValueError, match="outside batch"):
-            info_nce(batch.rows[0], batch, 3, temperature=1.0)
+            info_nce(batch[0], batch, 3, temperature=1.0)
 
 
 class TestPairwiseLoss:
     def test_symmetry_exact(self):
         for seed in range(100):
             z = unit_batch(6, 5, seed=seed)
-            e = unit_batch(6, 5, seed=seed + 1000, tag="e_txt")
+            e = unit_batch(6, 5, seed=seed + 1000)
             assert pairwise_loss(z, e, 0.07) == pairwise_loss(e, z, 0.07)
 
     def test_orthonormal_identity_closed_form(self):
         # 2n identical terms of -log(e^(1/tau) / (e^(1/tau) + 3))
         tau = 0.07
-        eye = EmbeddingBatch(rows=np.eye(4), tag="image_t1")
+        eye = np.eye(4)
         expected = math.log1p(3.0 * math.exp(-1.0 / tau))
         assert abs(pairwise_loss(eye, eye, tau) - expected) < 1e-12
         assert expected == pytest.approx(1.87e-6, rel=1e-2)
 
     def test_single_sample_zero(self):
         z = unit_batch(1, 7, seed=1)
-        e = unit_batch(1, 7, seed=2, tag="e_loc")
+        e = unit_batch(1, 7, seed=2)
         assert pairwise_loss(z, e, 0.07) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            pairwise_loss(unit_batch(3, 4, 0), unit_batch(4, 4, 1, tag="e_txt"), 0.07)
+            pairwise_loss(unit_batch(3, 4, 0), unit_batch(4, 4, 1), 0.07)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -128,14 +114,14 @@ class TestPairwiseLoss:
 
     def test_temperature_sensitivity(self):
         z = unit_batch(6, 8, seed=5)
-        e = unit_batch(6, 8, seed=6, tag="e_txt")
+        e = unit_batch(6, 8, seed=6)
         a = pairwise_loss(z, e, 0.5)
         b = pairwise_loss(z, e, 0.25)
         assert a != b
 
     def test_loss_continuous_in_temperature(self):
         z = unit_batch(5, 8, seed=9)
-        e = unit_batch(5, 8, seed=10, tag="e_txt")
+        e = unit_batch(5, 8, seed=10)
         for tau in np.linspace(0.05, 2.0, 40):
             jump = abs(pairwise_loss(z, e, tau + 1e-9) - pairwise_loss(z, e, tau))
             assert jump < 1e-6
@@ -143,8 +129,7 @@ class TestPairwiseLoss:
 
 class TestTrimodalLoss:
     def _batches(self, seed, n=5, d=6):
-        tags = ("image_t1", "image_t2", "txt_head", "e_txt", "loc_head", "e_loc")
-        return [unit_batch(n, d, seed=seed + k, tag=t) for k, t in enumerate(tags)]
+        return [unit_batch(n, d, seed=seed + k) for k in range(6)]
 
     def test_total_is_exact_sum_of_terms(self):
         b = self._batches(0)
@@ -152,15 +137,14 @@ class TestTrimodalLoss:
         assert total == terms["image"] + terms["text"] + terms["location"]
 
     def test_identical_batches_triple_single_term(self):
-        z = unit_batch(4, 6, seed=3)
-        rows = z.rows
+        rows = unit_batch(4, 6, seed=3)
         total, _ = trimodal_loss(rows, rows, rows, rows, rows, rows)
         single = pairwise_loss(rows, rows, 0.07)
         assert total == pytest.approx(3.0 * single, abs=1e-12)
 
     def test_mismatched_counts_rejected(self):
         b = self._batches(1)
-        b[3] = unit_batch(7, 6, seed=99, tag="e_txt")
+        b[3] = unit_batch(7, 6, seed=99)
         with pytest.raises(ValueError, match="same sample count"):
             trimodal_loss(*b)
 

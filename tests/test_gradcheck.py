@@ -91,6 +91,34 @@ def test_tape_left_unmodified():
     assert float(tape.output_value("loss")) == loss_before
 
 
+def recorded_bytes(tape):
+    """Every node's value bytes and batch-statistics bytes, in tape order."""
+    return [(node.value.tobytes(),
+             None if node.batch_stats is None else [s.tobytes() for s in node.batch_stats])
+            for node in tape.nodes]
+
+
+def test_training_tape_is_written_once():
+    # the full training graph has training-mode norms, whose batch statistics
+    # backward reads; neither a gradient check nor a perturbed replay may
+    # write them or any node value
+    tape = _gradcheck_setup(3)
+    assert any(node.batch_stats is not None for node in tape.nodes)
+    recorded = recorded_bytes(tape)
+    grads = backward(tape, output="loss")
+    finite_diff_check(tape)
+    rng = np.random.default_rng(0)
+    overrides = {name: tape.leaf_value(name) + 1e-3 * rng.normal(size=tape.leaf_value(name).shape)
+                 for name in tape.leaf_names()}
+    loss_idx = tape.outputs["loss"]
+    assert _evaluate(tape, overrides)[loss_idx].tobytes() != recorded[loss_idx][0]
+    assert recorded_bytes(tape) == recorded
+    again = backward(tape, output="loss")
+    assert sorted(again) == sorted(grads)
+    for name, grad in grads.items():
+        assert again[name].tobytes() == grad.tobytes(), name
+
+
 def test_subset_of_names():
     tape = Tape()
     a = tape.leaf("a", np.array(2.0), trainable=True)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import small_train_config, world_and_samples
 from satalign.encoders import trainable_mask
-from satalign.tape import Tape, backward, channel_batch_stats, forward_eval
+from satalign.tape import Tape
 from satalign.training import (Checkpoint, TrainConfig, assemble_batch,
                                build_training_graph, config_from_dict, config_to_dict,
                                initial_model, load_checkpoint, model_from_checkpoint,
@@ -311,28 +311,10 @@ def test_running_stats_are_momentum_update_of_batch_stats(shared_world_samples,
     expected = initial_model(config).stats
     momentum = config.model.image.norm_momentum
     for key, node in norm_nodes:  # tile_a tower first, then tile_b
-        mean, var = channel_batch_stats(tape.nodes[node.inputs[0]].value)
+        x = tape.nodes[node.inputs[0]].value
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
         expected[f"{key}.mean"] = (1 - momentum) * expected[f"{key}.mean"] + momentum * mean
         expected[f"{key}.var"] = (1 - momentum) * expected[f"{key}.var"] + momentum * var
     assert sorted(ckpt.stats) == sorted(expected)
     for name, value in expected.items():
         assert ckpt.stats[name].tobytes() == value.tobytes(), name
-
-
-def test_backward_after_forward_eval_matches_fresh_tape(shared_world_samples):
-    _, samples = shared_world_samples
-    config = small_train_config()
-    model = initial_model(config)
-    mask = trainable_mask("full", model.params)
-    batch = assemble_batch(samples[:4], config, np.random.default_rng(1))
-    other = assemble_batch(samples[4:8], config, np.random.default_rng(2))
-    pixels = {"tiles_a": other["tiles_a"], "tiles_b": other["tiles_b"]}
-
-    tape, _ = build_training_graph(model, batch, mask, config.loss_config())
-    forward_eval(tape, {f"batch.{k}": v for k, v in pixels.items()})
-    replayed = backward(tape, output="loss")
-    fresh, _ = build_training_graph(model, {**batch, **pixels}, mask, config.loss_config())
-    expected = backward(fresh, output="loss")
-    assert sorted(replayed) == sorted(expected)
-    for name in expected:
-        assert replayed[name].tobytes() == expected[name].tobytes(), name
