@@ -144,10 +144,10 @@ def dataset_from_world(world: SyntheticWorld) -> GeoDataset:
                       tiles=list(world.tiles), texts=list(world.texts), truth=truth)
 
 
-def _read_f32(path: Path, count: int, what: str) -> np.ndarray:
+def _read_f32(path: Path, count: int) -> np.ndarray:
     data = np.frombuffer(path.read_bytes(), dtype="<f4")
     if data.size != count:
-        raise ValueError(f"{what}: expected {count} float32 values, found {data.size}")
+        raise ValueError(f"{path}: expected {count} float32 values, found {data.size}")
     return data.astype(np.float64)
 
 
@@ -155,35 +155,36 @@ def _load_observations(path: Path) -> list[GeoObservation]:
     text = path.read_text()
     lines = text.splitlines()
     if not lines or lines[0].strip() != "lat,lon,species_id":
-        raise ValueError(f"{path.name}: malformed header, expected 'lat,lon,species_id'")
+        raise ValueError(f"{path}: malformed header, expected 'lat,lon,species_id'")
     observations = []
-    for i, line in enumerate(lines[1:]):
+    for line_no, line in enumerate(lines[1:], start=2):  # 1-based, after the header
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise ValueError(f"{path.name}: expected 3 fields, row {i}")
+            raise ValueError(f"{path}: expected 3 fields, line {line_no}")
         try:
             lat, lon, sid = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
-            raise ValueError(f"{path.name}: unparseable values, row {i}") from None
+            raise ValueError(f"{path}: unparseable values, line {line_no}") from None
         if not -90.0 <= lat <= 90.0:
-            raise ValueError(f"{path.name}: lat out of range, row {i}")
+            raise ValueError(f"{path}: lat out of range, line {line_no}")
         if not -180.0 <= lon < 180.0:
-            raise ValueError(f"{path.name}: lon out of range, row {i}")
+            raise ValueError(f"{path}: lon out of range, line {line_no}")
         if sid < 0:
-            raise ValueError(f"{path.name}: negative species_id, row {i}")
+            raise ValueError(f"{path}: negative species_id, line {line_no}")
         observations.append(GeoObservation(lat=lat, lon=lon, species_id=sid))
     return observations
 
 
 def _load_raster(root: Path) -> CovariateRaster:
-    header = require_fields(read_json(root / "raster.json"),
+    header_path = root / "raster.json"
+    header = require_fields(read_json(header_path),
                             {"rows": int, "cols": int, "channels": int, "lat0": float,
                              "lon0": float, "dlat": float, "dlon": float,
-                             "channel_min": list, "channel_max": list}, "raster.json")
+                             "channel_min": list, "channel_max": list}, header_path)
     rows, cols, channels = header["rows"], header["cols"], header["channels"]
-    values = _read_f32(root / "raster.bin", rows * cols * channels, "raster.bin")
+    values = _read_f32(root / "raster.bin", rows * cols * channels)
     return CovariateRaster(lat0=header["lat0"], lon0=header["lon0"],
                            dlat=header["dlat"], dlon=header["dlon"],
                            values=values.reshape(rows, cols, channels),
@@ -192,42 +193,42 @@ def _load_raster(root: Path) -> CovariateRaster:
 
 
 def _load_tiles(root: Path) -> list[TileRecord]:
-    manifest = read_json(root / "tiles" / "manifest.json")
+    manifest_path = root / "tiles" / "manifest.json"
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, list):
-        raise ValueError("tiles/manifest.json: expected a JSON list of tile records")
+        raise ValueError(f"{manifest_path}: expected a JSON list of tile records")
     tiles = []
     for i, entry in enumerate(manifest):
         require_fields(entry, {"tile_id": int, "lat": float, "lon": float, "timestamp": int,
                                "file": str, "c": int, "h": int, "w": int},
-                       f"tiles/manifest.json record {i}")
+                       f"{manifest_path} record {i}")
         try:
             c, h, w = entry["c"], entry["h"], entry["w"]
-            pixels = _read_f32(root / "tiles" / entry["file"], c * h * w,
-                               f"tiles/{entry['file']}")
+            pixels = _read_f32(root / "tiles" / entry["file"], c * h * w)
             tiles.append(TileRecord(tile_id=entry["tile_id"], lat=entry["lat"],
                                     lon=entry["lon"], timestamp=entry["timestamp"],
                                     pixels=pixels.reshape(c, h, w)))
         except ValueError as e:
-            raise ValueError(f"tiles/manifest.json record {i}: {e}") from None
+            raise ValueError(f"{manifest_path} record {i}: {e}") from None
     return tiles
 
 
 def _load_texts(root: Path) -> list[TextSection]:
-    header = require_fields(read_json(root / "text" / "sections.json"),
-                            {"d_txt": int, "sections": list}, "text/sections.json")
+    header_path, blob_path = root / "text" / "sections.json", root / "text" / "embeddings.bin"
+    header = require_fields(read_json(header_path), {"d_txt": int, "sections": list},
+                            header_path)
     d_txt = int(header["d_txt"])
-    blob = np.frombuffer((root / "text" / "embeddings.bin").read_bytes(), dtype="<f4")
+    blob = np.frombuffer(blob_path.read_bytes(), dtype="<f4")
     if d_txt <= 0 or blob.size % d_txt != 0:
-        raise ValueError(f"text/embeddings.bin: length {blob.size} not divisible by "
-                         f"d_txt {d_txt}")
+        raise ValueError(f"{blob_path}: length {blob.size} not divisible by d_txt {d_txt}")
     rows = blob.astype(np.float64).reshape(-1, d_txt)
     texts = []
     for i, entry in enumerate(header["sections"]):
         require_fields(entry, {"species_id": int, "section_id": int, "row": int},
-                       f"text/sections.json record {i}")
+                       f"{header_path} record {i}")
         row = entry["row"]
         if not 0 <= row < rows.shape[0]:
-            raise ValueError(f"text/sections.json: row index out of range, record {i}")
+            raise ValueError(f"{header_path}: row index out of range, record {i}")
         texts.append(TextSection(species_id=entry["species_id"],
                                  section_id=entry["section_id"],
                                  embedding=rows[row]))
@@ -240,7 +241,7 @@ def _load_truth(root: Path) -> GroundTruth | None:
         return None
     obj = require_fields(read_json(path), {"n_habitats": int, "tile_habitats": dict,
                                             "species_habitats": dict, "text_prototypes": list},
-                         "ground_truth.json")
+                         path)
     return GroundTruth(n_habitats=obj["n_habitats"],
                        tile_habitats={int(k): v for k, v in obj["tile_habitats"].items()},
                        species_habitats={int(k): v for k, v in obj["species_habitats"].items()},
@@ -264,5 +265,6 @@ def ingest_dataset(directory: str | Path) -> GeoDataset:
         unlabeled = [t.tile_id for t in dataset.tiles
                      if t.tile_id not in dataset.truth.tile_habitats]
         if unlabeled:
-            raise ValueError(f"ground_truth.json: no habitat for tile {unlabeled[0]}")
+            raise ValueError(f"{root / 'ground_truth.json'}: no habitat for tile "
+                             f"{unlabeled[0]}")
     return dataset

@@ -13,12 +13,13 @@ from .dataio import pair_paths, read_json, require_fields
 from .encoders import Model
 from .geodata import TileRecord
 from .optim import AdamState, ParameterStore, adam_step
-from .tape import RowNormError, l2_normalize_rows
+from .tape import RowNormError, l2_normalize_rows, row_norms
 
 TASK_KINDS = ("single_label", "multi_label", "encounter_rate")
 
-# Rows per slab when an index is loaded or validated: the temporaries stay
-# slab-sized (2 MB at d = 64), however many rows the index holds.
+# Rows per slab when an index is loaded or validated: the buffers stay
+# slab-sized (2 MB at d = 64, cache-resident), however many rows the index
+# holds.
 INDEX_SLAB_ROWS = 4096
 
 
@@ -232,10 +233,11 @@ class RetrievalIndex:
             raise ValueError("index row count must equal the tile id count")
         if self.n == 0:
             raise ValueError("an index needs at least one row")
+        # one read of the matrix: row dot products, no (n, d) temporary
         worst = 0.0
         for start in range(0, self.n, INDEX_SLAB_ROWS):
             slab = self.matrix[start:start + INDEX_SLAB_ROWS]
-            off = np.abs(np.sqrt(np.sum(slab * slab, axis=1)) - 1.0)
+            off = np.abs(np.sqrt(np.einsum("ij,ij->i", slab, slab)) - 1.0)
             bad = np.flatnonzero(~np.isfinite(off))
             if bad.size:
                 raise ValueError(f"index row {start + int(bad[0])} is not finite")
@@ -325,7 +327,12 @@ def _checked_tile_ids(ids: list, where: Path) -> list[int]:
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
-    """Read an index written by save_index, one slab of rows at a time."""
+    """Read an index written by save_index.
+
+    Each slab of rows is read, widened and normalized in one pass while it
+    is in cache, through buffers reused from slab to slab; the rows equal
+    one l2_normalize_rows of the whole widened blob, bit for bit.
+    """
     json_path, bin_path = pair_paths(path)
     if not json_path.exists():
         raise ValueError(f"index header not found: {json_path}")
@@ -342,14 +349,23 @@ def load_index(path: str | Path) -> RetrievalIndex:
         raise ValueError(f"{bin_path}: index blob length mismatch: {size} bytes, "
                          f"expected {4 * n * d}")
     matrix = np.empty((n, d))
+    rows = min(n, INDEX_SLAB_ROWS)
+    stored = np.empty((rows, d), dtype="<f4")
+    squares = np.empty((rows, d))
+    norms = np.empty(rows)
     with open(bin_path, "rb") as f:
         for start in range(0, n, INDEX_SLAB_ROWS):
             slab = matrix[start:start + INDEX_SLAB_ROWS]
-            slab[...] = np.frombuffer(f.read(4 * slab.size), dtype="<f4").reshape(slab.shape)
+            m = len(slab)
+            if f.readinto(stored[:m]) != 4 * m * d:
+                raise ValueError(f"{bin_path}: index blob ended within rows "
+                                 f"{start}-{start + m - 1}")
+            slab[...] = stored[:m]
             # float32 storage perturbs norms at ~1e-7; restore exact unit rows
             try:
-                slab[...] = l2_normalize_rows(slab)
+                row_norms(slab, squares=squares[:m], out=norms[:m])
             except RowNormError as e:
                 raise ValueError(f"{bin_path}: row {start + e.row} has a {e.problem} "
                                  f"norm") from None
+            np.divide(slab, norms[:m, None], out=slab)
     return RetrievalIndex(tile_ids=tile_ids, matrix=matrix)

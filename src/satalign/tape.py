@@ -38,13 +38,35 @@ NORM_EPS = 1e-12
 
 
 class RowNormError(ValueError):
-    """A row l2_normalize_rows cannot scale: `row` is its index in the matrix
-    given, and `problem` says why ("non-finite" or "degenerate" norm)."""
+    """A row whose norm cannot scale it to unit length: `row` is its index in
+    the matrix given, and `problem` says why ("non-finite" or "degenerate")."""
 
     def __init__(self, message: str, row: int, problem: str):
         super().__init__(message)
         self.row = row
         self.problem = problem
+
+
+def row_norms(m: np.ndarray, squares: np.ndarray | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """The Euclidean norm of each row of a 2-D float64 matrix, as
+    l2_normalize_rows divides by it.
+
+    `squares` (shaped like `m`) and `out` (one entry per row) are optional
+    buffers to compute in. A norm that is not finite or is <= NORM_EPS
+    raises a RowNormError naming the row.
+    """
+    norms = np.sqrt(np.add.reduce(np.multiply(m, m, out=squares), axis=1, out=out), out=out)
+    # a NaN fails both comparisons, so one min/max test clears every row
+    if norms.size and not (np.minimum.reduce(norms) > NORM_EPS
+                           and np.maximum.reduce(norms) < np.inf):
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            row = int(bad[0])
+            raise RowNormError(f"embedding row {row} has a non-finite norm", row, "non-finite")
+        row = int(np.flatnonzero(norms <= NORM_EPS)[0])
+        raise RowNormError(f"degenerate embedding row {row}", row, "degenerate")
+    return norms
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -56,17 +78,7 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"l2_normalize_rows expects a 2-D matrix, got shape {m.shape}")
-    norms = np.sqrt(np.add.reduce(m * m, axis=1))
-    # a NaN fails both comparisons, so one min/max test clears every row
-    if norms.size and not (np.minimum.reduce(norms) > NORM_EPS
-                           and np.maximum.reduce(norms) < np.inf):
-        bad = np.flatnonzero(~np.isfinite(norms))
-        if bad.size:
-            row = int(bad[0])
-            raise RowNormError(f"embedding row {row} has a non-finite norm", row, "non-finite")
-        row = int(np.flatnonzero(norms <= NORM_EPS)[0])
-        raise RowNormError(f"degenerate embedding row {row}", row, "degenerate")
-    return m / norms[:, None]
+    return m / row_norms(m)[:, None]
 
 
 def _center_channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

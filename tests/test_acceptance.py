@@ -177,7 +177,7 @@ def test_criterion_04_training_beats_random_init(seed_runs):
 def test_criterion_05_zero_shot_retrieval(seed_runs):
     """Habitat text prototypes retrieve their own tiles at >= 3x chance."""
     runs, _ = seed_runs
-    worst = 1.0
+    worst = math.inf
     for run in runs:
         world = run.world
         chance = (len(world.tiles) / world.config.n_habitats) / len(world.tiles)

@@ -7,7 +7,9 @@ import pytest
 
 import satalign.cli as cli
 from satalign.cli import dispatch, hash_path
-from satalign.tape import Tape
+from satalign.evaluate import INDEX_SLAB_ROWS, RetrievalIndex, save_index
+from satalign.tape import Tape, l2_normalize_rows
+from satalign.training import load_checkpoint, model_from_checkpoint
 
 SYNTH_CFG = {"n_species": 6, "n_habitats": 3, "raster_rows": 12, "raster_cols": 12,
              "tiles_per_habitat": 6, "n_observations": 80, "d_txt": 12,
@@ -219,6 +221,40 @@ def test_malformed_query_file_exits_1_naming_the_file(workspace, capsys, tmp_pat
     expect = {"short.bin": "10 bytes is not a multiple of 4", "nan.bin": "value 5 is not finite",
               "nan.csv": "value 5 is not finite", "words.csv": "unparseable CSV query"}
     assert expect[name] in captured.err
+
+
+def test_retrieve_on_a_multi_slab_index_prints_a_whole_matrix_ranking(workspace, capsys,
+                                                                      tmp_path):
+    # reference built without slabs: widen the whole blob, normalize it once,
+    # one product per query, then one full sort of every row
+    n, d = 2 * INDEX_SLAB_ROWS + 123, TRAIN_CFG["model"]["embed_dim"]
+    rng = np.random.default_rng(4)
+    ids = rng.permutation(3 * n)[:n].tolist()
+    save_index(RetrievalIndex(tile_ids=ids, matrix=l2_normalize_rows(rng.normal(size=(n, d)))),
+               tmp_path / "idx")
+    stored = np.frombuffer((tmp_path / "idx.bin").read_bytes(), dtype="<f4")
+    matrix = l2_normalize_rows(stored.astype(np.float64).reshape(n, d))
+    ckpt = str(workspace / "run" / "ckpt.json")
+    model = model_from_checkpoint(load_checkpoint(ckpt))
+
+    def expected(q, k):
+        cosines = matrix @ q
+        order = np.lexsort((ids, -cosines))[:k]
+        return "".join(f"{ids[i]}\t{float(cosines[i])!r}\n" for i in order)
+
+    for i in range(5):
+        inline = rng.normal(size=d)  # shared space, no checkpoint
+        argv = ["retrieve", "--index", str(tmp_path / "idx"), "--k", "7",
+                "--query=" + ",".join(repr(float(v)) for v in inline)]
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().out == expected(l2_normalize_rows(inline[None])[0], 7)
+        raw = rng.normal(size=TRAIN_CFG["model"]["d_txt"]).astype("<f4")
+        query = tmp_path / f"raw{i}.bin"
+        raw.tofile(query)
+        assert dispatch(["retrieve", "--index", str(tmp_path / "idx"), "--query", str(query),
+                         "--k", "10", "--ckpt", ckpt]) == 0
+        want = expected(model.project_text_rows(raw.astype(np.float64)[None])[0], 10)
+        assert capsys.readouterr().out == want
 
 
 def test_zeroshot_classes_of_the_wrong_length_exit_1_naming_the_file(workspace, capsys,

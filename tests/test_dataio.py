@@ -60,10 +60,11 @@ def test_lat_out_of_range_names_row(world_dir):
     out, _ = world_dir
     csv = out / "observations.csv"
     lines = csv.read_text().splitlines()
-    lines[8] = "91.0,0.0,1"  # row index 7 (after the header)
+    lines[8] = "91.0,0.0,1"  # line 9 of the file, the header being line 1
     csv.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="lat out of range, row 7"):
+    with pytest.raises(ValueError) as err:
         ingest_dataset(out)
+    assert str(err.value) == f"{csv}: lat out of range, line 9"
 
 
 def test_malformed_header_rejected(world_dir):

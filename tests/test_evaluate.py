@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satalign.evaluate as evaluate
 from conftest import small_train_config
 from satalign.evaluate import (INDEX_SLAB_ROWS, ProbeConfig, RetrievalIndex, accuracy,
                                build_index, confusion_matrix, fit_linear_probe,
@@ -322,6 +324,12 @@ class TestIndexValidation:
         with pytest.raises(ValueError, match=f"index row {INDEX_SLAB_ROWS + 4} is not finite"):
             RetrievalIndex(tile_ids=list(range(len(matrix))), matrix=matrix)
 
+    def test_finite_off_unit_row_past_the_first_slab_rejected(self):
+        matrix = unit_rows(np.random.default_rng(3), INDEX_SLAB_ROWS + 9, 4)
+        matrix[INDEX_SLAB_ROWS + 5] *= 2.0
+        with pytest.raises(ValueError, match=r"unit norm \(worst deviation 1\.00e\+00\)"):
+            RetrievalIndex(tile_ids=list(range(len(matrix))), matrix=matrix)
+
     def test_empty_index_rejected(self):
         with pytest.raises(ValueError, match="at least one row"):
             RetrievalIndex(tile_ids=[], matrix=np.zeros((0, 4)))
@@ -347,6 +355,19 @@ class TestIndexValidation:
         with pytest.raises(ValueError) as err:
             load_index(tmp_path / "idx")
         assert str(err.value) == f"{tmp_path / 'idx.bin'}: row {row} has a {problem} norm"
+
+    def test_blob_cut_after_its_length_check_named_by_file_and_rows(self, tmp_path,
+                                                                    monkeypatch):
+        n = INDEX_SLAB_ROWS + 10
+        save_index(RetrievalIndex(tile_ids=list(range(n)),
+                                  matrix=unit_rows(np.random.default_rng(4), n, 4)),
+                   tmp_path / "idx")
+        cut = (tmp_path / "idx.bin").read_bytes()[:-4]
+        monkeypatch.setattr(evaluate, "open", lambda *args: io.BytesIO(cut), raising=False)
+        with pytest.raises(ValueError) as err:
+            load_index(tmp_path / "idx")
+        assert str(err.value) == (f"{tmp_path / 'idx.bin'}: index blob ended within rows "
+                                  f"{INDEX_SLAB_ROWS}-{n - 1}")
 
     @pytest.mark.parametrize("ids, pos, message", [
         (["1", 2, 3], 0, "must be an integer, got '1'"),
