@@ -17,9 +17,8 @@ from .tape import RowNormError, l2_normalize_rows, row_norms
 
 TASK_KINDS = ("single_label", "multi_label", "encounter_rate")
 
-# Rows per slab when an index is loaded or validated: the buffers stay
-# slab-sized (2 MB at d = 64, cache-resident), however many rows the index
-# holds.
+# Rows per slab when an index is loaded or validated: the temporaries stay
+# slab-sized (2 MB at d = 64), however many rows the index holds.
 INDEX_SLAB_ROWS = 4096
 
 
@@ -329,9 +328,9 @@ def _checked_tile_ids(ids: list, where: Path) -> list[int]:
 def load_index(path: str | Path) -> RetrievalIndex:
     """Read an index written by save_index.
 
-    Each slab of rows is read, widened and normalized in one pass while it
-    is in cache, through buffers reused from slab to slab; the rows equal
-    one l2_normalize_rows of the whole widened blob, bit for bit.
+    Each slab of rows is read, widened and divided by its row norms in
+    place while it is in cache; the rows equal one l2_normalize_rows of the
+    whole widened blob, bit for bit.
     """
     json_path, bin_path = pair_paths(path)
     if not json_path.exists():
@@ -349,23 +348,15 @@ def load_index(path: str | Path) -> RetrievalIndex:
         raise ValueError(f"{bin_path}: index blob length mismatch: {size} bytes, "
                          f"expected {4 * n * d}")
     matrix = np.empty((n, d))
-    rows = min(n, INDEX_SLAB_ROWS)
-    stored = np.empty((rows, d), dtype="<f4")
-    squares = np.empty((rows, d))
-    norms = np.empty(rows)
     with open(bin_path, "rb") as f:
         for start in range(0, n, INDEX_SLAB_ROWS):
             slab = matrix[start:start + INDEX_SLAB_ROWS]
-            m = len(slab)
-            if f.readinto(stored[:m]) != 4 * m * d:
-                raise ValueError(f"{bin_path}: index blob ended within rows "
-                                 f"{start}-{start + m - 1}")
-            slab[...] = stored[:m]
+            slab[...] = np.frombuffer(f.read(4 * slab.size), dtype="<f4").reshape(slab.shape)
             # float32 storage perturbs norms at ~1e-7; restore exact unit rows
             try:
-                row_norms(slab, squares=squares[:m], out=norms[:m])
+                norms = row_norms(slab)
             except RowNormError as e:
                 raise ValueError(f"{bin_path}: row {start + e.row} has a {e.problem} "
                                  f"norm") from None
-            np.divide(slab, norms[:m, None], out=slab)
+            np.divide(slab, norms[:, None], out=slab)
     return RetrievalIndex(tile_ids=tile_ids, matrix=matrix)

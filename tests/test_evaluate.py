@@ -1,4 +1,3 @@
-import io
 import itertools
 import json
 
@@ -7,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import satalign.evaluate as evaluate
 from conftest import small_train_config
 from satalign.evaluate import (INDEX_SLAB_ROWS, ProbeConfig, RetrievalIndex, accuracy,
                                build_index, confusion_matrix, fit_linear_probe,
@@ -355,19 +353,6 @@ class TestIndexValidation:
         with pytest.raises(ValueError) as err:
             load_index(tmp_path / "idx")
         assert str(err.value) == f"{tmp_path / 'idx.bin'}: row {row} has a {problem} norm"
-
-    def test_blob_cut_after_its_length_check_named_by_file_and_rows(self, tmp_path,
-                                                                    monkeypatch):
-        n = INDEX_SLAB_ROWS + 10
-        save_index(RetrievalIndex(tile_ids=list(range(n)),
-                                  matrix=unit_rows(np.random.default_rng(4), n, 4)),
-                   tmp_path / "idx")
-        cut = (tmp_path / "idx.bin").read_bytes()[:-4]
-        monkeypatch.setattr(evaluate, "open", lambda *args: io.BytesIO(cut), raising=False)
-        with pytest.raises(ValueError) as err:
-            load_index(tmp_path / "idx")
-        assert str(err.value) == (f"{tmp_path / 'idx.bin'}: index blob ended within rows "
-                                  f"{INDEX_SLAB_ROWS}-{n - 1}")
 
     @pytest.mark.parametrize("ids, pos, message", [
         (["1", 2, 3], 0, "must be an integer, got '1'"),
