@@ -267,7 +267,7 @@ def _cmd_gradcheck(args) -> int:
 def _probe_metrics(dataset, model: Model, task: str, seed: int,
                    probe_epochs: int, radius: float) -> dict:
     tiles = dataset.tiles
-    features = model.image_features(np.stack([t.pixels for t in tiles]))
+    features = model.image_features([t.pixels for t in tiles])
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(tiles))
     n_train = max(1, int(0.75 * len(tiles)))

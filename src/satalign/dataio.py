@@ -3,17 +3,27 @@
 Layout:
     observations.csv          header ``lat,lon,species_id``, decimal degrees
     raster.json / raster.bin  grid header + float32-LE values, (row, col, channel)
-    tiles/manifest.json       [{tile_id, lat, lon, timestamp, file, c, h, w}]
-    tiles/<file>              float32-LE pixels, C x H x W, values in [0, 1]
+    tiles/manifest.json       [{tile_id, lat, lon, timestamp, file, offset, c, h, w}]
+    tiles/pixels.bin          float32-LE pixels of every tile in manifest order,
+                              each C x H x W, values in [0, 1]; a record's
+                              `offset` is where its pixels start, in bytes
     text/sections.json        {"d_txt": D, "sections": [{species_id, section_id, row}]}
     text/embeddings.bin       float32-LE matrix, one row per section
     ground_truth.json         optional; habitat labels and text prototypes for
                               synthetic worlds (used by probing and zero-shot)
+
+A manifest record without `offset` starts at byte 0 of its file, so the
+older layout of one `tiles/tile_<id>.bin` per tile reads through the same
+code. Either way the records naming a file must cover it exactly: no gap, no
+overlap, no bytes after the last record.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +31,8 @@ import numpy as np
 
 from .geodata import CovariateRaster, GeoObservation, TextSection, TileRecord
 from .synthworld import SyntheticWorld
+
+TILE_READ_BYTES = 1 << 19  # tile pixel bytes read and widened together
 
 
 @dataclass
@@ -108,14 +120,15 @@ def save_dataset(directory: str | Path, dataset: GeoDataset) -> None:
     })
     (root / "raster.bin").write_bytes(raster.values.astype("<f4").tobytes())
 
-    manifest = []
-    for tile in dataset.tiles:
-        c, h, w = tile.pixels.shape
-        fname = f"tile_{tile.tile_id:06d}.bin"
-        (root / "tiles" / fname).write_bytes(tile.pixels.astype("<f4").tobytes())
-        manifest.append({"tile_id": tile.tile_id, "lat": tile.lat, "lon": tile.lon,
-                         "timestamp": tile.timestamp, "file": fname,
-                         "c": c, "h": h, "w": w})
+    manifest, offset = [], 0
+    with open(root / "tiles" / "pixels.bin", "wb") as blob:
+        for tile in dataset.tiles:
+            c, h, w = tile.pixels.shape
+            blob.write(tile.pixels.astype("<f4").tobytes())
+            manifest.append({"tile_id": tile.tile_id, "lat": tile.lat, "lon": tile.lon,
+                             "timestamp": tile.timestamp, "file": "pixels.bin",
+                             "offset": offset, "c": c, "h": h, "w": w})
+            offset += 4 * c * h * w
     _write_json(root / "tiles" / "manifest.json", manifest)
 
     d_txt = dataset.d_txt
@@ -193,21 +206,71 @@ def _load_raster(root: Path) -> CovariateRaster:
 
 
 def _load_tiles(root: Path) -> list[TileRecord]:
+    """The manifest's tiles. Each file it names is read once, front to back,
+    after a check that its records cover it exactly. The pixels are widened
+    a group of records at a time, and each tile's pixels are a view into its
+    group's float64 array. Arrays of ~1 MB, unlike one array of the whole
+    dataset, fit the heap's free blocks, so eval peak RSS does not grow."""
     manifest_path = root / "tiles" / "manifest.json"
     manifest = read_json(manifest_path)
     if not isinstance(manifest, list):
         raise ValueError(f"{manifest_path}: expected a JSON list of tile records")
+    spans: dict[str, list[tuple[int, int, int]]] = {}  # file -> (offset, bytes, record)
+    for i, entry in enumerate(manifest):
+        where = f"{manifest_path} record {i}"
+        require_fields(entry, {"tile_id": int, "lat": float, "lon": float, "timestamp": int,
+                               "file": str, "c": int, "h": int, "w": int}, where)
+        if "offset" in entry:
+            require_fields(entry, {"offset": int}, where)
+        shape = entry["c"], entry["h"], entry["w"]
+        if min(shape) < 1:
+            raise ValueError(f"{where}: tile shape must be positive, got {shape}")
+        spans.setdefault(entry["file"], []).append(
+            (entry.get("offset", 0), 4 * math.prod(shape), i))
+
+    flat: list[np.ndarray] = [None] * len(manifest)  # each record's widened pixels
+    for name, records in spans.items():
+        path = root / "tiles" / name
+        records.sort()
+        try:
+            with open(path, "rb") as f:
+                size = os.fstat(f.fileno()).st_size
+                end = 0
+                for offset, nbytes, i in records:
+                    where = f"{manifest_path} record {i}"
+                    if offset != end:
+                        raise ValueError(f"{where}: starts at byte {offset} of {path}, "
+                                         f"expected byte {end} "
+                                         f"({'a gap' if offset > end else 'an overlap'})")
+                    end = offset + nbytes
+                    if end > size:
+                        raise ValueError(f"{where}: bytes {offset}..{end} run past the end "
+                                         f"of {path} ({size} bytes)")
+                if end != size:
+                    raise ValueError(f"{where}: {path} has {size - end} bytes after this "
+                                     f"record, its last")
+                # the records starting in one TILE_READ_BYTES window are read and
+                # widened together, into an array of their own
+                for _, group in itertools.groupby(records, lambda r: r[0] // TILE_READ_BYTES):
+                    group = list(group)
+                    first = group[0][0]
+                    raw = np.empty((group[-1][0] + group[-1][1] - first) // 4, dtype="<f4")
+                    if f.readinto(raw) != raw.nbytes:
+                        raise ValueError(f"{manifest_path} record {group[0][2]}: {path} "
+                                         f"changed while it was read")
+                    wide = raw.astype(np.float64)
+                    for offset, nbytes, i in group:
+                        flat[i] = wide[(offset - first) // 4:(offset + nbytes - first) // 4]
+        except OSError as e:
+            raise ValueError(f"{manifest_path} record {records[0][2]}: cannot read {path} "
+                             f"({e.strerror})") from None
+
     tiles = []
     for i, entry in enumerate(manifest):
-        require_fields(entry, {"tile_id": int, "lat": float, "lon": float, "timestamp": int,
-                               "file": str, "c": int, "h": int, "w": int},
-                       f"{manifest_path} record {i}")
         try:
-            c, h, w = entry["c"], entry["h"], entry["w"]
-            pixels = _read_f32(root / "tiles" / entry["file"], c * h * w)
             tiles.append(TileRecord(tile_id=entry["tile_id"], lat=entry["lat"],
                                     lon=entry["lon"], timestamp=entry["timestamp"],
-                                    pixels=pixels.reshape(c, h, w)))
+                                    pixels=flat[i].reshape(entry["c"], entry["h"], entry["w"])))
         except ValueError as e:
             raise ValueError(f"{manifest_path} record {i}: {e}") from None
     return tiles

@@ -51,11 +51,12 @@ class ProbeHead:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so no
+    exp overflows; e = exp(-|x|) is the exp of either branch."""
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -79,7 +80,7 @@ def fit_linear_probe(model: Model | None, features_or_tiles, labels, kind: str,
     if isinstance(features_or_tiles, list):
         if model is None:
             raise ValueError("a model is required to probe raw tiles")
-        features = model.image_features(np.stack([t.pixels for t in features_or_tiles]))
+        features = model.image_features([t.pixels for t in features_or_tiles])
     else:
         features = np.asarray(features_or_tiles, dtype=np.float64)
     n, d = features.shape
@@ -257,7 +258,7 @@ def build_index(model: Model, tiles: list[TileRecord]) -> RetrievalIndex:
     """Embed every tile through the frozen text-head projection."""
     if not tiles:
         raise ValueError("cannot index zero tiles")
-    matrix = model.tile_text_embeddings(np.stack([t.pixels for t in tiles]))
+    matrix = model.tile_text_embeddings([t.pixels for t in tiles])
     return RetrievalIndex(tile_ids=[t.tile_id for t in tiles], matrix=matrix)
 
 
@@ -297,7 +298,7 @@ def zero_shot_classify(model: Model, tiles: list[TileRecord],
     embedding and the projected class embeddings; ties go to the lower class
     index. Tiles are encoded in slices of encoders.ENCODE_CHUNK, with the same bits
     as one batch."""
-    z = model.tile_text_embeddings(np.stack([t.pixels for t in tiles]))
+    z = model.tile_text_embeddings([t.pixels for t in tiles])
     return np.argmax(z @ model.project_text_rows(class_text_embeddings).T, axis=1)
 
 

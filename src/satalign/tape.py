@@ -256,13 +256,20 @@ def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int,
             cols: np.ndarray | None = None) -> np.ndarray:
     """Patch columns of a padded (n, c, H, W) batch, written into `cols`: an
-    (n, c, kh, kw, oh, ow) array or view, by default a new C-ordered one."""
+    (n, c, kh, kw, oh, ow) array or view, by default a new C-ordered one.
+
+    One copy from a strided view of `xp` whose entry (b, ch, i, j, y, x) is
+    xp[b, ch, i + stride*y, j + stride*x]. The view is built by the ndarray
+    constructor, which checks that it stays inside `xp`'s buffer and, unlike
+    `as_strided`, makes no Python-level wrapper objects per call.
+    """
+    xp = np.ascontiguousarray(xp)  # the constructor views a contiguous buffer
+    sn, sc, sh, sw = xp.strides
+    patches = np.ndarray((*xp.shape[:2], kh, kw, oh, ow), xp.dtype, xp, 0,
+                         (sn, sc, sh, sw, stride * sh, stride * sw))
     if cols is None:
-        n, c = xp.shape[:2]
-        cols = np.empty((n, c, kh, kw, oh, ow), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+        return patches.copy()
+    np.copyto(cols, patches)
     return cols
 
 

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from satalign.cli import dispatch
 from satalign.dataio import dataset_from_world, ingest_dataset, save_dataset
 from satalign.synthworld import SyntheticWorldConfig, generate_synthetic_world
 
@@ -83,18 +86,114 @@ def test_embeddings_length_mismatch(world_dir):
         ingest_dataset(out)
 
 
-def test_truncated_tile_named(world_dir):
-    out, _ = world_dir
-    tile_file = sorted((out / "tiles").glob("tile_*.bin"))[2]
+def save_per_tile_layout(directory, dataset):
+    """`dataset` in the older tile layout: one tiles/tile_<id>.bin per tile,
+    named by manifest records without an offset."""
+    save_dataset(directory, dataset)
+    tiles = directory / "tiles"
+    (tiles / "pixels.bin").unlink()
+    manifest = []
+    for tile in dataset.tiles:
+        c, h, w = tile.pixels.shape
+        name = f"tile_{tile.tile_id:06d}.bin"
+        (tiles / name).write_bytes(tile.pixels.astype("<f4").tobytes())
+        manifest.append({"tile_id": tile.tile_id, "lat": tile.lat, "lon": tile.lon,
+                         "timestamp": tile.timestamp, "file": name, "c": c, "h": h, "w": w})
+    (tiles / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
+@pytest.fixture()
+def per_tile_dir(world_dir, tmp_path):
+    _, dataset = world_dir
+    out = tmp_path / "per_tile"
+    save_per_tile_layout(out, dataset)
+    return out
+
+
+def test_packed_layout_is_one_blob_in_manifest_order(world_dir):
+    out, dataset = world_dir
+    assert sorted(p.name for p in (out / "tiles").iterdir()) == ["manifest.json", "pixels.bin"]
+    manifest = json.loads((out / "tiles" / "manifest.json").read_text())
+    assert [r["offset"] for r in manifest] == [4 * t.pixels.size * i
+                                               for i, t in enumerate(dataset.tiles)]
+    blob = (out / "tiles" / "pixels.bin").read_bytes()
+    assert blob == b"".join(t.pixels.astype("<f4").tobytes() for t in dataset.tiles)
+
+
+def test_per_tile_layout_ingests_to_the_same_pixels(world_dir, per_tile_dir):
+    packed, old = ingest_dataset(world_dir[0]), ingest_dataset(per_tile_dir)
+    assert not (per_tile_dir / "tiles" / "pixels.bin").exists()
+    assert len(old.tiles) == len(packed.tiles) > 2
+    for a, b in zip(old.tiles, packed.tiles):
+        assert (a.tile_id, a.lat, a.lon, a.timestamp) == (b.tile_id, b.lat, b.lon, b.timestamp)
+        assert a.pixels.dtype == b.pixels.dtype == np.float64
+        assert a.pixels.shape == b.pixels.shape
+        assert a.pixels.tobytes() == b.pixels.tobytes()
+
+
+def test_truncated_tile_named(per_tile_dir):
+    tile_file = sorted((per_tile_dir / "tiles").glob("tile_*.bin"))[2]
     tile_file.write_bytes(tile_file.read_bytes()[:-8])
     with pytest.raises(ValueError, match="record 2"):
+        ingest_dataset(per_tile_dir)
+
+
+def _grow_last_tile(manifest):
+    manifest[-1]["w"] += 1
+
+
+def _overlap(manifest):
+    manifest[5]["offset"] = manifest[4]["offset"]
+
+
+def _gap(manifest):
+    manifest[5]["offset"] += 4
+
+
+# (edit of tiles/manifest.json, bytes added to (+) or cut from (-) the blob,
+# record the error must name: an index, or -1 for the last; what it says)
+@pytest.mark.parametrize("edit,resize,record,says", [
+    (None, -8, -1, r"run past the end of \S*tiles/pixels.bin"),       # truncated blob
+    (None, +8, -1, r"tiles/pixels.bin has 8 bytes after this record"),  # overlong blob
+    (_grow_last_tile, 0, -1, r"run past the end of \S*tiles/pixels.bin"),
+    (_overlap, 0, 5, r"tiles/pixels.bin, expected byte \d+ \(an overlap\)"),
+    (_gap, 0, 5, r"tiles/pixels.bin, expected byte \d+ \(a gap\)"),
+], ids=["truncated", "overlong", "past_end", "overlap", "gap"])
+def test_packed_blob_mismatch_names_blob_and_record(world_dir, tmp_path, capsys,
+                                                    edit, resize, record, says):
+    out, dataset = world_dir
+    record %= len(dataset.tiles)
+    if edit is not None:
+        _edit_json(out / "tiles" / "manifest.json", edit)
+    blob = out / "tiles" / "pixels.bin"
+    data = blob.read_bytes()
+    blob.write_bytes(data[:resize] if resize < 0 else data + bytes(resize))
+    pattern = rf"manifest.json record {record}: .*{says}"
+    with pytest.raises(ValueError, match=pattern):
         ingest_dataset(out)
+    assert dispatch(["train", "--data", str(out), "--out", str(tmp_path / "ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert f"record {record}: " in err and "tiles/pixels.bin" in err
+
+
+@pytest.mark.parametrize("layout,missing,record", [
+    ("packed", "pixels.bin", 0), ("per_tile", "tile_000002.bin", 2)])
+def test_missing_tile_file_names_its_record(world_dir, per_tile_dir, tmp_path, capsys,
+                                            layout, missing, record):
+    out = world_dir[0] if layout == "packed" else per_tile_dir
+    if layout == "per_tile":  # tile ids start at 0, so record 2 names tile_000002.bin
+        assert json.loads((out / "tiles" / "manifest.json").read_text())[2]["file"] == missing
+    (out / "tiles" / missing).unlink()
+    pattern = rf"manifest.json record {record}: cannot read .*tiles/{missing}"
+    with pytest.raises(ValueError, match=pattern):
+        ingest_dataset(out)
+    assert dispatch(["train", "--data", str(out), "--out", str(tmp_path / "ckpt")]) == 1
+    assert f"record {record}: cannot read" in capsys.readouterr().err
 
 
 def test_missing_raster_header_field(world_dir):
     out, _ = world_dir
     header = out / "raster.json"
-    import json
     obj = json.loads(header.read_text())
     del obj["dlat"]
     header.write_text(json.dumps(obj))
@@ -110,7 +209,6 @@ def test_missing_directory():
 @pytest.mark.parametrize("drop", ["n_habitats", "tile_habitats", "species_habitats",
                                   "text_prototypes"])
 def test_ground_truth_missing_field_named(world_dir, drop):
-    import json
     out, _ = world_dir
     truth = json.loads((out / "ground_truth.json").read_text())
     del truth[drop]
@@ -120,7 +218,6 @@ def test_ground_truth_missing_field_named(world_dir, drop):
 
 
 def test_ground_truth_without_a_tile_named(world_dir):
-    import json
     out, dataset = world_dir
     truth = json.loads((out / "ground_truth.json").read_text())
     del truth["tile_habitats"][str(dataset.tiles[3].tile_id)]
@@ -130,7 +227,6 @@ def test_ground_truth_without_a_tile_named(world_dir):
 
 
 def test_text_section_missing_field_named(world_dir):
-    import json
     out, _ = world_dir
     header = json.loads((out / "text" / "sections.json").read_text())
     del header["sections"][1]["species_id"]
@@ -140,7 +236,6 @@ def test_text_section_missing_field_named(world_dir):
 
 
 def _edit_json(path, edit):
-    import json
     obj = json.loads(path.read_text())
     edit(obj)
     path.write_text(json.dumps(obj))

@@ -74,6 +74,15 @@ class TestImageEncoder:
             with pytest.raises(ValueError, match=r"expected pixels of shape \(n, 3, 16, 16\)"):
                 model.image_features(np.zeros(shape))
 
+    def test_list_of_tiles_equals_stacked_batch(self, model):
+        pixels = np.random.default_rng(4).random((2 * ENCODE_CHUNK + 3, 3, 16, 16))
+        tiles = list(pixels)
+        assert model.image_features(tiles).tobytes() == model.image_features(pixels).tobytes()
+        with pytest.raises(ValueError, match=r"\(n, 3, 16, 16\), got tiles of shapes \["):
+            model.image_features(tiles[:3] + [np.zeros((3, 8, 8))])
+        with pytest.raises(ValueError, match=r"\(n, 3, 16, 16\), got \(2, 3, 8, 8\)"):
+            model.image_features([np.zeros((3, 8, 8))] * 2)
+
     def test_batch_features_match_single(self, model):
         rng = np.random.default_rng(2)
         batch = rng.random((4, 3, 16, 16))

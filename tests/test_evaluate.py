@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_train_config
-from satalign.evaluate import (INDEX_SLAB_ROWS, ProbeConfig, RetrievalIndex, accuracy,
+from satalign.evaluate import (INDEX_SLAB_ROWS, ProbeConfig, RetrievalIndex, _sigmoid, accuracy,
                                build_index, confusion_matrix, fit_linear_probe,
                                load_index, mean_iou, mean_top_k_accuracy, micro_f1,
                                query_index, save_index, top_k_accuracy, zero_shot_classify)
@@ -408,3 +408,22 @@ class TestZeroShot:
         singles = [int(zero_shot_classify(model, [t], classes)[0]) for t in tiles]
         assert len(set(singles)) > 1
         assert zero_shot_classify(model, tiles, classes).tolist() == singles
+
+
+def masked_sigmoid(x):
+    """The boolean-mask version `_sigmoid` replaced, kept as its oracle."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_masked_version_bitwise():
+    edges = np.array([0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300, 800.0, -800.0])
+    normals = np.random.default_rng(5).normal(size=(768, 64)) * 8
+    for x in (edges, normals, np.concatenate([edges, normals[0]]).reshape(8, -1)):
+        got, expect = _sigmoid(x), masked_sigmoid(x)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()

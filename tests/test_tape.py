@@ -599,3 +599,34 @@ def test_frozen_location_tower_gets_no_vjp(monkeypatch):
     frozen, _ = masked_setup(0, "scale_shift", True)
     _, vjp_nodes = counting_backward(monkeypatch, frozen)
     assert location_matmuls(frozen, vjp_nodes) == []
+
+
+def loop_im2col(xp, kh, kw, stride, oh, ow, cols):
+    """The kh*kw slice loop that `_im2col`'s single strided copy replaced."""
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return cols
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("kernel", [1, 3])
+@pytest.mark.parametrize("hw", [(7, 5), (4, 9), (8, 8)])
+def test_im2col_equals_slice_loop(stride, padding, kernel, hw):
+    n, c = 3, 2
+    # a transposed, so non-contiguous, input: with padding 0 it is xp itself
+    x = np.random.default_rng(11).normal(size=(n, c, hw[1], hw[0])).swapaxes(2, 3)
+    xp = tape_module._pad2d(x, padding)
+    oh, ow = ((size + 2 * padding - kernel) // stride + 1 for size in hw)
+    shape = (n, c, kernel, kernel, oh, ow)
+    expect = loop_im2col(xp, kernel, kernel, stride, oh, ow, np.empty(shape))
+    assert_same_bits(tape_module._im2col(xp, kernel, kernel, stride, oh, ow), expect, "new")
+    # the conv2d backward writes into a (c, kh, kw, n, oh, ow) block through
+    # a transposed view, so its columns are one (c*kh*kw, n*oh*ow) matrix
+    block = np.empty((c, kernel, kernel, n, oh, ow))
+    tape_module._im2col(xp, kernel, kernel, stride, oh, ow, block.transpose(3, 0, 1, 2, 4, 5))
+    loop_block = np.empty((c, kernel, kernel, n, oh, ow))
+    loop_im2col(xp, kernel, kernel, stride, oh, ow, loop_block.transpose(3, 0, 1, 2, 4, 5))
+    assert_same_bits(block, loop_block, "transposed view")
+    assert_same_bits(block.transpose(3, 0, 1, 2, 4, 5), expect, "transposed layout")
