@@ -12,8 +12,8 @@ from .encoders import (ImageEncoderConfig, LocationEncoderConfig, Model, ModelCo
 from .evaluate import (ProbeConfig, ProbeHead, RetrievalIndex, accuracy, build_index,
                        confusion_matrix, fit_linear_probe, mean_iou, micro_f1,
                        query_index, top_k_accuracy, zero_shot_classify)
-from .geodata import (CovariateRaster, GeoObservation, TextSection, TileRecord,
-                      TrainingSample, bilinear_sample, pair_samples)
+from .geodata import (CovariateRaster, Observations, PairedSamples, TextSections, TileRecord,
+                      bilinear_sample, pair_samples)
 from .gradcheck import finite_diff_check
 from .optim import AdamState, ParameterStore, adam_step
 from .synthworld import SyntheticWorldConfig, generate_synthetic_world
@@ -22,10 +22,10 @@ from .training import (Checkpoint, TrainConfig, initial_model, load_checkpoint,
                        model_from_checkpoint, save_checkpoint, train)
 
 __all__ = [
-    "AdamState", "Checkpoint", "CovariateRaster", "GeoDataset", "GeoObservation",
-    "ImageEncoderConfig", "LocationEncoderConfig", "LossConfig", "Model", "ModelConfig",
-    "ParameterStore", "ProbeConfig", "ProbeHead", "RetrievalIndex", "SyntheticWorldConfig",
-    "Tape", "TextSection", "TileRecord", "TrainConfig", "TrainingSample", "accuracy",
+    "AdamState", "Checkpoint", "CovariateRaster", "GeoDataset", "ImageEncoderConfig",
+    "LocationEncoderConfig", "LossConfig", "Model", "ModelConfig", "Observations",
+    "PairedSamples", "ParameterStore", "ProbeConfig", "ProbeHead", "RetrievalIndex",
+    "SyntheticWorldConfig", "Tape", "TextSections", "TileRecord", "TrainConfig", "accuracy",
     "adam_step", "backward", "bilinear_sample", "build_index", "confusion_matrix",
     "dataset_from_world", "finite_diff_check", "fit_linear_probe",
     "generate_synthetic_world", "info_nce", "ingest_dataset", "initial_model",

@@ -187,18 +187,12 @@ def _train_config(args) -> TrainConfig:
     return config
 
 
-def _paired_samples(data_dir: str, config: TrainConfig):
-    dataset = ingest_dataset(data_dir)
-    result = pair_samples(dataset.observations, dataset.tiles, dataset.texts,
-                          dataset.raster, matching_radius=config.matching_radius,
-                          seed=config.seed)
-    return dataset, result
-
-
 def _cmd_train(args) -> int:
     started = time.monotonic()
     config = _train_config(args)
-    dataset, paired = _paired_samples(args.data, config)
+    dataset = ingest_dataset(args.data)
+    paired = pair_samples(dataset.observations, dataset.tiles, dataset.texts, dataset.raster,
+                          matching_radius=config.matching_radius, seed=config.seed)
     reasons = "".join(f", {n} {reason}" for reason, n in paired.skips.items())
     _log(f"paired {len(paired.samples)} samples "
          f"({sum(paired.skips.values())} observations skipped{reasons})")

@@ -29,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geodata import CovariateRaster, GeoObservation, TextSection, TileRecord
+from .geodata import (CovariateRaster, Observations, TextSections, TileRecord,
+                      invalid_observation)
 from .synthworld import SyntheticWorld
 
 TILE_READ_BYTES = 1 << 19  # tile pixel bytes read and widened together
@@ -45,15 +46,11 @@ class GroundTruth:
 
 @dataclass
 class GeoDataset:
-    observations: list[GeoObservation]
+    observations: Observations
     raster: CovariateRaster
     tiles: list[TileRecord]
-    texts: list[TextSection]
+    texts: TextSections
     truth: GroundTruth | None = None
-
-    @property
-    def d_txt(self) -> int:
-        return self.texts[0].embedding.size
 
 
 def pair_paths(path: str | Path) -> tuple[Path, Path]:
@@ -78,8 +75,9 @@ _JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a l
 
 def require_fields(obj, fields: dict, where) -> dict:
     """`obj` if it is a JSON object holding every field of `fields` (name ->
-    int, float, str, list or dict; a float field also takes an integer).
-    Otherwise a ValueError naming `where`: a file, or a record inside one."""
+    int, float, str, list or dict; a float field also takes an integer a
+    float can hold). Otherwise a ValueError naming `where`: a file, or a
+    record inside one."""
     if type(obj) is not dict:
         raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
     missing = [name for name in fields if name not in obj]
@@ -87,7 +85,8 @@ def require_fields(obj, fields: dict, where) -> dict:
         raise ValueError(f"{where}: missing fields {sorted(missing)}")
     for name, kind in fields.items():
         found = type(obj[name])  # exact: a JSON true is a bool, not an int
-        if found is not kind and not (kind is float and found is int):
+        if found is not kind and not (kind is float and found is int
+                                      and abs(obj[name]) < 2 ** 1023):
             raise ValueError(f"{where}: field {name!r} must be {_JSON_KINDS[kind]}, "
                              f"got {obj[name]!r:.40}")
     return obj
@@ -106,8 +105,11 @@ def save_dataset(directory: str | Path, dataset: GeoDataset) -> None:
     (root / "tiles").mkdir(parents=True, exist_ok=True)
     (root / "text").mkdir(parents=True, exist_ok=True)
 
+    obs = dataset.observations
     lines = ["lat,lon,species_id"]
-    lines += [f"{obs.lat!r},{obs.lon!r},{obs.species_id}" for obs in dataset.observations]
+    # as Python floats: the repr of an np.float64 is not a CSV number
+    lines += [f"{lat!r},{lon!r},{species}" for lat, lon, species
+              in zip(obs.lat.tolist(), obs.lon.tolist(), obs.species.tolist())]
     (root / "observations.csv").write_text("\n".join(lines) + "\n")
 
     raster = dataset.raster
@@ -131,12 +133,11 @@ def save_dataset(directory: str | Path, dataset: GeoDataset) -> None:
             offset += 4 * c * h * w
     _write_json(root / "tiles" / "manifest.json", manifest)
 
-    d_txt = dataset.d_txt
-    sections = [{"species_id": s.species_id, "section_id": s.section_id, "row": i}
-                for i, s in enumerate(dataset.texts)]
-    _write_json(root / "text" / "sections.json", {"d_txt": d_txt, "sections": sections})
-    rows = np.stack([s.embedding for s in dataset.texts])
-    (root / "text" / "embeddings.bin").write_bytes(rows.astype("<f4").tobytes())
+    texts = dataset.texts
+    sections = [{"species_id": species, "section_id": section, "row": i} for i, (species, section)
+                in enumerate(zip(texts.species.tolist(), texts.section.tolist()))]
+    _write_json(root / "text" / "sections.json", {"d_txt": texts.d_txt, "sections": sections})
+    (root / "text" / "embeddings.bin").write_bytes(texts.embeddings.astype("<f4").tobytes())
 
     if dataset.truth is not None:
         t = dataset.truth
@@ -153,8 +154,8 @@ def dataset_from_world(world: SyntheticWorld) -> GeoDataset:
                         tile_habitats=dict(world.tile_habitats),
                         species_habitats=dict(world.species_habitats),
                         text_prototypes=world.text_prototypes.copy())
-    return GeoDataset(observations=list(world.observations), raster=world.raster,
-                      tiles=list(world.tiles), texts=list(world.texts), truth=truth)
+    return GeoDataset(observations=world.observations, raster=world.raster,
+                      tiles=list(world.tiles), texts=world.texts, truth=truth)
 
 
 def _read_f32(path: Path, count: int) -> np.ndarray:
@@ -164,12 +165,15 @@ def _read_f32(path: Path, count: int) -> np.ndarray:
     return data.astype(np.float64)
 
 
-def _load_observations(path: Path) -> list[GeoObservation]:
-    text = path.read_text()
-    lines = text.splitlines()
+def _load_observations(path: Path) -> Observations:
+    """The observations in a CSV file. A bad row is a ValueError naming the
+    file and its 1-based line: the first line with a wrong field count or a
+    value that does not parse (a species_id must fit in 64 bits), else the
+    first line holding a value out of range."""
+    lines = path.read_text().splitlines()
     if not lines or lines[0].strip() != "lat,lon,species_id":
         raise ValueError(f"{path}: malformed header, expected 'lat,lon,species_id'")
-    observations = []
+    numbers, lat, lon, species = [], [], [], []
     for line_no, line in enumerate(lines[1:], start=2):  # 1-based, after the header
         if not line.strip():
             continue
@@ -177,32 +181,53 @@ def _load_observations(path: Path) -> list[GeoObservation]:
         if len(parts) != 3:
             raise ValueError(f"{path}: expected 3 fields, line {line_no}")
         try:
-            lat, lon, sid = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
+            lat.append(float(parts[0]))
+            lon.append(float(parts[1]))
+            species.append(np.int64(int(parts[2])))
+        except (ValueError, OverflowError):
             raise ValueError(f"{path}: unparseable values, line {line_no}") from None
-        if not -90.0 <= lat <= 90.0:
-            raise ValueError(f"{path}: lat out of range, line {line_no}")
-        if not -180.0 <= lon < 180.0:
-            raise ValueError(f"{path}: lon out of range, line {line_no}")
-        if sid < 0:
-            raise ValueError(f"{path}: negative species_id, line {line_no}")
-        observations.append(GeoObservation(lat=lat, lon=lon, species_id=sid))
-    return observations
+        numbers.append(line_no)
+    lat, lon, species = np.array(lat), np.array(lon), np.array(species, dtype=np.int64)
+    found = invalid_observation(lat, lon, species)
+    if found is not None:
+        raise ValueError(f"{path}: {found[1]}, line {numbers[found[0]]}")
+    return Observations(lat=lat, lon=lon, species=species)
+
+
+def _json_floats(obj, where: str) -> np.ndarray:
+    """A JSON list of numbers, or of equal-length lists of them, as float64;
+    anything else is a ValueError naming `where`."""
+    if all(type(v) in (int, float) for v in np.array(obj, dtype=object).ravel()):
+        try:
+            return np.array(obj, dtype=np.float64)
+        except (ValueError, OverflowError):  # ragged, or an int too large for a float
+            pass
+    raise ValueError(f"{where} must be a list of numbers, or of equal-length number lists")
 
 
 def _load_raster(root: Path) -> CovariateRaster:
-    header_path = root / "raster.json"
+    """The raster grid. The header's scalars must be finite, the cell sizes
+    positive and the channel bounds one finite value per channel; a bad
+    header is a ValueError naming raster.json."""
+    header_path, blob_path = root / "raster.json", root / "raster.bin"
     header = require_fields(read_json(header_path),
                             {"rows": int, "cols": int, "channels": int, "lat0": float,
                              "lon0": float, "dlat": float, "dlon": float,
                              "channel_min": list, "channel_max": list}, header_path)
-    rows, cols, channels = header["rows"], header["cols"], header["channels"]
-    values = _read_f32(root / "raster.bin", rows * cols * channels)
-    return CovariateRaster(lat0=header["lat0"], lon0=header["lon0"],
-                           dlat=header["dlat"], dlon=header["dlon"],
-                           values=values.reshape(rows, cols, channels),
-                           channel_min=np.asarray(header["channel_min"]),
-                           channel_max=np.asarray(header["channel_max"]))
+    shape = header["rows"], header["cols"], header["channels"]
+    if min(shape) < 1:
+        raise ValueError(f"{header_path}: rows, cols and channels must be >= 1, got {shape}")
+    values = _read_f32(blob_path, math.prod(shape))
+    if not np.isfinite(values).all():
+        raise ValueError(f"{blob_path}: raster contains non-finite values")
+    try:
+        return CovariateRaster(lat0=header["lat0"], lon0=header["lon0"],
+                               dlat=header["dlat"], dlon=header["dlon"],
+                               values=values.reshape(shape),
+                               channel_min=_json_floats(header["channel_min"], "channel_min"),
+                               channel_max=_json_floats(header["channel_max"], "channel_max"))
+    except ValueError as e:
+        raise ValueError(f"{header_path}: {e}") from None
 
 
 def _load_tiles(root: Path) -> list[TileRecord]:
@@ -276,7 +301,7 @@ def _load_tiles(root: Path) -> list[TileRecord]:
     return tiles
 
 
-def _load_texts(root: Path) -> list[TextSection]:
+def _load_texts(root: Path) -> TextSections:
     header_path, blob_path = root / "text" / "sections.json", root / "text" / "embeddings.bin"
     header = require_fields(read_json(header_path), {"d_txt": int, "sections": list},
                             header_path)
@@ -285,30 +310,60 @@ def _load_texts(root: Path) -> list[TextSection]:
     if d_txt <= 0 or blob.size % d_txt != 0:
         raise ValueError(f"{blob_path}: length {blob.size} not divisible by d_txt {d_txt}")
     rows = blob.astype(np.float64).reshape(-1, d_txt)
-    texts = []
-    for i, entry in enumerate(header["sections"]):
-        require_fields(entry, {"species_id": int, "section_id": int, "row": int},
-                       f"{header_path} record {i}")
-        row = entry["row"]
-        if not 0 <= row < rows.shape[0]:
-            raise ValueError(f"{header_path}: row index out of range, record {i}")
-        texts.append(TextSection(species_id=entry["species_id"],
-                                 section_id=entry["section_id"],
-                                 embedding=rows[row]))
-    return texts
+    fields = {"species_id": int, "section_id": int, "row": int}
+    entries = [require_fields(entry, fields, f"{header_path} record {i}")
+               for i, entry in enumerate(header["sections"])]
+    wide = next((i for i, entry in enumerate(entries)
+                 if not all(-2 ** 63 <= entry[name] < 2 ** 63 for name in fields)), None)
+    if wide is not None:
+        raise ValueError(f"{header_path} record {wide}: an integer does not fit in 64 bits")
+    species, section, row = (np.array([entry[name] for entry in entries], dtype=np.int64)
+                             for name in fields)
+    bad = np.flatnonzero((row < 0) | (row >= rows.shape[0]))
+    if bad.size:
+        raise ValueError(f"{header_path}: row index out of range, record {bad[0]}")
+    try:
+        return TextSections(species=species, section=section, embeddings=rows[row])
+    except ValueError as e:
+        raise ValueError(f"{blob_path}: {e}") from None
 
 
-def _load_truth(root: Path) -> GroundTruth | None:
+def _habitats(obj: dict, key: str, n_habitats: int, path: Path) -> dict[int, int]:
+    """`obj[key]`, a JSON object of id -> habitat, with integer ids and
+    habitats in [0, n_habitats); anything else is a ValueError naming the
+    file and the key."""
+    habitats = {}
+    for ident, habitat in obj[key].items():
+        try:
+            number = int(ident)
+        except ValueError:
+            raise ValueError(f"{path}: key {key!r}: id {ident!r:.40} is not an integer") from None
+        if type(habitat) is not int or not 0 <= habitat < n_habitats:
+            raise ValueError(f"{path}: key {key!r}: habitat of {ident} must be an integer "
+                             f"in [0, {n_habitats}), got {habitat!r:.40}")
+        habitats[number] = habitat
+    return habitats
+
+
+def _load_truth(root: Path, d_txt: int) -> GroundTruth | None:
+    """Habitat labels and text prototypes. Habitats must be integers in
+    [0, n_habitats) and the prototypes a finite (n_habitats, d_txt) matrix;
+    anything else is a ValueError naming the file and the key."""
     path = root / "ground_truth.json"
     if not path.exists():
         return None
     obj = require_fields(read_json(path), {"n_habitats": int, "tile_habitats": dict,
                                             "species_habitats": dict, "text_prototypes": list},
                          path)
-    return GroundTruth(n_habitats=obj["n_habitats"],
-                       tile_habitats={int(k): v for k, v in obj["tile_habitats"].items()},
-                       species_habitats={int(k): v for k, v in obj["species_habitats"].items()},
-                       text_prototypes=np.asarray(obj["text_prototypes"], dtype=np.float64))
+    n = obj["n_habitats"]
+    prototypes = _json_floats(obj["text_prototypes"], f"{path}: key 'text_prototypes'")
+    if prototypes.shape != (n, d_txt) or not np.isfinite(prototypes).all():
+        raise ValueError(f"{path}: key 'text_prototypes' must be a finite (n_habitats, d_txt) "
+                         f"= ({n}, {d_txt}) matrix, got shape {prototypes.shape}")
+    return GroundTruth(n_habitats=n,
+                       tile_habitats=_habitats(obj, "tile_habitats", n, path),
+                       species_habitats=_habitats(obj, "species_habitats", n, path),
+                       text_prototypes=prototypes)
 
 
 def ingest_dataset(directory: str | Path) -> GeoDataset:
@@ -319,11 +374,10 @@ def ingest_dataset(directory: str | Path) -> GeoDataset:
     for required in ("observations.csv", "raster.json", "raster.bin"):
         if not (root / required).exists():
             raise ValueError(f"dataset is missing {required}")
-    dataset = GeoDataset(observations=_load_observations(root / "observations.csv"),
-                         raster=_load_raster(root),
-                         tiles=_load_tiles(root),
-                         texts=_load_texts(root),
-                         truth=_load_truth(root))
+    observations = _load_observations(root / "observations.csv")
+    raster, tiles, texts = _load_raster(root), _load_tiles(root), _load_texts(root)
+    dataset = GeoDataset(observations=observations, raster=raster, tiles=tiles, texts=texts,
+                         truth=_load_truth(root, texts.d_txt))
     if dataset.truth is not None:
         unlabeled = [t.tile_id for t in dataset.tiles
                      if t.tile_id not in dataset.truth.tile_habitats]

@@ -1,32 +1,51 @@
 """Data model for observations, covariate rasters, tiles, and text embeddings,
-plus the observation-to-sample pairing pipeline."""
+plus the observation-to-sample pairing pipeline.
+
+Observations, text sections and paired samples are columns: one array per
+field, validated once over the whole array. Tiles stay one record each.
+"""
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 COVARIATE_CHANNELS = 20
 
 
-@dataclass(frozen=True)
-class GeoObservation:
-    """One geo-tagged species record."""
+def invalid_observation(lat: np.ndarray, lon: np.ndarray,
+                        species: np.ndarray) -> tuple[int, str] | None:
+    """The first row holding an out-of-range value and its first failing
+    check, or None when every row is valid."""
+    failures = np.stack([~((lat >= -90.0) & (lat <= 90.0)),  # also catches NaN
+                         ~((lon >= -180.0) & (lon < 180.0)), species < 0])
+    bad = np.flatnonzero(failures.any(axis=0))
+    reasons = ("lat out of range", "lon out of range", "negative species_id")
+    return (int(bad[0]), reasons[np.argmax(failures[:, bad[0]])]) if bad.size else None
 
-    lat: float
-    lon: float
-    species_id: int
+
+@dataclass
+class Observations:
+    """Geo-tagged species records, one row per observation."""
+
+    lat: np.ndarray
+    lon: np.ndarray
+    species: np.ndarray
 
     def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"lat out of range: {self.lat}")
-        if not -180.0 <= self.lon < 180.0:
-            raise ValueError(f"lon out of range: {self.lon}")
-        if self.species_id < 0:
-            raise ValueError(f"species_id must be non-negative, got {self.species_id}")
+        self.lat = np.asarray(self.lat, dtype=np.float64)
+        self.lon = np.asarray(self.lon, dtype=np.float64)
+        self.species = np.asarray(self.species, dtype=np.int64)
+        if self.lat.ndim != 1 or not self.lat.shape == self.lon.shape == self.species.shape:
+            raise ValueError("observation lat, lon and species must be vectors of one length")
+        found = invalid_observation(self.lat, self.lon, self.species)
+        if found is not None:
+            raise ValueError(f"observation {found[0]}: {found[1]}")
+
+    def __len__(self):
+        return len(self.species)
 
 
 @dataclass
@@ -49,8 +68,10 @@ class CovariateRaster:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 3:
             raise ValueError(f"raster values must be 3-D, got shape {self.values.shape}")
-        if self.dlat <= 0 or self.dlon <= 0:
-            raise ValueError("raster cell sizes must be positive")
+        grid = {"lat0": self.lat0, "lon0": self.lon0, "dlat": self.dlat, "dlon": self.dlon}
+        if not (all(map(math.isfinite, grid.values())) and self.dlat > 0 and self.dlon > 0):
+            raise ValueError(f"raster origin and cell sizes must be finite, and cell sizes "
+                             f"positive, got {grid}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("raster contains non-finite values")
         if self.channel_min is None:
@@ -59,6 +80,10 @@ class CovariateRaster:
             self.channel_max = self.values.max(axis=(0, 1))
         self.channel_min = np.asarray(self.channel_min, dtype=np.float64)
         self.channel_max = np.asarray(self.channel_max, dtype=np.float64)
+        for name, bound in (("channel_min", self.channel_min), ("channel_max", self.channel_max)):
+            if bound.shape != (self.channels,) or not np.all(np.isfinite(bound)):
+                raise ValueError(f"{name} must be {self.channels} finite values, one per "
+                                 f"channel, got shape {bound.shape}")
         if np.any(self.channel_min > self.channel_max):
             raise ValueError("per-channel min exceeds max")
 
@@ -82,8 +107,17 @@ class CovariateRaster:
     def lon_max(self) -> float:
         return self.lon0 + (self.cols - 1) * self.dlon
 
+    def grid_position(self, lat, lon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fractional grid (row, col) of each query, and whether the query
+        lies inside the node hull."""
+        r = (np.asarray(lat, dtype=np.float64) - self.lat0) / self.dlat
+        c = (np.asarray(lon, dtype=np.float64) - self.lon0) / self.dlon
+        inside = (0.0 <= r) & (r <= self.rows - 1) & (0.0 <= c) & (c <= self.cols - 1)
+        return r, c, inside
+
     def normalize(self, covariates: np.ndarray) -> np.ndarray:
-        """Min-max scale a covariate vector to [-1, 1] with raster-wide stats."""
+        """Min-max scale covariate vectors (the last axis) to [-1, 1] with
+        raster-wide stats."""
         span = self.channel_max - self.channel_min
         span = np.where(span > 0, span, 1.0)
         return np.clip(2.0 * (covariates - self.channel_min) / span - 1.0, -1.0, 1.0)
@@ -111,82 +145,102 @@ class TileRecord:
 
 
 @dataclass
-class TextSection:
-    """Precomputed embedding of one section of a species description."""
+class TextSections:
+    """Precomputed embeddings of species-description sections, one row per
+    section: `embeddings[i]` embeds section `section[i]` of species
+    `species[i]`."""
 
-    species_id: int
-    section_id: int
-    embedding: np.ndarray
+    species: np.ndarray
+    section: np.ndarray
+    embeddings: np.ndarray  # (rows, d_txt)
 
     def __post_init__(self):
-        self.embedding = np.asarray(self.embedding, dtype=np.float64)
-        if self.embedding.ndim != 1:
-            raise ValueError("text embedding must be a vector")
-        if not np.all(np.isfinite(self.embedding)):
-            raise ValueError(f"non-finite text embedding for species {self.species_id} "
-                             f"section {self.section_id}")
+        self.species = np.asarray(self.species, dtype=np.int64)
+        self.section = np.asarray(self.section, dtype=np.int64)
+        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
+        if (self.embeddings.ndim != 2 or self.species.ndim != 1
+                or not self.species.shape == self.section.shape == self.embeddings.shape[:1]):
+            raise ValueError("text sections need species and section vectors and one "
+                             "embedding row per section")
+        bad = np.flatnonzero(~np.isfinite(self.embeddings).all(axis=1))
+        if bad.size:
+            raise ValueError(f"non-finite text embedding for species {self.species[bad[0]]} "
+                             f"section {self.section[bad[0]]}")
+
+    @property
+    def d_txt(self) -> int:
+        return self.embeddings.shape[1]
 
 
 @dataclass
-class TrainingSample:
-    """One aligned record: temporal tile pair, observation, covariates, text."""
+class PairedSamples:
+    """Aligned training samples as columns. Sample i pairs the tiles
+    `tiles[tile_a[i]]` and `tiles[tile_b[i]]` (a second timestamp of the
+    same center, or tile_a again) with the observation at (lat[i], lon[i]),
+    its covariates[i] normalized to [-1, 1], and the text embedding
+    `texts.embeddings[text_row[i]]` of the observed species."""
 
-    tile_a: TileRecord
-    tile_b: TileRecord
-    location: GeoObservation
-    covariates: np.ndarray  # normalized to [-1, 1]
-    text: TextSection
+    tiles: list[TileRecord]
+    texts: TextSections
+    tile_a: np.ndarray
+    tile_b: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    covariates: np.ndarray  # (n, channels)
+    text_row: np.ndarray
 
-    def __post_init__(self):
-        if self.text.species_id != self.location.species_id:
-            raise ValueError("text species does not match observation species")
+    def __len__(self):
+        return len(self.tile_a)
+
+    def __getitem__(self, rows) -> PairedSamples:
+        """The samples at `rows`, a slice or an index array, in that order."""
+        return replace(self, tile_a=self.tile_a[rows], tile_b=self.tile_b[rows],
+                       lat=self.lat[rows], lon=self.lon[rows],
+                       covariates=self.covariates[rows], text_row=self.text_row[rows])
 
 
 @dataclass
 class PairingResult:
-    samples: list[TrainingSample]
+    samples: PairedSamples
     skips: dict[str, int] = field(default_factory=dict)
 
-    def __len__(self):
-        return len(self.samples)
 
+def bilinear_sample(raster: CovariateRaster, lat, lon) -> np.ndarray:
+    """Bilinearly interpolate the covariate vector at each (lat, lon): a
+    (channels,) vector for scalar coordinates, (n, channels) for vectors.
 
-def bilinear_sample(raster: CovariateRaster, lat: float, lon: float) -> np.ndarray:
-    """Bilinearly interpolate the covariate vector at (lat, lon).
-
-    Exact at grid nodes; raises for queries outside the node hull.
+    Exact at grid nodes; raises for a query outside the node hull.
     """
-    r = (lat - raster.lat0) / raster.dlat
-    c = (lon - raster.lon0) / raster.dlon
-    if not (0.0 <= r <= raster.rows - 1 and 0.0 <= c <= raster.cols - 1):
-        raise ValueError(f"query ({lat}, {lon}) outside raster bounds "
-                         f"lat [{raster.lat0}, {raster.lat_max}], "
+    r, c, inside = raster.grid_position(lat, lon)
+    if not inside.all():
+        k = np.flatnonzero(~inside.ravel())[0]
+        raise ValueError(f"query ({np.ravel(lat)[k]}, {np.ravel(lon)[k]}) outside raster "
+                         f"bounds lat [{raster.lat0}, {raster.lat_max}], "
                          f"lon [{raster.lon0}, {raster.lon_max}]")
-    r0 = min(int(math.floor(r)), raster.rows - 2) if raster.rows > 1 else 0
-    c0 = min(int(math.floor(c)), raster.cols - 2) if raster.cols > 1 else 0
-    tr = r - r0
-    tc = c - c0
     v = raster.values
     if raster.rows == 1 and raster.cols == 1:
-        return v[0, 0].copy()
+        return np.broadcast_to(v[0, 0], r.shape + v.shape[2:]).copy()
+    r0 = np.minimum(np.floor(r), raster.rows - 2) if raster.rows > 1 else np.zeros_like(r)
+    c0 = np.minimum(np.floor(c), raster.cols - 2) if raster.cols > 1 else np.zeros_like(c)
+    tr = (r - r0)[..., None]
+    tc = (c - c0)[..., None]
+    i, j = r0.astype(np.intp), c0.astype(np.intp)
     if raster.rows == 1:
-        return (1 - tc) * v[0, c0] + tc * v[0, c0 + 1]
+        return (1 - tc) * v[0, j] + tc * v[0, j + 1]
     if raster.cols == 1:
-        return (1 - tr) * v[r0, 0] + tr * v[r0 + 1, 0]
-    return ((1 - tr) * (1 - tc) * v[r0, c0]
-            + (1 - tr) * tc * v[r0, c0 + 1]
-            + tr * (1 - tc) * v[r0 + 1, c0]
-            + tr * tc * v[r0 + 1, c0 + 1])
+        return (1 - tr) * v[i, 0] + tr * v[i + 1, 0]
+    return ((1 - tr) * (1 - tc) * v[i, j]
+            + (1 - tr) * tc * v[i, j + 1]
+            + tr * (1 - tc) * v[i + 1, j]
+            + tr * tc * v[i + 1, j + 1])
 
 
-def tile_species_targets(tiles: list[TileRecord], observations: list[GeoObservation],
+def tile_species_targets(tiles: list[TileRecord], observations: Observations,
                          radius: float) -> np.ndarray:
     """Per-tile species presence, shape (tiles, species): 1 when an
     observation of the species lies within `radius` degrees of the tile
     center (planar distance, boundary included)."""
-    lat = np.array([o.lat for o in observations], dtype=np.float64)
-    lon = np.array([o.lon for o in observations], dtype=np.float64)
-    species = np.array([o.species_id for o in observations])
+    lat, lon, species = observations.lat, observations.lon, observations.species
     targets = np.zeros((len(tiles), int(species.max()) + 1))
     for t_idx, tile in enumerate(tiles):
         near = np.hypot(lat - tile.lat, lon - tile.lon) <= radius
@@ -194,77 +248,47 @@ def tile_species_targets(tiles: list[TileRecord], observations: list[GeoObservat
     return targets
 
 
-def _cell(value: float, width: float) -> int | None:
-    """Grid index of a coordinate, or None where the index would be too
-    coarse a float (or not finite) to place the value within a cell."""
-    index = value / width
-    return math.floor(index) if abs(index) < 2.0 ** 50 else None
-
-
-def _center_grid(centers: list[tuple[float, float]], width: float):
-    """Bucket center indices by grid cell; centers that fit no cell are
-    returned apart, to be checked against every observation."""
-    grid: dict[tuple[int, int], list[int]] = {}
-    unplaced = []
-    for i, (lat, lon) in enumerate(centers):
-        cell = (_cell(lat, width), _cell(lon, width))
-        if None in cell:
-            unplaced.append(i)
-        else:
-            grid.setdefault(cell, []).append(i)
-    return grid, unplaced
-
-
-def _nearest_centers(observations: list[GeoObservation], center_lat: np.ndarray,
+def _nearest_centers(lat: np.ndarray, lon: np.ndarray, center_lat: np.ndarray,
                      center_lon: np.ndarray, center_tile_id: np.ndarray,
-                     grid: dict, unplaced: list[int], width: float,
-                     radius: float) -> np.ndarray:
+                     width: float, radius: float) -> np.ndarray:
     """Per observation, the index of the nearest center within `radius`
     (ties by lowest tile_id, then lowest index), or -1 when there is none.
 
-    Each observation's candidates are the centers of its 3 x 3 block of
-    cells plus the unplaced ones. They are laid out as one padded row per
-    observation, and the rows are measured with one `np.hypot` per chunk of
-    about 2^20 candidates.
+    Centers are bucketed by rows of cells `width` wide, at least twice the
+    radius, and each observation measures the centers of its own row and the
+    two beside it whose longitude is within `width` of its own. Keyed by
+    (row, longitude) as a complex number, which numpy sorts
+    lexicographically (a key holding NaN last), the centers a row offers
+    form one run, so each observation is offered the k-th center of each of
+    its three runs in turn, for k up to the longest run. A center with a
+    non-finite coordinate is in no run, and is never within the radius.
     """
-    blocks = []
-    for obs in observations:
-        row, col = _cell(obs.lat, width), _cell(obs.lon, width)
-        block = list(unplaced)
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                block.extend(grid.get((row + dr, col + dc), ()))
-        blocks.append(block)
-    n = len(blocks)
-    nearest = np.full(n, -1, dtype=np.intp)
-    counts = np.array([len(b) for b in blocks])
-    most = int(counts.max())
-    if most == 0:
-        return nearest
-    filled = np.arange(most) < counts[:, None]
-    cand = np.zeros((n, most), dtype=np.intp)
-    cand[filled] = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.intp,
-                               count=int(counts.sum()))
+    n = len(lat)
     rank = np.empty(len(center_lat), dtype=np.intp)
     rank[np.lexsort((np.arange(len(center_lat)), center_tile_id))] = np.arange(len(center_lat))
-    lat = np.array([o.lat for o in observations], dtype=np.float64)
-    lon = np.array([o.lon for o in observations], dtype=np.float64)
-    chunk = max(1, 2 ** 20 // most)
-    for lo in range(0, n, chunk):
-        rows = slice(lo, lo + chunk)
-        c = cand[rows]
-        dist = np.hypot(lat[rows, None] - center_lat[c], lon[rows, None] - center_lon[c])
-        dist[~(filled[rows] & (dist <= radius))] = np.inf
-        closest = dist.min(axis=1)
-        # among the candidates at the closest distance, the lowest rank
-        best = np.argmin(np.where(dist == closest[:, None], rank[c], len(rank)), axis=1)
-        found = np.isfinite(closest)
-        nearest[rows][found] = c[found, best[found]]
+    nearest = np.full(n, -1, dtype=np.intp)
+    best_dist, best_rank = np.full(n, np.inf), np.full(n, len(rank))
+    keys = np.floor(center_lat / width).astype(complex)
+    keys.imag = center_lon
+    members = np.argsort(keys, kind="stable")
+    keys = keys[members]
+    obs_row = np.floor(lat / width)
+    for row in (obs_row - 1, obs_row, obs_row + 1):
+        lo = np.searchsorted(keys, row + 1j * (lon - width))
+        hi = np.searchsorted(keys, row + 1j * (lon + width), side="right")
+        for k in range(int((hi - lo).max(initial=0))):
+            obs = np.flatnonzero(lo + k < hi)
+            center = members[lo[obs] + k]
+            dist = np.hypot(lat[obs] - center_lat[center], lon[obs] - center_lon[center])
+            better = (dist <= radius) & ((dist < best_dist[obs]) | (
+                (dist == best_dist[obs]) & (rank[center] < best_rank[obs])))
+            obs, center = obs[better], center[better]
+            nearest[obs], best_dist[obs], best_rank[obs] = center, dist[better], rank[center]
     return nearest
 
 
-def pair_samples(observations: list[GeoObservation], tiles: list[TileRecord],
-                 texts: list[TextSection], raster: CovariateRaster,
+def pair_samples(observations: Observations, tiles: list[TileRecord],
+                 texts: TextSections, raster: CovariateRaster,
                  matching_radius: float = 0.05, seed: int = 0) -> PairingResult:
     """Pair each observation with tiles, covariates, and one text section.
 
@@ -274,66 +298,77 @@ def pair_samples(observations: list[GeoObservation], tiles: list[TileRecord],
     section of the observed species is sampled uniformly. Covariates come
     from bilinear interpolation at the observation location and are min-max
     normalized to [-1, 1]. Observations that cannot be paired are skipped and
-    counted, and pairing fails only when nothing survives.
+    counted under the first reason that applies (no_tile, no_text,
+    covariates_out_of_bounds), and pairing fails only when nothing survives.
 
-    Tile centers are bucketed on a grid of cells at least twice the radius
-    wide, and each observation measures only the centers in its own cell and
-    the 8 around it (see `_nearest_centers`). A center within the radius is
-    at most half a cell away, which leaves half a cell of slack for the
-    rounding of the cell indices.
+    Tile centers are bucketed by rows of cells at least twice the radius
+    wide, and each observation measures only the centers of its own row and
+    the two beside it, within one cell width in longitude (see
+    `_nearest_centers`). A center within the radius is at most half a cell
+    away, which leaves half a cell of slack for rounding.
+
+    The draws are one `rng.integers` call over an array of bounds: per
+    paired observation in order, the number of alternate tiles (when there
+    is one) and then the number of sections. It gives the values, and
+    leaves the generator in the state, of one scalar call per draw.
     """
-    if not observations:
+    n = len(observations)
+    if not n:
         raise ValueError("empty observation list")
     rng = np.random.default_rng(seed)
 
-    by_center: dict[tuple[float, float], list[TileRecord]] = {}
-    for t in tiles:
-        by_center.setdefault((t.lat, t.lon), []).append(t)
-    for group in by_center.values():
-        group.sort(key=lambda t: t.tile_id)
+    by_center: dict[tuple[float, float], list[int]] = {}
+    for i, t in enumerate(tiles):
+        by_center.setdefault((t.lat, t.lon), []).append(i)
     centers = sorted(by_center)
-    center_lat = np.array([lat for lat, _ in centers], dtype=np.float64)
-    center_lon = np.array([lon for _, lon in centers], dtype=np.float64)
-    center_tile_id = np.array([by_center[c][0].tile_id for c in centers])
+    groups = [sorted(by_center[c], key=lambda i: tiles[i].tile_id) for c in centers]
+    center_lat, center_lon = np.array(centers, dtype=np.float64).reshape(-1, 2).T
+    first = np.array([g[0] for g in groups], dtype=np.intp)
+    center_tile_id = np.array([tiles[g[0]].tile_id for g in groups])
+    # per center, the tiles whose timestamp differs from its first tile's
+    alternates = [[i for i in g if tiles[i].timestamp != tiles[g[0]].timestamp]
+                  for g in groups]
+    alt_count = np.array([len(a) for a in alternates], dtype=np.int64)
+    alt_start = np.cumsum(alt_count) - alt_count
+    alt_tiles = np.array([i for a in alternates for i in a], dtype=np.intp)
+
+    # sections grouped by species, each group in section_id order
+    section_order = np.lexsort((texts.section, texts.species))
+    sorted_species = texts.species[section_order]
+    sec_start = np.searchsorted(sorted_species, observations.species)
+    sec_count = np.searchsorted(sorted_species, observations.species, side="right") - sec_start
+
     # cells of at least 1e-6 degrees keep every observation's cell index far
     # from the float precision limit
     width = max(2.0 * matching_radius, 1e-6)
-    grid, unplaced = _center_grid(centers, width)
-
-    by_species: dict[int, list[TextSection]] = {}
-    for s in texts:
-        by_species.setdefault(s.species_id, []).append(s)
-    for group in by_species.values():
-        group.sort(key=lambda s: s.section_id)
-
-    nearest = _nearest_centers(observations, center_lat, center_lon, center_tile_id,
-                               grid, unplaced, width, matching_radius)
-    samples: list[TrainingSample] = []
-    skips = {"no_tile": 0, "no_text": 0, "covariates_out_of_bounds": 0}
-    for obs, best in zip(observations, nearest):
-        if best < 0:
-            skips["no_tile"] += 1
-            continue
-        sections = by_species.get(obs.species_id)
-        if not sections:
-            skips["no_text"] += 1
-            continue
-        try:
-            covariates = bilinear_sample(raster, obs.lat, obs.lon)
-        except ValueError:
-            skips["covariates_out_of_bounds"] += 1
-            continue
-
-        group = by_center[centers[best]]
-        tile_a = group[0]
-        alternates = [t for t in group if t.timestamp != tile_a.timestamp]
-        tile_b = alternates[rng.integers(len(alternates))] if alternates else tile_a
-        section = sections[rng.integers(len(sections))]
-        samples.append(TrainingSample(tile_a=tile_a, tile_b=tile_b, location=obs,
-                                      covariates=raster.normalize(covariates),
-                                      text=section))
-
+    nearest = _nearest_centers(observations.lat, observations.lon, center_lat, center_lon,
+                               center_tile_id, width, matching_radius)
+    no_tile = nearest < 0
+    no_text = ~no_tile & (sec_count == 0)
+    _, _, inside = raster.grid_position(observations.lat, observations.lon)
+    out_of_bounds = ~no_tile & ~no_text & ~inside
+    skips = {"no_tile": int(no_tile.sum()), "no_text": int(no_text.sum()),
+             "covariates_out_of_bounds": int(out_of_bounds.sum())}
     skips = {k: v for k, v in skips.items() if v}
-    if not samples:
-        raise ValueError(f"all {len(observations)} observations skipped: {skips}")
+    keep = np.flatnonzero(~(no_tile | no_text | out_of_bounds))
+    if not keep.size:
+        raise ValueError(f"all {n} observations skipped: {skips}")
+
+    best = nearest[keep]
+    # per sample, its alternate count then its section count; a boolean mask
+    # takes them in row-major order, skipping the alternate counts of 0
+    bounds = np.stack([alt_count[best], sec_count[keep]], axis=1)
+    drawn = bounds > 0
+    draws = np.zeros(bounds.shape, dtype=np.int64)
+    draws[drawn] = rng.integers(bounds[drawn])
+
+    tile_a = first[best]
+    tile_b = tile_a.copy()
+    has_alt = drawn[:, 0]
+    tile_b[has_alt] = alt_tiles[alt_start[best[has_alt]] + draws[has_alt, 0]]
+    lat, lon = observations.lat[keep], observations.lon[keep]
+    samples = PairedSamples(
+        tiles=tiles, texts=texts, tile_a=tile_a, tile_b=tile_b, lat=lat, lon=lon,
+        covariates=raster.normalize(bilinear_sample(raster, lat, lon)),
+        text_row=section_order[sec_start[keep] + draws[:, 1]])
     return PairingResult(samples=samples, skips=skips)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import resize_pixels
-from .geodata import (COVARIATE_CHANNELS, CovariateRaster, GeoObservation,
-                      TextSection, TileRecord)
+from .geodata import (COVARIATE_CHANNELS, CovariateRaster, Observations, TextSections,
+                      TileRecord)
 
 _BASE_TIMESTAMP = 1_600_000_000
 _TIMESTAMP_STEP = 432_000  # five days
@@ -77,8 +77,8 @@ class SyntheticWorld:
     config: SyntheticWorldConfig
     raster: CovariateRaster
     tiles: list[TileRecord]
-    observations: list[GeoObservation]
-    texts: list[TextSection]
+    observations: Observations
+    texts: TextSections
     tile_habitats: dict[int, int]
     species_habitats: dict[int, int]
     text_prototypes: np.ndarray   # (habitats, d_txt)
@@ -183,15 +183,15 @@ def generate_synthetic_world(config: SyntheticWorldConfig) -> SyntheticWorld:
 
     # species and their text sections
     species_habitats = {s: s % cfg.n_habitats for s in range(cfg.n_species)}
-    texts: list[TextSection] = []
-    for s in range(cfg.n_species):
-        proto = text_protos[species_habitats[s]]
-        for k in range(cfg.sections_per_species):
-            emb = proto + cfg.text_noise * rng.normal(size=cfg.d_txt)
-            texts.append(TextSection(species_id=s, section_id=k, embedding=_f32(emb)))
+    text_species = np.repeat(np.arange(cfg.n_species), cfg.sections_per_species)
+    noise = rng.normal(size=(len(text_species), cfg.d_txt))
+    texts = TextSections(species=text_species,
+                         section=np.tile(np.arange(cfg.sections_per_species), cfg.n_species),
+                         embeddings=_f32(text_protos[text_species % cfg.n_habitats]
+                                         + cfg.text_noise * noise))
 
     # observations: jittered around a random tile center of the species' habitat
-    observations: list[GeoObservation] = []
+    obs_lat, obs_lon = [], []
     for i in range(cfg.n_observations):
         s = i % cfg.n_species
         h = species_habitats[s]
@@ -202,7 +202,10 @@ def generate_synthetic_world(config: SyntheticWorldConfig) -> SyntheticWorld:
         lat = min(max(lat, cfg.lat0 + h * strip), cfg.lat0 + (h + 1) * strip - 1e-9)
         lat = min(max(lat, cfg.lat0), cfg.lat0 + hull_lat)
         lon = min(max(lon, cfg.lon0), cfg.lon0 + hull_lon)
-        observations.append(GeoObservation(lat=float(lat), lon=float(lon), species_id=s))
+        obs_lat.append(lat)
+        obs_lon.append(lon)
+    observations = Observations(lat=obs_lat, lon=obs_lon,
+                                species=np.arange(cfg.n_observations) % cfg.n_species)
 
     return SyntheticWorld(config=cfg, raster=raster, tiles=tiles,
                           observations=observations, texts=texts,

@@ -26,7 +26,7 @@ from .dataio import pair_paths, read_json, require_fields
 from .encoders import (ImageEncoderConfig, LocationEncoderConfig, Model, ModelConfig,
                        PEFT_MODES, head_graph, image_feature_graph,
                        location_feature_graph, location_input_features, trainable_mask)
-from .geodata import TrainingSample
+from .geodata import PairedSamples
 from .optim import AdamState, ParameterStore, adam_step
 from .tape import Tape, backward
 
@@ -157,10 +157,11 @@ def build_training_graph(model: Model, batch: dict[str, np.ndarray],
     return tape, norms_a + norms_b
 
 
-def assemble_batch(samples: list[TrainingSample], config: TrainConfig,
+def assemble_batch(samples: PairedSamples, config: TrainConfig,
                    rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Augment and stack one batch. tile_a is deterministically resized and
-    photometrically jittered; tile_b additionally gets flips and a random crop.
+    """Augment and stack one batch, the rows of `samples` in order. tile_a is
+    deterministically resized and photometrically jittered; tile_b
+    additionally gets flips and a random crop.
 
     `rng` gives four arrays of draws, one row per sample, in this order:
     flips (n, 2), crop offsets (n, 2), jitter (2, n, C) and channel mixing
@@ -169,31 +170,29 @@ def assemble_batch(samples: list[TrainingSample], config: TrainConfig,
     """
     n = len(samples)
     in_size = config.model.image.in_size
-    c = samples[0].tile_b.pixels.shape[0]
+    pixels_a = [samples.tiles[i].pixels for i in samples.tile_a]
+    pixels_b = [samples.tiles[i].pixels for i in samples.tile_b]
+    c = pixels_b[0].shape[0]
     flips = rng.random((n, 2)) < 0.5
     offsets = rng.random((n, 2))
     shift_a, shift_b = rng.uniform(-1.0, 1.0, size=(2, n, c))
     mix_a, mix_b = rng.uniform(-1.0, 1.0, size=(2, n, c, c))
 
-    tiles_b = augment_geometric([s.tile_b.pixels for s in samples], config.crop_size,
-                                flips, offsets, out_size=in_size)
+    tiles_b = augment_geometric(pixels_b, config.crop_size, flips, offsets, out_size=in_size)
     tiles_b = augment_photometric(tiles_b, config.jitter, config.channel_mix,
                                   shift_b, mix_b)
     by_size: dict[tuple[int, ...], list[int]] = {}
-    for i, sample in enumerate(samples):
-        by_size.setdefault(sample.tile_a.pixels.shape, []).append(i)
+    for i, pixels in enumerate(pixels_a):
+        by_size.setdefault(pixels.shape, []).append(i)
     tiles_a = np.empty(tiles_b.shape)
     for idx in by_size.values():
-        fitted = fit_to_input(np.stack([samples[i].tile_a.pixels for i in idx]), in_size)
+        fitted = fit_to_input(np.stack([pixels_a[i] for i in idx]), in_size)
         tiles_a[idx] = augment_photometric(fitted, config.jitter, config.channel_mix,
                                            shift_a[idx], mix_a[idx])
-    covariates = (np.stack([s.covariates for s in samples])
-                  if config.model.location.use_covariates else None)
-    locfeat = location_input_features(np.array([s.location.lat for s in samples]),
-                                      np.array([s.location.lon for s in samples]),
-                                      covariates)
+    covariates = samples.covariates if config.model.location.use_covariates else None
+    locfeat = location_input_features(samples.lat, samples.lon, covariates)
     return {"tiles_a": tiles_a, "tiles_b": tiles_b, "locfeat": locfeat,
-            "text": np.stack([s.text.embedding for s in samples])}
+            "text": samples.texts.embeddings[samples.text_row]}
 
 
 def steps_per_epoch(n_samples: int, batch_size: int) -> int:
@@ -209,7 +208,7 @@ def _update_running_stats(model: Model, norm_nodes) -> None:
         model.stats[f"{key}.var"] = (1 - momentum) * model.stats[f"{key}.var"] + momentum * var
 
 
-def train(config: TrainConfig, samples: list[TrainingSample],
+def train(config: TrainConfig, samples: PairedSamples,
           resume: Checkpoint | None = None) -> Checkpoint:
     """Run the optimization and return the final checkpoint.
 
@@ -251,8 +250,7 @@ def train(config: TrainConfig, samples: list[TrainingSample],
         order = rng.permutation(len(samples))
         epoch_step_losses = []
         for s in range(per_epoch):
-            chosen = [samples[int(i)] for i in order[s * n:(s + 1) * n]]
-            batch = assemble_batch(chosen, config, rng)
+            batch = assemble_batch(samples[order[s * n:(s + 1) * n]], config, rng)
             tape, norm_nodes = build_training_graph(model, batch, mask, loss_cfg)
             loss = float(tape.output_value("loss"))
             if not math.isfinite(loss):

@@ -25,8 +25,9 @@ def test_round_trip_equal(world_dir):
     loaded = ingest_dataset(out)
 
     assert len(loaded.observations) == len(original.observations)
-    for a, b in zip(loaded.observations, original.observations):
-        assert (a.lat, a.lon, a.species_id) == (b.lat, b.lon, b.species_id)
+    for name in ("lat", "lon", "species"):
+        assert getattr(loaded.observations, name).tobytes() == \
+            getattr(original.observations, name).tobytes()
 
     np.testing.assert_array_equal(loaded.raster.values, original.raster.values)
     assert loaded.raster.lat0 == original.raster.lat0
@@ -37,10 +38,8 @@ def test_round_trip_equal(world_dir):
         assert (a.tile_id, a.lat, a.lon, a.timestamp) == (b.tile_id, b.lat, b.lon, b.timestamp)
         np.testing.assert_array_equal(a.pixels, b.pixels)
 
-    assert len(loaded.texts) == len(original.texts)
-    for a, b in zip(loaded.texts, original.texts):
-        assert (a.species_id, a.section_id) == (b.species_id, b.section_id)
-        np.testing.assert_array_equal(a.embedding, b.embedding)
+    for name in ("species", "section", "embeddings"):
+        assert getattr(loaded.texts, name).tobytes() == getattr(original.texts, name).tobytes()
 
     assert loaded.truth is not None
     assert loaded.truth.tile_habitats == original.truth.tile_habitats
@@ -252,6 +251,8 @@ def _edit_json(path, edit):
      r"tiles/manifest.json record 2: field 'lat' must be a number"),
     ("tiles/manifest.json", lambda m: m[0].update(c=3.0),
      r"tiles/manifest.json record 0: field 'c' must be an integer"),
+    ("tiles/manifest.json", lambda m: m[3].update(lat=10 ** 400),
+     r"tiles/manifest.json record 3: field 'lat' must be a number, got 1000"),
     ("raster.json", lambda h: h.update(rows="12"),
      r"raster.json: field 'rows' must be an integer"),
     ("raster.json", lambda h: h.update(dlat=True),

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satalign.geodata import (CovariateRaster, GeoObservation, TextSection,
-                              TileRecord, bilinear_sample, pair_samples,
-                              tile_species_targets)
+from satalign.geodata import (CovariateRaster, Observations, TextSections, TileRecord,
+                              bilinear_sample, pair_samples, tile_species_targets)
 from satalign.synthworld import SyntheticWorldConfig, generate_synthetic_world
 
 
@@ -17,13 +16,30 @@ def grid_raster(rows=4, cols=5, channels=20, seed=0):
 
 class TestTypes:
     def test_observation_range_checks(self):
-        GeoObservation(lat=-90, lon=-180, species_id=0)
-        with pytest.raises(ValueError, match="lat out of range"):
-            GeoObservation(lat=91, lon=0, species_id=0)
-        with pytest.raises(ValueError, match="lon out of range"):
-            GeoObservation(lat=0, lon=180, species_id=0)
-        with pytest.raises(ValueError, match="species_id"):
-            GeoObservation(lat=0, lon=0, species_id=-1)
+        assert len(Observations(lat=[-90, 90], lon=[-180, 179.9], species=[0, 3])) == 2
+        with pytest.raises(ValueError, match="observation 1: lat out of range"):
+            Observations(lat=[0, 91], lon=[0, 0], species=[0, 0])
+        with pytest.raises(ValueError, match="observation 0: lat out of range"):
+            Observations(lat=[np.nan], lon=[0], species=[0])
+        with pytest.raises(ValueError, match="observation 0: lon out of range"):
+            Observations(lat=[0], lon=[180], species=[0])
+        with pytest.raises(ValueError, match="observation 2: negative species_id"):
+            Observations(lat=[0, 0, 0], lon=[0, 0, 0], species=[0, 1, -1])
+        # the first bad row wins, with its first failing check
+        with pytest.raises(ValueError, match="observation 1: lon out of range"):
+            Observations(lat=[0, 0, 95], lon=[0, 200, 0], species=[0, -1, 0])
+        with pytest.raises(ValueError, match="vectors of one length"):
+            Observations(lat=[0, 0], lon=[0], species=[0, 0])
+
+    def test_text_sections_validation(self):
+        texts = TextSections(species=[0, 0, 1], section=[0, 1, 0], embeddings=np.ones((3, 4)))
+        assert texts.d_txt == 4
+        bad = np.ones((3, 4))
+        bad[2, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite text embedding for species 1 section 0"):
+            TextSections(species=[0, 0, 1], section=[0, 1, 0], embeddings=bad)
+        with pytest.raises(ValueError, match="one embedding row per section"):
+            TextSections(species=[0, 0], section=[0, 1], embeddings=np.ones((3, 4)))
 
     def test_tile_pixel_bounds(self):
         TileRecord(tile_id=0, lat=0, lon=0, timestamp=0, pixels=np.zeros((3, 4, 4)))
@@ -40,6 +56,17 @@ class TestTypes:
         with pytest.raises(ValueError, match="non-finite"):
             CovariateRaster(lat0=0, lon0=0, dlat=1, dlon=1,
                             values=np.full((2, 2, 1), np.nan))
+        for cell in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="cell sizes must be finite, and cell sizes "
+                                                 "positive"):
+                CovariateRaster(lat0=0, lon0=0, dlat=cell, dlon=1, values=np.zeros((2, 2, 3)))
+        for origin in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="origin and cell sizes must be finite"):
+                CovariateRaster(lat0=0, lon0=origin, dlat=1, dlon=1, values=np.zeros((2, 2, 3)))
+        for bound in ([0.0], [0.0, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0]):
+            with pytest.raises(ValueError, match="channel_min must be 3 finite values"):
+                CovariateRaster(lat0=0, lon0=0, dlat=1, dlon=1, values=np.zeros((2, 2, 3)),
+                                channel_min=np.array(bound))
 
     def test_normalize_maps_extremes_to_unit_interval(self):
         raster = grid_raster()
@@ -75,6 +102,18 @@ class TestBilinearSample:
         raster = grid_raster()
         with pytest.raises(ValueError, match=r"query \(100\.0, 0\.0\) outside raster bounds"):
             bilinear_sample(raster, 100.0, 0.0)
+        with pytest.raises(ValueError, match=r"query \(11\.0, -21\.0\) outside raster bounds"):
+            bilinear_sample(raster, np.array([10.5, 11.0]), np.array([-19.5, -21.0]))
+
+    def test_vectors_sample_each_query(self):
+        raster = grid_raster(seed=2)
+        rng = np.random.default_rng(1)
+        lat = rng.uniform(raster.lat0, raster.lat_max, size=50)
+        lon = rng.uniform(raster.lon0, raster.lon_max, size=50)
+        out = bilinear_sample(raster, lat, lon)
+        assert out.shape == (50, raster.channels)
+        for k in range(50):
+            assert out[k].tobytes() == bilinear_sample(raster, lat[k], lon[k]).tobytes()
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 2**63 - 1))
     @settings(max_examples=80, deadline=None)
@@ -109,71 +148,82 @@ def small_world():
         TileRecord(tile_id=1, lat=1.0, lon=1.0, timestamp=200, pixels=rng.random((3, 8, 8))),
         TileRecord(tile_id=2, lat=1.5, lon=1.5, timestamp=100, pixels=rng.random((3, 8, 8))),
     ]
-    texts = [TextSection(species_id=0, section_id=k, embedding=rng.normal(size=8))
-             for k in range(3)]
+    texts = TextSections(species=[0, 0, 0], section=[0, 1, 2], embeddings=rng.normal(size=(3, 8)))
     return raster, tiles, texts
+
+
+def observations(*rows):
+    """Observations from (lat, lon, species) rows."""
+    lat, lon, species = zip(*rows) if rows else ((), (), ())
+    return Observations(lat=lat, lon=lon, species=species)
 
 
 class TestPairSamples:
     def test_multi_timestamp_and_section_choice(self):
         raster, tiles, texts = small_world()
-        obs = [GeoObservation(lat=1.01, lon=1.0, species_id=0)]
+        obs = observations((1.01, 1.0, 0))
         result = pair_samples(obs, tiles, texts, raster, matching_radius=0.05, seed=5)
-        assert len(result) == 1
-        sample = result.samples[0]
-        assert sample.tile_a.tile_id == 0  # nearest center, lowest tile_id
-        assert sample.tile_b.tile_id == 1  # the other timestamp at that center
-        assert sample.tile_a.timestamp != sample.tile_b.timestamp
-        assert sample.text.section_id in {0, 1, 2}
-        assert sample.covariates.shape == (20,)
-        assert np.all(np.abs(sample.covariates) <= 1.0)
+        assert len(result.samples) == 1
+        samples = result.samples
+        assert tiles[samples.tile_a[0]].tile_id == 0  # nearest center, lowest tile_id
+        assert tiles[samples.tile_b[0]].tile_id == 1  # the other timestamp at that center
+        assert samples.text_row[0] in {0, 1, 2}
+        assert samples.covariates.shape == (1, 20)
+        assert np.all(np.abs(samples.covariates) <= 1.0)
+        assert (samples.lat[0], samples.lon[0]) == (1.01, 1.0)
 
     def test_single_timestamp_falls_back_to_same_tile(self):
         raster, tiles, texts = small_world()
-        obs = [GeoObservation(lat=1.5, lon=1.52, species_id=0)]
-        result = pair_samples(obs, tiles, texts, raster, seed=0)
-        sample = result.samples[0]
-        assert sample.tile_a.tile_id == 2
-        assert sample.tile_b.tile_id == 2
+        result = pair_samples(observations((1.5, 1.52, 0)), tiles, texts, raster, seed=0)
+        assert tiles[result.samples.tile_a[0]].tile_id == 2
+        assert tiles[result.samples.tile_b[0]].tile_id == 2
 
     def test_out_of_radius_skipped_and_counted(self):
         raster, tiles, texts = small_world()
-        obs = [GeoObservation(lat=1.0, lon=1.0, species_id=0),
-               GeoObservation(lat=0.0, lon=0.0, species_id=0)]
+        obs = observations((1.0, 1.0, 0), (0.0, 0.0, 0))
         result = pair_samples(obs, tiles, texts, raster, matching_radius=0.05, seed=0)
-        assert len(result) == 1
+        assert len(result.samples) == 1
         assert result.skips == {"no_tile": 1}
 
     def test_missing_text_skipped(self):
         raster, tiles, texts = small_world()
-        obs = [GeoObservation(lat=1.0, lon=1.0, species_id=9)]
         with pytest.raises(ValueError, match="all 1 observations skipped.*no_text"):
-            pair_samples(obs, tiles, texts, raster, seed=0)
+            pair_samples(observations((1.0, 1.0, 9)), tiles, texts, raster, seed=0)
 
     def test_empty_observations_error(self):
         raster, tiles, texts = small_world()
         with pytest.raises(ValueError, match="empty observation list"):
-            pair_samples([], tiles, texts, raster)
+            pair_samples(observations(), tiles, texts, raster)
 
     def test_same_seed_same_stream(self):
         raster, tiles, texts = small_world()
         rng = np.random.default_rng(9)
-        obs = [GeoObservation(lat=1.0 + rng.uniform(-0.02, 0.02),
-                              lon=1.0 + rng.uniform(-0.02, 0.02), species_id=0)
-               for _ in range(20)]
+        obs = observations(*[(1.0 + rng.uniform(-0.02, 0.02), 1.0 + rng.uniform(-0.02, 0.02), 0)
+                             for _ in range(20)])
         r1 = pair_samples(obs, tiles, texts, raster, seed=123)
         r2 = pair_samples(obs, tiles, texts, raster, seed=123)
-        assert [(s.tile_a.tile_id, s.tile_b.tile_id, s.text.section_id) for s in r1.samples] \
-            == [(s.tile_a.tile_id, s.tile_b.tile_id, s.text.section_id) for s in r2.samples]
+        for name in ("tile_a", "tile_b", "text_row"):
+            assert getattr(r1.samples, name).tolist() == getattr(r2.samples, name).tolist()
 
     def test_text_species_always_matches_observation(self):
         raster, tiles, texts = small_world()
-        texts = texts + [TextSection(species_id=1, section_id=0,
-                                     embedding=np.ones(8))]
-        obs = [GeoObservation(lat=1.0, lon=1.0, species_id=s % 2) for s in range(10)]
+        texts = TextSections(species=np.append(texts.species, 1),
+                             section=np.append(texts.section, 0),
+                             embeddings=np.vstack([texts.embeddings, np.ones(8)]))
+        species = [s % 2 for s in range(10)]
+        obs = observations(*[(1.0, 1.0, s) for s in species])
         result = pair_samples(obs, tiles, texts, raster, seed=3)
-        for sample in result.samples:
-            assert sample.text.species_id == sample.location.species_id
+        assert texts.species[result.samples.text_row].tolist() == species
+
+    def test_samples_index_like_a_list(self):
+        raster, tiles, texts = small_world()
+        obs = observations(*[(1.0 + k / 100, 1.0, 0) for k in range(4)])
+        samples = pair_samples(obs, tiles, texts, raster, seed=1).samples
+        picked = samples[np.array([3, 0])]
+        assert len(picked) == 2 and len(samples[1:3]) == 2
+        assert picked.lat.tolist() == [samples.lat[3], samples.lat[0]]
+        assert picked.covariates.tobytes() == samples.covariates[[3, 0]].tobytes()
+        assert picked.tiles is tiles and picked.texts is texts
 
 
 def test_tile_species_targets_match_pairwise_loop():
@@ -184,17 +234,19 @@ def test_tile_species_targets_match_pairwise_loop():
     tiles = world.tiles
     # One observation of a species seen nowhere else sits exactly at the
     # radius from one tile center, so the boundary test decides its target.
-    edge = GeoObservation(lat=tiles[5].lat + 0.03, lon=tiles[5].lon + 0.04, species_id=8)
-    observations = list(world.observations) + [edge]
-    radius = np.hypot(edge.lat - tiles[5].lat, edge.lon - tiles[5].lon)
+    edge_lat, edge_lon = tiles[5].lat + 0.03, tiles[5].lon + 0.04
+    obs = Observations(lat=np.append(world.observations.lat, edge_lat),
+                       lon=np.append(world.observations.lon, edge_lon),
+                       species=np.append(world.observations.species, 8))
+    radius = np.hypot(edge_lat - tiles[5].lat, edge_lon - tiles[5].lon)
 
     expected = np.zeros((len(tiles), 9))
     for t_idx, tile in enumerate(tiles):
-        for obs in observations:
-            if np.hypot(obs.lat - tile.lat, obs.lon - tile.lon) <= radius:
-                expected[t_idx, obs.species_id] = 1.0
+        for lat, lon, species in zip(obs.lat, obs.lon, obs.species):
+            if np.hypot(lat - tile.lat, lon - tile.lon) <= radius:
+                expected[t_idx, species] = 1.0
     assert expected[5, 8] == 1.0 and 0 < expected.sum() < expected.size
 
-    targets = tile_species_targets(tiles, observations, radius)
+    targets = tile_species_targets(tiles, obs, radius)
     assert targets.dtype == np.float64
     assert targets.tobytes() == expected.tobytes()

@@ -1,8 +1,9 @@
 """The batched training input path against a per-tile pipeline.
 
 `assemble_batch` and `pair_samples` must give the same bits as the per-tile
-augmentation, fed the same per-batch draws, and the brute-force
-nearest-center scan copied below. The copies are oracles, kept as the
+augmentation, fed the same per-batch draws, and the per-observation
+brute-force pairing copied below, with its scalar bilinear sampling and its
+one `rng.integers` call per draw. The copies are oracles, kept as the
 plain-numpy losses are kept for the tape losses.
 """
 
@@ -15,8 +16,8 @@ import pytest
 from conftest import small_train_config, world_and_samples
 from satalign.augment import augment_photometric, resize_pixels
 from satalign.encoders import location_input_features
-from satalign.geodata import (CovariateRaster, GeoObservation, TextSection, TileRecord,
-                              TrainingSample, bilinear_sample, pair_samples)
+from satalign.geodata import (CovariateRaster, Observations, PairedSamples, TextSections,
+                              TileRecord, pair_samples)
 from satalign.training import assemble_batch
 
 # -- per-tile oracle ------------------------------------------------------------
@@ -74,23 +75,24 @@ def _photometric_tile(pixels, jitter, mix_strength, shift, mix):
 def assemble_per_tile(samples, config, rng):
     in_size = config.model.image.in_size
     use_cov = config.model.location.use_covariates
-    n, c = len(samples), samples[0].tile_b.pixels.shape[0]
+    tiles = samples.tiles
+    n, c = len(samples), tiles[samples.tile_b[0]].pixels.shape[0]
     flips = rng.random((n, 2)) < 0.5
     offsets = rng.random((n, 2))
     shift = rng.uniform(-1.0, 1.0, size=(2, n, c))
     mix = rng.uniform(-1.0, 1.0, size=(2, n, c, c))
     tiles_a, tiles_b, locfeat, text = [], [], [], []
-    for i, sample in enumerate(samples):
-        fitted = np.clip(_resize_tile(sample.tile_a.pixels, in_size, in_size), 0.0, 1.0)
+    for i in range(n):
+        pixels_a, pixels_b = tiles[samples.tile_a[i]].pixels, tiles[samples.tile_b[i]].pixels
+        fitted = np.clip(_resize_tile(pixels_a, in_size, in_size), 0.0, 1.0)
         tiles_a.append(_photometric_tile(fitted, config.jitter, config.channel_mix,
                                          shift[0, i], mix[0, i]))
-        tile_b = _geometric_tile(sample.tile_b.pixels, config.crop_size, flips[i],
-                                 offsets[i], in_size)
+        tile_b = _geometric_tile(pixels_b, config.crop_size, flips[i], offsets[i], in_size)
         tiles_b.append(_photometric_tile(tile_b, config.jitter, config.channel_mix,
                                          shift[1, i], mix[1, i]))
-        locfeat.append(location_input_features(sample.location.lat, sample.location.lon,
-                                               sample.covariates if use_cov else None))
-        text.append(sample.text.embedding)
+        locfeat.append(location_input_features(float(samples.lat[i]), float(samples.lon[i]),
+                                               samples.covariates[i] if use_cov else None))
+        text.append(samples.texts.embeddings[samples.text_row[i]])
     return {"tiles_a": np.stack(tiles_a), "tiles_b": np.stack(tiles_b),
             "locfeat": np.stack(locfeat), "text": np.stack(text)}
 
@@ -98,50 +100,75 @@ def assemble_per_tile(samples, config, rng):
 # -- brute-force pairing oracle ------------------------------------------------
 
 
+def bilinear_sample_scalar(raster, lat, lon):
+    """The covariate vector at one (lat, lon), or ValueError outside the
+    node hull."""
+    r = (lat - raster.lat0) / raster.dlat
+    c = (lon - raster.lon0) / raster.dlon
+    if not (0.0 <= r <= raster.rows - 1 and 0.0 <= c <= raster.cols - 1):
+        raise ValueError(f"query ({lat}, {lon}) outside raster bounds")
+    r0 = min(int(math.floor(r)), raster.rows - 2) if raster.rows > 1 else 0
+    c0 = min(int(math.floor(c)), raster.cols - 2) if raster.cols > 1 else 0
+    tr = r - r0
+    tc = c - c0
+    v = raster.values
+    if raster.rows == 1 and raster.cols == 1:
+        return v[0, 0].copy()
+    if raster.rows == 1:
+        return (1 - tc) * v[0, c0] + tc * v[0, c0 + 1]
+    if raster.cols == 1:
+        return (1 - tr) * v[r0, 0] + tr * v[r0 + 1, 0]
+    return ((1 - tr) * (1 - tc) * v[r0, c0]
+            + (1 - tr) * tc * v[r0, c0 + 1]
+            + tr * (1 - tc) * v[r0 + 1, c0]
+            + tr * tc * v[r0 + 1, c0 + 1])
+
+
 def pair_brute_force(observations, tiles, texts, raster, matching_radius, seed):
+    """Per observation: (tile_a, tile_b, text row, lat, lon, covariate
+    bytes) of each paired one, and the skip counts."""
     rng = np.random.default_rng(seed)
     by_center = {}
-    for t in tiles:
-        by_center.setdefault((t.lat, t.lon), []).append(t)
+    for i, t in enumerate(tiles):
+        by_center.setdefault((t.lat, t.lon), []).append(i)
     for group in by_center.values():
-        group.sort(key=lambda t: t.tile_id)
+        group.sort(key=lambda i: tiles[i].tile_id)
     centers = sorted(by_center)
     by_species = {}
-    for s in texts:
-        by_species.setdefault(s.species_id, []).append(s)
+    for row, species in enumerate(texts.species.tolist()):
+        by_species.setdefault(species, []).append(row)
     for group in by_species.values():
-        group.sort(key=lambda s: s.section_id)
+        group.sort(key=lambda row: texts.section[row])
     samples = []
     skips = {"no_tile": 0, "no_text": 0, "covariates_out_of_bounds": 0}
-    for obs in observations:
+    for lat, lon, species in zip(observations.lat.tolist(), observations.lon.tolist(),
+                                 observations.species.tolist()):
         best = None
         for center in centers:
-            dist = float(np.hypot(obs.lat - center[0], obs.lon - center[1]))
+            dist = float(np.hypot(lat - center[0], lon - center[1]))
             if dist > matching_radius:
                 continue
-            key = (dist, by_center[center][0].tile_id)
+            key = (dist, tiles[by_center[center][0]].tile_id)
             if best is None or key < best[0]:
                 best = (key, center)
         if best is None:
             skips["no_tile"] += 1
             continue
-        sections = by_species.get(obs.species_id)
+        sections = by_species.get(species)
         if not sections:
             skips["no_text"] += 1
             continue
         try:
-            covariates = bilinear_sample(raster, obs.lat, obs.lon)
+            covariates = bilinear_sample_scalar(raster, lat, lon)
         except ValueError:
             skips["covariates_out_of_bounds"] += 1
             continue
         group = by_center[best[1]]
         tile_a = group[0]
-        alternates = [t for t in group if t.timestamp != tile_a.timestamp]
+        alternates = [i for i in group if tiles[i].timestamp != tiles[tile_a].timestamp]
         tile_b = alternates[rng.integers(len(alternates))] if alternates else tile_a
-        section = sections[rng.integers(len(sections))]
-        samples.append(TrainingSample(tile_a=tile_a, tile_b=tile_b, location=obs,
-                                      covariates=raster.normalize(covariates),
-                                      text=section))
+        row = sections[rng.integers(len(sections))]
+        samples.append((tile_a, tile_b, row, lat, lon, raster.normalize(covariates).tobytes()))
     return samples, {k: v for k, v in skips.items() if v}
 
 
@@ -185,19 +212,22 @@ def test_assemble_batch_matches_per_tile_pipeline(case):
     config = _config(in_size, crop, jitter, mix)
     for seed in range(4):
         order = np.random.default_rng(seed + 100).permutation(len(samples))[:16]
-        _assert_same_batch([samples[i] for i in order], config, seed)
+        _assert_same_batch(samples[order], config, seed)
 
 
 def test_assemble_batch_matches_per_tile_pipeline_with_mixed_tile_sizes():
     # tile_a of three sizes in one batch: one resized group per size, one of
     # them the identity, and tile_b crops from tiles of several sizes
     _, samples = world_and_samples(seed=2, tile_size=20)
-    mixed = []
-    for i, s in enumerate(samples[:18]):
+    samples = samples[:18]
+    tiles = []
+    for i in range(len(samples)):
         size = (20, 16, 24)[i % 3]
-        a = replace(s.tile_a, pixels=np.clip(_resize_tile(s.tile_a.pixels, size, size), 0, 1))
-        b = replace(s.tile_b, pixels=np.clip(_resize_tile(s.tile_b.pixels, size, size), 0, 1))
-        mixed.append(replace(s, tile_a=a, tile_b=b))
+        for k in (samples.tile_a[i], samples.tile_b[i]):
+            tile = samples.tiles[k]
+            tiles.append(replace(tile, pixels=np.clip(_resize_tile(tile.pixels, size, size), 0, 1)))
+    mixed = replace(samples, tiles=tiles, tile_a=np.arange(0, len(tiles), 2),
+                    tile_b=np.arange(1, len(tiles), 2))
     for seed in range(3):
         _assert_same_batch(mixed, _config(16, 12, 0.02, 0.05), seed)
 
@@ -256,17 +286,23 @@ def test_photometric_bits_do_not_depend_on_memory_layout():
 # -- pair_samples --------------------------------------------------------------
 
 
-def _pairing(samples):
-    return [(s.tile_a.tile_id, s.tile_b.tile_id, s.text.section_id, s.location,
-             s.covariates.tobytes()) for s in samples]
+def _pairing(samples: PairedSamples):
+    return list(zip(samples.tile_a.tolist(), samples.tile_b.tolist(), samples.text_row.tolist(),
+                    samples.lat.tolist(), samples.lon.tolist(),
+                    [row.tobytes() for row in samples.covariates]))
 
 
 def _assert_same_pairing(observations, tiles, texts, raster, radius, seed=0):
     expected = pair_brute_force(observations, tiles, texts, raster, radius, seed)
     result = pair_samples(observations, tiles, texts, raster, radius, seed)
-    assert _pairing(result.samples) == _pairing(expected[0])
+    assert _pairing(result.samples) == expected[0]
     assert result.skips == expected[1]
     return expected
+
+
+def _observations(rows):
+    lat, lon, species = zip(*rows)
+    return Observations(lat=lat, lon=lon, species=species)
 
 
 def _raster():
@@ -276,8 +312,9 @@ def _raster():
 
 def _texts(n_species=3):
     rng = np.random.default_rng(1)
-    return [TextSection(species_id=s, section_id=k, embedding=rng.normal(size=4))
-            for s in range(n_species) for k in range(2)]
+    species = np.repeat(np.arange(n_species), 2)
+    return TextSections(species=species, section=np.tile([0, 1], n_species),
+                        embeddings=rng.normal(size=(len(species), 4)))
 
 
 def _tiles(centers, seed=0, timestamps=2):
@@ -301,19 +338,17 @@ def test_pairing_on_a_dyadic_lattice_matches_brute_force():
     rng = np.random.default_rng(3)
     centers = sorted({(int(a) / 8, int(b) / 8) for a, b in rng.integers(-24, 24, size=(60, 2))})
     tiles = _tiles(centers, seed=3)
-    observations = []
+    rows = []
     for lat, lon in centers:
         for dlat, dlon in ((5, 0), (0, -5), (-3, 4), (4, -3), (1, 1), (6, 2)):
-            observations.append(GeoObservation(lat=lat + dlat / 16, lon=lon + dlon / 16,
-                                               species_id=len(observations) % 4))
+            rows.append((lat + dlat / 16, lon + dlon / 16, len(rows) % 4))
     for k in range(-40, 40, 3):  # on cell edges, also far from any center
-        observations.append(GeoObservation(lat=k * 10 / 16 / 4, lon=-k * 10 / 16 / 4,
-                                           species_id=0))
-    samples, skips = _assert_same_pairing(observations, tiles, _texts(), _raster(), radius)
+        rows.append((k * 10 / 16 / 4, -k * 10 / 16 / 4, 0))
+    samples, skips = _assert_same_pairing(_observations(rows), tiles, _texts(), _raster(),
+                                          radius)
     assert skips["no_tile"] and skips["no_text"]
     at_radius = [s for s in samples
-                 if np.hypot(s.location.lat - s.tile_a.lat,
-                             s.location.lon - s.tile_a.lon) == radius]
+                 if np.hypot(s[3] - tiles[s[0]].lat, s[4] - tiles[s[0]].lon) == radius]
     assert at_radius
 
 
@@ -325,9 +360,9 @@ def test_pairing_tie_goes_to_the_lower_tile_id():
     tiles = [TileRecord(tile_id=7, lat=-0.5, lon=-0.75, timestamp=0, pixels=pixels),
              TileRecord(tile_id=5, lat=-0.5, lon=-0.25, timestamp=0, pixels=pixels),
              TileRecord(tile_id=3, lat=-0.25, lon=-0.5, timestamp=0, pixels=pixels)]
-    obs = [GeoObservation(lat=-0.5, lon=-0.5, species_id=0)]
-    samples, _ = _assert_same_pairing(obs, tiles, texts, raster, 0.25)
-    assert samples[0].tile_a.tile_id == 3
+    samples, _ = _assert_same_pairing(_observations([(-0.5, -0.5, 0)]), tiles, texts, raster,
+                                      0.25)
+    assert tiles[samples[0][0]].tile_id == 3
 
 
 @pytest.mark.parametrize("radius", [0.05, 0.1, 0.37, 1e-7])
@@ -340,19 +375,66 @@ def test_pairing_on_random_worlds_matches_brute_force(radius):
         TileRecord(tile_id=10_000, lat=1e300, lon=0.0, timestamp=0, pixels=np.zeros((3, 4, 4))),
         TileRecord(tile_id=10_001, lat=math.inf, lon=1.0, timestamp=0,
                    pixels=np.zeros((3, 4, 4)))]
-    observations = []
+    rows = []
     for lat, lon in centers[:150]:
         angle = rng.uniform(0, 2 * math.pi, size=3)
         scale = rng.uniform(0.5, 1.5, size=3) * radius
         for a, s in zip(angle, scale):
-            observations.append(GeoObservation(lat=lat + s * math.sin(a), lon=lon + s * math.cos(a),
-                                               species_id=int(rng.integers(4))))
-    _assert_same_pairing(observations, tiles, _texts(), _raster(), radius, seed=11)
+            rows.append((lat + s * math.sin(a), lon + s * math.cos(a), int(rng.integers(4))))
+    _assert_same_pairing(_observations(rows), tiles, _texts(), _raster(), radius, seed=11)
+
+
+def test_pairing_draw_order_with_skips_and_uneven_groups():
+    # Centers hold 1 to 4 timestamps (one with a repeated timestamp), so
+    # some samples make no tile_b draw and others draw from 2 or 3
+    # alternates; species hold 1 to 3 sections, one species has none, and
+    # part of the area lies outside the raster. Every skip reason occurs
+    # between paired observations, so the one interleaved rng.integers call
+    # must keep the per-observation draw order to match.
+    rng = np.random.default_rng(21)
+    pixels = np.zeros((3, 4, 4))
+    tiles, tile_id = [], 0
+    for k, lat in enumerate(np.linspace(-3.5, 5.5, 10)):
+        for t in range(k % 4 + 1):
+            stamp = 0 if (k == 5 and t == 1) else 100 * t
+            tiles.append(TileRecord(tile_id=int(tile_id), lat=float(lat), lon=0.25 * k,
+                                    timestamp=stamp, pixels=pixels))
+            tile_id += 1
+    order = rng.permutation(len(tiles))
+    tiles = [tiles[i] for i in order]
+    species = [0, 1, 1, 2, 2, 2, 3, 3]
+    texts = TextSections(species=species, section=[0, 1, 0, 2, 0, 1, 1, 0],
+                         embeddings=rng.normal(size=(len(species), 4)))
+    rows = []
+    for tile in tiles:
+        for _ in range(4):
+            rows.append((tile.lat + rng.uniform(-0.04, 0.04), tile.lon + rng.uniform(-0.04, 0.04),
+                         int(rng.integers(5))))
+        rows.append((tile.lat + 0.3, tile.lon, 0))  # no tile in reach
+    rng.shuffle(rows)
+    samples, skips = _assert_same_pairing(_observations(rows), tiles, texts, _raster(), 0.05,
+                                          seed=4)
+    assert set(skips) == {"no_tile", "no_text", "covariates_out_of_bounds"}
+    alternates = {a: sum(t.lat == tiles[a].lat and t.timestamp != tiles[a].timestamp
+                         for t in tiles) for a, *_ in samples}
+    assert {0, 1, 2, 3} <= set(alternates.values())
+    assert {1, 2, 3} <= {species.count(texts.species[s[2]]) for s in samples}
+
+
+def test_one_integers_call_matches_a_call_per_draw():
+    rng = np.random.default_rng(0)
+    highs = np.concatenate([rng.integers(1, 5, size=2000), rng.integers(1, 2 ** 40, size=1000),
+                            np.ones(500, dtype=np.int64), [2 ** 62, 2 ** 32, 2 ** 32 + 1]])
+    rng.shuffle(highs)
+    one, each = np.random.default_rng(7), np.random.default_rng(7)
+    assert one.integers(highs).tolist() == [int(each.integers(int(h))) for h in highs]
+    assert one.bit_generator.state == each.bit_generator.state
 
 
 def test_pairing_on_a_synthetic_world_matches_brute_force():
     world, _ = world_and_samples(seed=6)
-    observations = list(world.observations) + [
-        GeoObservation(lat=world.tiles[3].lat + 0.03, lon=world.tiles[3].lon - 0.04,
-                       species_id=world.observations[0].species_id)]
+    obs = world.observations
+    observations = Observations(lat=np.append(obs.lat, world.tiles[3].lat + 0.03),
+                                lon=np.append(obs.lon, world.tiles[3].lon - 0.04),
+                                species=np.append(obs.species, obs.species[0]))
     _assert_same_pairing(observations, world.tiles, world.texts, world.raster, 0.05, seed=6)

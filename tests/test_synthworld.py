@@ -20,10 +20,11 @@ def test_same_seed_bit_identical():
     for a, b in zip(w1.tiles, w2.tiles):
         assert (a.tile_id, a.lat, a.lon, a.timestamp) == (b.tile_id, b.lat, b.lon, b.timestamp)
         np.testing.assert_array_equal(a.pixels, b.pixels)
-    for a, b in zip(w1.texts, w2.texts):
-        np.testing.assert_array_equal(a.embedding, b.embedding)
-    assert [(o.lat, o.lon, o.species_id) for o in w1.observations] \
-        == [(o.lat, o.lon, o.species_id) for o in w2.observations]
+    for name in ("species", "section", "embeddings"):
+        assert getattr(w1.texts, name).tobytes() == getattr(w2.texts, name).tobytes()
+    for name in ("lat", "lon", "species"):
+        assert getattr(w1.observations, name).tobytes() == \
+            getattr(w2.observations, name).tobytes()
 
 
 def test_different_seed_differs():
@@ -43,12 +44,13 @@ def test_tile_count_is_habitats_times_tiles_per_habitat():
 @pytest.mark.parametrize("seed", range(5))
 def test_observations_inside_their_species_habitat(seed):
     world = generate_synthetic_world(small_config(seed=seed))
-    for obs in world.observations:
-        habitat = world.species_habitats[obs.species_id]
+    obs = world.observations
+    for lat, species in zip(obs.lat.tolist(), obs.species.tolist()):
+        habitat = world.species_habitats[species]
         # region-membership oracle: strip bounds by construction
         lo = world.config.lat0 + habitat * world.strip_height
         hi = world.config.lat0 + (habitat + 1) * world.strip_height
-        assert lo <= obs.lat < hi
+        assert lo <= lat < hi
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -73,15 +75,15 @@ def test_every_species_has_text_sections():
     cfg = small_config()
     world = generate_synthetic_world(cfg)
     per_species = {}
-    for s in world.texts:
-        per_species[s.species_id] = per_species.get(s.species_id, 0) + 1
+    for s in world.texts.species.tolist():
+        per_species[s] = per_species.get(s, 0) + 1
     assert all(per_species.get(s, 0) == cfg.sections_per_species
                for s in range(cfg.n_species))
 
 
 def test_float32_quantized_payloads():
     world = generate_synthetic_world(small_config())
-    for arr in (world.tiles[0].pixels, world.raster.values, world.texts[0].embedding):
+    for arr in (world.tiles[0].pixels, world.raster.values, world.texts.embeddings):
         np.testing.assert_array_equal(arr, arr.astype(np.float32).astype(np.float64))
 
 
