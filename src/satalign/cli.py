@@ -30,7 +30,7 @@ from .evaluate import (ProbeConfig, accuracy, build_index, confusion_matrix,
                        fit_linear_probe, load_index, mean_top_k_accuracy, micro_f1,
                        query_index, save_index, top_k_accuracy, zero_shot_classify)
 from .gradcheck import finite_diff_check
-from .geodata import pair_samples, tile_species_targets
+from .geodata import COVARIATE_CHANNELS, pair_samples, tile_species_targets
 from .synthworld import SyntheticWorldConfig, generate_synthetic_world
 from .tape import RowNormError
 from .training import (TrainConfig, build_training_graph, config_from_dict,
@@ -191,6 +191,10 @@ def _cmd_train(args) -> int:
     started = time.monotonic()
     config = _train_config(args)
     dataset = ingest_dataset(args.data)
+    channels = dataset.raster.channels
+    if config.model.location.use_covariates and channels != COVARIATE_CHANNELS:
+        raise ValueError(f"{Path(args.data) / 'raster.json'}: {channels} covariate channels, "
+                         f"the location encoder takes {COVARIATE_CHANNELS}")
     paired = pair_samples(dataset.observations, dataset.tiles, dataset.texts, dataset.raster,
                           matching_radius=config.matching_radius, seed=config.seed)
     reasons = "".join(f", {n} {reason}" for reason, n in paired.skips.items())

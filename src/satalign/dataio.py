@@ -93,10 +93,11 @@ def require_fields(obj, fields: dict, where) -> dict:
 
 
 def read_json(path: str | Path):
-    """The JSON value in `path`; malformed JSON is a ValueError naming the file."""
+    """The JSON value in `path`; malformed JSON is a ValueError naming the file,
+    as are bytes that are not UTF-8 and an integer too long to parse."""
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ValueError(f"{path}: malformed JSON ({e})") from None
 
 

@@ -17,8 +17,8 @@ from .tape import RowNormError, l2_normalize_rows, row_norms
 
 TASK_KINDS = ("single_label", "multi_label", "encounter_rate")
 
-# Rows per slab when an index is loaded or validated: the temporaries stay
-# slab-sized (2 MB at d = 64), however many rows the index holds.
+# Rows per slab when an index file is queried or an index is validated: the
+# temporaries stay slab-sized (2 MB at d = 64), however many rows it holds.
 INDEX_SLAB_ROWS = 4096
 
 
@@ -234,16 +234,9 @@ class RetrievalIndex:
         if self.n == 0:
             raise ValueError("an index needs at least one row")
         # one read of the matrix: row dot products, no (n, d) temporary
-        worst = 0.0
-        for start in range(0, self.n, INDEX_SLAB_ROWS):
-            slab = self.matrix[start:start + INDEX_SLAB_ROWS]
-            off = np.abs(np.sqrt(np.einsum("ij,ij->i", slab, slab)) - 1.0)
-            bad = np.flatnonzero(~np.isfinite(off))
-            if bad.size:
-                raise ValueError(f"index row {start + int(bad[0])} is not finite")
-            worst = max(worst, float(off.max()))
-        if worst > 1e-9:
-            raise ValueError(f"index rows must be unit norm (worst deviation {worst:.2e})")
+        worst = max(_unit_norm_deviation(self.matrix[start:start + INDEX_SLAB_ROWS], start)
+                    for start in range(0, self.n, INDEX_SLAB_ROWS))
+        _require_unit_norm(worst)
 
     @property
     def n(self) -> int:
@@ -252,6 +245,57 @@ class RetrievalIndex:
     @property
     def d(self) -> int:
         return self.matrix.shape[1]
+
+    def cosines(self, q: np.ndarray) -> np.ndarray:
+        return self.matrix @ q
+
+
+def _unit_norm_deviation(slab: np.ndarray, start: int, where: str = "index") -> float:
+    """The largest |norm - 1| of the slab's rows, as row dot products; a
+    non-finite row raises a ValueError naming its global row start + i."""
+    off = np.abs(np.sqrt(np.einsum("ij,ij->i", slab, slab)) - 1.0)
+    bad = np.flatnonzero(~np.isfinite(off))
+    if bad.size:
+        raise ValueError(f"{where} row {start + int(bad[0])} is not finite")
+    return float(off.max())
+
+
+def _require_unit_norm(worst: float, where: str = "index") -> None:
+    if worst > 1e-9:
+        raise ValueError(f"{where} rows must be unit norm (worst deviation {worst:.2e})")
+
+
+@dataclass(frozen=True)
+class IndexFile:
+    """An index on disk, as load_index checked it: the header's tile ids and
+    dims, and the blob that each query reads."""
+
+    tile_ids: list[int]
+    n: int
+    d: int
+    bin_path: Path
+
+    def cosines(self, q: np.ndarray) -> np.ndarray:
+        """The blob's rows at unit norm times q. Each slab is widened, divided
+        by its row norms and gated as RetrievalIndex gates its matrix while in
+        cache; the bits equal one l2_normalize_rows of the whole blob's."""
+        cosines, slab = np.empty(self.n), np.empty((min(self.n, INDEX_SLAB_ROWS), self.d))
+        worst, where = 0.0, f"{self.bin_path}: index"
+        with open(self.bin_path, "rb") as f:
+            for start in range(0, self.n, INDEX_SLAB_ROWS):
+                rows = slab[:min(INDEX_SLAB_ROWS, self.n - start)]
+                rows[...] = np.frombuffer(f.read(4 * rows.size), dtype="<f4").reshape(rows.shape)
+                # float32 storage perturbs norms at ~1e-7; restore exact unit rows
+                try:
+                    norms = row_norms(rows)
+                except RowNormError as e:
+                    raise ValueError(f"{self.bin_path}: row {start + e.row} has a {e.problem} "
+                                     f"norm") from None
+                np.divide(rows, norms[:, None], out=rows)
+                worst = max(worst, _unit_norm_deviation(rows, start, where))
+                cosines[start:start + len(rows)] = rows @ q
+        _require_unit_norm(worst, where)
+        return cosines
 
 
 def build_index(model: Model, tiles: list[TileRecord]) -> RetrievalIndex:
@@ -262,14 +306,15 @@ def build_index(model: Model, tiles: list[TileRecord]) -> RetrievalIndex:
     return RetrievalIndex(tile_ids=[t.tile_id for t in tiles], matrix=matrix)
 
 
-def query_index(index: RetrievalIndex, query: np.ndarray, k: int,
+def query_index(index: RetrievalIndex | IndexFile, query: np.ndarray, k: int,
                 model: Model | None = None) -> list[tuple[int, float]]:
     """Top-k tiles by cosine, descending; ties broken by lower tile_id.
 
     A raw text embedding (length d_txt) is passed through the model's frozen
     text projection first, which requires `model`; a query already in the
     shared space (length d) is normalized and used directly. k is clamped
-    to the index size.
+    to the index size. The query is checked before the index's rows are
+    read.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -281,7 +326,7 @@ def query_index(index: RetrievalIndex, query: np.ndarray, k: int,
     else:
         raise ValueError(f"query length {query.size} matches neither the shared "
                          f"space ({index.d}) nor a raw text embedding")
-    cosines = index.matrix @ q
+    cosines = index.cosines(q)
     k = min(k, index.n)
     # only rows at or above the k-th cosine can rank in the top k; sorting
     # them with their ties gives the full sort's first k rows
@@ -326,13 +371,10 @@ def _checked_tile_ids(ids: list, where: Path) -> list[int]:
     return ids
 
 
-def load_index(path: str | Path) -> RetrievalIndex:
-    """Read an index written by save_index.
-
-    Each slab of rows is read, widened and divided by its row norms in
-    place while it is in cache; the rows equal one l2_normalize_rows of the
-    whole widened blob, bit for bit.
-    """
+def load_index(path: str | Path) -> IndexFile:
+    """Check the header of an index written by save_index and the length of
+    its blob; the rows themselves are read and checked by each query
+    (IndexFile.cosines)."""
     json_path, bin_path = pair_paths(path)
     if not json_path.exists():
         raise ValueError(f"index header not found: {json_path}")
@@ -348,16 +390,4 @@ def load_index(path: str | Path) -> RetrievalIndex:
     if size != 4 * n * d:
         raise ValueError(f"{bin_path}: index blob length mismatch: {size} bytes, "
                          f"expected {4 * n * d}")
-    matrix = np.empty((n, d))
-    with open(bin_path, "rb") as f:
-        for start in range(0, n, INDEX_SLAB_ROWS):
-            slab = matrix[start:start + INDEX_SLAB_ROWS]
-            slab[...] = np.frombuffer(f.read(4 * slab.size), dtype="<f4").reshape(slab.shape)
-            # float32 storage perturbs norms at ~1e-7; restore exact unit rows
-            try:
-                norms = row_norms(slab)
-            except RowNormError as e:
-                raise ValueError(f"{bin_path}: row {start + e.row} has a {e.problem} "
-                                 f"norm") from None
-            np.divide(slab, norms[:, None], out=slab)
-    return RetrievalIndex(tile_ids=tile_ids, matrix=matrix)
+    return IndexFile(tile_ids=tile_ids, n=n, d=d, bin_path=bin_path)

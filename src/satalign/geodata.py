@@ -237,14 +237,17 @@ def bilinear_sample(raster: CovariateRaster, lat, lon) -> np.ndarray:
 
 def tile_species_targets(tiles: list[TileRecord], observations: Observations,
                          radius: float) -> np.ndarray:
-    """Per-tile species presence, shape (tiles, species): 1 when an
-    observation of the species lies within `radius` degrees of the tile
-    center (planar distance, boundary included)."""
-    lat, lon, species = observations.lat, observations.lon, observations.species
-    targets = np.zeros((len(tiles), int(species.max()) + 1))
+    """Per-tile species presence, shape (tiles, distinct species observed):
+    column j stands for the j-th smallest species id, so with ids 0..S-1 all
+    observed, column j is species j. An entry is 1 when an observation of
+    the species lies within `radius` degrees of the tile center (planar
+    distance, boundary included)."""
+    lat, lon = observations.lat, observations.lon
+    species, column = np.unique(observations.species, return_inverse=True)
+    targets = np.zeros((len(tiles), species.size))
     for t_idx, tile in enumerate(tiles):
         near = np.hypot(lat - tile.lat, lon - tile.lon) <= radius
-        targets[t_idx, species[near]] = 1.0
+        targets[t_idx, column[near]] = 1.0
     return targets
 
 

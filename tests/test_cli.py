@@ -257,6 +257,45 @@ def test_retrieve_on_a_multi_slab_index_prints_a_whole_matrix_ranking(workspace,
         assert capsys.readouterr().out == want
 
 
+def test_retrieve_reports_a_bad_query_before_a_bad_index_row(capsys, tmp_path):
+    # the header and blob length are checked before the query, the rows after
+    n, d = INDEX_SLAB_ROWS + 10, TRAIN_CFG["model"]["embed_dim"]
+    rows = l2_normalize_rows(np.random.default_rng(8).normal(size=(n, d)))
+    save_index(RetrievalIndex(tile_ids=list(range(n)), matrix=rows), tmp_path / "idx")
+    blob = np.fromfile(tmp_path / "idx.bin", dtype="<f4")
+    row = INDEX_SLAB_ROWS + 3
+    blob[row * d] = np.nan
+    blob.tofile(tmp_path / "idx.bin")
+    argv = ["retrieve", "--index", str(tmp_path / "idx")]
+    assert dispatch(argv + ["--query=" + ",".join(["0"] * d)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: inline query: query has a degenerate norm\n"
+    assert dispatch(argv + ["--query=" + ",".join(["0.5"] * d)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'idx.bin'}: row {row} has a non-finite norm\n"
+
+
+def test_train_rejects_a_raster_of_another_channel_count(tmp_path, capsys):
+    world = tmp_path / "world"
+    assert dispatch(["synth", "--out", str(world)]) == 0  # the default world
+    header = json.loads((world / "raster.json").read_text())
+    values = np.fromfile(world / "raster.bin", dtype="<f4").reshape(
+        header["rows"], header["cols"], header["channels"])
+    np.ascontiguousarray(values[..., :3]).tofile(world / "raster.bin")
+    header.update(channels=3, channel_min=header["channel_min"][:3],
+                  channel_max=header["channel_max"][:3])
+    (world / "raster.json").write_text(json.dumps(header))
+    capsys.readouterr()
+    assert dispatch(["train", "--data", str(world), "--out", str(tmp_path / "ckpt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {world / 'raster.json'}: 3 covariate channels, "
+                            f"the location encoder takes 20\n")
+    assert not (tmp_path / "ckpt.json").exists()
+
+
 def test_zeroshot_classes_of_the_wrong_length_exit_1_naming_the_file(workspace, capsys,
                                                                      tmp_path):
     classes = tmp_path / "classes.bin"

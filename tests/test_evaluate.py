@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,9 +265,13 @@ class TestRetrievalIndex:
         index = build_index(model, tiles_for(model, n=5, seed=7))
         save_index(index, tmp_path / "idx.json")
         loaded = load_index(tmp_path / "idx.json")
-        assert loaded.tile_ids == index.tile_ids
-        np.testing.assert_allclose(loaded.matrix, index.matrix, atol=1e-6)
-        np.testing.assert_allclose(np.linalg.norm(loaded.matrix, axis=1), 1.0, atol=1e-12)
+        assert (loaded.tile_ids, loaded.n, loaded.d) == (index.tile_ids, index.n, index.d)
+        raw = np.random.default_rng(0).normal(size=(3, model.cfg.d_txt))
+        for query, m in [(row, None) for row in index.matrix] + [(r, model) for r in raw]:
+            got = query_index(loaded, query, k=5, model=m)
+            want = query_index(index, query, k=5, model=m)
+            assert [t for t, _ in got] == [t for t, _ in want]
+            np.testing.assert_allclose([c for _, c in got], [c for _, c in want], atol=1e-6)
 
     def test_bad_query_length(self, model):
         index = RetrievalIndex(tile_ids=[0], matrix=np.eye(3)[:1])
@@ -334,11 +339,32 @@ class TestIndexValidation:
 
     def test_chunked_load_equals_one_whole_normalization(self, tmp_path):
         n = 2 * INDEX_SLAB_ROWS + 123  # not a multiple of the slab
-        matrix = unit_rows(np.random.default_rng(1), n, 16)
-        save_index(RetrievalIndex(tile_ids=list(range(n)), matrix=matrix), tmp_path / "idx")
+        rng = np.random.default_rng(1)
+        ids = rng.permutation(n).tolist()
+        save_index(RetrievalIndex(tile_ids=ids, matrix=unit_rows(rng, n, 16)), tmp_path / "idx")
         stored = np.frombuffer((tmp_path / "idx.bin").read_bytes(), dtype="<f4")
         whole = l2_normalize_rows(stored.astype(np.float64).reshape(n, 16))
-        assert load_index(tmp_path / "idx").matrix.tobytes() == whole.tobytes()
+        index = load_index(tmp_path / "idx")
+        for query in rng.normal(size=(4, 16)):
+            q = l2_normalize_rows(query[None])[0]
+            assert index.cosines(q).tobytes() == (whole @ q).tobytes()
+            assert query_index(index, query, k=10) == full_sort_ranking(
+                RetrievalIndex(tile_ids=ids, matrix=whole), query, 10)
+
+    def test_query_never_holds_the_whole_matrix(self, tmp_path):
+        # large enough that one (n, d) float64 matrix outweighs the header's
+        # Python ids and a slab's temporaries together
+        n, d = 12 * INDEX_SLAB_ROWS, 64
+        rng = np.random.default_rng(6)
+        save_index(RetrievalIndex(tile_ids=list(range(n)), matrix=unit_rows(rng, n, d)),
+                   tmp_path / "idx")
+        tracemalloc.start()
+        try:
+            query_index(load_index(tmp_path / "idx"), rng.normal(size=d), k=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8 // 2  # half of one (n, d) float64 matrix
 
     @pytest.mark.parametrize("value, problem", [(np.nan, "non-finite"), (0.0, "degenerate")])
     def test_bad_blob_row_named_by_file_and_global_row(self, tmp_path, value, problem):
@@ -350,8 +376,9 @@ class TestIndexValidation:
         row = INDEX_SLAB_ROWS + 3
         blob[row * d:(row + 1) * d] = value
         (tmp_path / "idx.bin").write_bytes(blob.tobytes())
+        index = load_index(tmp_path / "idx")  # the header and the blob length are sound
         with pytest.raises(ValueError) as err:
-            load_index(tmp_path / "idx")
+            query_index(index, np.ones(d), k=1)
         assert str(err.value) == f"{tmp_path / 'idx.bin'}: row {row} has a {problem} norm"
 
     @pytest.mark.parametrize("ids, pos, message", [

@@ -250,3 +250,16 @@ def test_tile_species_targets_match_pairwise_loop():
     targets = tile_species_targets(tiles, obs, radius)
     assert targets.dtype == np.float64
     assert targets.tobytes() == expected.tobytes()
+
+
+def test_tile_species_targets_have_a_column_per_distinct_species():
+    # ids with gaps, one far beyond any dense matrix: a column for each id
+    # observed, in ascending id order, with each observation in its column
+    tiles = [TileRecord(tile_id=i, lat=float(i), lon=0.0, timestamp=0,
+                        pixels=np.zeros((3, 2, 2))) for i in range(3)]
+    obs = Observations(lat=np.array([0.0, 1.0, 1.0, 2.0, 9.0]), lon=np.zeros(5),
+                       species=np.array([10 ** 12, 7, 3, 7, 5]))
+    targets = tile_species_targets(tiles, obs, radius=0.5)
+    assert targets.tolist() == [[0, 0, 0, 1],   # species 3, 5, 7, 10**12
+                                [1, 0, 1, 0],
+                                [0, 0, 1, 0]]

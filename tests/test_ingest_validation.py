@@ -212,6 +212,21 @@ def test_huge_species_id_loads_and_is_skipped_as_no_text(base, tmp_path, capsys)
     assert "1 no_text" in capsys.readouterr().err
 
 
+def test_huge_species_id_probes_without_a_dense_species_matrix(base, tmp_path, capsys):
+    # one column per distinct species: an id of 10**12 is one more column,
+    # not 10**12 of them
+    world = _copy_world(base, tmp_path / "world")
+    csv = world / "observations.csv"
+    lines = csv.read_text().splitlines()
+    lat, lon, _ = lines[1].split(",")
+    csv.write_text("\n".join(lines + [f"{lat},{lon},{10 ** 12}"]) + "\n")
+    code = dispatch(["probe", "--data", str(world), "--ckpt", str(base / "ckpt.json"),
+                     "--task", "encounter", "--probe-epochs", "5"])
+    err = capsys.readouterr().err
+    assert code in (0, 1), err
+    assert "Traceback" not in err
+
+
 # -- fuzz ------------------------------------------------------------------------
 
 _TOKENS = ["nan", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e999", "1e308", "9" * 30,
