@@ -6,7 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tape import Tape, _evaluate, backward, replay_schedule
+from .tape import Tape, _evaluate, _resolve_output, backward, replay_schedule
+
+# Bytes of recorded node values that one batched replay may stack: a leaf
+# whose 2*size perturbation rows, times the bytes its schedule records per
+# row, exceed this is replayed in chunks of coordinates. The CLI model's
+# largest leaf, img.conv2.kernel, needs ~5.8 MB and replays in one chunk.
+REPLAY_BUDGET_BYTES = 8 << 20
 
 
 @dataclass
@@ -29,23 +35,38 @@ def finite_diff_check(tape: Tape, names: list[str] | None = None,
                       output: str | None = None) -> GradCheckReport:
     """Compare tape gradients against central finite differences.
 
-    Perturbs every coordinate of the requested leaves (default: all trainable
-    leaves) by +-step and compares (f+ - f-)/(2*step) to the analytic
-    gradient, using relative error |a - n| / max(|a|, |n|, 1e-8). Each
-    perturbation recomputes only the nodes between the leaf and the output
-    that depend on the leaf. The tape is left unmodified. Failures are
-    reported, never raised; a failed report also says whether the worst
-    coordinate's +-step crossed a relu kink. A `tolerance` or `step` that is
-    not finite and > 0 raises ValueError, as no check could fail (inf) or
-    pass (nan, 0, negative) under it.
+    Perturbs every coordinate of the requested trainable leaves (default:
+    all of them) by +-step and compares (f+ - f-)/(2*step) to the analytic
+    gradient of `output` (default: the tape's first output), using relative
+    error |a - n| / max(|a|, |n|, 1e-8). A non-finite error fails the check
+    and is the worst coordinate, ahead of any finite one.
+
+    All 2*size perturbed copies of a leaf are stacked on a leading axis and
+    replayed at once: one batched :func:`_evaluate` per leaf, recomputing only
+    the nodes between the leaf and the output that depend on the leaf. Each
+    row gives the same bits as replaying that perturbation alone. A leaf whose
+    rows would stack more than REPLAY_BUDGET_BYTES of node values is replayed
+    in chunks of coordinates. The tape is left unmodified.
+
+    Failures are reported, never raised; a failed report also says whether
+    the worst coordinate's +-step crossed a relu kink. A `tolerance` or
+    `step` that is not finite and > 0 raises ValueError, as no check could
+    fail (inf) or pass (nan, 0, negative) under it; so do an unknown or
+    missing output and a name that is not a trainable leaf.
     """
     for label, value in (("tolerance", tolerance), ("step", step)):
         if not 0 < value < np.inf:
             raise ValueError(f"{label} must be finite and > 0, got {value!r}")
+    trainable = tape.leaf_names(trainable_only=True)
     if names is None:
-        names = tape.leaf_names(trainable_only=True)
+        names = trainable
+    for name in names:
+        if name not in trainable:
+            raise ValueError(f"{name!r} is not a trainable leaf of the tape")
+    if output is None and not tape.outputs:
+        raise ValueError("the tape marks no output to check")
     out_name = output if output is not None else next(iter(tape.outputs))
-    out_idx = tape.outputs[out_name]
+    out_idx = _resolve_output(tape, out_name)
     analytic = backward(tape, output=out_name)
 
     max_err = 0.0
@@ -54,23 +75,24 @@ def finite_diff_check(tape: Tape, names: list[str] | None = None,
     for name in names:
         base = tape.leaf_value(name)
         grad = np.asarray(analytic[name]).ravel()
-        work = base.copy().ravel()
-        overrides = {name: work.reshape(base.shape)}
         schedule = replay_schedule(tape, name, out_idx)
-        for i in range(work.size):
-            orig = work[i]
-            work[i] = orig + step
-            f_plus = float(_evaluate(tape, overrides, schedule)[out_idx])
-            work[i] = orig - step
-            f_minus = float(_evaluate(tape, overrides, schedule)[out_idx])
-            work[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            a = float(grad[i])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            checked += 1
-            if err > max_err:
-                max_err = err
-                worst = (name, i)
+        row_bytes = sum(node.value.nbytes for node in schedule)
+        chunk = max(1, REPLAY_BUDGET_BYTES // max(1, 2 * row_bytes))
+        for lo in range(0, base.size, chunk):
+            idx = np.arange(lo, min(lo + chunk, base.size))
+            rows = _perturbed_rows(base, idx, step)
+            f = _evaluate(tape, {name: rows}, schedule, batched=True)[out_idx]
+            # a leaf the output does not depend on leaves f its recorded scalar
+            f = np.broadcast_to(f, rows.shape[:1])
+            numeric = (f[:idx.size] - f[idx.size:]) / (2.0 * step)
+            a = grad[idx]
+            err = np.abs(a - numeric) / np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
+            checked += idx.size
+            # argmax takes the first NaN if there is one, else the first maximum
+            j = int(np.argmax(err))
+            if np.isfinite(max_err) and not err[j] <= max_err:
+                max_err = float(err[j])
+                worst = (name, int(idx[j]))
     report = GradCheckReport(max_rel_err=max_err, passed=max_err < tolerance,
                              checked=checked, worst=worst)
     if not report.passed and worst is not None:
@@ -78,16 +100,23 @@ def finite_diff_check(tape: Tape, names: list[str] | None = None,
     return report
 
 
+def _perturbed_rows(base: np.ndarray, idx: np.ndarray, step: float) -> np.ndarray:
+    """Copies of `base` stacked on a new leading axis: row k has flat
+    coordinate idx[k] moved by +step, row len(idx) + k has it moved by -step."""
+    flat = base.ravel()
+    n = idx.size
+    rows = np.tile(flat, (2 * n, 1))
+    rows[np.arange(n), idx] = flat[idx] + step
+    rows[np.arange(n, 2 * n), idx] = flat[idx] - step
+    return rows.reshape(2 * n, *base.shape)
+
+
 def _crosses_relu_kink(tape: Tape, coord: tuple[str, int], step: float, out_idx: int) -> bool:
     """Whether some relu input lies on different sides of zero at the +step
-    and the -step replay of one leaf coordinate."""
+    and the -step replay of one leaf coordinate: one two-row batched replay."""
     name, i = coord
-    base = tape.leaf_value(name)
     schedule = replay_schedule(tape, name, out_idx)
-    sides = []
-    for delta in (step, -step):
-        work = base.copy().ravel()
-        work[i] += delta
-        values = _evaluate(tape, {name: work.reshape(base.shape)}, schedule)
-        sides.append([values[node.inputs[0]] > 0 for node in schedule if node.op == "relu"])
-    return any(not np.array_equal(plus, minus) for plus, minus in zip(*sides))
+    rows = _perturbed_rows(tape.leaf_value(name), np.array([i]), step)
+    values = _evaluate(tape, {name: rows}, schedule, batched=True)
+    return any(not np.array_equal(x[0] > 0, x[1] > 0)
+               for x in (values[node.inputs[0]] for node in schedule if node.op == "relu"))

@@ -10,6 +10,14 @@ leaves) returns new values and leaves the tape as it was. Input shapes are
 checked once, at recording; a replay, whose leaf overrides keep the recorded
 shapes, runs each op's arithmetic alone.
 
+A batched replay runs P replays at once. Each override stacks P copies of its
+leaf on a new leading axis, and the nodes that depend on it carry that axis
+through the same forward kernels that record the tape: matmul runs stacked
+per-matrix GEMMs, conv2d per-sample GEMMs over P*n samples, add and mul line a
+batched operand of lower rank up with its own row, and the reductions run over
+trailing axes. Row p of every value has the bits an unbatched replay of row p
+computes.
+
 :func:`backward` computes only the gradients some trainable leaf needs: a
 node whose inputs reach no trainable leaf gets no vector-Jacobian product,
 and a conv2d, matmul or channel_norm skips the input gradients nothing
@@ -80,13 +88,15 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
 
 
 def _center_channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """An (N, C, H, W) batch minus its per-channel mean (a new array), with
-    that mean and the population variance."""
-    count = x.shape[0] * x.shape[2] * x.shape[3]
-    mean = np.add.reduce(x, axis=(0, 2, 3))
+    """An (N, C, H, W) batch, or (P, N, C, H, W) rows of batches, minus its
+    per-channel mean (a new array), with that mean and the population
+    variance, each kept with x's rank: (1, C, 1, 1) or (P, 1, C, 1, 1)."""
+    axes = (-4, -2, -1)
+    count = x.shape[-4] * x.shape[-2] * x.shape[-1]
+    mean = np.add.reduce(x, axis=axes, keepdims=True)
     mean /= count
-    centered = x - mean[:, None, None]
-    var = np.add.reduce(centered * centered, axis=(0, 2, 3))
+    centered = x - mean
+    var = np.add.reduce(centered * centered, axis=axes, keepdims=True)
     var /= count
     return centered, mean, var
 
@@ -284,9 +294,9 @@ def _check_shapes(node: Node, vals: list[np.ndarray]) -> None:
     """Reject input shapes that do not fit the node's op, naming the node.
 
     Runs once, when the node is recorded. A replay overrides leaves only with
-    arrays of their recorded shapes (see :func:`_evaluate`), so every node is
-    recomputed from inputs of the shapes checked here. add and mul are checked
-    by numpy's broadcasting inside :func:`_compute`.
+    arrays of their recorded shapes, or rows of them (see :func:`_evaluate`),
+    so every node is recomputed from inputs of the shapes checked here. add
+    and mul are checked by numpy's broadcasting inside :func:`_compute`.
     """
     op = node.op
     if op == "matmul":
@@ -324,11 +334,34 @@ def _check_shapes(node: Node, vals: list[np.ndarray]) -> None:
                              f"shape ({x.shape[1]},)")
 
 
-def _compute(node: Node, vals: list[np.ndarray], saved: dict | None = None) -> np.ndarray:
+def _broadcast_batched(vals: list[np.ndarray], batched: list[bool]) -> list[np.ndarray]:
+    """Operands of add or mul with a singleton axis inserted after the
+    perturbation axis of each batched operand of lower rank than the op's
+    recorded result, so broadcasting pairs it with its own row."""
+    rank = max(v.ndim - b for v, b in zip(vals, batched))
+    return [v.reshape(v.shape[:1] + (1,) * (rank + 1 - v.ndim) + v.shape[1:]) if b else v
+            for v, b in zip(vals, batched)]
+
+
+def _channel_vector(v: np.ndarray, batched: bool) -> np.ndarray:
+    """A (C,) vector, or (P, C) rows of them, shaped to broadcast over
+    (N, C, H, W), or over (P, N, C, H, W) row by row."""
+    return v.reshape(v.shape[0], 1, -1, 1, 1) if batched else v[:, None, None]
+
+
+def _compute(node: Node, vals: list[np.ndarray], saved: dict | None = None,
+             batched: list[bool] | None = None) -> np.ndarray:
     """Value of `node` from its input values, whose shapes
     :func:`_check_shapes` accepted when the node was recorded. When recording
     (`saved` given), a training-mode channel_norm also stores its batch
     (mean, var) in `saved[node.idx]`.
+
+    In a batched replay, `batched[i]` says that input i carries a leading
+    perturbation axis of P rows, each of its recorded shape. The value then
+    carries that axis too, and row p holds, bit for bit, the value computed
+    from row p of every batched input: matmul and conv2d run the same
+    per-matrix GEMMs, elementwise ops the same IEEE operations, and
+    reductions run over the trailing axes in the same order.
 
     Reductions call their ufunc's `reduce` directly and divide by the count
     for a mean: the summation order, and so every bit, of `np.sum`,
@@ -336,46 +369,63 @@ def _compute(node: Node, vals: list[np.ndarray], saved: dict | None = None) -> n
     """
     op = node.op
     if op == "add" or op == "mul":
-        a, b = vals
+        a, b = vals if batched is None else _broadcast_batched(vals, batched)
         try:
             return a + b if op == "add" else a * b
         except ValueError:
             raise ValueError(f"{op} shape mismatch at node {node.idx}: {a.shape} vs {b.shape}")
     if op == "matmul":
         a, b = vals
-        return a @ (b.T if node.attrs["trans_b"] else b)
+        return a @ (b.swapaxes(-1, -2) if node.attrs["trans_b"] else b)
     if op == "relu":
         return np.maximum(vals[0], 0.0)
     if op == "conv2d":
         x, k = vals
-        n, c, f, kh, kw, s, p, oh, ow = _conv_geometry(node, x, k)
-        cols = _im2col(_pad2d(x, p), kh, kw, s, oh, ow)
-        cols2 = cols.reshape(n, c * kh * kw, oh * ow)
-        out = np.matmul(k.reshape(f, c * kh * kw)[None], cols2)
-        return out.reshape(n, f, oh, ow)
+        x_rows, k_rows = batched or (False, False)
+        # (P, n) or (n,) leading axes of the result; a batched input runs as
+        # P*n samples
+        lead = (k.shape[:1] if k_rows and not x_rows else ()) + x.shape[:-3]
+        x = x.reshape(-1, *x.shape[-3:])
+        n, c, f, kh, kw, s, p, oh, ow = _conv_geometry(node, x, k[0] if k_rows else k)
+        cols = _im2col(_pad2d(x, p), kh, kw, s, oh, ow).reshape(n, c * kh * kw, oh * ow)
+        if k_rows:
+            kmat = k.reshape(k.shape[0], 1, f, c * kh * kw)
+            if x_rows:
+                cols = cols.reshape(lead[0], -1, c * kh * kw, oh * ow)
+        else:
+            kmat = k.reshape(f, c * kh * kw)[None]
+        return np.matmul(kmat, cols).reshape(*lead, f, oh, ow)
     if op == "global_avg_pool":
         x = vals[0]
-        out = np.add.reduce(x, axis=(2, 3))
-        out /= x.shape[2] * x.shape[3]
+        out = np.add.reduce(x, axis=(-2, -1))
+        out /= x.shape[-2] * x.shape[-1]
         return out
     if op == "channel_norm":
         x, gamma, beta = vals
+        x_rows, gamma_rows, beta_rows = batched or (False, False, False)
         if node.attrs["training"]:
             out, mean, var = _center_channels(x)
             if saved is not None:
-                saved[node.idx] = (mean, var)
+                saved[node.idx] = (mean.reshape(-1), var.reshape(-1))
         else:
             mean, var = node.attrs["running_mean"], node.attrs["running_var"]
             out = x - mean[:, None, None]
+            var = var[:, None, None]
         # xhat, then gamma * xhat + beta, each step in place in `out`
-        out *= (1.0 / np.sqrt(var + node.attrs["eps"]))[:, None, None]
-        out *= gamma[:, None, None]
-        out += beta[:, None, None]
+        out *= 1.0 / np.sqrt(var + node.attrs["eps"])
+        if not x_rows and (gamma_rows or beta_rows):
+            rows = (gamma if gamma_rows else beta).shape[0]
+            out = np.broadcast_to(out, (rows, *out.shape)).copy()
+        out *= _channel_vector(gamma, gamma_rows)
+        out += _channel_vector(beta, beta_rows)
         return out
     if op == "l2norm_rows":
-        return l2_normalize_rows(vals[0])
+        x = vals[0]
+        return l2_normalize_rows(x.reshape(-1, x.shape[-1])).reshape(x.shape)
     if op == "logsumexp":
         x, axis = vals[0], node.attrs["axis"]
+        if batched and axis >= 0:
+            axis += 1  # past the perturbation axis
         m = np.maximum.reduce(x, axis=axis, keepdims=True)
         e = x - m
         np.exp(e, out=e)
@@ -384,7 +434,12 @@ def _compute(node: Node, vals: list[np.ndarray], saved: dict | None = None) -> n
         out += m
         return out.squeeze(axis)
     if op == "sum":
-        return np.asarray(np.add.reduce(vals[0], axis=node.attrs["axis"]))
+        x, axis = vals[0], node.attrs["axis"]
+        if batched and axis is None:
+            axis = tuple(range(1, x.ndim))  # all but the perturbation axis
+        elif batched and axis >= 0:
+            axis += 1
+        return np.asarray(np.add.reduce(x, axis=axis))
     raise ValueError(f"unsupported op kind {op!r} at node {node.idx}")
 
 
@@ -414,26 +469,49 @@ def replay_schedule(tape: Tape, leaf: str, output: int) -> list[Node]:
 
 
 def _evaluate(tape: Tape, overrides: dict[str, np.ndarray] | None,
-              nodes: list[Node] | None = None) -> list[np.ndarray]:
+              nodes: list[Node] | None = None, batched: bool = False) -> list[np.ndarray]:
     """Values of every node with the named leaves overridden: a replay.
 
     By default every node is recomputed. Given `nodes`, a schedule in tape
     order such as :func:`replay_schedule` returns, only those nodes are
     recomputed and all others keep their recorded values. No node is
     written, so the tape still differentiates what it recorded.
+
+    A batched replay (`batched=True`) runs P replays at once: each override
+    holds P rows of its leaf's recorded shape, stacked on a new leading axis,
+    and every node that depends on an override carries that axis too. Row p
+    of each value is, bit for bit, what an unbatched replay of row p of each
+    override computes; nodes that depend on no override keep one unbatched
+    value.
     """
     values = [node.value for node in tape.nodes]
+    carries = [False] * len(values)  # which values have the perturbation axis
+    rows = None
     for name, v in (overrides or {}).items():
         idx = tape._leaf_ids.get(name)
         if idx is None:
             unknown = sorted(n for n in overrides if n not in tape._leaf_ids)
             raise ValueError(f"unknown leaf names in replay: {unknown}")
         v = np.asarray(v, dtype=np.float64)
-        if v.shape != values[idx].shape:
-            raise ValueError(f"leaf {name!r} expects shape {values[idx].shape}, got {v.shape}")
+        shape = values[idx].shape
+        if batched:
+            if v.ndim == 0 or v.shape[1:] != shape:
+                raise ValueError(f"leaf {name!r} expects rows of shape {shape}, got {v.shape}")
+            rows = v.shape[0] if rows is None else rows
+            if v.shape[0] != rows:
+                raise ValueError(f"leaf {name!r} has {v.shape[0]} rows, another override {rows}")
+        elif v.shape != shape:
+            raise ValueError(f"leaf {name!r} expects shape {shape}, got {v.shape}")
         values[idx] = v
+        carries[idx] = batched
     for node in tape.nodes if nodes is None else nodes:
-        if node.op not in ("leaf", "const"):
+        if node.op in ("leaf", "const"):
+            continue
+        flags = [carries[i] for i in node.inputs]
+        if any(flags):
+            values[node.idx] = _compute(node, [values[i] for i in node.inputs], batched=flags)
+            carries[node.idx] = True
+        else:
             values[node.idx] = _compute(node, [values[i] for i in node.inputs])
     return values
 

@@ -360,6 +360,23 @@ def test_failed_gradcheck_names_worst_coordinate(monkeypatch, capsys):
             "its +-step crosses a relu kink") in captured.err
 
 
+def test_non_finite_finite_difference_fails_the_gradcheck(monkeypatch, capsys):
+    def overflow_on_plus_step(seed):
+        # x[0] * c[0] overflows on the +step, so x[0]'s relative error is nan
+        tape = Tape()
+        x = tape.leaf("x", np.array([[1.0, 0.5]]), trainable=True)
+        c = tape.const(np.array([[np.finfo(float).max / 1.000001, 1.0]]))
+        tape.mark_output("loss", tape.sum(tape.logsumexp(tape.mul(x, c), axis=1)))
+        return tape
+
+    monkeypatch.setattr(cli, "_gradcheck_setup", overflow_on_plus_step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert dispatch(["gradcheck", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["max_rel_err\tnan", "checked\t2", "status\tFAIL"]
+    assert "gradcheck worst coordinate: x[0] rel_err=nan;" in captured.err
+
+
 def test_zeroshot_prints_predictions_and_accuracy(workspace, capsys):
     assert dispatch(["zeroshot", "--data", str(workspace / "world"),
                      "--ckpt", str(workspace / "run" / "ckpt.json")]) == 0

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import satalign.gradcheck as gradcheck
 from satalign.cli import _gradcheck_setup
-from satalign.gradcheck import finite_diff_check
+from satalign.gradcheck import GradCheckReport, finite_diff_check
 from satalign.tape import Tape, _evaluate, backward, replay_schedule
 
 
@@ -171,3 +172,157 @@ def test_tolerance_and_step_must_be_finite_and_positive(param, value):
     tape = quadratic_tape(np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match=f"{param} must be finite and > 0, got {value!r}"):
         finite_diff_check(tape, **{param: value})
+
+
+def test_non_finite_difference_fails_naming_the_coordinate():
+    # x[0] * c[0] overflows to inf on the +step only, so x[0]'s numeric
+    # gradient is inf and its relative error nan; x[1]'s error is exactly 0
+    tape = Tape()
+    x = tape.leaf("x", np.array([[1.0, 0.5]]), trainable=True)
+    c = tape.const(np.array([[np.finfo(float).max / 1.000001, 1.0]]))
+    tape.mark_output("loss", tape.sum(tape.logsumexp(tape.mul(x, c), axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = finite_diff_check(tape)
+    assert not report.passed
+    assert np.isnan(report.max_rel_err)
+    assert report.worst == ("x", 0)
+    assert report.checked == 2
+
+
+def test_non_finite_error_outranks_any_finite_one():
+    # x[0]'s error is nan, y[0]'s (on a relu kink) is 1.0: x[0] is the worst
+    # coordinate whichever leaf is checked first
+    tape = Tape()
+    x = tape.leaf("x", np.array([1.0]), trainable=True)
+    y = tape.leaf("y", np.array([0.0]), trainable=True)
+    big = tape.mul(x, tape.const(np.array([np.finfo(float).max / 1.000001])))
+    tape.mark_output("loss", tape.add(tape.sum(big), tape.sum(tape.relu(y))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = finite_diff_check(tape)
+        assert report.worst == ("x", 0) and np.isnan(report.max_rel_err)
+        report = finite_diff_check(tape, names=["y", "x"])
+    assert report.worst == ("x", 0) and np.isnan(report.max_rel_err)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"output": "zzz"}, "unknown output 'zzz'"),
+    ({"names": ["nope"]}, "'nope' is not a trainable leaf"),
+    ({"names": ["a", "x"]}, "'x' is not a trainable leaf"),
+])
+def test_bad_output_or_leaf_name_is_a_value_error(kwargs, message):
+    tape = Tape()
+    a = tape.leaf("a", np.array([2.0, 1.0]), trainable=True)
+    x = tape.leaf("x", np.array([3.0, -1.0]))  # a batch input, not trainable
+    tape.mark_output("loss", tape.sum(tape.mul(a, x)))
+    tape.mark_output("aux", tape.sum(a))
+    with pytest.raises(ValueError, match=message):
+        finite_diff_check(tape, **kwargs)
+
+
+def test_tape_without_outputs_is_a_value_error():
+    tape = Tape()
+    tape.leaf("a", np.array([2.0]), trainable=True)
+    with pytest.raises(ValueError, match="the tape marks no output to check"):
+        finite_diff_check(tape)
+
+
+def test_default_output_is_the_first_marked():
+    tape = Tape()
+    a = tape.leaf("a", np.array([2.0, 1.0]), trainable=True)
+    tape.mark_output("cube", tape.sum(tape.mul(a, tape.mul(a, a))))
+    tape.mark_output("linear", tape.sum(a))
+    assert finite_diff_check(tape) == finite_diff_check(tape, output="cube")
+    assert finite_diff_check(tape) != finite_diff_check(tape, output="linear")
+
+
+def unbatched_check(tape, step=1e-5, output="loss"):
+    """The per-coordinate check: two unbatched replays per coordinate, errors
+    compared one at a time. Returns the largest error, its coordinate, the
+    count, and the bytes of each leaf's (f+, f-) pairs."""
+    out_idx = tape.outputs[output]
+    analytic = backward(tape, output=output)
+    max_err, worst, checked, replayed = 0.0, None, 0, {}
+    for name in tape.leaf_names(trainable_only=True):
+        base = tape.leaf_value(name)
+        grad = np.asarray(analytic[name]).ravel()
+        work = base.copy().ravel()
+        overrides = {name: work.reshape(base.shape)}
+        schedule = replay_schedule(tape, name, out_idx)
+        plus, minus = [], []
+        for i in range(work.size):
+            orig = work[i]
+            work[i] = orig + step
+            f_plus = float(_evaluate(tape, overrides, schedule)[out_idx])
+            work[i] = orig - step
+            f_minus = float(_evaluate(tape, overrides, schedule)[out_idx])
+            work[i] = orig
+            plus.append(f_plus)
+            minus.append(f_minus)
+            numeric = (f_plus - f_minus) / (2.0 * step)
+            a = float(grad[i])
+            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            checked += 1
+            if err > max_err:
+                max_err, worst = err, (name, i)
+        replayed[name] = np.array([plus, minus]).T.tobytes()
+    return max_err, worst, checked, replayed
+
+
+def unbatched_crosses_relu_kink(tape, coord, step=1e-5, output="loss"):
+    """Whether a relu input changes sign between the unbatched +step and
+    -step replays of one coordinate."""
+    name, i = coord
+    base = tape.leaf_value(name)
+    schedule = replay_schedule(tape, name, tape.outputs[output])
+    sides = []
+    for delta in (step, -step):
+        work = base.copy().ravel()
+        work[i] += delta
+        values = _evaluate(tape, {name: work.reshape(base.shape)}, schedule)
+        sides.append([values[node.inputs[0]] > 0 for node in schedule if node.op == "relu"])
+    return any(not np.array_equal(plus, minus) for plus, minus in zip(*sides))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_check_equals_per_coordinate_replays(seed, monkeypatch):
+    tape = _gradcheck_setup(seed)
+    max_err, worst, checked, expect_replayed = unbatched_check(tape)
+    replayed = {}
+
+    def record(tape, overrides, nodes=None, batched=False):
+        values = _evaluate(tape, overrides, nodes, batched)
+        (name, _), = overrides.items()
+        plus, minus = np.split(values[tape.outputs["loss"]], 2)
+        replayed[name] = replayed.get(name, b"") + np.array([plus, minus]).T.tobytes()
+        return values
+
+    monkeypatch.setattr(gradcheck, "_evaluate", record)
+    assert finite_diff_check(tape) == GradCheckReport(max_err, True, checked, worst)
+    assert replayed == expect_replayed  # every f+ and f-, bit for bit
+    # a tolerance below the error fails the check and asks about relu kinks
+    failed = GradCheckReport(max_err, False, checked, worst,
+                             unbatched_crosses_relu_kink(tape, worst))
+    assert finite_diff_check(tape, tolerance=max_err) == failed
+
+
+def test_chunked_replay_gives_the_same_report(monkeypatch):
+    tape = _gradcheck_setup(1)
+    name = "img.conv2.kernel"
+    chunks = []
+
+    def count(tape, overrides, nodes=None, batched=False):
+        if name in overrides:
+            chunks.append(overrides[name].shape[0] // 2)
+        return _evaluate(tape, overrides, nodes, batched)
+
+    monkeypatch.setattr(gradcheck, "_evaluate", count)
+    monkeypatch.setattr(gradcheck, "REPLAY_BUDGET_BYTES", 1 << 40)
+    whole = finite_diff_check(tape)
+    assert chunks == [216]  # one replay of all 432 rows
+    schedule = replay_schedule(tape, name, tape.outputs["loss"])
+    row_bytes = sum(node.value.nbytes for node in schedule)
+    # 2 * 80 rows per chunk: the 216 coordinates take chunks of 80, 80 and 56
+    monkeypatch.setattr(gradcheck, "REPLAY_BUDGET_BYTES", 2 * 80 * row_bytes)
+    chunks.clear()
+    assert finite_diff_check(tape) == whole
+    assert chunks == [80, 80, 56]

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -630,3 +631,66 @@ def test_im2col_equals_slice_loop(stride, padding, kernel, hw):
     loop_im2col(xp, kernel, kernel, stride, oh, ow, loop_block.transpose(3, 0, 1, 2, 4, 5))
     assert_same_bits(block, loop_block, "transposed view")
     assert_same_bits(block.transpose(3, 0, 1, 2, 4, 5), expect, "transposed layout")
+
+
+# -- batched replay --------------------------------------------------------------
+#
+# A batched replay stacks P overrides of a leaf on a leading axis. Each op kind
+# must give row p, bit for bit, the value an unbatched replay of row p gives,
+# whichever of its inputs carry that axis.
+
+RUNNING = {"running_mean": np.array([0.3, -0.2]), "running_var": np.array([0.8, 1.7])}
+BATCHED_CASES = {
+    "add_bias": ("add", [(3, 4), (4,)], {}),
+    "add_bias_first": ("add", [(4,), (3, 4)], {}),
+    "add_scalar": ("add", [(), (3, 4)], {}),
+    "mul_same_shape": ("mul", [(3, 4), (3, 4)], {}),
+    "mul_column_by_row": ("mul", [(3, 1), (4,)], {}),
+    "matmul": ("matmul", [(3, 4), (4, 2)], {"trans_b": False}),
+    "matmul_trans_b": ("matmul", [(3, 4), (2, 4)], {"trans_b": True}),
+    "matmul_row_vector": ("matmul", [(1, 4), (4, 2)], {"trans_b": False}),
+    "matmul_column_vector": ("matmul", [(3, 4), (1, 4)], {"trans_b": True}),
+    "relu": ("relu", [(3, 4)], {}),
+    "conv2d_strided_padded": ("conv2d", [(2, 2, 5, 5), (3, 2, 3, 3)],
+                              {"stride": 2, "padding": 1}),
+    "conv2d": ("conv2d", [(2, 3, 6, 6), (4, 3, 3, 3)], {}),
+    "global_avg_pool": ("global_avg_pool", [(2, 3, 4, 4)], {}),
+    "channel_norm_training": ("channel_norm", [(3, 2, 4, 4), (2,), (2,)], {"training": True}),
+    "channel_norm_eval": ("channel_norm", [(3, 2, 4, 4), (2,), (2,)],
+                          {"training": False, **RUNNING}),
+    "l2norm_rows": ("l2norm_rows", [(3, 5)], {}),
+    "logsumexp_axis0": ("logsumexp", [(4, 6)], {"axis": 0}),
+    "logsumexp_axis1": ("logsumexp", [(4, 6)], {"axis": 1}),
+    "sum_all": ("sum", [(3, 4)], {"axis": None}),
+    "sum_axis0": ("sum", [(3, 4)], {"axis": 0}),
+    "sum_axis1": ("sum", [(3, 4)], {"axis": 1}),
+}
+
+
+@pytest.mark.parametrize("case", BATCHED_CASES)
+def test_batched_replay_rows_equal_unbatched_replays(case):
+    op, shapes, kwargs = BATCHED_CASES[case]
+    rng = np.random.default_rng(5)
+    tape = Tape()
+    leaves = [tape.leaf(f"in{i}", 0.5 + rng.normal(size=shape)) for i, shape in enumerate(shapes)]
+    node = getattr(tape, op)(*leaves, **kwargs)
+    rows = 3
+    for mask in itertools.product([False, True], repeat=len(leaves)):
+        if not any(mask):
+            continue
+        overrides = {leaf.name: leaf.value + 0.3 * rng.normal(size=(rows, *leaf.value.shape))
+                     for leaf, batched in zip(leaves, mask) if batched}
+        got = _evaluate(tape, overrides, batched=True)[node.idx]
+        assert got.shape == (rows, *node.value.shape), mask
+        for p in range(rows):
+            alone = _evaluate(tape, {name: v[p] for name, v in overrides.items()})[node.idx]
+            assert_same_bits(got[p], alone, (mask, p))
+            assert got[p].tobytes() != node.value.tobytes(), (mask, p)
+
+
+def test_batched_replay_checks_override_rows():
+    tape = scalar_graph()
+    with pytest.raises(ValueError, match=r"leaf 'w' expects rows of shape \(2, 1\), got \(2, 1\)"):
+        _evaluate(tape, {"w": np.zeros((2, 1))}, batched=True)
+    with pytest.raises(ValueError, match="leaf 'b' has 3 rows, another override 2"):
+        _evaluate(tape, {"w": np.zeros((2, 2, 1)), "b": np.zeros(3)}, batched=True)
