@@ -231,6 +231,26 @@ def _load_raster(root: Path) -> CovariateRaster:
         raise ValueError(f"{header_path}: {e}") from None
 
 
+_TILE_FIELDS = {"tile_id": int, "lat": float, "lon": float, "timestamp": int, "file": str,
+                "c": int, "h": int, "w": int}
+
+
+def _check_tile_record(entry, where: str) -> None:
+    """One manifest record's fields, shape and center; a bad one is a
+    ValueError naming `where`."""
+    require_fields(entry, _TILE_FIELDS, where)
+    if "offset" in entry:
+        require_fields(entry, {"offset": int}, where)
+    shape = entry["c"], entry["h"], entry["w"]
+    if min(shape) < 1:
+        raise ValueError(f"{where}: tile shape must be positive, got {shape}")
+    # the ranges of observations.csv; comparisons with NaN are false
+    if not -90.0 <= entry["lat"] <= 90.0:
+        raise ValueError(f"{where}: lat out of range, got {entry['lat']!r}")
+    if not -180.0 <= entry["lon"] < 180.0:
+        raise ValueError(f"{where}: lon out of range, got {entry['lon']!r}")
+
+
 def _load_tiles(root: Path) -> list[TileRecord]:
     """The manifest's tiles. Each file it names is read once, front to back,
     after a check that its records cover it exactly. The pixels are widened
@@ -241,18 +261,13 @@ def _load_tiles(root: Path) -> list[TileRecord]:
     manifest = read_json(manifest_path)
     if not isinstance(manifest, list):
         raise ValueError(f"{manifest_path}: expected a JSON list of tile records")
+    if not manifest:
+        raise ValueError(f"{manifest_path}: no tile records")
     spans: dict[str, list[tuple[int, int, int]]] = {}  # file -> (offset, bytes, record)
     for i, entry in enumerate(manifest):
-        where = f"{manifest_path} record {i}"
-        require_fields(entry, {"tile_id": int, "lat": float, "lon": float, "timestamp": int,
-                               "file": str, "c": int, "h": int, "w": int}, where)
-        if "offset" in entry:
-            require_fields(entry, {"offset": int}, where)
-        shape = entry["c"], entry["h"], entry["w"]
-        if min(shape) < 1:
-            raise ValueError(f"{where}: tile shape must be positive, got {shape}")
+        _check_tile_record(entry, f"{manifest_path} record {i}")
         spans.setdefault(entry["file"], []).append(
-            (entry.get("offset", 0), 4 * math.prod(shape), i))
+            (entry.get("offset", 0), 4 * entry["c"] * entry["h"] * entry["w"], i))
 
     flat: list[np.ndarray] = [None] * len(manifest)  # each record's widened pixels
     for name, records in spans.items():

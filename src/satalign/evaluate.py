@@ -50,20 +50,28 @@ class ProbeHead:
         return probs  # encounter_rate: probabilities in [0, 1]
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so no
-    exp overflows; e = exp(-|x|) is the exp of either branch."""
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
+    exp overflows, computed in place in `x`. e = exp(-|x|) is the exp of
+    either branch, and the numerator max(float(x >= 0), e) is 1 or e
+    (e <= 1), NaN for NaN, with no branch. `e` may be an array shaped like
+    `x` to hold exp(-|x|); one is allocated otherwise."""
+    e = np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(x, 0.0, out=x)
+    np.maximum(x, e, out=x)
     e += 1.0
-    out /= e
-    return out
+    x /= e
+    return x
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
+    """Row softmax, computed in place in `logits`."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def fit_linear_probe(model: Model | None, features_or_tiles, labels, kind: str,
@@ -110,10 +118,18 @@ def fit_linear_probe(model: Model | None, features_or_tiles, labels, kind: str,
     store.add("weight", rng.uniform(-bound, bound, size=(d, k)))
     store.add("bias", np.zeros(k))
     state = AdamState(lr=config.lr)
+    # the epochs reuse two (n, k) arrays, so their cost does not depend on
+    # how the heap serves blocks of this size
+    logits, scratch = np.empty((n, k)), np.empty((n, k))
     for _ in range(config.epochs):
-        logits = features @ store.get("weight") + store.get("bias")
-        probs = _softmax_rows(logits) if kind == "single_label" else _sigmoid(logits)
-        dlogits = (probs - targets) / n
+        # in place, the logits become the probabilities and then dlogits,
+        # with the bits of (probs(features @ weight + bias) - targets) / n
+        np.matmul(features, store.get("weight"), out=logits)
+        logits += store.get("bias")
+        dlogits = (_softmax_rows(logits) if kind == "single_label"
+                   else _sigmoid(logits, scratch))
+        dlogits -= targets
+        dlogits /= n
         grads = {"weight": features.T @ dlogits, "bias": dlogits.sum(axis=0)}
         adam_step(store, grads, state)
     return ProbeHead(weight=store.get("weight").copy(), bias=store.get("bias").copy(),

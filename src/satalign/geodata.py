@@ -8,11 +8,21 @@ field, validated once over the whole array. Tiles stay one record each.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 COVARIATE_CHANNELS = 20
+
+# The widest radius a radius search takes: its cells, twice as wide, are
+# still finite. A wider cell is inf, every key holding it is NaN, and no point
+# would be in reach.
+MAX_RADIUS = sys.float_info.max / 2
+
+# (tile, observation) pairs that tile_species_targets measures at once; its
+# temporaries stay a few MB however many observations a tile has in reach.
+TARGET_JOIN_PAIRS = 1 << 18
 
 
 def invalid_observation(lat: np.ndarray, lon: np.ndarray,
@@ -235,19 +245,74 @@ def bilinear_sample(raster: CovariateRaster, lat, lon) -> np.ndarray:
             + tr * tc * v[i + 1, j + 1])
 
 
+def _cell_width(radius: float) -> float:
+    """The width of the cells that bucket points for a radius search: at
+    least twice the radius, so a point within the radius is at most half a
+    cell away, which leaves half a cell of slack for rounding. Cells of at
+    least 1e-6 degrees keep every point's cell index far from the float
+    precision limit. A radius above MAX_RADIUS, or NaN, is a ValueError."""
+    if not radius <= MAX_RADIUS:  # NaN fails the comparison
+        raise ValueError(f"radius must be at most {MAX_RADIUS!r}, got {radius!r}")
+    return max(2.0 * radius, 1e-6)
+
+
+def _bucket(lat: np.ndarray, lon: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """The points in order of their key, (row of cells `width` wide,
+    longitude) as a complex number, which numpy sorts lexicographically (a
+    key holding NaN last), and the keys in that order. The points of one row
+    then form one run, in longitude order."""
+    keys = np.floor(lat / width).astype(complex)
+    keys.imag = lon
+    members = np.argsort(keys, kind="stable")
+    return members, keys[members]
+
+
+def _row_windows(keys: np.ndarray, lat: np.ndarray, lon: np.ndarray,
+                 width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per query point, the runs [lo, hi) of `keys` (from `_bucket`) in the
+    point's row of cells and the two beside it whose longitude is within
+    `width` of the point's: two (3, n) arrays, row below first."""
+    row = np.floor(lat / width)
+    rows = np.stack([row - 1, row, row + 1])
+    lo = np.searchsorted(keys, rows + 1j * (lon - width))
+    hi = np.searchsorted(keys, rows + 1j * (lon + width), side="right")
+    return lo, hi
+
+
 def tile_species_targets(tiles: list[TileRecord], observations: Observations,
                          radius: float) -> np.ndarray:
     """Per-tile species presence, shape (tiles, distinct species observed):
     column j stands for the j-th smallest species id, so with ids 0..S-1 all
     observed, column j is species j. An entry is 1 when an observation of
     the species lies within `radius` degrees of the tile center (planar
-    distance, boundary included)."""
+    distance, boundary included).
+
+    A radius join: the observations are bucketed as `_nearest_centers`
+    buckets centers, in cells `_cell_width(radius)` wide, and each tile
+    center measures only the observations of its row and the two beside it
+    within one cell width of its longitude, about TARGET_JOIN_PAIRS
+    (tile, observation) pairs at a time.
+    """
     lat, lon = observations.lat, observations.lon
     species, column = np.unique(observations.species, return_inverse=True)
     targets = np.zeros((len(tiles), species.size))
-    for t_idx, tile in enumerate(tiles):
-        near = np.hypot(lat - tile.lat, lon - tile.lon) <= radius
-        targets[t_idx, column[near]] = 1.0
+    center_lat = np.array([t.lat for t in tiles], dtype=np.float64)
+    center_lon = np.array([t.lon for t in tiles], dtype=np.float64)
+    width = _cell_width(radius)
+    members, keys = _bucket(lat, lon, width)
+    lo, hi = _row_windows(keys, center_lat, center_lon, width)
+    runs = hi - lo
+    pairs = runs.sum(axis=0)
+    first_pair = np.cumsum(pairs) - pairs
+    # the tiles whose first pair falls in one TARGET_JOIN_PAIRS window
+    for group in np.split(np.arange(len(tiles)),
+                          np.flatnonzero(np.diff(first_pair // TARGET_JOIN_PAIRS)) + 1):
+        run_lo, run_len = lo[:, group].ravel(), runs[:, group].ravel()
+        tile = np.repeat(np.tile(group, 3), run_len)
+        run_start = np.cumsum(run_len) - run_len
+        obs = members[np.repeat(run_lo - run_start, run_len) + np.arange(tile.size)]
+        near = np.hypot(lat[obs] - center_lat[tile], lon[obs] - center_lon[tile]) <= radius
+        targets[tile[near], column[obs[near]]] = 1.0
     return targets
 
 
@@ -257,28 +322,21 @@ def _nearest_centers(lat: np.ndarray, lon: np.ndarray, center_lat: np.ndarray,
     """Per observation, the index of the nearest center within `radius`
     (ties by lowest tile_id, then lowest index), or -1 when there is none.
 
-    Centers are bucketed by rows of cells `width` wide, at least twice the
-    radius, and each observation measures the centers of its own row and the
-    two beside it whose longitude is within `width` of its own. Keyed by
-    (row, longitude) as a complex number, which numpy sorts
-    lexicographically (a key holding NaN last), the centers a row offers
-    form one run, so each observation is offered the k-th center of each of
-    its three runs in turn, for k up to the longest run. A center with a
-    non-finite coordinate is in no run, and is never within the radius.
+    Centers are bucketed by rows of cells `width` wide (see `_bucket`), at
+    least twice the radius, and each observation measures the centers of its
+    own row and the two beside it whose longitude is within `width` of its
+    own (see `_row_windows`). Each observation is offered the k-th center of
+    each of its three runs in turn, for k up to the longest run. A center
+    with a non-finite coordinate is in no run, and is never within the
+    radius.
     """
     n = len(lat)
     rank = np.empty(len(center_lat), dtype=np.intp)
     rank[np.lexsort((np.arange(len(center_lat)), center_tile_id))] = np.arange(len(center_lat))
     nearest = np.full(n, -1, dtype=np.intp)
     best_dist, best_rank = np.full(n, np.inf), np.full(n, len(rank))
-    keys = np.floor(center_lat / width).astype(complex)
-    keys.imag = center_lon
-    members = np.argsort(keys, kind="stable")
-    keys = keys[members]
-    obs_row = np.floor(lat / width)
-    for row in (obs_row - 1, obs_row, obs_row + 1):
-        lo = np.searchsorted(keys, row + 1j * (lon - width))
-        hi = np.searchsorted(keys, row + 1j * (lon + width), side="right")
+    members, keys = _bucket(center_lat, center_lon, width)
+    for lo, hi in zip(*_row_windows(keys, lat, lon, width)):
         for k in range(int((hi - lo).max(initial=0))):
             obs = np.flatnonzero(lo + k < hi)
             center = members[lo[obs] + k]
@@ -304,11 +362,10 @@ def pair_samples(observations: Observations, tiles: list[TileRecord],
     counted under the first reason that applies (no_tile, no_text,
     covariates_out_of_bounds), and pairing fails only when nothing survives.
 
-    Tile centers are bucketed by rows of cells at least twice the radius
-    wide, and each observation measures only the centers of its own row and
-    the two beside it, within one cell width in longitude (see
-    `_nearest_centers`). A center within the radius is at most half a cell
-    away, which leaves half a cell of slack for rounding.
+    Tile centers are bucketed by rows of cells `_cell_width(radius)` wide,
+    and each observation measures only the centers of its own row and the
+    two beside it, within one cell width in longitude (see
+    `_nearest_centers`).
 
     The draws are one `rng.integers` call over an array of bounds: per
     paired observation in order, the number of alternate tiles (when there
@@ -341,11 +398,8 @@ def pair_samples(observations: Observations, tiles: list[TileRecord],
     sec_start = np.searchsorted(sorted_species, observations.species)
     sec_count = np.searchsorted(sorted_species, observations.species, side="right") - sec_start
 
-    # cells of at least 1e-6 degrees keep every observation's cell index far
-    # from the float precision limit
-    width = max(2.0 * matching_radius, 1e-6)
     nearest = _nearest_centers(observations.lat, observations.lon, center_lat, center_lon,
-                               center_tile_id, width, matching_radius)
+                               center_tile_id, _cell_width(matching_radius), matching_radius)
     no_tile = nearest < 0
     no_text = ~no_tile & (sec_count == 0)
     _, _, inside = raster.grid_position(observations.lat, observations.lon)

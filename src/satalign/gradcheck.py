@@ -81,7 +81,9 @@ def finite_diff_check(tape: Tape, names: list[str] | None = None,
         for lo in range(0, base.size, chunk):
             idx = np.arange(lo, min(lo + chunk, base.size))
             rows = _perturbed_rows(base, idx, step)
-            f = _evaluate(tape, {name: rows}, schedule, batched=True)[out_idx]
+            # a replay that overflows is reported as a non-finite error, not warned of
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = _evaluate(tape, {name: rows}, schedule, batched=True)[out_idx]
             # a leaf the output does not depend on leaves f its recorded scalar
             f = np.broadcast_to(f, rows.shape[:1])
             numeric = (f[:idx.size] - f[idx.size:]) / (2.0 * step)
@@ -117,6 +119,7 @@ def _crosses_relu_kink(tape: Tape, coord: tuple[str, int], step: float, out_idx:
     name, i = coord
     schedule = replay_schedule(tape, name, out_idx)
     rows = _perturbed_rows(tape.leaf_value(name), np.array([i]), step)
-    values = _evaluate(tape, {name: rows}, schedule, batched=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _evaluate(tape, {name: rows}, schedule, batched=True)
     return any(not np.array_equal(x[0] > 0, x[1] > 0)
                for x in (values[node.inputs[0]] for node in schedule if node.op == "relu"))

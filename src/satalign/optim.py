@@ -101,14 +101,26 @@ def adam_step(params: ParameterStore, grads: dict[str, np.ndarray], state: AdamS
     bc2 = 1.0 - state.beta2 ** state.t
     for name in sorted(grads):
         g = np.asarray(grads[name], dtype=np.float64)
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(g)
-            v = np.zeros_like(g)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        params.set(name, params.get(name) - update)
+        if name not in state.m:
+            state.m[name] = np.zeros_like(g)
+            state.v[name] = np.zeros_like(g)
+        m, v = state.m[name], state.v[name]
+        # in place, through one scratch buffer, with the operations of
+        #   m = beta1 * m + (1 - beta1) * g
+        #   v = beta2 * v + (1 - beta2) * g * g
+        #   p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        scratch, update = np.empty_like(g), np.empty_like(g)  # update: the new value
+        np.multiply(g, 1.0 - state.beta1, out=scratch)
+        m *= state.beta1
+        m += scratch
+        np.multiply(g, 1.0 - state.beta2, out=scratch)
+        scratch *= g
+        v *= state.beta2
+        v += scratch
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.eps
+        np.divide(m, bc1, out=update)
+        update *= state.lr
+        update /= scratch
+        params.set(name, np.subtract(params.get(name), update, out=update))

@@ -26,7 +26,7 @@ from .dataio import pair_paths, read_json, require_fields
 from .encoders import (ImageEncoderConfig, LocationEncoderConfig, Model, ModelConfig,
                        PEFT_MODES, head_graph, image_feature_graph,
                        location_feature_graph, location_input_features, trainable_mask)
-from .geodata import PairedSamples
+from .geodata import MAX_RADIUS, PairedSamples
 from .optim import AdamState, ParameterStore, adam_step
 from .tape import Tape, backward
 
@@ -66,6 +66,9 @@ class TrainConfig:
             raise ValueError("crop size must be in [1, model input size]")
         if self.jitter < 0 or self.channel_mix < 0 or self.matching_radius <= 0:
             raise ValueError("augmentation scales must be >= 0 and radius positive")
+        if self.matching_radius > MAX_RADIUS:  # the limit pairing and probes take
+            raise ValueError(f"matching_radius must be at most {MAX_RADIUS!r}, "
+                             f"got {self.matching_radius!r}")
         if min(self.image_weight, self.text_weight, self.location_weight) < 0:
             raise ValueError("loss-term weights must be >= 0")
 

@@ -1,6 +1,8 @@
 import json
+import math
 import pathlib
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import satalign.cli as cli
 from satalign.cli import dispatch, hash_path
 from satalign.evaluate import INDEX_SLAB_ROWS, RetrievalIndex, save_index
+from satalign.geodata import MAX_RADIUS
 from satalign.tape import Tape, l2_normalize_rows
 from satalign.training import load_checkpoint, model_from_checkpoint
 
@@ -111,6 +114,31 @@ def test_probe_encounter_task(workspace, capsys):
     assert code == 0
     metrics = json.loads(capsys.readouterr().out)
     assert 0.0 <= metrics["top_k_accuracy"] <= 1.0
+
+
+def test_train_and_probe_take_the_widest_matching_radius_and_refuse_a_wider_one(
+        workspace, capsys, tmp_path):
+    # at MAX_RADIUS every observation is in reach of every tile center
+    config, ckpt = tmp_path / "train.json", tmp_path / "ckpt.json"
+    config.write_text(json.dumps(dict(TRAIN_CFG, epochs=1, matching_radius=MAX_RADIUS)))
+    assert dispatch(["train", "--data", str(workspace / "world"), "--out", str(ckpt),
+                     "--config", str(config)]) == 0
+    probe = ["probe", "--data", str(workspace / "world"), "--ckpt", str(ckpt),
+             "--task", "encounter", "--probe-epochs", "2"]
+    assert dispatch(probe) == 0
+    capsys.readouterr()
+
+    wider = math.nextafter(MAX_RADIUS, math.inf)
+    says = f"matching_radius must be at most {MAX_RADIUS!r}, got {wider!r}"
+    config.write_text(json.dumps(dict(TRAIN_CFG, epochs=1, matching_radius=wider)))
+    assert dispatch(["train", "--data", str(workspace / "world"),
+                     "--out", str(tmp_path / "wider.json"), "--config", str(config)]) == 1
+    assert f"error: {config}: invalid config ({says})" in capsys.readouterr().err
+    header = json.loads(ckpt.read_text())
+    header["config"]["matching_radius"] = wider
+    ckpt.write_text(json.dumps(header))
+    assert dispatch(probe) == 1
+    assert f"error: {ckpt}: malformed config ({says})" in capsys.readouterr().err
 
 
 def test_index_retrieve_tsv_format(workspace, capsys, tmp_path):
@@ -370,11 +398,17 @@ def test_non_finite_finite_difference_fails_the_gradcheck(monkeypatch, capsys):
         return tape
 
     monkeypatch.setattr(cli, "_gradcheck_setup", overflow_on_plus_step)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would raise here
         assert dispatch(["gradcheck", "--seed", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out.splitlines() == ["max_rel_err\tnan", "checked\t2", "status\tFAIL"]
-    assert "gradcheck worst coordinate: x[0] rel_err=nan;" in captured.err
+    # stderr holds the diagnostic line and then the run manifest, with no
+    # numpy warning ahead of or between them
+    diagnostic, manifest = captured.err.split("\n", 1)
+    assert diagnostic == ("gradcheck worst coordinate: x[0] rel_err=nan; "
+                          "its +-step does not cross a relu kink")
+    assert json.loads(manifest)["command"] == "gradcheck"
 
 
 def test_zeroshot_prints_predictions_and_accuracy(workspace, capsys):

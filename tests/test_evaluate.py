@@ -448,9 +448,79 @@ def masked_sigmoid(x):
 
 
 def test_sigmoid_equals_masked_version_bitwise():
-    edges = np.array([0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300, 800.0, -800.0])
+    tiny = np.finfo(float).smallest_subnormal
+    edges = np.array([0.0, -0.0, 745.0, -745.0, 745.2, -745.2, 1e-300, -1e-300, 800.0,
+                      -800.0, tiny, -tiny, 2.2e-308, -2.2e-308, np.nan, -np.nan,
+                      np.inf, -np.inf, 36.7, -36.7])
     normals = np.random.default_rng(5).normal(size=(768, 64)) * 8
-    for x in (edges, normals, np.concatenate([edges, normals[0]]).reshape(8, -1)):
-        got, expect = _sigmoid(x), masked_sigmoid(x)
+    for x in (edges, normals, np.concatenate([edges, normals[0]]).reshape(12, -1)):
+        expect, nan = masked_sigmoid(x), np.isnan(x)
+        got = x.copy()
+        assert _sigmoid(got) is got  # in place
+        assert _sigmoid(x.copy(), np.empty_like(x)).tobytes() == got.tobytes()
         assert got.dtype == expect.dtype and got.shape == expect.shape
-        assert got.tobytes() == expect.tobytes()
+        # NaN stays NaN; its sign is not compared, as exp(-|x|) drops it
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expect[~nan].tobytes()
+        assert got.tobytes() == where_sigmoid(x).tobytes()
+
+
+def where_sigmoid(x):
+    """The np.where version the branch-free numerator replaced: the same
+    bits, NaN included."""
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
+
+
+def reference_probe_weights(features, labels, kind, config):
+    """The probe loop before its epochs ran in place, with the out-of-place
+    Adam expressions: the oracle of fit_linear_probe's weight and bias bits."""
+    n, d = features.shape
+    if kind == "single_label":
+        k = int(labels.max()) + 1
+        targets = np.zeros((n, k))
+        targets[np.arange(n), labels] = 1.0
+    else:
+        targets, k = labels, labels.shape[1]
+    rng = np.random.default_rng(config.seed)
+    bound = np.sqrt(1.0 / d)
+    params = {"weight": rng.uniform(-bound, bound, size=(d, k)), "bias": np.zeros(k)}
+    m = {name: np.zeros_like(value) for name, value in params.items()}
+    v = {name: np.zeros_like(value) for name, value in params.items()}
+    for t in range(1, config.epochs + 1):
+        logits = features @ params["weight"] + params["bias"]
+        if kind == "single_label":
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            ex = np.exp(shifted)
+            probs = ex / ex.sum(axis=1, keepdims=True)
+        else:
+            probs = masked_sigmoid(logits)
+        dlogits = (probs - targets) / n
+        grads = {"weight": features.T @ dlogits, "bias": dlogits.sum(axis=0)}
+        bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for name in sorted(grads):
+            m[name] = 0.9 * m[name] + (1.0 - 0.9) * grads[name]
+            v[name] = 0.999 * v[name] + (1.0 - 0.999) * grads[name] * grads[name]
+            update = config.lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
+            params[name] = params[name] - update
+    return params["weight"], params["bias"]
+
+
+@pytest.mark.parametrize("kind", ["single_label", "multi_label", "encounter_rate"])
+def test_probe_weights_equal_the_out_of_place_loop_bitwise(kind):
+    rng = np.random.default_rng(8)
+    features = rng.normal(size=(90, 12)) * 3.0
+    if kind == "single_label":
+        labels = np.arange(90) % 5
+    elif kind == "multi_label":
+        labels = (rng.random((90, 6)) < 0.3).astype(float)
+    else:
+        labels = rng.random((90, 6))
+    config = ProbeConfig(lr=0.05, epochs=40, seed=3)
+    head = fit_linear_probe(None, features, labels, kind, config)
+    weight, bias = reference_probe_weights(features, labels, kind, config)
+    assert head.weight.tobytes() == weight.tobytes()
+    assert head.bias.tobytes() == bias.tobytes()

@@ -1,8 +1,12 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satalign import geodata
 from satalign.geodata import (CovariateRaster, Observations, TextSections, TileRecord,
                               bilinear_sample, pair_samples, tile_species_targets)
 from satalign.synthworld import SyntheticWorldConfig, generate_synthetic_world
@@ -263,3 +267,76 @@ def test_tile_species_targets_have_a_column_per_distinct_species():
     assert targets.tolist() == [[0, 0, 0, 1],   # species 3, 5, 7, 10**12
                                 [1, 0, 1, 0],
                                 [0, 0, 1, 0]]
+
+
+def pairwise_species_targets(tiles, observations, radius):
+    """Every (tile, observation) pair measured one at a time: the oracle of
+    the radius join."""
+    species = sorted(set(observations.species.tolist()))
+    expected = np.zeros((len(tiles), len(species)))
+    for t_idx, tile in enumerate(tiles):
+        for lat, lon, s in zip(observations.lat, observations.lon, observations.species):
+            if np.hypot(lat - tile.lat, lon - tile.lon) <= radius:
+                expected[t_idx, species.index(s)] = 1.0
+    return expected
+
+
+@st.composite
+def target_worlds(draw):
+    """Tiles, observations and a radius: centers on and off cell edges, some
+    shared by several tiles, observations at and around the radius, and one
+    tile far from every observation."""
+    radius = draw(st.sampled_from([0.0, 1e-12, 1e-7, 3e-7, 0.01, 0.05, 0.3, 2.5]))
+    width = max(2 * radius, 1e-6)
+    edge = st.integers(-min(50, int(60 / width)), min(50, int(60 / width))).map(
+        lambda k: k * width)
+    center = st.one_of(st.tuples(st.floats(-60, 60), st.floats(-170, 170)),
+                       st.tuples(edge, edge))  # on a cell edge
+    centers = draw(st.lists(center, min_size=1, max_size=5))
+    offset = st.one_of(
+        st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+        st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (0.6, 0.8), (-0.8, 0.6)]))
+    rows = [(lat + radius * dy, lon + radius * dx, draw(st.sampled_from([0, 3, 4, 10 ** 9])))
+            for lat, lon in (draw(st.sampled_from(centers)) for _ in range(draw(st.integers(1, 40))))
+            for dy, dx in [draw(offset)]]
+    rows += draw(st.lists(st.tuples(st.floats(-89, 89), st.floats(-179, 179),
+                                    st.integers(0, 5)), max_size=5))
+    lat, lon, species = map(np.array, zip(*rows))
+    observations = Observations(lat=lat, lon=lon, species=species)
+    tile_centers = draw(st.lists(st.sampled_from(centers), min_size=1, max_size=12))
+    tiles = [TileRecord(tile_id=i, lat=lat, lon=lon, timestamp=i, pixels=np.zeros((1, 1, 1)))
+             for i, (lat, lon) in enumerate(tile_centers + [(89.9, -179.9)])]
+    return tiles, observations, radius
+
+
+@given(world=target_worlds(), pairs=st.sampled_from([1, 3, geodata.TARGET_JOIN_PAIRS]))
+@settings(max_examples=200, deadline=None)
+def test_radius_join_equals_pairwise_loop(world, pairs):
+    tiles, observations, radius = world
+    expected = pairwise_species_targets(tiles, observations, radius)
+    if not np.any(np.hypot(observations.lat - 89.9, observations.lon + 179.9) <= radius):
+        assert not expected[-1].any()  # the far tile has no observation in reach
+    with mock.patch.object(geodata, "TARGET_JOIN_PAIRS", pairs):  # chunks of any size
+        targets = tile_species_targets(tiles, observations, radius)
+    assert targets.dtype == np.float64
+    assert targets.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("radius", [math.inf, math.nan,
+                                    math.nextafter(geodata.MAX_RADIUS, math.inf)])
+def test_radius_searches_refuse_a_radius_whose_cells_overflow(radius):
+    raster, tiles, texts = small_world()
+    with pytest.raises(ValueError, match="radius must be at most"):
+        tile_species_targets(tiles, observations((1.0, 1.0, 0)), radius)
+    with pytest.raises(ValueError, match="radius must be at most"):
+        pair_samples(observations((1.0, 1.0, 0)), tiles, texts, raster, matching_radius=radius)
+
+
+def test_the_widest_radius_reaches_every_observation():
+    raster, tiles, texts = small_world()
+    obs = observations((1.0, 1.0, 0), (-90.0, -180.0, 1), (90.0, 179.9, 2))
+    targets = tile_species_targets(tiles, obs, geodata.MAX_RADIUS)
+    assert targets.tobytes() == np.ones((3, 3)).tobytes()
+    assert targets.tobytes() == pairwise_species_targets(tiles, obs, geodata.MAX_RADIUS).tobytes()
+    result = pair_samples(obs, tiles, texts, raster, matching_radius=geodata.MAX_RADIUS, seed=0)
+    assert "no_tile" not in result.skips

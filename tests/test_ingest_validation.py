@@ -1,9 +1,9 @@
 """Malformed dataset files at the ingest boundary.
 
-Every bad value in `observations.csv`, `raster.json` or `ground_truth.json`
-must either load into a valid dataset or raise a ValueError naming the file,
-and the CLI must exit 1 on it, never 2. Hand-picked cases pin the messages;
-the Hypothesis cases fuzz the same three files.
+Every bad value in `observations.csv`, `raster.json`, `ground_truth.json` or
+`tiles/manifest.json` must either load into a valid dataset or raise a
+ValueError naming the file, and the CLI must exit 1 on it, never 2.
+Hand-picked cases pin the messages; the Hypothesis cases fuzz the same files.
 """
 
 import json
@@ -17,8 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from satalign import dataio
 from satalign.cli import dispatch
-from satalign.dataio import ingest_dataset
+from satalign.dataio import ingest_dataset, read_json
 
 SYNTH_CFG = {"n_species": 6, "n_habitats": 3, "raster_rows": 12, "raster_cols": 12,
              "tiles_per_habitat": 4, "n_observations": 40, "d_txt": 12,
@@ -225,6 +226,159 @@ def test_huge_species_id_probes_without_a_dense_species_matrix(base, tmp_path, c
     err = capsys.readouterr().err
     assert code in (0, 1), err
     assert "Traceback" not in err
+
+
+# -- tiles/manifest.json -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("key,value,says", [
+    ("lat", math.nan, "lat out of range, got nan"),
+    ("lon", math.inf, "lon out of range, got inf"),
+    ("lat", 123.0, "lat out of range, got 123.0"),
+    ("lon", 180.0, "lon out of range, got 180.0"),
+    ("lat", -90.5, "lat out of range, got -90.5"),
+], ids=["nan_lat", "inf_lon", "lat_123", "lon_180", "lat_below_range"])
+def test_bad_tile_center_exits_1_naming_the_record(base, tmp_path, capsys, key, value, says):
+    world = _copy_world(base, tmp_path / "world")
+    manifest = world / "tiles" / "manifest.json"
+    _edit_json(manifest, lambda records: records[3].update({key: value}))
+    with pytest.raises(ValueError) as err:
+        ingest_dataset(world)
+    assert str(err.value) == f"{manifest} record 3: {says}"
+    assert dispatch(["probe", "--data", str(world), "--ckpt", str(base / "ckpt"),
+                     "--task", "encounter", "--probe-epochs", "2"]) == 1
+    assert f"error: {manifest} record 3: {says}" in capsys.readouterr().err
+
+
+def test_empty_manifest_exits_1_naming_it(base, tmp_path, capsys):
+    world = _copy_world(base, tmp_path / "world")
+    manifest = world / "tiles" / "manifest.json"
+    manifest.write_text("[]")
+    assert dispatch(["probe", "--data", str(world), "--ckpt", str(base / "ckpt"),
+                     "--task", "encounter", "--probe-epochs", "2"]) == 1
+    assert f"error: {manifest}: no tile records" in capsys.readouterr().err
+
+
+def test_tile_centers_at_the_range_edges_load(base, tmp_path):
+    world = _copy_world(base, tmp_path / "world")
+    _edit_json(world / "tiles" / "manifest.json",
+               lambda records: records[0].update(lat=-90, lon=-180.0) or
+               records[1].update(lat=90.0, lon=179.75))
+    tiles = ingest_dataset(world).tiles
+    assert (tiles[0].lat, tiles[0].lon, tiles[1].lat, tiles[1].lon) == (-90, -180.0, 90.0, 179.75)
+
+
+def test_pixels_outside_unit_range_name_the_first_bad_record(base, tmp_path, monkeypatch):
+    # groups of about two tiles; the manifest lists the blob's last tile first,
+    # so the first bad record is in the last group read
+    monkeypatch.setattr(dataio, "TILE_READ_BYTES", 4096)
+    world = _copy_world(base, tmp_path / "world")
+    manifest_path = world / "tiles" / "manifest.json"
+    records = json.loads(manifest_path.read_text())
+    records.insert(0, records.pop())
+    manifest_path.write_text(json.dumps(records))
+    pixels = np.fromfile(world / "tiles" / "pixels.bin", dtype="<f4")
+    size = records[1]["c"] * records[1]["h"] * records[1]["w"]
+    pixels[records[5]["offset"] // 4 + 7] = np.nan
+    pixels[records[0]["offset"] // 4 + size - 1] = 1.5
+    pixels.tofile(world / "tiles" / "pixels.bin")
+    with pytest.raises(ValueError) as err:
+        ingest_dataset(world)
+    assert str(err.value) == (f"{manifest_path} record 0: tile {records[0]['tile_id']}: "
+                              f"pixels outside [0, 1] (min 0, max 1.5)")
+    pixels[records[0]["offset"] // 4 + size - 1] = 0.5
+    pixels.tofile(world / "tiles" / "pixels.bin")
+    with pytest.raises(ValueError) as err:
+        ingest_dataset(world)
+    assert str(err.value) == (f"{manifest_path} record 5: tile {records[5]['tile_id']}: "
+                              f"pixels outside [0, 1] (min nan, max nan)")
+
+
+def per_record_error(manifest_path):
+    """The message of the first bad record when the records are checked one
+    at a time, in manifest order; None when every record passes."""
+    try:
+        records = read_json(manifest_path)
+    except ValueError as e:
+        return str(e)
+    if not isinstance(records, list):
+        return f"{manifest_path}: expected a JSON list of tile records"
+    if not records:
+        return f"{manifest_path}: no tile records"
+    for i, entry in enumerate(records):
+        try:
+            dataio._check_tile_record(entry, f"{manifest_path} record {i}")
+        except ValueError as e:
+            return str(e)
+    return None
+
+
+_CENTERS = [math.nan, math.inf, -math.inf, 90.0, 90.5, -90.0, -90.01, 180.0, -180.0,
+            179.999, -180.5, 123.0, 1e300, 10 ** 400, 45, -200]
+
+
+@st.composite
+def _manifest_edit(draw):
+    kind = draw(st.sampled_from(["value", "center", "drop_key", "not_object", "offset",
+                                 "not_utf8", "not_list"]))
+    record = draw(st.integers(0, 11))
+    key = draw(st.sampled_from(["tile_id", "lat", "lon", "timestamp", "file", "offset",
+                                "c", "h", "w"]))
+    path = lambda world: world / "tiles" / "manifest.json"  # noqa: E731
+    if kind == "not_utf8":
+        junk, at = draw(st.binary(min_size=1, max_size=3)), draw(st.integers(0, 400))
+        return lambda world: path(world).write_bytes(
+            path(world).read_bytes()[:at] + b"\xff" + junk + path(world).read_bytes()[at:])
+    if kind == "not_list":
+        value = draw(_json_values)
+        return lambda world: path(world).write_text(json.dumps(value))
+    if kind == "value":  # wrong types, bools where ints belong, huge and odd numbers
+        edit = _set_item(record, key, draw(st.one_of(
+            _values, st.sampled_from([True, False, "pixels.bin", 3.0, 0]))))
+    elif kind == "center":
+        edit = _set_item(record, draw(st.sampled_from(["lat", "lon"])),
+                         draw(st.sampled_from(_CENTERS)))
+    elif kind == "drop_key":
+        def edit(records):
+            del records[record][key]
+    elif kind == "not_object":
+        value = draw(_json_values)
+
+        def edit(records):
+            records[record] = value
+    else:  # offsets with gaps, overlaps, shared and negative starts
+        shift = draw(st.sampled_from([4, -4, 1, 8, -1728, 1728, 10 ** 6]))
+
+        def edit(records):
+            records[record]["offset"] += shift
+    return lambda world: _edit_json(path(world), edit)
+
+
+@given(edits=st.lists(_manifest_edit(), min_size=1, max_size=2))
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_manifest_exits_1_with_the_per_record_message(base, edits, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        world = _copy_world(base, Path(tmp) / "world")
+        for edit in edits:
+            try:
+                edit(world)
+            except (ValueError, KeyError, IndexError, TypeError, AttributeError):
+                pass  # an edit that no longer applies to an earlier edit's result
+        manifest_path = world / "tiles" / "manifest.json"
+        expected = per_record_error(manifest_path)
+        code = dispatch(["probe", "--data", str(world), "--ckpt", str(base / "ckpt"),
+                         "--task", "encounter", "--probe-epochs", "2"])
+        err = capsys.readouterr().err
+        assert code in (0, 1), err
+        if expected is not None:
+            assert code == 1 and f"error: {expected}\n" in err, (expected, err)
+        elif code == 1:  # a blob the records do not cover, or a relabeled tile
+            assert (f"error: {manifest_path} record " in err
+                    or f"error: {world / 'ground_truth.json'}: no habitat for tile" in err), err
+        else:
+            for tile in ingest_dataset(world).tiles:
+                assert -90 <= tile.lat <= 90 and -180 <= tile.lon < 180
 
 
 # -- fuzz ------------------------------------------------------------------------

@@ -99,3 +99,50 @@ class TestAdam:
             np.testing.assert_array_equal(store.get(name), value)
             np.testing.assert_array_equal(state.m[name], m_before[name])
             np.testing.assert_array_equal(state.v[name], v_before[name])
+
+
+def reference_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The out-of-place expressions adam_step replaced, kept as its oracle:
+    new arrays for m, v and each parameter."""
+    bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    for name in sorted(grads):
+        g = np.asarray(grads[name], dtype=np.float64)
+        m0 = m.get(name, np.zeros_like(g))
+        v0 = v.get(name, np.zeros_like(g))
+        m[name] = beta1 * m0 + (1.0 - beta1) * g
+        v[name] = beta2 * v0 + (1.0 - beta2) * g * g
+        update = lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+        params[name] = params[name] - update
+
+
+def test_in_place_adam_equals_the_out_of_place_expressions_bitwise():
+    rng = np.random.default_rng(3)
+    start = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=5), "c": np.array(0.25)}
+    store = make_store(**{k: v.copy() for k, v in start.items()})
+    state = AdamState(lr=0.03)
+    params, m, v = dict(start), {}, {}
+    for t in range(1, 8):
+        grads = {"a": rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-8, 4),
+                 # -0.0 on the first step: 0.0 + -0.0 is +0.0, unlike -0.0 alone
+                 "b": np.array([-0.0, 0.0, 1e-310, -3.0, 2.0]) if t < 3 else rng.normal(size=5),
+                 # a read-only broadcast view with zero strides
+                 "c": np.broadcast_to(np.float64(rng.normal()), ())}
+        if t == 4:
+            grads["a"] = np.broadcast_to(rng.normal(size=3), (4, 3))
+        if t == 5:
+            del grads["b"]  # a parameter without a gradient keeps its bits
+        adam_step(store, grads, state)
+        reference_adam_step(params, grads, m, v, t, lr=0.03)
+        for name in start:
+            assert store.get(name).tobytes() == params[name].tobytes(), (t, name)
+            assert state.m[name].tobytes() == m[name].tobytes(), (t, name)
+            assert state.v[name].tobytes() == v[name].tobytes(), (t, name)
+    assert state.t == 7
+
+
+def test_adam_writes_no_gradient_and_no_earlier_parameter():
+    store = make_store(w=np.ones(3))
+    before, g = store.get("w"), np.array([0.5, -1.0, 2.0])
+    adam_step(store, {"w": g}, AdamState(lr=0.1))
+    assert before.tolist() == [1.0, 1.0, 1.0] and g.tolist() == [0.5, -1.0, 2.0]
+    assert store.get("w") is not before
