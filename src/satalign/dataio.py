@@ -268,6 +268,10 @@ def _load_tiles(root: Path) -> list[TileRecord]:
         _check_tile_record(entry, f"{manifest_path} record {i}")
         spans.setdefault(entry["file"], []).append(
             (entry.get("offset", 0), 4 * entry["c"] * entry["h"] * entry["w"], i))
+    first_record: dict[int, int] = {}  # tile id -> its first record
+    for i, entry in enumerate(manifest):
+        if first_record.setdefault(entry["tile_id"], i) != i:
+            raise ValueError(f"{manifest_path} record {i}: repeats tile id {entry['tile_id']}")
 
     flat: list[np.ndarray] = [None] * len(manifest)  # each record's widened pixels
     for name, records in spans.items():

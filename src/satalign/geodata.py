@@ -20,8 +20,8 @@ COVARIATE_CHANNELS = 20
 # would be in reach.
 MAX_RADIUS = sys.float_info.max / 2
 
-# (tile, observation) pairs that tile_species_targets measures at once; its
-# temporaries stay a few MB however many observations a tile has in reach.
+# Candidate pairs that a radius search measures at once; its temporaries stay
+# a few MB however many points a query has in reach.
 TARGET_JOIN_PAIRS = 1 << 18
 
 
@@ -279,73 +279,48 @@ def _row_windows(keys: np.ndarray, lat: np.ndarray, lon: np.ndarray,
     return lo, hi
 
 
+def _pairs_within(q_lat: np.ndarray, q_lon: np.ndarray, p_lat: np.ndarray,
+                  p_lon: np.ndarray, radius: float):
+    """Every (query, point) pair within `radius` degrees (planar distance,
+    boundary included) as arrays (query, point, dist), one group of about
+    TARGET_JOIN_PAIRS candidate pairs at a time; all pairs of one query come
+    in one group. The points are bucketed in cells `_cell_width(radius)`
+    wide (see `_bucket`), and each query measures only the points of its row
+    and the two beside it within one cell width of its longitude (see
+    `_row_windows`). A non-finite coordinate is never within the radius."""
+    width = _cell_width(radius)
+    members, keys = _bucket(p_lat, p_lon, width)
+    lo, hi = _row_windows(keys, q_lat, q_lon, width)
+    runs = hi - lo
+    pairs = runs.sum(axis=0)
+    first_pair = np.cumsum(pairs) - pairs
+    # the queries whose first pair falls in one TARGET_JOIN_PAIRS window
+    for group in np.split(np.arange(len(q_lat)),
+                          np.flatnonzero(np.diff(first_pair // TARGET_JOIN_PAIRS)) + 1):
+        run_lo, run_len = lo[:, group].ravel(), runs[:, group].ravel()
+        query = np.repeat(np.tile(group, 3), run_len)
+        run_start = np.cumsum(run_len) - run_len
+        point = members[np.repeat(run_lo - run_start, run_len) + np.arange(query.size)]
+        dist = np.hypot(q_lat[query] - p_lat[point], q_lon[query] - p_lon[point])
+        near = dist <= radius
+        yield query[near], point[near], dist[near]
+
+
 def tile_species_targets(tiles: list[TileRecord], observations: Observations,
                          radius: float) -> np.ndarray:
     """Per-tile species presence, shape (tiles, distinct species observed):
     column j stands for the j-th smallest species id, so with ids 0..S-1 all
     observed, column j is species j. An entry is 1 when an observation of
     the species lies within `radius` degrees of the tile center (planar
-    distance, boundary included).
-
-    A radius join: the observations are bucketed as `_nearest_centers`
-    buckets centers, in cells `_cell_width(radius)` wide, and each tile
-    center measures only the observations of its row and the two beside it
-    within one cell width of its longitude, about TARGET_JOIN_PAIRS
-    (tile, observation) pairs at a time.
-    """
-    lat, lon = observations.lat, observations.lon
+    distance, boundary included), as `_pairs_within` finds it."""
     species, column = np.unique(observations.species, return_inverse=True)
     targets = np.zeros((len(tiles), species.size))
     center_lat = np.array([t.lat for t in tiles], dtype=np.float64)
     center_lon = np.array([t.lon for t in tiles], dtype=np.float64)
-    width = _cell_width(radius)
-    members, keys = _bucket(lat, lon, width)
-    lo, hi = _row_windows(keys, center_lat, center_lon, width)
-    runs = hi - lo
-    pairs = runs.sum(axis=0)
-    first_pair = np.cumsum(pairs) - pairs
-    # the tiles whose first pair falls in one TARGET_JOIN_PAIRS window
-    for group in np.split(np.arange(len(tiles)),
-                          np.flatnonzero(np.diff(first_pair // TARGET_JOIN_PAIRS)) + 1):
-        run_lo, run_len = lo[:, group].ravel(), runs[:, group].ravel()
-        tile = np.repeat(np.tile(group, 3), run_len)
-        run_start = np.cumsum(run_len) - run_len
-        obs = members[np.repeat(run_lo - run_start, run_len) + np.arange(tile.size)]
-        near = np.hypot(lat[obs] - center_lat[tile], lon[obs] - center_lon[tile]) <= radius
-        targets[tile[near], column[obs[near]]] = 1.0
+    for tile, obs, _ in _pairs_within(center_lat, center_lon, observations.lat,
+                                      observations.lon, radius):
+        targets[tile, column[obs]] = 1.0
     return targets
-
-
-def _nearest_centers(lat: np.ndarray, lon: np.ndarray, center_lat: np.ndarray,
-                     center_lon: np.ndarray, center_tile_id: np.ndarray,
-                     width: float, radius: float) -> np.ndarray:
-    """Per observation, the index of the nearest center within `radius`
-    (ties by lowest tile_id, then lowest index), or -1 when there is none.
-
-    Centers are bucketed by rows of cells `width` wide (see `_bucket`), at
-    least twice the radius, and each observation measures the centers of its
-    own row and the two beside it whose longitude is within `width` of its
-    own (see `_row_windows`). Each observation is offered the k-th center of
-    each of its three runs in turn, for k up to the longest run. A center
-    with a non-finite coordinate is in no run, and is never within the
-    radius.
-    """
-    n = len(lat)
-    rank = np.empty(len(center_lat), dtype=np.intp)
-    rank[np.lexsort((np.arange(len(center_lat)), center_tile_id))] = np.arange(len(center_lat))
-    nearest = np.full(n, -1, dtype=np.intp)
-    best_dist, best_rank = np.full(n, np.inf), np.full(n, len(rank))
-    members, keys = _bucket(center_lat, center_lon, width)
-    for lo, hi in zip(*_row_windows(keys, lat, lon, width)):
-        for k in range(int((hi - lo).max(initial=0))):
-            obs = np.flatnonzero(lo + k < hi)
-            center = members[lo[obs] + k]
-            dist = np.hypot(lat[obs] - center_lat[center], lon[obs] - center_lon[center])
-            better = (dist <= radius) & ((dist < best_dist[obs]) | (
-                (dist == best_dist[obs]) & (rank[center] < best_rank[obs])))
-            obs, center = obs[better], center[better]
-            nearest[obs], best_dist[obs], best_rank[obs] = center, dist[better], rank[center]
-    return nearest
 
 
 def pair_samples(observations: Observations, tiles: list[TileRecord],
@@ -361,11 +336,6 @@ def pair_samples(observations: Observations, tiles: list[TileRecord],
     normalized to [-1, 1]. Observations that cannot be paired are skipped and
     counted under the first reason that applies (no_tile, no_text,
     covariates_out_of_bounds), and pairing fails only when nothing survives.
-
-    Tile centers are bucketed by rows of cells `_cell_width(radius)` wide,
-    and each observation measures only the centers of its own row and the
-    two beside it, within one cell width in longitude (see
-    `_nearest_centers`).
 
     The draws are one `rng.integers` call over an array of bounds: per
     paired observation in order, the number of alternate tiles (when there
@@ -398,8 +368,16 @@ def pair_samples(observations: Observations, tiles: list[TileRecord],
     sec_start = np.searchsorted(sorted_species, observations.species)
     sec_count = np.searchsorted(sorted_species, observations.species, side="right") - sec_start
 
-    nearest = _nearest_centers(observations.lat, observations.lon, center_lat, center_lon,
-                               center_tile_id, _cell_width(matching_radius), matching_radius)
+    nearest = np.full(n, -1, dtype=np.intp)
+    for obs, center, dist in _pairs_within(observations.lat, observations.lon, center_lat,
+                                           center_lon, matching_radius):
+        # each observation's pair of least (distance, tile_id, center): one
+        # cheap sort by (observation, distance) suffices unless two pairs tie
+        order = np.argsort(obs + 1j * dist, kind="stable")
+        if np.any((np.diff(obs[order]) == 0) & (np.diff(dist[order]) == 0)):
+            order = np.lexsort((center, center_tile_id[center], dist, obs))
+        pick = order[np.flatnonzero(np.diff(obs[order], prepend=-1))]
+        nearest[obs[pick]] = center[pick]
     no_tile = nearest < 0
     no_text = ~no_tile & (sec_count == 0)
     _, _, inside = raster.grid_position(observations.lat, observations.lon)

@@ -141,6 +141,37 @@ def test_train_and_probe_take_the_widest_matching_radius_and_refuse_a_wider_one(
     assert f"error: {ckpt}: malformed config ({says})" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epochs", ["-3", "0"])
+def test_probe_epochs_below_1_exit_1(workspace, capsys, epochs):
+    code = dispatch(["probe", "--data", str(workspace / "world"),
+                     "--ckpt", str(workspace / "run" / "ckpt.json"),
+                     "--task", "encounter", "--probe-epochs", epochs])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: probe epochs must be >= 1, got {epochs}\n"
+
+
+def test_repeated_tile_id_in_the_manifest_exits_1_naming_the_record(workspace, tmp_path,
+                                                                     capsys):
+    world = tmp_path / "world"
+    shutil.copytree(workspace / "world", world)
+    manifest_path = world / "tiles" / "manifest.json"
+    records = json.loads(manifest_path.read_text())
+    records[1]["tile_id"] = records[0]["tile_id"]
+    manifest_path.write_text(json.dumps(records))
+    ckpt = str(workspace / "run" / "ckpt.json")
+    for argv in (["train", "--out", str(tmp_path / "ckpt.json"),
+                  "--config", str(workspace / "train.json")],
+                 ["index", "--ckpt", ckpt, "--out", str(tmp_path / "idx")],
+                 ["zeroshot", "--ckpt", ckpt]):
+        assert dispatch(argv + ["--data", str(world)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {manifest_path} record 1: repeats tile id "
+                                f"{records[0]['tile_id']}\n")
+    assert not (tmp_path / "ckpt.json").exists() and not (tmp_path / "idx.json").exists()
+
+
 def test_index_retrieve_tsv_format(workspace, capsys, tmp_path):
     idx = tmp_path / "idx"
     assert dispatch(["index", "--data", str(workspace / "world"),

@@ -14,12 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from satalign.cli import dispatch
 from satalign.evaluate import INDEX_SLAB_ROWS, RetrievalIndex, save_index
-from satalign.tape import l2_normalize_rows
+from satalign.tape import RowNormError, l2_normalize_rows, row_norms
 
 N, D = INDEX_SLAB_ROWS + 40, 8
 QUERY = "--query=" + ",".join(["0.5"] * D)
@@ -168,6 +168,8 @@ _ROW_VALUES = {"nan": (np.nan, "non-finite"), "inf": (np.inf, "non-finite"),
 
 @given(row=st.one_of(st.integers(INDEX_SLAB_ROWS, N - 1), st.integers(0, N - 1)),
        kind=st.sampled_from(sorted(_ROW_VALUES)), column=st.integers(0, D - 1))
+@example(row=N - 1, kind="nan", column=0)  # in the last slab, past the first query pass
+@example(row=N - 1, kind="zero", column=0)
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fuzzed_index_row_exits_1_naming_the_blob_and_row(base, capsys, row, kind, column):
@@ -185,6 +187,31 @@ def test_fuzzed_index_row_exits_1_naming_the_blob_and_row(base, capsys, row, kin
     assert code == 1, captured.err
     assert captured.out == ""
     assert captured.err == f"error: {bin_path}: row {row} has a {problem} norm\n"
+
+
+@given(d=st.integers(1, 4096), rows=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       top=st.floats(-14.0, 38.47), span=st.floats(0.0, 84.0), density=st.floats(0.0, 1.0))
+@example(d=4096, rows=2, seed=0, top=38.47, span=84.0, density=1.0)
+@example(d=1, rows=1, seed=0, top=-12.0, span=0.0, density=1.0)
+@settings(max_examples=300, deadline=None)
+def test_rows_that_row_norms_accepts_divide_to_unit_norm(d, rows, seed, top, span, density):
+    # Why a query runs no unit-norm gate on the blob's rows: float32 rows,
+    # from subnormals up to 3e38 and as sparse as one entry, square inside
+    # float64's range, so a row that row_norms accepts divides to a norm
+    # within about d ulps of 1, far inside RetrievalIndex's 1e-9 gate.
+    rng = np.random.default_rng(seed)
+    magnitude = 10.0 ** (top - span * rng.random((rows, d)))  # 1e-45 and below round to 0
+    values = np.where(rng.random((rows, d)) < 0.5, -magnitude, magnitude)
+    values[rng.random((rows, d)) >= density] = 0.0
+    values[np.arange(rows), rng.integers(d, size=rows)] = 10.0 ** top
+    slab = values.astype("<f4").astype(np.float64)
+    try:
+        norms = row_norms(slab)
+    except RowNormError:
+        return
+    np.divide(slab, norms[:, None], out=slab)
+    assert np.abs(np.sqrt(np.einsum("ij,ij->i", slab, slab)) - 1.0).max() <= 1e-12
+    RetrievalIndex(tile_ids=list(range(rows)), matrix=slab)
 
 
 @given(edit=_length_edit())

@@ -296,7 +296,8 @@ def test_pixels_outside_unit_range_name_the_first_bad_record(base, tmp_path, mon
 
 def per_record_error(manifest_path):
     """The message of the first bad record when the records are checked one
-    at a time, in manifest order; None when every record passes."""
+    at a time, in manifest order, then of the first repeated tile id; None
+    when every record passes."""
     try:
         records = read_json(manifest_path)
     except ValueError as e:
@@ -310,6 +311,10 @@ def per_record_error(manifest_path):
             dataio._check_tile_record(entry, f"{manifest_path} record {i}")
         except ValueError as e:
             return str(e)
+    first_record = {}
+    for i, entry in enumerate(records):
+        if first_record.setdefault(entry["tile_id"], i) != i:
+            return f"{manifest_path} record {i}: repeats tile id {entry['tile_id']}"
     return None
 
 
@@ -320,8 +325,8 @@ _CENTERS = [math.nan, math.inf, -math.inf, 90.0, 90.5, -90.0, -90.01, 180.0, -18
 @st.composite
 def _manifest_edit(draw):
     kind = draw(st.sampled_from(["value", "center", "drop_key", "not_object", "offset",
-                                 "not_utf8", "not_list"]))
-    record = draw(st.integers(0, 11))
+                                 "not_utf8", "not_list", "repeat_id"]))
+    record, other = draw(st.integers(0, 11)), draw(st.integers(0, 11))
     key = draw(st.sampled_from(["tile_id", "lat", "lon", "timestamp", "file", "offset",
                                 "c", "h", "w"]))
     path = lambda world: world / "tiles" / "manifest.json"  # noqa: E731
@@ -338,6 +343,9 @@ def _manifest_edit(draw):
     elif kind == "center":
         edit = _set_item(record, draw(st.sampled_from(["lat", "lon"])),
                          draw(st.sampled_from(_CENTERS)))
+    elif kind == "repeat_id":
+        def edit(records):
+            records[record]["tile_id"] = records[other]["tile_id"]
     elif kind == "drop_key":
         def edit(records):
             del records[record][key]

@@ -9,11 +9,15 @@ plain-numpy losses are kept for the tape losses.
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_train_config, world_and_samples
+from satalign import geodata
 from satalign.augment import augment_photometric, resize_pixels
 from satalign.encoders import location_input_features
 from satalign.geodata import (CovariateRaster, Observations, PairedSamples, TextSections,
@@ -438,3 +442,53 @@ def test_pairing_on_a_synthetic_world_matches_brute_force():
                                 lon=np.append(obs.lon, world.tiles[3].lon - 0.04),
                                 species=np.append(obs.species, obs.species[0]))
     _assert_same_pairing(observations, world.tiles, world.texts, world.raster, 0.05, seed=6)
+
+
+_LATTICE = st.integers(-72, 72).map(lambda k: k / 16)  # out to 4.5°, past the raster's 4°
+
+
+@st.composite
+def pairing_worlds(draw):
+    """Observations, tiles and a radius. Centers on a 1/16° lattice, where
+    differences are exact, or anywhere, each holding one to three tiles
+    whose timestamps may repeat, with shuffled tile ids. Observations at a
+    center, at the radius (offsets of (5, 0) and (3, 4) fifths of it, exact
+    for the radii 5/16 and 10/16), scattered around it, or halfway between
+    two centers, which are then equidistant and the lower tile_id must win."""
+    radius = draw(st.sampled_from([1e-7, 0.05, 1 / 16, 5 / 16, 10 / 16, 2.5,
+                                   geodata.MAX_RADIUS]))
+    point = st.one_of(st.tuples(_LATTICE, _LATTICE),
+                      st.tuples(st.floats(-4.5, 4.5), st.floats(-4.5, 4.5)))
+    centers = draw(st.lists(point, min_size=1, max_size=6, unique=True))
+    stamps = [(c, t) for c in centers
+              for t in draw(st.lists(st.sampled_from([0, 100, 200]), min_size=1, max_size=3))]
+    ids = draw(st.permutations(range(len(stamps))))
+    tiles = [TileRecord(tile_id=ids[k], lat=lat, lon=lon, timestamp=t, pixels=np.zeros((3, 4, 4)))
+             for k, ((lat, lon), t) in enumerate(stamps)]
+    step = min(radius, 1.0) / 5
+    offset = st.one_of(st.sampled_from([(0, 0), (5, 0), (0, -5), (3, 4), (-4, -3)]),
+                       st.tuples(st.floats(-10, 10), st.floats(-10, 10)))
+    rows = []
+    for _ in range(draw(st.integers(1, 30))):
+        (lat, lon), other = draw(st.sampled_from(centers)), draw(st.sampled_from(centers))
+        if draw(st.booleans()):
+            lat, lon = (lat + other[0]) / 2, (lon + other[1]) / 2
+        else:
+            dy, dx = draw(offset)
+            lat, lon = lat + step * dy, lon + step * dx
+        rows.append((lat, lon, draw(st.integers(0, 3))))  # species 3 has no text
+    return _observations(rows), tiles, radius
+
+
+@given(world=pairing_worlds(), pairs=st.sampled_from([1, 3, geodata.TARGET_JOIN_PAIRS]),
+       seed=st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_joined_pairing_matches_brute_force(world, pairs, seed):
+    observations, tiles, radius = world
+    texts, raster = _texts(), _raster()
+    with mock.patch.object(geodata, "TARGET_JOIN_PAIRS", pairs):  # groups of any size
+        if pair_brute_force(observations, tiles, texts, raster, radius, seed)[0]:
+            _assert_same_pairing(observations, tiles, texts, raster, radius, seed)
+        else:
+            with pytest.raises(ValueError, match="observations skipped"):
+                pair_samples(observations, tiles, texts, raster, radius, seed)
