@@ -326,10 +326,11 @@ def _load_texts(root: Path) -> TextSections:
     header = require_fields(read_json(header_path), {"d_txt": int, "sections": list},
                             header_path)
     d_txt = int(header["d_txt"])
-    blob = np.frombuffer(blob_path.read_bytes(), dtype="<f4")
-    if d_txt <= 0 or blob.size % d_txt != 0:
-        raise ValueError(f"{blob_path}: length {blob.size} not divisible by d_txt {d_txt}")
-    rows = blob.astype(np.float64).reshape(-1, d_txt)
+    blob = blob_path.read_bytes()
+    if d_txt <= 0 or len(blob) % (4 * d_txt) != 0:
+        raise ValueError(f"{blob_path}: length {len(blob)} bytes not divisible by d_txt "
+                         f"{d_txt} float32 values")
+    rows = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(-1, d_txt)
     fields = {"species_id": int, "section_id": int, "row": int}
     entries = [require_fields(entry, fields, f"{header_path} record {i}")
                for i, entry in enumerate(header["sections"])]

@@ -25,12 +25,11 @@ PEFT_MODES = ("full", "scale_shift")
 IMAGE_HEADS = ("heads.image.weight", "heads.image_to_text.weight",
                "heads.image_to_location.weight")
 
-# Rows per eval-mode encoding slice, sized so a slice's conv working set fits
-# in a 2 MB L2 cache. With the default model on 32 px tiles, the patch columns
-# take 55 KB per tile in the first conv stage and 74 KB in the second: 1.2 MB
-# per slice at 16 tiles, but 4.7 MB at 64, which the GEMM then streams from
-# memory. A sweep over 8..64 on 1,024 such tiles was fastest at 16. The bits
-# do not depend on the size.
+# Rows per eval-mode encoding slice, sized so one conv stage's buffers (padded
+# input, patch columns, output: 116 and 132 KB per tile for the default model
+# on 32 px tiles) fit in a 2 MB L2 cache. On 1,024 such tiles (one BLAS thread,
+# 30 alternating in-process calls) 8, 16 and 32 took 87.3, 84.5 and 92.4 ms
+# per call. The bits do not depend on the size.
 ENCODE_CHUNK = 16
 
 
@@ -51,6 +50,12 @@ class ImageEncoderConfig:
             raise ValueError("d_img must be >= 8")
         if not self.widths or any(w < 1 for w in self.widths):
             raise ValueError("conv stage widths must be positive")
+        size = self.in_size
+        for _ in self.widths:
+            size = (size + 2 * self.padding - self.kernel) // max(self.stride, 1) + 1
+        if self.kernel < 1 or self.stride < 1 or self.padding < 0 or size < 1:
+            raise ValueError(f"conv kernel {self.kernel}, stride {self.stride} and padding "
+                             f"{self.padding} leave no output for {self.in_size} px tiles")
 
 
 @dataclass(frozen=True)
@@ -162,19 +167,19 @@ class Model:
     def copy_stats(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.stats.items()}
 
-    # -- eval-mode paths (fresh tape, batch statistics frozen) --------------
-
-    def _leaves(self, tape: Tape, names: list[str]) -> dict[str, Node]:
-        return {name: tape.leaf(name, self.params.get(name)) for name in names}
+    # -- eval-mode paths (no tape, batch statistics frozen) -----------------
 
     def image_features(self, pixels: np.ndarray | list[np.ndarray]) -> np.ndarray:
         """Eval-mode features for a batch of tiles, shape (n, d_img).
 
         `pixels` is an (n, C, H, W) array or a list of n (C, H, W) tile
         arrays; a list is stacked one slice at a time, never copied whole.
-        The conv stages run on slices of ENCODE_CHUNK tiles; every op up to
-        the pooling is per sample in eval mode, and the linear layer runs
-        once over all pooled rows, so the bits equal one whole-batch graph.
+        No tape is recorded: the eval-mode pooled_feature_graph's arithmetic
+        runs on slices of ENCODE_CHUNK tiles in buffers allocated once per
+        call, with the tape's conv2d BLAS calls and its norm and relu
+        operations in their order. The linear layer runs once over all
+        pooled rows, so the bits equal one whole-batch graph. Non-finite
+        pixels or conv and norm parameters raise a tape leaf's error.
         """
         if isinstance(pixels, list):
             shapes = {np.shape(tile) for tile in pixels}
@@ -189,16 +194,47 @@ class Model:
             raise ValueError(f"expected pixels of shape "
                              f"(n, {img.in_channels}, {img.in_size}, {img.in_size}), "
                              f"got {got}")
-        conv_names = [n for n in self.params.names() if n.startswith(("img.conv", "img.norm"))]
-        pooled = []
-        for start in range(0, max(len(pixels), 1), ENCODE_CHUNK):  # 0 tiles: one empty slice
-            tape = Tape()
-            x = tape.leaf("pixels", pixels[start:start + ENCODE_CHUNK])
-            node, _ = pooled_feature_graph(tape, self._leaves(tape, conv_names), img, x,
-                                           stats=self.stats, training=False)
-            pooled.append(node.value)
-        pooled = np.concatenate(pooled)
-        # the same expressions as the matmul and add nodes of image_feature_graph
+        for name in (n for n in self.params.names() if n.startswith(("img.conv", "img.norm"))):
+            if not np.all(np.isfinite(self.params.get(name))):
+                raise ValueError(f"non-finite values in leaf {name!r}")
+        k, s, p, size = img.kernel, img.stride, img.padding, img.in_size
+        m = min(len(pixels), ENCODE_CHUNK)
+        # per stage: padded input, its patches (a strided view), patch columns,
+        # kernel matrix, output, and the norm's mean, inv, gamma, beta columns
+        stages = []
+        for i, (c, f) in enumerate(zip((img.in_channels, *img.widths), img.widths), start=1):
+            o = (size + 2 * p - k) // s + 1
+            pad = np.zeros((m, c, size + 2 * p, size + 2 * p))
+            sn, sc, sh, sw = pad.strides
+            norm = (self.stats[f"img.norm{i}.mean"],
+                    1.0 / np.sqrt(self.stats[f"img.norm{i}.var"] + img.norm_eps),
+                    self.params.get(f"img.norm{i}.gamma"), self.params.get(f"img.norm{i}.beta"))
+            stages.append((pad, np.ndarray((m, c, k, k, o, o), pad.dtype, pad, 0,
+                                           (sn, sc, sh, sw, s * sh, s * sw)),
+                           np.empty((m, c * k * k, o * o)),
+                           self.params.get(f"img.conv{i}.kernel").reshape(1, f, c * k * k),
+                           np.empty((m, f, o * o)),
+                           [v[:, None] for v in norm]))
+            size = o
+        pooled = np.empty((len(pixels), img.widths[-1]))
+        for start in range(0, len(pixels), ENCODE_CHUNK):
+            n = min(ENCODE_CHUNK, len(pixels) - start)
+            x = stages[0][0][:n]
+            np.stack(pixels[start:start + n], out=x[:, :, p:p + img.in_size, p:p + img.in_size])
+            if not np.all(np.isfinite(x)):
+                raise ValueError("non-finite values in leaf 'pixels'")
+            for j, (_, patches, cols, kernel, out, norm) in enumerate(stages):
+                np.copyto(cols[:n].reshape(patches[:n].shape), patches[:n])
+                h = np.matmul(kernel, cols[:n], out=out[:n])
+                # (h - mean) * inv * gamma + beta, in the tape's channel_norm order
+                for op, v in zip((np.subtract, np.multiply, np.multiply, np.add), norm):
+                    op(h, v, out=h)
+                o = patches.shape[-1]
+                relu = stages[j + 1][0][:n, :, p:p + o, p:p + o] if j + 1 < len(stages) else h
+                np.maximum(h.reshape(relu.shape), 0.0, out=relu)
+            np.add.reduce(h, axis=-1, out=pooled[start:start + n])
+        pooled /= size * size
+        # the same expressions as image_feature_graph's pool, matmul and add nodes
         return pooled @ self.params.get("img.fc.weight") + self.params.get("img.fc.bias")
 
     def _project(self, head: str, rows: np.ndarray) -> np.ndarray:
@@ -218,7 +254,8 @@ class Model:
 
 def pooled_feature_graph(tape: Tape, leaves: dict[str, Node], cfg: ImageEncoderConfig,
                          x: Node, stats: dict[str, np.ndarray], training: bool):
-    """Conv stages + global pooling; returns (pooled node, norm nodes)."""
+    """Conv stages + global pooling; returns (pooled node, norm nodes). Its eval
+    mode is the reference that Model.image_features is tested against, bit for bit."""
     norm_nodes: list[tuple[str, Node]] = []
     h = x
     for i in range(1, len(cfg.widths) + 1):

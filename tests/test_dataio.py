@@ -80,9 +80,10 @@ def test_malformed_header_rejected(world_dir):
 def test_embeddings_length_mismatch(world_dir):
     out, _ = world_dir
     blob = out / "text" / "embeddings.bin"
-    blob.write_bytes(blob.read_bytes()[:-4])
-    with pytest.raises(ValueError, match="not divisible"):
-        ingest_dataset(out)
+    for cut in (1, 3):  # inside a float, then one float short
+        blob.write_bytes(blob.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match=r"embeddings\.bin: length \d+ bytes not divisible"):
+            ingest_dataset(out)
 
 
 def save_per_tile_layout(directory, dataset):

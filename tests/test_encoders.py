@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -94,18 +95,45 @@ class TestImageEncoder:
     @pytest.mark.parametrize("n", [1, ENCODE_CHUNK - 1, ENCODE_CHUNK, ENCODE_CHUNK + 1,
                                    16 * ENCODE_CHUNK])
     def test_chunked_features_equal_one_whole_batch_graph(self, n):
-        model = Model.initialize(tiny_config(), seed=3)
-        rng = np.random.default_rng(n)
-        for name in model.stats:  # running statistics away from their initial values
-            model.stats[name] = rng.random(model.stats[name].shape) + 0.5
-        pixels = rng.random((n, 3, 16, 16))
-        tape = Tape()
-        leaves = {name: tape.leaf(name, model.params.get(name))
-                  for name in model.params.names() if name.startswith("img.")}
-        whole, _ = image_feature_graph(tape, leaves, model.cfg.image,
-                                       tape.leaf("pixels", pixels), stats=model.stats,
-                                       training=False)
-        assert model.image_features(pixels).tobytes() == whole.value.tobytes()
+        assert_features_equal_the_graph(tiny_config(), n, as_list=False)
+
+    @pytest.mark.parametrize("image", [
+        ImageEncoderConfig(in_size=16, widths=(4, 8, 6), d_img=16, kernel=5, stride=1, padding=0),
+        ImageEncoderConfig(in_size=16, widths=(4, 8), d_img=16, kernel=3, stride=2, padding=2),
+        ImageEncoderConfig(in_channels=4, in_size=16, widths=(4, 8), d_img=16, kernel=4,
+                           stride=3, padding=1),
+        ImageEncoderConfig(in_size=16, widths=(4, 8, 8, 8), d_img=16),  # last stage 1x1
+    ], ids=["k5s1p0_three_stages", "k3s2p2", "k4s3p1_four_channels", "one_pixel_last_stage"])
+    @pytest.mark.parametrize("n", [1, 17, 37])
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    def test_odd_geometries_equal_one_whole_batch_graph(self, image, n, as_list):
+        assert_features_equal_the_graph(tiny_config(image=image), n, as_list)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pixels_rejected(self, model, bad):
+        pixels = np.random.default_rng(5).random((ENCODE_CHUNK + 3, 3, 16, 16))
+        pixels[ENCODE_CHUNK + 1, 2, 7, 9] = bad  # in the short last slice
+        for batch in (pixels, list(pixels)):
+            with pytest.raises(ValueError, match="non-finite values in leaf 'pixels'"):
+                model.image_features(batch)
+
+    @pytest.mark.parametrize("name", ["img.conv2.kernel", "img.norm1.gamma"])
+    def test_non_finite_conv_or_norm_parameter_rejected(self, model, name):
+        value = model.params.get(name).copy()
+        value.flat[1] = np.nan
+        model.params.set(name, value)
+        with pytest.raises(ValueError, match=rf"non-finite values in leaf '{re.escape(name)}'"):
+            model.image_features(np.zeros((2, 3, 16, 16)))
+
+    def test_zero_tiles_give_zero_rows(self, model):
+        assert model.image_features(np.zeros((0, 3, 16, 16))).shape == (0, 16)
+
+    def test_conv_stages_without_output_rejected(self):
+        ImageEncoderConfig(in_size=12, widths=(4, 4), kernel=5, stride=1, padding=0)
+        for geometry in (dict(widths=(4, 4, 4), kernel=5, stride=1, padding=0),
+                         dict(stride=0), dict(kernel=0), dict(padding=-1)):
+            with pytest.raises(ValueError, match="leave no output for 12 px tiles"):
+                ImageEncoderConfig(in_size=12, **geometry)
 
     def test_working_set_does_not_grow_with_the_batch(self):
         model = Model.initialize(ModelConfig(), seed=0)
@@ -120,6 +148,28 @@ class TestImageEncoder:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 2 * peaks[0], peaks
+
+
+def assert_features_equal_the_graph(cfg: ModelConfig, n: int, as_list: bool) -> None:
+    """image_features bit for bit against one whole-batch eval-mode tape graph,
+    with running statistics and norm scales and shifts away from their initial
+    values."""
+    model = Model.initialize(cfg, seed=3)
+    rng = np.random.default_rng(n)
+    for name in model.stats:
+        model.stats[name] = rng.random(model.stats[name].shape) + 0.5
+    for name in model.params.names():
+        if name.startswith("img.norm"):
+            model.params.set(name, rng.normal(size=model.params.get(name).shape))
+    image = cfg.image
+    pixels = rng.random((n, image.in_channels, image.in_size, image.in_size))
+    tape = Tape()
+    leaves = {name: tape.leaf(name, model.params.get(name))
+              for name in model.params.names() if name.startswith("img.")}
+    whole, _ = image_feature_graph(tape, leaves, image, tape.leaf("pixels", pixels),
+                                   stats=model.stats, training=False)
+    features = model.image_features(list(pixels) if as_list else pixels)
+    assert features.tobytes() == whole.value.tobytes()
 
 
 def location_outputs(model: Model, features: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Malformed dataset files at the ingest boundary.
 
-Every bad value in `observations.csv`, `raster.json`, `ground_truth.json` or
-`tiles/manifest.json` must either load into a valid dataset or raise a
-ValueError naming the file, and the CLI must exit 1 on it, never 2.
+Every bad value in `observations.csv`, `raster.json`, `ground_truth.json`,
+`text/sections.json`, `text/embeddings.bin` or `tiles/manifest.json` must
+either load into a valid dataset or raise a ValueError naming the file, and
+the CLI must exit 1 on it, never 2.
 Hand-picked cases pin the messages; the Hypothesis cases fuzz the same files.
 """
 
@@ -459,9 +460,44 @@ def _truth_edit(draw):
     return lambda world: _edit_json(world / "ground_truth.json", edit)
 
 
+@st.composite
+def _sections_edit(draw):
+    kind = draw(st.sampled_from(["value", "drop_key", "not_object", "sections", "d_txt",
+                                 "drop_header_key", "not_object_header", "truncate"]))
+    if kind == "truncate":  # a blob that ends inside a row, or rows short
+        cut = draw(st.sampled_from([1, 4, 48, 4 * 12 * 12 - 4]))
+
+        def apply(world):
+            blob = world / "text" / "embeddings.bin"
+            blob.write_bytes(blob.read_bytes()[:-cut])
+        return apply
+    record = draw(st.integers(0, SYNTH_CFG["n_species"] * SYNTH_CFG["sections_per_species"] - 1))
+    key = draw(st.sampled_from(["species_id", "section_id", "row"]))
+    if kind == "value":  # wrong types, huge and negative rows
+        value = draw(st.one_of(_values, st.sampled_from([-1, 12, 2 ** 63, -2 ** 63 - 1, True,
+                                                         "0", 3.0])))
+        edit = lambda obj: obj["sections"][record].__setitem__(key, value)  # noqa: E731
+    elif kind == "drop_key":
+        edit = lambda obj: obj["sections"][record].pop(key)  # noqa: E731
+    elif kind == "not_object":
+        edit = _set_item("sections", record, draw(_json_values))
+    elif kind == "sections":  # not a list, or a list of numbers
+        edit = _set("sections", draw(_json_values))
+    elif kind == "d_txt":
+        edit = _set("d_txt", draw(st.one_of(_values, st.sampled_from([0, -12, 6, 24, 2 ** 70]))))
+    elif kind == "drop_header_key":
+        dropped = draw(st.sampled_from(["d_txt", "sections"]))
+        edit = lambda obj: obj.pop(dropped)  # noqa: E731
+    else:
+        value = draw(_json_values)
+        return lambda world: (world / "text" / "sections.json").write_text(json.dumps(value))
+    return lambda world: _edit_json(world / "text" / "sections.json", edit)
+
+
 _EDITS = {"observations.csv": _csv_edit(), "raster.json": _raster_edit(),
-          "ground_truth.json": _truth_edit()}
-_FILES = ("observations.csv", "raster.json", "raster.bin", "ground_truth.json")
+          "ground_truth.json": _truth_edit(), "text/sections.json": _sections_edit()}
+_FILES = ("observations.csv", "raster.json", "raster.bin", "ground_truth.json",
+          "text/sections.json", "text/embeddings.bin")
 
 
 def _check_loaded(dataset):
@@ -477,6 +513,9 @@ def _check_loaded(dataset):
     assert all(0 <= h < truth.n_habitats for h in truth.species_habitats.values())
     assert truth.text_prototypes.shape == (truth.n_habitats, dataset.texts.d_txt)
     assert np.isfinite(truth.text_prototypes).all()
+    texts = dataset.texts
+    assert texts.embeddings.ndim == 2 and np.isfinite(texts.embeddings).all()
+    assert texts.species.shape == texts.section.shape == texts.embeddings.shape[:1]
 
 
 @pytest.mark.parametrize("file", sorted(_EDITS))
