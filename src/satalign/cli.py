@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import dataset_from_world, ingest_dataset, pair_paths, read_json, save_dataset
+from .dataio import (dataclass_from_json, dataset_from_world, ingest_dataset, pair_paths,
+                     read_json, save_dataset)
 from .encoders import (ImageEncoderConfig, LocationEncoderConfig, Model, ModelConfig,
                        location_input_features)
 from .evaluate import (ProbeConfig, accuracy, build_index, confusion_matrix,
@@ -33,9 +34,8 @@ from .gradcheck import finite_diff_check
 from .geodata import COVARIATE_CHANNELS, pair_samples, tile_species_targets
 from .synthworld import SyntheticWorldConfig, generate_synthetic_world
 from .tape import RowNormError
-from .training import (TrainConfig, build_training_graph, config_from_dict,
-                       config_to_dict, load_checkpoint, model_from_checkpoint,
-                       save_checkpoint, train)
+from .training import (TrainConfig, build_training_graph, config_to_dict, load_checkpoint,
+                       model_from_checkpoint, save_checkpoint, train)
 
 
 class UsageError(Exception):
@@ -126,16 +126,17 @@ def _atomic(out: Path, build) -> None:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _config_from_file(path: str | None, build):
-    """`build(fields)` on the JSON object in `path` ({} without a file). The
-    config dataclasses raise TypeError for an unknown field or a value of the
-    wrong type, and their `validate` raises ValueError for a bad value; from
-    a file, either is an input error naming the file."""
+def _config_from_file(path: str | None, cls, **fixed):
+    """The validated `cls` config from the JSON object in `path` ({} without
+    a file), with the `fixed` fields set. A field of the wrong type, an
+    unknown field or a bad value from a file is an input error naming it."""
     fields = read_json(path) if path else {}
     if not isinstance(fields, dict):
         raise ValueError(f"{path}: expected a JSON object of config fields")
     try:
-        return build(fields)
+        config = dataclass_from_json(cls, dict(fields, **fixed))
+        config.validate()
+        return config
     except (TypeError, ValueError) as e:
         if path is None:
             raise
@@ -147,13 +148,7 @@ def _config_from_file(path: str | None, build):
 
 def _cmd_synth(args) -> int:
     started = time.monotonic()
-
-    def build(fields):
-        config = SyntheticWorldConfig(**dict(fields, seed=args.seed))
-        config.validate()
-        return config
-
-    config = _config_from_file(args.config, build)
+    config = _config_from_file(args.config, SyntheticWorldConfig, seed=args.seed)
     world = generate_synthetic_world(config)
     dataset = dataset_from_world(world)
     out = Path(args.out)
@@ -168,21 +163,12 @@ def _cmd_synth(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
-    updates = {}
-    for flag in ("seed", "epochs", "batch_size", "lr", "peft"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[flag] = value
+    updates = {flag: value for flag in ("seed", "epochs", "batch_size", "lr", "peft")
+               if (value := getattr(args, flag, None)) is not None}
     if getattr(args, "freeze_location", False):
         updates["freeze_location"] = True
-
-    def build(fields):
-        config = config_from_dict(fields) if fields else TrainConfig()
-        config.validate()
-        return config
-
     # validated before the flags apply, so a bad flag is not blamed on the file
-    config = dataclasses.replace(_config_from_file(args.config, build), **updates)
+    config = dataclasses.replace(_config_from_file(args.config, TrainConfig), **updates)
     config.validate()
     return config
 
@@ -310,11 +296,22 @@ def _probe_metrics(dataset, model: Model, task: str, seed: int,
     raise ValueError(f"unknown task {task!r}")
 
 
-def _cmd_probe(args) -> int:
-    started = time.monotonic()
+def _dataset_and_model(args):
+    """The --data dataset, the --ckpt checkpoint and its model, which must take every tile."""
     dataset = ingest_dataset(args.data)
     ckpt = load_checkpoint(args.ckpt)
-    model = model_from_checkpoint(ckpt)
+    c, size = ckpt.config.model.image.in_channels, ckpt.config.model.image.in_size
+    shapes = {tile.pixels.shape for tile in dataset.tiles}
+    if shapes != {(c, size, size)}:
+        got = (len(dataset.tiles), *shapes.pop()) if len(shapes) == 1 else sorted(shapes)
+        raise ValueError(f"{pair_paths(args.ckpt)[0]}: expected pixels of shape "
+                         f"(n, {c}, {size}, {size}), got {got} from {args.data}")
+    return dataset, ckpt, model_from_checkpoint(ckpt)
+
+
+def _cmd_probe(args) -> int:
+    started = time.monotonic()
+    dataset, ckpt, model = _dataset_and_model(args)
     metrics = _probe_metrics(dataset, model, args.task, args.seed,
                              args.probe_epochs, ckpt.config.matching_radius)
     text = json.dumps(metrics, sort_keys=True, indent=2)
@@ -332,8 +329,7 @@ def _cmd_probe(args) -> int:
 
 def _cmd_index(args) -> int:
     started = time.monotonic()
-    dataset = ingest_dataset(args.data)
-    model = model_from_checkpoint(load_checkpoint(args.ckpt))
+    dataset, _, model = _dataset_and_model(args)
     index = build_index(model, dataset.tiles)
     out = pair_paths(args.out)
     _atomic(out[0], lambda tmp: save_index(index, tmp))
@@ -405,8 +401,7 @@ def _cmd_retrieve(args) -> int:
 
 def _cmd_zeroshot(args) -> int:
     started = time.monotonic()
-    dataset = ingest_dataset(args.data)
-    model = model_from_checkpoint(load_checkpoint(args.ckpt))
+    dataset, _, model = _dataset_and_model(args)
     if args.classes:
         classes = _read_query(args.classes)
         d_txt = model.cfg.d_txt

@@ -20,10 +20,13 @@ overlap, no bytes after the last record.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,8 +72,13 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
-               dict: "an object"}
+_JSON_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "a list", dict: "an object"}
+
+
+def _is_kind(value, kind) -> bool:
+    found = type(value)  # exact: a JSON true is a bool, not an int
+    return found is kind or (kind is float and found is int and abs(value) < 2 ** 1023)
 
 
 def require_fields(obj, fields: dict, where) -> dict:
@@ -84,12 +92,38 @@ def require_fields(obj, fields: dict, where) -> dict:
     if missing:
         raise ValueError(f"{where}: missing fields {sorted(missing)}")
     for name, kind in fields.items():
-        found = type(obj[name])  # exact: a JSON true is a bool, not an int
-        if found is not kind and not (kind is float and found is int
-                                      and abs(obj[name]) < 2 ** 1023):
+        if not _is_kind(obj[name], kind):
             raise ValueError(f"{where}: field {name!r} must be {_JSON_KINDS[kind]}, "
                              f"got {obj[name]!r:.40}")
     return obj
+
+
+_type_hints = functools.cache(typing.get_type_hints)  # a config class's field types
+
+
+def dataclass_from_json(cls, obj, prefix: str = ""):
+    """`cls(**obj)` for a JSON object of some of dataclass `cls`'s fields, each
+    of its annotation's JSON type by require_fields' rule, else a ValueError
+    naming the field: a nested dataclass from an object, a tuple from a list.
+    A field `cls` does not have is the TypeError `cls` raises."""
+    kinds = _type_hints(cls)
+    fields = {}
+    for name, value in obj.items():
+        kind, where = kinds.get(name), prefix + name
+        if dataclasses.is_dataclass(kind):
+            if type(value) is not dict:
+                raise ValueError(f"field {where!r} must be an object, got {value!r:.40}")
+            value = dataclass_from_json(kind, value, where + ".")
+        elif typing.get_origin(kind) is tuple:  # tuple[T, ...]
+            item = typing.get_args(kind)[0]
+            if type(value) is not list or not all(_is_kind(v, item) for v in value):
+                raise ValueError(f"field {where!r} must be a list of {item.__name__}s, "
+                                 f"got {value!r:.40}")
+            value = tuple(value)
+        elif kind is not None and not _is_kind(value, kind):
+            raise ValueError(f"field {where!r} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
+        fields[name] = value
+    return cls(**fields)
 
 
 def read_json(path: str | Path):

@@ -56,6 +56,10 @@ class ImageEncoderConfig:
         if self.kernel < 1 or self.stride < 1 or self.padding < 0 or size < 1:
             raise ValueError(f"conv kernel {self.kernel}, stride {self.stride} and padding "
                              f"{self.padding} leave no output for {self.in_size} px tiles")
+        if not 0 < self.norm_eps < math.inf:
+            raise ValueError(f"norm_eps must be finite and > 0, got {self.norm_eps!r}")
+        if not 0 <= self.norm_momentum <= 1:
+            raise ValueError(f"norm_momentum must be in [0, 1], got {self.norm_momentum!r}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,31 @@ def _uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...], fan_in: in
     return rng.uniform(-bound, bound, size=shape)
 
 
+def parameter_shapes(cfg: ModelConfig):
+    """(name, shape) of each model parameter, in the order Model.initialize
+    draws them. A generator, so a reader can stop at the first one it lacks."""
+    img, loc, d = cfg.image, cfg.location, cfg.embed_dim
+    in_ch = img.in_channels
+    for i, width in enumerate(img.widths, start=1):
+        yield f"img.conv{i}.kernel", (width, in_ch, img.kernel, img.kernel)
+        yield f"img.norm{i}.gamma", (width,)
+        yield f"img.norm{i}.beta", (width,)
+        in_ch = width
+    yield "img.fc.weight", (in_ch, img.d_img)
+    yield "img.fc.bias", (img.d_img,)
+    yield "loc.fc0.weight", (loc.input_dim, loc.hidden)
+    yield "loc.fc0.bias", (loc.hidden,)
+    for i in range(1, loc.depth):
+        yield f"loc.res{i}.weight", (loc.hidden, loc.hidden)
+        yield f"loc.res{i}.bias", (loc.hidden,)
+    yield "loc.out.weight", (loc.hidden, loc.d_loc)
+    yield "loc.out.bias", (loc.d_loc,)
+    for name in IMAGE_HEADS:
+        yield name, (img.d_img, d)
+    yield "heads.text.weight", (cfg.d_txt, d)
+    yield "heads.location.weight", (loc.d_loc, d)
+
+
 class Model:
     """Parameter store, normalization statistics, and eval-mode encoders."""
 
@@ -131,41 +160,19 @@ class Model:
         rng = np.random.default_rng(seed)
         params = ParameterStore()
         stats: dict[str, np.ndarray] = {}
-
-        img = cfg.image
-        in_ch = img.in_channels
-        for i, width in enumerate(img.widths, start=1):
-            fan_in = in_ch * img.kernel * img.kernel
-            params.add(f"img.conv{i}.kernel",
-                       _uniform_fan_in(rng, (width, in_ch, img.kernel, img.kernel), fan_in))
-            params.add(f"img.norm{i}.gamma", np.ones(width))
-            params.add(f"img.norm{i}.beta", np.zeros(width))
-            stats[f"img.norm{i}.mean"] = np.zeros(width)
-            stats[f"img.norm{i}.var"] = np.ones(width)
-            in_ch = width
-        params.add("img.fc.weight", _uniform_fan_in(rng, (in_ch, img.d_img), in_ch))
-        params.add("img.fc.bias", _uniform_fan_in(rng, (img.d_img,), in_ch))
-
-        loc = cfg.location
-        params.add("loc.fc0.weight", _uniform_fan_in(rng, (loc.input_dim, loc.hidden),
-                                                     loc.input_dim))
-        params.add("loc.fc0.bias", _uniform_fan_in(rng, (loc.hidden,), loc.input_dim))
-        for i in range(1, loc.depth):
-            params.add(f"loc.res{i}.weight", _uniform_fan_in(rng, (loc.hidden, loc.hidden),
-                                                             loc.hidden))
-            params.add(f"loc.res{i}.bias", _uniform_fan_in(rng, (loc.hidden,), loc.hidden))
-        params.add("loc.out.weight", _uniform_fan_in(rng, (loc.hidden, loc.d_loc), loc.hidden))
-        params.add("loc.out.bias", _uniform_fan_in(rng, (loc.d_loc,), loc.hidden))
-
-        d = cfg.embed_dim
-        for name in IMAGE_HEADS:
-            params.add(name, _uniform_fan_in(rng, (img.d_img, d), img.d_img))
-        params.add("heads.text.weight", _uniform_fan_in(rng, (cfg.d_txt, d), cfg.d_txt))
-        params.add("heads.location.weight", _uniform_fan_in(rng, (loc.d_loc, d), loc.d_loc))
+        shapes = dict(parameter_shapes(cfg))
+        for name, shape in shapes.items():
+            if name.endswith(".gamma"):
+                params.add(name, np.ones(shape))
+                stats[name.replace(".gamma", ".mean")] = np.zeros(shape)
+                stats[name.replace(".gamma", ".var")] = np.ones(shape)
+            elif name.endswith(".beta"):
+                params.add(name, np.zeros(shape))
+            else:  # fan-in of a kernel (F, C, k, k), a weight (in, out), or a bias's weight
+                weight = shapes[name.replace(".bias", ".weight")]
+                fan_in = math.prod(weight[1:]) if len(weight) == 4 else weight[0]
+                params.add(name, _uniform_fan_in(rng, shape, fan_in))
         return cls(cfg, params, stats)
-
-    def copy_stats(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.stats.items()}
 
     # -- eval-mode paths (no tape, batch statistics frozen) -----------------
 
@@ -174,12 +181,12 @@ class Model:
 
         `pixels` is an (n, C, H, W) array or a list of n (C, H, W) tile
         arrays; a list is stacked one slice at a time, never copied whole.
-        No tape is recorded: the eval-mode pooled_feature_graph's arithmetic
-        runs on slices of ENCODE_CHUNK tiles in buffers allocated once per
-        call, with the tape's conv2d BLAS calls and its norm and relu
-        operations in their order. The linear layer runs once over all
-        pooled rows, so the bits equal one whole-batch graph. Non-finite
-        pixels or conv and norm parameters raise a tape leaf's error.
+        No tape is recorded: each conv stage runs the tape's per-tile conv2d
+        GEMMs, the norm with the running statistics, and relu on slices of
+        ENCODE_CHUNK tiles, in buffers allocated once per call. The bits
+        equal one whole-batch plain-numpy forward, `reference_image_features`
+        in tests/test_encoders.py. Non-finite pixels or conv and norm
+        parameters raise a tape leaf's error.
         """
         if isinstance(pixels, list):
             shapes = {np.shape(tile) for tile in pixels}
@@ -226,7 +233,7 @@ class Model:
             for j, (_, patches, cols, kernel, out, norm) in enumerate(stages):
                 np.copyto(cols[:n].reshape(patches[:n].shape), patches[:n])
                 h = np.matmul(kernel, cols[:n], out=out[:n])
-                # (h - mean) * inv * gamma + beta, in the tape's channel_norm order
+                # (h - mean) * inv * gamma + beta, in that order
                 for op, v in zip((np.subtract, np.multiply, np.multiply, np.add), norm):
                     op(h, v, out=h)
                 o = patches.shape[-1]
@@ -234,7 +241,7 @@ class Model:
                 np.maximum(h.reshape(relu.shape), 0.0, out=relu)
             np.add.reduce(h, axis=-1, out=pooled[start:start + n])
         pooled /= size * size
-        # the same expressions as image_feature_graph's pool, matmul and add nodes
+        # the same expressions as the tape's pool, matmul and add nodes
         return pooled @ self.params.get("img.fc.weight") + self.params.get("img.fc.bias")
 
     def _project(self, head: str, rows: np.ndarray) -> np.ndarray:
@@ -249,33 +256,23 @@ class Model:
         return self._project("heads.image_to_text.weight", self.image_features(pixels))
 
 
-# -- graph builders (shared by training and eval paths) ----------------------
+# -- graph builders (the training step's tape) --------------------------------
 
 
-def pooled_feature_graph(tape: Tape, leaves: dict[str, Node], cfg: ImageEncoderConfig,
-                         x: Node, stats: dict[str, np.ndarray], training: bool):
-    """Conv stages + global pooling; returns (pooled node, norm nodes). Its eval
-    mode is the reference that Model.image_features is tested against, bit for bit."""
+def image_feature_graph(tape: Tape, leaves: dict[str, Node], cfg: ImageEncoderConfig, x: Node):
+    """Conv stages (batch-statistics norm) + pooling + linear head; returns
+    (feature node, [(norm name, norm node)])."""
     norm_nodes: list[tuple[str, Node]] = []
     h = x
     for i in range(1, len(cfg.widths) + 1):
         h = tape.conv2d(h, leaves[f"img.conv{i}.kernel"], stride=cfg.stride,
                         padding=cfg.padding)
         norm = tape.channel_norm(h, leaves[f"img.norm{i}.gamma"], leaves[f"img.norm{i}.beta"],
-                                 training=training, eps=cfg.norm_eps,
-                                 running_mean=None if training else stats[f"img.norm{i}.mean"],
-                                 running_var=None if training else stats[f"img.norm{i}.var"])
+                                 eps=cfg.norm_eps)
         norm_nodes.append((f"img.norm{i}", norm))
         h = tape.relu(norm)
-    return tape.global_avg_pool(h), norm_nodes
-
-
-def image_feature_graph(tape: Tape, leaves: dict[str, Node], cfg: ImageEncoderConfig,
-                        x: Node, stats: dict[str, np.ndarray], training: bool):
-    """Conv stages + pooling + linear head; returns (feature node, norm nodes)."""
-    pooled, norm_nodes = pooled_feature_graph(tape, leaves, cfg, x, stats, training)
-    feat = tape.add(tape.matmul(pooled, leaves["img.fc.weight"]), leaves["img.fc.bias"])
-    return feat, norm_nodes
+    feat = tape.matmul(tape.global_avg_pool(h), leaves["img.fc.weight"])
+    return tape.add(feat, leaves["img.fc.bias"]), norm_nodes
 
 
 def location_feature_graph(tape: Tape, leaves: dict[str, Node],

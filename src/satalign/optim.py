@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +75,8 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.lr <= 0 or not (0 <= self.beta1 < 1) or not (0 <= self.beta2 < 1):
+        if not (0 < self.lr < math.inf and 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1
+                and 0 < self.eps < math.inf):
             raise ValueError("invalid Adam hyperparameters")
         if self.t < 0:
             raise ValueError("Adam step counter must be >= 0")

@@ -22,10 +22,10 @@ computes.
 node whose inputs reach no trainable leaf gets no vector-Jacobian product,
 and a conv2d, matmul or channel_norm skips the input gradients nothing
 upstream uses (the conv kernel gradient under a frozen kernel, the gradient
-into the pixel leaves). A training-mode channel_norm records the batch mean
-and variance it normalized with next to its value, so the backward pass and
-the running-statistics update read them instead of recomputing them: batch
-statistics are computed once per step.
+into the pixel leaves). A channel_norm normalizes with its batch's mean and
+variance and records them next to its value, so the backward pass and the
+running-statistics update read them instead of recomputing them. The tape
+records only what a gradient step differentiates; the frozen encoder records none.
 
 The op set is the model's and no more: dense matmul, broadcasting add/mul,
 relu, strided conv2d (patch-flattening + matmul), global average pooling,
@@ -34,8 +34,8 @@ sum. Everything runs in float64.
 
 A conv2d's backward lays its patch columns out as one (c*kh*kw, n*oh*ow)
 matrix for the whole batch, so its kernel gradient and its input-column
-gradient are each one BLAS matrix product. The training-mode channel_norm
-gradient reuses the scale and shift gradient sums for its input gradient.
+gradient are each one BLAS matrix product. The channel_norm gradient reuses
+the scale and shift gradient sums for its input gradient.
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ def _center_channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 class Node:
     """One recorded operation: op kind, input node ids, and its value.
 
-    A training-mode channel_norm also keeps `batch_stats`, the (mean, var)
-    pair its value was normalized with. Both are set once, by
-    :meth:`Tape._op`, when the node is recorded.
+    A channel_norm also keeps `batch_stats`, the (mean, var) pair its value
+    was normalized with. Both are set once, by :meth:`Tape._op`, when the
+    node is recorded.
     """
 
     __slots__ = ("idx", "op", "inputs", "value", "name", "trainable", "attrs", "batch_stats")
@@ -174,22 +174,9 @@ class Tape:
     def global_avg_pool(self, x: Node) -> Node:
         return self._op("global_avg_pool", [x])
 
-    def channel_norm(self, x: Node, gamma: Node, beta: Node, training: bool,
-                     running_mean: np.ndarray | None = None,
-                     running_var: np.ndarray | None = None,
-                     eps: float = 1e-5) -> Node:
-        """Scale-shift normalization over per-channel statistics.
-
-        Training mode normalizes with statistics of the current batch; eval
-        mode uses the running averages supplied at construction time.
-        """
-        if not training and (running_mean is None or running_var is None):
-            raise ValueError("eval-mode channel_norm requires running statistics")
-        attrs = {"training": training, "eps": eps}
-        if not training:
-            attrs["running_mean"] = np.asarray(running_mean, dtype=np.float64)
-            attrs["running_var"] = np.asarray(running_var, dtype=np.float64)
-        return self._op("channel_norm", [x, gamma, beta], **attrs)
+    def channel_norm(self, x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
+        """Scale-shift normalization with the batch's per-channel statistics."""
+        return self._op("channel_norm", [x, gamma, beta], eps=eps)
 
     def l2norm_rows(self, a: Node) -> Node:
         return self._op("l2norm_rows", [a])
@@ -234,9 +221,7 @@ class Tape:
         node = Node(len(self.nodes), op, ids, None, attrs=attrs)
         vals = [self.nodes[i].value for i in ids]
         _check_shapes(node, vals)
-        saved = {}
-        node.value = _compute(node, vals, saved)
-        node.batch_stats = saved.get(node.idx)
+        node.value = _compute(node, vals, record=True)
         self.nodes.append(node)
         return node
 
@@ -349,12 +334,11 @@ def _channel_vector(v: np.ndarray, batched: bool) -> np.ndarray:
     return v.reshape(v.shape[0], 1, -1, 1, 1) if batched else v[:, None, None]
 
 
-def _compute(node: Node, vals: list[np.ndarray], saved: dict | None = None,
+def _compute(node: Node, vals: list[np.ndarray], record: bool = False,
              batched: list[bool] | None = None) -> np.ndarray:
     """Value of `node` from its input values, whose shapes
     :func:`_check_shapes` accepted when the node was recorded. When recording
-    (`saved` given), a training-mode channel_norm also stores its batch
-    (mean, var) in `saved[node.idx]`.
+    (`record`), a channel_norm also sets the node's `batch_stats`.
 
     In a batched replay, `batched[i]` says that input i carries a leading
     perturbation axis of P rows, each of its recorded shape. The value then
@@ -403,14 +387,9 @@ def _compute(node: Node, vals: list[np.ndarray], saved: dict | None = None,
     if op == "channel_norm":
         x, gamma, beta = vals
         x_rows, gamma_rows, beta_rows = batched or (False, False, False)
-        if node.attrs["training"]:
-            out, mean, var = _center_channels(x)
-            if saved is not None:
-                saved[node.idx] = (mean.reshape(-1), var.reshape(-1))
-        else:
-            mean, var = node.attrs["running_mean"], node.attrs["running_var"]
-            out = x - mean[:, None, None]
-            var = var[:, None, None]
+        out, mean, var = _center_channels(x)
+        if record:
+            node.batch_stats = (mean.reshape(-1), var.reshape(-1))
         # xhat, then gamma * xhat + beta, each step in place in `out`
         out *= 1.0 / np.sqrt(var + node.attrs["eps"])
         if not x_rows and (gamma_rows or beta_rows):
@@ -617,7 +596,21 @@ def _vjp(node: Node, g: np.ndarray, tape: Tape,
         scale = 1.0 / (x.shape[2] * x.shape[3])
         return [np.broadcast_to((g * scale)[:, :, None, None], x.shape)]
     if op == "channel_norm":
-        return _channel_norm_vjp(node, g, vals, wanted)
+        x, gamma, _ = vals
+        mean, var = node.batch_stats
+        inv = 1.0 / np.sqrt(var + node.attrs["eps"])
+        xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
+        dgamma = np.sum(g * xhat, axis=(0, 2, 3))
+        dbeta = np.sum(g, axis=(0, 2, 3))
+        dx = None
+        if wanted[0]:
+            # gamma * inv * (g - mean(g) - xhat * mean(g * xhat)); the two means
+            # are dbeta / m and dgamma / m
+            m = x.shape[0] * x.shape[2] * x.shape[3]
+            dx = g - (dbeta / m)[None, :, None, None]
+            dx -= xhat * (dgamma / m)[None, :, None, None]
+            dx *= (gamma * inv)[None, :, None, None]
+        return [dx, dgamma, dbeta]
     if op == "l2norm_rows":
         x = vals[0]
         y = node.value
@@ -635,27 +628,3 @@ def _vjp(node: Node, g: np.ndarray, tape: Tape,
             return [np.broadcast_to(g, x.shape)]
         return [np.broadcast_to(np.expand_dims(g, axis), x.shape)]
     raise ValueError(f"unsupported op kind {op!r} at node {node.idx}")
-
-
-def _channel_norm_vjp(node: Node, g: np.ndarray, vals: list[np.ndarray], wanted: list[bool]):
-    x, gamma, _ = vals
-    training = node.attrs["training"]
-    if training:
-        mean, var = node.batch_stats
-    else:
-        mean, var = node.attrs["running_mean"], node.attrs["running_var"]
-    inv = 1.0 / np.sqrt(var + node.attrs["eps"])
-    xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
-    dgamma = np.sum(g * xhat, axis=(0, 2, 3))
-    dbeta = np.sum(g, axis=(0, 2, 3))
-    dx = None
-    if wanted[0] and not training:
-        dx = g * gamma[None, :, None, None] * inv[None, :, None, None]
-    elif wanted[0]:
-        # gamma * inv * (g - mean(g) - xhat * mean(g * xhat)); the two means
-        # are dbeta / m and dgamma / m
-        m = x.shape[0] * x.shape[2] * x.shape[3]
-        dx = g - (dbeta / m)[None, :, None, None]
-        dx -= xhat * (dgamma / m)[None, :, None, None]
-        dx *= (gamma * inv)[None, :, None, None]
-    return [dx, dgamma, dbeta]

@@ -13,6 +13,7 @@ saved run resumes bit-identically.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,10 +23,10 @@ import numpy as np
 
 from .augment import augment_geometric, augment_photometric, fit_to_input
 from .contrastive import LossConfig, trimodal_loss_graph
-from .dataio import pair_paths, read_json, require_fields
-from .encoders import (ImageEncoderConfig, LocationEncoderConfig, Model, ModelConfig,
-                       PEFT_MODES, head_graph, image_feature_graph,
-                       location_feature_graph, location_input_features, trainable_mask)
+from .dataio import dataclass_from_json, pair_paths, read_json, require_fields
+from .encoders import (Model, ModelConfig, PEFT_MODES, head_graph, image_feature_graph,
+                       location_feature_graph, location_input_features, parameter_shapes,
+                       trainable_mask)
 from .geodata import MAX_RADIUS, PairedSamples
 from .optim import AdamState, ParameterStore, adam_step
 from .tape import Tape, backward
@@ -86,17 +87,10 @@ def config_to_dict(config: TrainConfig) -> dict:
 
 
 def config_from_dict(obj: dict) -> TrainConfig:
-    """Inverse of `config_to_dict`. A field the config does not have raises
-    TypeError, as the config dataclasses do."""
-    obj = dict(obj)
-    model = dict(obj.pop("model", {}))
-    image = dict(model.pop("image", {}))
-    if "widths" in image:
-        image["widths"] = tuple(image["widths"])
-    location = dict(model.pop("location", {}))
-    model_cfg = ModelConfig(image=ImageEncoderConfig(**image),
-                            location=LocationEncoderConfig(**location), **model)
-    return TrainConfig(model=model_cfg, **obj)
+    """Inverse of `config_to_dict`. A field of the wrong JSON type raises
+    ValueError naming it; a field the config does not have raises TypeError,
+    as the config dataclasses do."""
+    return dataclass_from_json(TrainConfig, obj)
 
 
 @dataclass
@@ -140,10 +134,8 @@ def build_training_graph(model: Model, batch: dict[str, np.ndarray],
     text = tape.leaf("batch.text", batch["text"])
 
     img_cfg = model.cfg.image
-    feat_a, norms_a = image_feature_graph(tape, leaves, img_cfg, tiles_a,
-                                          stats=model.stats, training=True)
-    feat_b, norms_b = image_feature_graph(tape, leaves, img_cfg, tiles_b,
-                                          stats=model.stats, training=True)
+    feat_a, norms_a = image_feature_graph(tape, leaves, img_cfg, tiles_a)
+    feat_b, norms_b = image_feature_graph(tape, leaves, img_cfg, tiles_b)
     z_t1 = head_graph(tape, leaves, feat_a, "heads.image.weight")
     z_t2_aug = head_graph(tape, leaves, feat_b, "heads.image.weight")
     z_txt = head_graph(tape, leaves, feat_a, "heads.image_to_text.weight")
@@ -267,7 +259,7 @@ def train(config: TrainConfig, samples: PairedSamples,
         epoch_losses.append(float(np.mean(epoch_step_losses)))
 
     return Checkpoint(config=config, params=model.params.copy_values(),
-                      stats=model.copy_stats(), adam=adam,
+                      stats={k: v.copy() for k, v in model.stats.items()}, adam=adam,
                       rng_state=rng.bit_generator.state, epoch=config.epochs,
                       epoch_losses=epoch_losses, step_losses=step_losses)
 
@@ -306,70 +298,79 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> tuple[Path, Path]:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint pair. A malformed header, a blob of the wrong length
-    and a non-finite tensor are each a ValueError naming the file."""
+    """Read a checkpoint pair. A malformed header, a tensor list that does not
+    hold the config's model, a blob of the wrong length, a non-finite tensor
+    and a negative variance are each a ValueError naming the file."""
     json_path, bin_path = pair_paths(path)
     if not json_path.exists():
         raise ValueError(f"checkpoint header not found: {json_path}")
     header = require_fields(read_json(json_path), {"version": int}, json_path)
     if header["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint version mismatch: got {header['version']}, "
-                         f"expected {CHECKPOINT_VERSION}")
-    require_fields(header, {"config": dict, "tensors": list, "rng_state": dict, "epoch": int,
-                            "adam": dict, "epoch_losses": list, "step_losses": list},
-                   json_path)
+        raise ValueError(f"{json_path}: checkpoint version mismatch: got "
+                         f"{header['version']}, expected {CHECKPOINT_VERSION}")
+    require_fields(header, {"config": dict, "dtype": str, "tensors": list, "rng_state": dict,
+                            "epoch": int, "adam": dict, "epoch_losses": list,
+                            "step_losses": list}, json_path)
+    if header["dtype"] != "f64le":
+        raise ValueError(f"{json_path}: tensor dtype {header['dtype']!r:.40}, expected 'f64le'")
     try:
         config = config_from_dict(header["config"])
         config.validate()
     except (TypeError, ValueError) as e:
         raise ValueError(f"{json_path}: malformed config ({e})") from None
-    entries = [require_fields(entry, {"name": str, "shape": list, "kind": str},
-                              f"{json_path} tensor {i}")
-               for i, entry in enumerate(header["tensors"])]
-    for i, entry in enumerate(entries):
+
+    given: dict[tuple[str, str], tuple[int, ...]] = {}  # (kind, name) -> shape, blob order
+    for i, entry in enumerate(header["tensors"]):
+        where = f"{json_path} tensor {i}"
+        require_fields(entry, {"name": str, "shape": list, "kind": str}, where)
+        key = (entry["kind"], entry["name"])
         if not all(type(d) is int and d >= 0 for d in entry["shape"]):
-            raise ValueError(f"{json_path} tensor {i}: malformed shape {entry['shape']}")
+            raise ValueError(f"{where}: malformed shape {entry['shape']}")
+        if key in given:
+            raise ValueError(f"{where}: repeats {key[0]} tensor {key[1]!r}")
+        given[key] = tuple(entry["shape"])
+    # the config's model: parameters, their Adam moments, norm statistics. Past
+    # len(given) parameters one is surely missing: a huge config costs O(header).
+    model = {}
+    for name, shape in itertools.islice(parameter_shapes(config.model), len(given) + 1):
+        model["param", name] = model["adam_m", name] = model["adam_v", name] = shape
+        if name.endswith(".gamma"):
+            model["stat", name[:-5] + "mean"] = model["stat", name[:-5] + "var"] = shape
+    for kind, name in model:
+        if kind in ("param", "stat") and (kind, name) not in given:
+            raise ValueError(f"{json_path}: checkpoint missing tensor {name!r}")
+    for (kind, name), shape in given.items():
+        if shape != model.get((kind, name)):
+            raise ValueError(f"{json_path}: shape mismatch for {kind!r} tensor {name!r}: {shape} "
+                             f"vs {model.get((kind, name), 'none in the model')}")
 
     raw = bin_path.read_bytes()
-    expected = sum(math.prod(t["shape"]) for t in entries)
+    expected = sum(math.prod(shape) for shape in given.values())
     if len(raw) != expected * 8:
-        raise ValueError(f"blob length mismatch: {len(raw)} bytes, "
+        raise ValueError(f"{bin_path}: blob length mismatch: {len(raw)} bytes, "
                          f"expected {expected * 8}")
     blob = np.frombuffer(raw, dtype="<f8")
     finite = bool(np.isfinite(blob).all())
-
-    groups: dict[str, dict[str, np.ndarray]] = {"param": {}, "stat": {},
-                                                "adam_m": {}, "adam_v": {}}
+    groups = {kind: {} for kind in ("param", "stat", "adam_m", "adam_v")}
     offset = 0
-    for entry in entries:
-        shape = tuple(entry["shape"])
+    for (kind, name), shape in given.items():
         count = math.prod(shape)
         arr = blob[offset:offset + count].reshape(shape).copy()
         offset += count
-        if entry["kind"] not in groups:
-            raise ValueError(f"unknown tensor kind {entry['kind']!r} "
-                             f"for field {entry['name']!r}")
         if not finite and not np.isfinite(arr).all():
-            raise ValueError(f"{bin_path}: non-finite values in {entry['kind']} "
-                             f"tensor {entry['name']!r}")
-        groups[entry["kind"]][entry["name"]] = arr
-
-    reference = Model.initialize(config.model, seed=0)
-    for name, value in reference.params.items():
-        if name not in groups["param"]:
-            raise ValueError(f"checkpoint missing tensor {name!r}")
-        if groups["param"][name].shape != value.shape:
-            raise ValueError(f"shape mismatch for tensor {name!r}: "
-                             f"{groups['param'][name].shape} vs {value.shape}")
-    for name, value in reference.stats.items():
-        if name not in groups["stat"] or groups["stat"][name].shape != value.shape:
-            raise ValueError(f"shape mismatch for tensor {name!r}")
+            raise ValueError(f"{bin_path}: non-finite values in {kind} tensor {name!r}")
+        if (kind == "adam_v" or name.endswith(".var")) and (arr < 0).any():
+            raise ValueError(f"{bin_path}: negative values in {kind} tensor {name!r}")
+        groups[kind][name] = arr
 
     adam_cfg = require_fields(header["adam"], {"lr": float, "beta1": float, "beta2": float,
                                                "eps": float, "t": int}, f"{json_path} adam")
-    adam = AdamState(lr=adam_cfg["lr"], beta1=adam_cfg["beta1"], beta2=adam_cfg["beta2"],
-                     eps=adam_cfg["eps"], t=adam_cfg["t"],
-                     m=groups["adam_m"], v=groups["adam_v"])
+    try:
+        adam = AdamState(lr=adam_cfg["lr"], beta1=adam_cfg["beta1"], beta2=adam_cfg["beta2"],
+                         eps=adam_cfg["eps"], t=adam_cfg["t"],
+                         m=groups["adam_m"], v=groups["adam_v"])
+    except ValueError as e:
+        raise ValueError(f"{json_path} adam: {e}") from None
     return Checkpoint(config=config, params=groups["param"], stats=groups["stat"],
                       adam=adam, rng_state=header["rng_state"], epoch=header["epoch"],
                       epoch_losses=list(header["epoch_losses"]),

@@ -727,6 +727,72 @@ def test_config_file_with_bad_fields_exits_1_naming_the_file(workspace, tmp_path
     assert str(config) in capsys.readouterr().err
 
 
+# (fields, what the error says): values of the wrong JSON type, named by their
+# path in the config, and norm settings out of range
+_BAD_MODEL_FIELDS = [
+    ({"image": {"widths": [4.5, 8]}}, "field 'model.image.widths' must be a list of ints, "
+                                      "got [4.5, 8]"),
+    ({"image": {"kernel": 3.0}}, "field 'model.image.kernel' must be an integer, got 3.0"),
+    ({"image": {"norm_eps": "x"}}, "field 'model.image.norm_eps' must be a number, got 'x'"),
+    ({"location": {"use_covariates": "no"}},
+     "field 'model.location.use_covariates' must be a boolean, got 'no'"),
+    ({"image": {"norm_momentum": 5.0}}, "norm_momentum must be in [0, 1], got 5.0"),
+    ({"image": {"norm_eps": -1}}, "norm_eps must be finite and > 0, got -1"),
+    ({"image": {"norm_eps": 0.0}}, "norm_eps must be finite and > 0, got 0.0"),
+    ([1], "field 'model' must be an object, got [1]"),
+]
+_BAD_CONFIGS = [
+    ("train", {"model": model}, says) for model, says in _BAD_MODEL_FIELDS] + [
+    ("train", {"epochs": 1.5}, "field 'epochs' must be an integer, got 1.5"),
+    ("train", {"freeze_location": 1}, "field 'freeze_location' must be a boolean, got 1"),
+    ("synth", {"n_species": 8.5}, "field 'n_species' must be an integer, got 8.5"),
+    ("synth", {"tile_size": 16.0}, "field 'tile_size' must be an integer, got 16.0"),
+    ("synth", {"tiles_per_habitat": True},
+     "field 'tiles_per_habitat' must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize("command, fields, says", _BAD_CONFIGS)
+def test_config_value_of_the_wrong_type_exits_1_naming_file_and_field(workspace, tmp_path,
+                                                                      capsys, command, fields,
+                                                                      says):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(fields))
+    if command == "synth":
+        argv = ["synth", "--out", str(tmp_path / "world")]
+    else:
+        argv = ["train", "--data", str(workspace / "world"), "--out", str(tmp_path / "ckpt")]
+    assert dispatch(argv + ["--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {config}: invalid config ({says})\n"
+    assert not list(tmp_path.glob("world*")) and not list(tmp_path.glob("ckpt*"))
+
+
+@pytest.mark.parametrize("model, says", _BAD_MODEL_FIELDS)
+@pytest.mark.parametrize("command", ["probe", "retrieve"])
+def test_checkpoint_config_of_the_wrong_type_exits_1_naming_file_and_field(
+        workspace, tmp_path, capsys, command, model, says):
+    header_path = _copy_ckpt(workspace, tmp_path)
+    header = json.loads(header_path.read_text())
+    if isinstance(model, dict):
+        for key, fields in model.items():
+            header["config"]["model"][key].update(fields)
+    else:
+        header["config"]["model"] = model
+    header_path.write_text(json.dumps(header))
+    if command == "probe":
+        argv = ["probe", "--data", str(workspace / "world"), "--probe-epochs", "2"]
+    else:
+        rows = l2_normalize_rows(np.random.default_rng(0).normal(size=(3, 12)))
+        save_index(RetrievalIndex(tile_ids=[0, 1, 2], matrix=rows), tmp_path / "idx")
+        argv = ["retrieve", "--index", str(tmp_path / "idx"), "--query", ",".join(["0.5"] * 12)]
+    assert dispatch(argv + ["--ckpt", str(header_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {header_path}: malformed config ({says})\n"
+
+
 @pytest.mark.parametrize("task,preds", [("cls", '{"a": 1}'), ("cls", "[[0], [1]]"),
                                         ("multilabel", "[1, 2]"), ("encounter", '[["x"]]')])
 def test_eval_metrics_malformed_predictions_exit_1(tmp_path, capsys, task, preds):

@@ -55,7 +55,7 @@ class TestForward:
         k = tape.leaf("k", rng.normal(size=(5, 3, 3, 3)), trainable=True)
         g = tape.leaf("g", np.ones(5), trainable=True)
         b = tape.leaf("b", np.zeros(5), trainable=True)
-        h = tape.relu(tape.channel_norm(tape.conv2d(x, k, stride=2, padding=1), g, b, training=True))
+        h = tape.relu(tape.channel_norm(tape.conv2d(x, k, stride=2, padding=1), g, b))
         loss = tape.sum(tape.global_avg_pool(h))
         tape.mark_output("loss", loss)
         for node, value in zip(tape.nodes, _evaluate(tape, None)):
@@ -85,12 +85,10 @@ class TestForward:
             (lambda: tape.conv2d(img, k7), "conv2d at node 8: kernel 7x7 too large for "
                                            "input 5x5 with padding 0"),
             (lambda: tape.global_avg_pool(a), "global_avg_pool at node 8: expects 4-D"),
-            (lambda: tape.channel_norm(a, v, v, training=True),
-             "channel_norm at node 8: expects 4-D input"),
-            (lambda: tape.channel_norm(img, w, v, training=True),
+            (lambda: tape.channel_norm(a, v, v), "channel_norm at node 8: expects 4-D input"),
+            (lambda: tape.channel_norm(img, w, v),
              r"channel_norm at node 8: scale/shift must have shape \(3,\)"),
-            (lambda: tape.channel_norm(img, v, w, training=False, running_mean=np.zeros(3),
-                                       running_var=np.ones(3)),
+            (lambda: tape.channel_norm(img, v, w),
              r"channel_norm at node 8: scale/shift must have shape \(3,\)"),
         ]
         for build, message in cases:
@@ -261,22 +259,9 @@ class TestOpGradients:
         x = tape.leaf("x", rng.normal(size=(3, 2, 4, 4)), trainable=True)
         gamma = tape.leaf("gamma", 1.0 + 0.1 * rng.normal(size=2), trainable=True)
         beta = tape.leaf("beta", 0.1 * rng.normal(size=2), trainable=True)
-        h = tape.channel_norm(x, gamma, beta, training=True)
+        h = tape.channel_norm(x, gamma, beta)
         w = tape.const(rng.normal(size=(3, 2, 4, 4)))
         tape.mark_output("loss", tape.sum(tape.mul(h, w)))
-        self._check(tape)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_channel_norm_eval_mode(self, seed):
-        rng = np.random.default_rng(seed)
-        tape = Tape()
-        x = tape.leaf("x", rng.normal(size=(2, 3, 3, 3)), trainable=True)
-        gamma = tape.leaf("gamma", 1.0 + 0.1 * rng.normal(size=3), trainable=True)
-        beta = tape.leaf("beta", 0.1 * rng.normal(size=3), trainable=True)
-        h = tape.channel_norm(x, gamma, beta, training=False,
-                              running_mean=rng.normal(size=3),
-                              running_var=1.0 + rng.random(3))
-        tape.mark_output("loss", tape.sum(tape.mul(h, h)))
         self._check(tape)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -384,7 +369,8 @@ def reference_global_avg_pool(x):
 
 
 def reference_channel_norm(x, gamma, beta, eps, mean=None, var=None):
-    """Five temporaries; batch statistics when no running ones are given."""
+    """Five temporaries; batch statistics when no running ones are given.
+    With running ones it is the frozen encoder's norm (test_encoders.py)."""
     if mean is None:
         mean = np.mean(x, axis=(0, 2, 3))
         var = np.mean((x - mean[None, :, None, None]) ** 2, axis=(0, 2, 3))
@@ -406,8 +392,8 @@ def reference_l2_normalize_rows(m, eps=1e-12):
 
 def reference_value(node, vals, batch_stats):
     """The replaced expression's value for a node given its input values, or
-    None for an op whose kernel was not rewritten. A training-mode
-    channel_norm's statistics must also equal `batch_stats` when given."""
+    None for an op whose kernel was not rewritten. A channel_norm's
+    statistics must also equal `batch_stats` when given."""
     attrs = node.attrs
     if node.op == "logsumexp":
         return reference_logsumexp(vals[0], attrs["axis"])
@@ -418,9 +404,8 @@ def reference_value(node, vals, batch_stats):
     if node.op == "l2norm_rows":
         return reference_l2_normalize_rows(vals[0])
     if node.op == "channel_norm":
-        running = () if attrs["training"] else (attrs["running_mean"], attrs["running_var"])
-        value, mean, var = reference_channel_norm(*vals, attrs["eps"], *running)
-        if attrs["training"] and batch_stats is not None:
+        value, mean, var = reference_channel_norm(*vals, attrs["eps"])
+        if batch_stats is not None:
             assert mean.tobytes() == batch_stats[0].tobytes(), node
             assert var.tobytes() == batch_stats[1].tobytes(), node
         return value
@@ -498,7 +483,6 @@ def test_pool_norm_and_row_norm_kernels_match_references(shape):
     x = rng.normal(size=shape) * 5 + 2
     c = shape[1]
     gamma, beta = rng.normal(size=c), rng.normal(size=c)
-    running_mean, running_var = rng.normal(size=c), rng.random(c) + 0.5
     tape = Tape()
     leaves = [tape.leaf(name, v) for name, v in
               (("x", x), ("gamma", gamma), ("beta", beta))]
@@ -506,15 +490,11 @@ def test_pool_norm_and_row_norm_kernels_match_references(shape):
                      "global_avg_pool")
     with warnings.catch_warnings():  # batch statistics of zero samples are nan
         warnings.simplefilter("ignore", RuntimeWarning)
-        trained = tape.channel_norm(*leaves, training=True, eps=1e-5)
+        trained = tape.channel_norm(*leaves, eps=1e-5)
         expect, mean, var = reference_channel_norm(x, gamma, beta, 1e-5)
-    assert_same_bits(trained.value, expect, "training channel_norm")
+    assert_same_bits(trained.value, expect, "channel_norm")
     assert_same_bits(trained.batch_stats[0], mean, "batch mean")
     assert_same_bits(trained.batch_stats[1], var, "batch var")
-    frozen = tape.channel_norm(*leaves, training=False, running_mean=running_mean,
-                               running_var=running_var, eps=1e-5)
-    expect, _, _ = reference_channel_norm(x, gamma, beta, 1e-5, running_mean, running_var)
-    assert_same_bits(frozen.value, expect, "eval channel_norm")
     rows = x.reshape(shape[0], c * shape[2] * shape[3])
     assert_same_bits(tape.l2norm_rows(tape.leaf("rows", rows)).value,
                      reference_l2_normalize_rows(rows), "l2norm_rows")
@@ -639,7 +619,6 @@ def test_im2col_equals_slice_loop(stride, padding, kernel, hw):
 # must give row p, bit for bit, the value an unbatched replay of row p gives,
 # whichever of its inputs carry that axis.
 
-RUNNING = {"running_mean": np.array([0.3, -0.2]), "running_var": np.array([0.8, 1.7])}
 BATCHED_CASES = {
     "add_bias": ("add", [(3, 4), (4,)], {}),
     "add_bias_first": ("add", [(4,), (3, 4)], {}),
@@ -655,9 +634,7 @@ BATCHED_CASES = {
                               {"stride": 2, "padding": 1}),
     "conv2d": ("conv2d", [(2, 3, 6, 6), (4, 3, 3, 3)], {}),
     "global_avg_pool": ("global_avg_pool", [(2, 3, 4, 4)], {}),
-    "channel_norm_training": ("channel_norm", [(3, 2, 4, 4), (2,), (2,)], {"training": True}),
-    "channel_norm_eval": ("channel_norm", [(3, 2, 4, 4), (2,), (2,)],
-                          {"training": False, **RUNNING}),
+    "channel_norm_training": ("channel_norm", [(3, 2, 4, 4), (2,), (2,)], {}),
     "l2norm_rows": ("l2norm_rows", [(3, 5)], {}),
     "logsumexp_axis0": ("logsumexp", [(4, 6)], {"axis": 0}),
     "logsumexp_axis1": ("logsumexp", [(4, 6)], {"axis": 1}),
