@@ -128,10 +128,12 @@ def dataclass_from_json(cls, obj, prefix: str = ""):
 
 def read_json(path: str | Path):
     """The JSON value in `path`; malformed JSON is a ValueError naming the file,
-    as are bytes that are not UTF-8 and an integer too long to parse."""
+    as are bytes that are not UTF-8, an integer too long to parse and arrays
+    or objects nested too deep for the parser's recursion limit."""
     try:
         return json.loads(Path(path).read_text())
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (ValueError, RecursionError) as e:
         raise ValueError(f"{path}: malformed JSON ({e})") from None
 
 

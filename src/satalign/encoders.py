@@ -181,7 +181,7 @@ class Model:
 
         `pixels` is an (n, C, H, W) array or a list of n (C, H, W) tile
         arrays; a list is stacked one slice at a time, never copied whole.
-        No tape is recorded: each conv stage runs the tape's per-tile conv2d
+        No tape is recorded: each conv stage runs the tape's per-tile conv
         GEMMs, the norm with the running statistics, and relu on slices of
         ENCODE_CHUNK tiles, in buffers allocated once per call. The bits
         equal one whole-batch plain-numpy forward, `reference_image_features`
@@ -260,17 +260,15 @@ class Model:
 
 
 def image_feature_graph(tape: Tape, leaves: dict[str, Node], cfg: ImageEncoderConfig, x: Node):
-    """Conv stages (batch-statistics norm) + pooling + linear head; returns
-    (feature node, [(norm name, norm node)])."""
+    """Conv stages (one conv_block each, batch-statistics norm) + pooling +
+    linear head; returns (feature node, [(norm name, conv_block node)])."""
     norm_nodes: list[tuple[str, Node]] = []
     h = x
     for i in range(1, len(cfg.widths) + 1):
-        h = tape.conv2d(h, leaves[f"img.conv{i}.kernel"], stride=cfg.stride,
-                        padding=cfg.padding)
-        norm = tape.channel_norm(h, leaves[f"img.norm{i}.gamma"], leaves[f"img.norm{i}.beta"],
-                                 eps=cfg.norm_eps)
-        norm_nodes.append((f"img.norm{i}", norm))
-        h = tape.relu(norm)
+        h = tape.conv_block(h, leaves[f"img.conv{i}.kernel"], leaves[f"img.norm{i}.gamma"],
+                            leaves[f"img.norm{i}.beta"], stride=cfg.stride,
+                            padding=cfg.padding, eps=cfg.norm_eps)
+        norm_nodes.append((f"img.norm{i}", h))
     feat = tape.matmul(tape.global_avg_pool(h), leaves["img.fc.weight"])
     return tape.add(feat, leaves["img.fc.bias"]), norm_nodes
 

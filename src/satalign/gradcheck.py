@@ -114,12 +114,15 @@ def _perturbed_rows(base: np.ndarray, idx: np.ndarray, step: float) -> np.ndarra
 
 
 def _crosses_relu_kink(tape: Tape, coord: tuple[str, int], step: float, out_idx: int) -> bool:
-    """Whether some relu input lies on different sides of zero at the +step
-    and the -step replay of one leaf coordinate: one two-row batched replay."""
+    """Whether some relu input, of a relu node or of a conv_block's own relu,
+    lies on different sides of zero at the +step and the -step replay of one
+    leaf coordinate: one two-row batched replay. The relu's output tells, as
+    max(x, 0) > 0 exactly when x > 0, NaN included."""
     name, i = coord
     schedule = replay_schedule(tape, name, out_idx)
     rows = _perturbed_rows(tape.leaf_value(name), np.array([i]), step)
     with np.errstate(over="ignore", invalid="ignore"):
         values = _evaluate(tape, {name: rows}, schedule, batched=True)
     return any(not np.array_equal(x[0] > 0, x[1] > 0)
-               for x in (values[node.inputs[0]] for node in schedule if node.op == "relu"))
+               for x in (values[node.idx] for node in schedule
+                         if node.op in ("relu", "conv_block")))

@@ -13,29 +13,32 @@ shapes, runs each op's arithmetic alone.
 A batched replay runs P replays at once. Each override stacks P copies of its
 leaf on a new leading axis, and the nodes that depend on it carry that axis
 through the same forward kernels that record the tape: matmul runs stacked
-per-matrix GEMMs, conv2d per-sample GEMMs over P*n samples, add and mul line a
-batched operand of lower rank up with its own row, and the reductions run over
-trailing axes. Row p of every value has the bits an unbatched replay of row p
-computes.
+per-matrix GEMMs, conv_block per-sample GEMMs over P*n samples, add and mul
+line a batched operand of lower rank up with its own row, and the reductions
+run over trailing axes. Row p of every value has the bits an unbatched replay
+of row p computes.
 
 :func:`backward` computes only the gradients some trainable leaf needs: a
 node whose inputs reach no trainable leaf gets no vector-Jacobian product,
-and a conv2d, matmul or channel_norm skips the input gradients nothing
-upstream uses (the conv kernel gradient under a frozen kernel, the gradient
-into the pixel leaves). A channel_norm normalizes with its batch's mean and
-variance and records them next to its value, so the backward pass and the
-running-statistics update read them instead of recomputing them. The tape
-records only what a gradient step differentiates; the frozen encoder records none.
+and a conv_block or matmul skips the input gradients nothing upstream uses
+(the conv kernel gradient under a frozen kernel, the gradient into the pixel
+leaves). The tape records only what a gradient step differentiates; the
+frozen encoder records none.
 
 The op set is the model's and no more: dense matmul, broadcasting add/mul,
-relu, strided conv2d (patch-flattening + matmul), global average pooling,
-per-channel scale-shift normalization, row L2-normalization, log-sum-exp and
-sum. Everything runs in float64.
+relu, the conv stage (conv_block), global average pooling, row
+L2-normalization, log-sum-exp and sum. Everything runs in float64.
 
-A conv2d's backward lays its patch columns out as one (c*kh*kw, n*oh*ow)
-matrix for the whole batch, so its kernel gradient and its input-column
-gradient are each one BLAS matrix product. The channel_norm gradient reuses
-the scale and shift gradient sums for its input gradient.
+A conv_block is one conv stage as one node: a strided conv2d (patch
+columns times the kernel matrix), per-channel scale-shift normalization with
+the batch's mean and variance, then relu. Its value is the relu output; it
+also keeps the batch (mean, var), which the running-statistics update reads,
+and the normalized activation `xhat`, which its backward reads. Its backward
+masks the output gradient by the relu, takes the scale and shift gradients
+from `xhat`, reuses their sums for the norm's input gradient, and then lays
+the patch columns out as one (c*kh*kw, n*oh*ow) matrix for the whole batch,
+so the kernel gradient and the input-column gradient are each one BLAS
+matrix product.
 """
 
 from __future__ import annotations
@@ -87,29 +90,17 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / row_norms(m)[:, None]
 
 
-def _center_channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """An (N, C, H, W) batch, or (P, N, C, H, W) rows of batches, minus its
-    per-channel mean (a new array), with that mean and the population
-    variance, each kept with x's rank: (1, C, 1, 1) or (P, 1, C, 1, 1)."""
-    axes = (-4, -2, -1)
-    count = x.shape[-4] * x.shape[-2] * x.shape[-1]
-    mean = np.add.reduce(x, axis=axes, keepdims=True)
-    mean /= count
-    centered = x - mean
-    var = np.add.reduce(centered * centered, axis=axes, keepdims=True)
-    var /= count
-    return centered, mean, var
-
-
 class Node:
     """One recorded operation: op kind, input node ids, and its value.
 
-    A channel_norm also keeps `batch_stats`, the (mean, var) pair its value
-    was normalized with. Both are set once, by :meth:`Tape._op`, when the
+    A conv_block also keeps `batch_stats`, the (mean, var) pair its value was
+    normalized with, and `xhat`, the normalized conv output before the scale,
+    shift and relu. All three are set once, by :meth:`Tape._op`, when the
     node is recorded.
     """
 
-    __slots__ = ("idx", "op", "inputs", "value", "name", "trainable", "attrs", "batch_stats")
+    __slots__ = ("idx", "op", "inputs", "value", "name", "trainable", "attrs", "batch_stats",
+                 "xhat")
 
     def __init__(self, idx, op, inputs, value, name=None, trainable=False, attrs=None):
         self.idx = idx
@@ -120,6 +111,7 @@ class Node:
         self.trainable = trainable
         self.attrs = attrs or {}
         self.batch_stats = None
+        self.xhat = None
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -166,17 +158,17 @@ class Tape:
     def relu(self, a: Node) -> Node:
         return self._op("relu", [a])
 
-    def conv2d(self, x: Node, kernel: Node, stride: int = 1, padding: int = 0) -> Node:
+    def conv_block(self, x: Node, kernel: Node, gamma: Node, beta: Node, stride: int = 1,
+                   padding: int = 0, eps: float = 1e-5) -> Node:
+        """relu(gamma * xhat + beta), where xhat is conv2d(x, kernel)
+        normalized with the batch's per-channel mean and variance."""
         if stride < 1 or padding < 0:
-            raise ValueError(f"invalid conv2d stride={stride} padding={padding}")
-        return self._op("conv2d", [x, kernel], stride=stride, padding=padding)
+            raise ValueError(f"invalid conv_block stride={stride} padding={padding}")
+        return self._op("conv_block", [x, kernel, gamma, beta], stride=stride, padding=padding,
+                        eps=eps)
 
     def global_avg_pool(self, x: Node) -> Node:
         return self._op("global_avg_pool", [x])
-
-    def channel_norm(self, x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
-        """Scale-shift normalization with the batch's per-channel statistics."""
-        return self._op("channel_norm", [x, gamma, beta], eps=eps)
 
     def l2norm_rows(self, a: Node) -> Node:
         return self._op("l2norm_rows", [a])
@@ -293,30 +285,26 @@ def _check_shapes(node: Node, vals: list[np.ndarray]) -> None:
         if a.shape[1] != bt.shape[0]:
             raise ValueError(f"matmul shape mismatch at node {node.idx}: "
                              f"{a.shape} @ {bt.shape}")
-    elif op == "conv2d":
-        x, k = vals
+    elif op == "conv_block":
+        x, k, gamma, beta = vals
         if x.ndim != 4 or k.ndim != 4:
-            raise ValueError(f"conv2d at node {node.idx} needs 4-D input and kernel, "
+            raise ValueError(f"conv_block at node {node.idx} needs 4-D input and kernel, "
                              f"got {x.shape} and {k.shape}")
         if k.shape[1] != x.shape[1]:
-            raise ValueError(f"conv2d at node {node.idx}: kernel expects {k.shape[1]} "
+            raise ValueError(f"conv_block at node {node.idx}: kernel expects {k.shape[1]} "
                              f"channels, input has {x.shape[1]}")
         oh, ow = _conv_geometry(node, x, k)[-2:]
         if oh < 1 or ow < 1:
-            raise ValueError(f"conv2d at node {node.idx}: kernel {k.shape[2]}x{k.shape[3]} "
+            raise ValueError(f"conv_block at node {node.idx}: kernel {k.shape[2]}x{k.shape[3]} "
                              f"too large for input {x.shape[2]}x{x.shape[3]} with "
                              f"padding {node.attrs['padding']}")
+        if gamma.shape != (k.shape[0],) or beta.shape != (k.shape[0],):
+            raise ValueError(f"conv_block at node {node.idx}: scale/shift must have "
+                             f"shape ({k.shape[0]},)")
     elif op == "global_avg_pool":
         if vals[0].ndim != 4:
             raise ValueError(f"global_avg_pool at node {node.idx}: expects 4-D input, "
                              f"got {vals[0].shape}")
-    elif op == "channel_norm":
-        x, gamma, beta = vals
-        if x.ndim != 4:
-            raise ValueError(f"channel_norm at node {node.idx}: expects 4-D input, got {x.shape}")
-        if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
-            raise ValueError(f"channel_norm at node {node.idx}: scale/shift must have "
-                             f"shape ({x.shape[1]},)")
 
 
 def _broadcast_batched(vals: list[np.ndarray], batched: list[bool]) -> list[np.ndarray]:
@@ -338,12 +326,12 @@ def _compute(node: Node, vals: list[np.ndarray], record: bool = False,
              batched: list[bool] | None = None) -> np.ndarray:
     """Value of `node` from its input values, whose shapes
     :func:`_check_shapes` accepted when the node was recorded. When recording
-    (`record`), a channel_norm also sets the node's `batch_stats`.
+    (`record`), a conv_block also sets the node's `batch_stats` and `xhat`.
 
     In a batched replay, `batched[i]` says that input i carries a leading
     perturbation axis of P rows, each of its recorded shape. The value then
     carries that axis too, and row p holds, bit for bit, the value computed
-    from row p of every batched input: matmul and conv2d run the same
+    from row p of every batched input: matmul and conv_block run the same
     per-matrix GEMMs, elementwise ops the same IEEE operations, and
     reductions run over the trailing axes in the same order.
 
@@ -363,11 +351,11 @@ def _compute(node: Node, vals: list[np.ndarray], record: bool = False,
         return a @ (b.swapaxes(-1, -2) if node.attrs["trans_b"] else b)
     if op == "relu":
         return np.maximum(vals[0], 0.0)
-    if op == "conv2d":
-        x, k = vals
-        x_rows, k_rows = batched or (False, False)
-        # (P, n) or (n,) leading axes of the result; a batched input runs as
-        # P*n samples
+    if op == "conv_block":
+        x, k, gamma, beta = vals
+        x_rows, k_rows, gamma_rows, beta_rows = batched or (False,) * 4
+        # (P, n) or (n,) leading axes of the conv output; a batched input runs
+        # as P*n samples
         lead = (k.shape[:1] if k_rows and not x_rows else ()) + x.shape[:-3]
         x = x.reshape(-1, *x.shape[-3:])
         n, c, f, kh, kw, s, p, oh, ow = _conv_geometry(node, x, k[0] if k_rows else k)
@@ -378,25 +366,29 @@ def _compute(node: Node, vals: list[np.ndarray], record: bool = False,
                 cols = cols.reshape(lead[0], -1, c * kh * kw, oh * ow)
         else:
             kmat = k.reshape(f, c * kh * kw)[None]
-        return np.matmul(kmat, cols).reshape(*lead, f, oh, ow)
+        h = np.matmul(kmat, cols).reshape(*lead, f, oh, ow)
+        del cols  # freed before the norm allocates xhat
+        # per-channel batch statistics over (n, H, W), kept with h's rank;
+        # h's buffer holds the square, then the block's value
+        axes, count = (-4, -2, -1), h.shape[-4] * oh * ow
+        mean = np.add.reduce(h, axis=axes, keepdims=True)
+        mean /= count
+        xhat = h - mean
+        var = np.add.reduce(np.multiply(xhat, xhat, out=h), axis=axes, keepdims=True)
+        var /= count
+        xhat *= 1.0 / np.sqrt(var + node.attrs["eps"])
+        if record:
+            node.batch_stats = (mean.reshape(-1), var.reshape(-1))
+            node.xhat = xhat
+        if h.ndim == 4 and (gamma_rows or beta_rows):  # only the scale or shift has rows
+            h = np.empty(((gamma if gamma_rows else beta).shape[0], *h.shape))
+        np.multiply(xhat, _channel_vector(gamma, gamma_rows), out=h)
+        h += _channel_vector(beta, beta_rows)
+        return np.maximum(h, 0.0, out=h)
     if op == "global_avg_pool":
         x = vals[0]
         out = np.add.reduce(x, axis=(-2, -1))
         out /= x.shape[-2] * x.shape[-1]
-        return out
-    if op == "channel_norm":
-        x, gamma, beta = vals
-        x_rows, gamma_rows, beta_rows = batched or (False, False, False)
-        out, mean, var = _center_channels(x)
-        if record:
-            node.batch_stats = (mean.reshape(-1), var.reshape(-1))
-        # xhat, then gamma * xhat + beta, each step in place in `out`
-        out *= 1.0 / np.sqrt(var + node.attrs["eps"])
-        if not x_rows and (gamma_rows or beta_rows):
-            rows = (gamma if gamma_rows else beta).shape[0]
-            out = np.broadcast_to(out, (rows, *out.shape)).copy()
-        out *= _channel_vector(gamma, gamma_rows)
-        out += _channel_vector(beta, beta_rows)
         return out
     if op == "l2norm_rows":
         x = vals[0]
@@ -571,10 +563,24 @@ def _vjp(node: Node, g: np.ndarray, tape: Tape,
         return [da, db]
     if op == "relu":
         return [g * (vals[0] > 0)]
-    if op == "conv2d":
-        x, k = vals
+    if op == "conv_block":
+        x, k, gamma, _ = vals
+        xhat = node.xhat
+        g = g * (node.value > 0)  # relu
+        dgamma = np.sum(g * xhat, axis=(0, 2, 3))
+        dbeta = np.sum(g, axis=(0, 2, 3))
+        if not (wanted[0] or wanted[1]):
+            return [None, None, dgamma, dbeta]
+        # the norm's input gradient, in place in g:
+        # gamma * inv * (g - mean(g) - xhat * mean(g * xhat)); the two means
+        # are dbeta / m and dgamma / m
+        m = xhat.shape[0] * xhat.shape[2] * xhat.shape[3]
+        g -= (dbeta / m)[None, :, None, None]
+        g -= xhat * (dgamma / m)[None, :, None, None]
+        inv = 1.0 / np.sqrt(node.batch_stats[1] + node.attrs["eps"])
+        g *= (gamma * inv)[None, :, None, None]
         n, c, f, kh, kw, s, p, oh, ow = _conv_geometry(node, x, k)
-        # the output gradient as (f, n*oh*ow), matching the im2col columns
+        # the conv output gradient as (f, n*oh*ow), matching the im2col columns
         g_t = g.reshape(n, f, oh * ow).transpose(1, 0, 2).reshape(f, n * oh * ow)
         dx = dk = None
         if wanted[1]:
@@ -590,27 +596,11 @@ def _vjp(node: Node, g: np.ndarray, tape: Tape,
                 for j in range(kw):
                     dxt[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols[:, i, j]
             dx = dxp[:, :, p:p + x.shape[2], p:p + x.shape[3]] if p else dxp
-        return [dx, dk]
+        return [dx, dk, dgamma, dbeta]
     if op == "global_avg_pool":
         x = vals[0]
         scale = 1.0 / (x.shape[2] * x.shape[3])
         return [np.broadcast_to((g * scale)[:, :, None, None], x.shape)]
-    if op == "channel_norm":
-        x, gamma, _ = vals
-        mean, var = node.batch_stats
-        inv = 1.0 / np.sqrt(var + node.attrs["eps"])
-        xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
-        dgamma = np.sum(g * xhat, axis=(0, 2, 3))
-        dbeta = np.sum(g, axis=(0, 2, 3))
-        dx = None
-        if wanted[0]:
-            # gamma * inv * (g - mean(g) - xhat * mean(g * xhat)); the two means
-            # are dbeta / m and dgamma / m
-            m = x.shape[0] * x.shape[2] * x.shape[3]
-            dx = g - (dbeta / m)[None, :, None, None]
-            dx -= xhat * (dgamma / m)[None, :, None, None]
-            dx *= (gamma * inv)[None, :, None, None]
-        return [dx, dgamma, dbeta]
     if op == "l2norm_rows":
         x = vals[0]
         y = node.value

@@ -9,7 +9,7 @@ from satalign.encoders import (ENCODE_CHUNK, ImageEncoderConfig, LocationEncoder
                                trainable_mask)
 from satalign.optim import AdamState, adam_step
 from satalign.tape import Tape
-from test_tape import reference_channel_norm, reference_global_avg_pool
+from test_tape import reference_channel_norm, reference_conv2d, reference_global_avg_pool
 
 
 def tiny_config(**overrides):
@@ -153,14 +153,13 @@ class TestImageEncoder:
 
 def reference_image_features(model: Model, pixels: np.ndarray) -> np.ndarray:
     """The frozen encoder over the whole batch in plain numpy: each stage's
-    conv2d as a tape node (its per-tile GEMMs fix the bits), the norm with the
-    running statistics, relu, the pool, then the linear layer."""
+    conv as per-tile GEMMs over sliding-window patch columns (the GEMMs fix
+    the bits), the norm with the running statistics, relu, the pool, then the
+    linear layer."""
     image, get = model.cfg.image, model.params.get
     h = pixels
     for i in range(1, len(image.widths) + 1):
-        tape = Tape()
-        h = tape.conv2d(tape.leaf("x", h), tape.leaf("k", get(f"img.conv{i}.kernel")),
-                        stride=image.stride, padding=image.padding).value
+        h = reference_conv2d(h, get(f"img.conv{i}.kernel"), image.stride, image.padding)
         h, _, _ = reference_channel_norm(h, get(f"img.norm{i}.gamma"), get(f"img.norm{i}.beta"),
                                          image.norm_eps, model.stats[f"img.norm{i}.mean"],
                                          model.stats[f"img.norm{i}.var"])

@@ -47,6 +47,29 @@ def test_failure_at_a_relu_kink_is_diagnosed():
     assert report.crosses_relu_kink is True
 
 
+def test_failure_at_a_conv_block_relu_kink_is_diagnosed():
+    # beta[1] puts one pre-activation of channel 1 exactly at 0, so a +-step
+    # on beta[1] moves it across the block's own relu kink; beta[0] keeps
+    # every pre-activation of channel 0 far above 0
+    rng = np.random.default_rng(2)
+    x, k = rng.normal(size=(2, 1, 3, 3)), rng.normal(size=(2, 1, 1, 1))
+    probe = Tape()
+    xhat = probe.conv_block(probe.leaf("x", x), probe.leaf("k", k), probe.leaf("g", np.ones(2)),
+                            probe.leaf("b", np.zeros(2))).xhat
+    tape = Tape()
+    block = tape.conv_block(tape.leaf("x", x), tape.leaf("k", k),
+                            tape.leaf("gamma", np.ones(2), trainable=True),
+                            tape.leaf("beta", np.array([10.0, -xhat[0, 1, 0, 0]]), trainable=True))
+    assert block.value[0, 1, 0, 0] == 0.0
+    tape.mark_output("loss", tape.sum(tape.mul(block, tape.const(rng.normal(size=(2, 2, 3, 3))))))
+    out_idx = tape.outputs["loss"]
+    assert gradcheck._crosses_relu_kink(tape, ("beta", 1), 1e-5, out_idx) is True
+    assert gradcheck._crosses_relu_kink(tape, ("beta", 0), 1e-5, out_idx) is False
+    report = finite_diff_check(tape)
+    assert not report.passed
+    assert report.crosses_relu_kink is True
+
+
 def test_failure_away_from_relu_kinks_is_not_blamed_on_one():
     # a cubic through a relu whose input stays positive: the coarse step's
     # truncation error fails the check, and no relu input changes sign
@@ -93,9 +116,11 @@ def test_tape_left_unmodified():
 
 
 def recorded_bytes(tape):
-    """Every node's value bytes and batch-statistics bytes, in tape order."""
+    """Every node's value bytes, batch-statistics bytes and xhat bytes, in
+    tape order."""
     return [(node.value.tobytes(),
-             None if node.batch_stats is None else [s.tobytes() for s in node.batch_stats])
+             None if node.batch_stats is None else [s.tobytes() for s in node.batch_stats],
+             None if node.xhat is None else node.xhat.tobytes())
             for node in tape.nodes]
 
 
@@ -269,8 +294,8 @@ def unbatched_check(tape, step=1e-5, output="loss"):
 
 
 def unbatched_crosses_relu_kink(tape, coord, step=1e-5, output="loss"):
-    """Whether a relu input changes sign between the unbatched +step and
-    -step replays of one coordinate."""
+    """Whether a relu input, of a relu node or of a conv_block's relu, changes
+    sign between the unbatched +step and -step replays of one coordinate."""
     name, i = coord
     base = tape.leaf_value(name)
     schedule = replay_schedule(tape, name, tape.outputs[output])
@@ -279,7 +304,8 @@ def unbatched_crosses_relu_kink(tape, coord, step=1e-5, output="loss"):
         work = base.copy().ravel()
         work[i] += delta
         values = _evaluate(tape, {name: work.reshape(base.shape)}, schedule)
-        sides.append([values[node.inputs[0]] > 0 for node in schedule if node.op == "relu"])
+        sides.append([values[node.idx] > 0 for node in schedule
+                      if node.op in ("relu", "conv_block")])
     return any(not np.array_equal(plus, minus) for plus, minus in zip(*sides))
 
 

@@ -260,6 +260,18 @@ def test_empty_manifest_exits_1_naming_it(base, tmp_path, capsys):
     assert f"error: {manifest}: no tile records" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["config", "manifest"])
+def test_json_nested_past_the_recursion_limit_exits_1_naming_it(base, tmp_path, capsys, which):
+    world = _copy_world(base, tmp_path / "world")
+    config = tmp_path / "train.json"
+    shutil.copy(base / "train.json", config)
+    bad = config if which == "config" else world / "tiles" / "manifest.json"
+    bad.write_text("[" * 100_000)
+    assert dispatch(["train", "--data", str(world), "--out", str(tmp_path / "ckpt"),
+                     "--config", str(config)]) == 1
+    assert f"error: {bad}: malformed JSON (maximum recursion depth" in capsys.readouterr().err
+
+
 def test_tile_centers_at_the_range_edges_load(base, tmp_path):
     world = _copy_world(base, tmp_path / "world")
     _edit_json(world / "tiles" / "manifest.json",

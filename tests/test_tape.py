@@ -55,7 +55,7 @@ class TestForward:
         k = tape.leaf("k", rng.normal(size=(5, 3, 3, 3)), trainable=True)
         g = tape.leaf("g", np.ones(5), trainable=True)
         b = tape.leaf("b", np.zeros(5), trainable=True)
-        h = tape.relu(tape.channel_norm(tape.conv2d(x, k, stride=2, padding=1), g, b))
+        h = tape.conv_block(x, k, g, b, stride=2, padding=1)
         loss = tape.sum(tape.global_avg_pool(h))
         tape.mark_output("loss", loss)
         for node, value in zip(tape.nodes, _evaluate(tape, None)):
@@ -79,18 +79,24 @@ class TestForward:
             (lambda: tape.matmul(a, v), "matmul at node 8: expects 2-D operands"),
             (lambda: tape.matmul(b, a, trans_b=True),
              r"matmul shape mismatch at node 8: \(4, 2\) @ \(3, 2\)"),
-            (lambda: tape.conv2d(a, k), "conv2d at node 8 needs 4-D input and kernel"),
-            (lambda: tape.conv2d(img, k5), "conv2d at node 8: kernel expects 5 channels, "
-                                           "input has 3"),
-            (lambda: tape.conv2d(img, k7), "conv2d at node 8: kernel 7x7 too large for "
-                                           "input 5x5 with padding 0"),
+            (lambda: tape.conv_block(a, k, w, w),
+             "conv_block at node 8 needs 4-D input and kernel"),
+            (lambda: tape.conv_block(img, a, w, w),
+             "conv_block at node 8 needs 4-D input and kernel"),
+            (lambda: tape.conv_block(img, k5, w, w),
+             "conv_block at node 8: kernel expects 5 channels, input has 3"),
+            (lambda: tape.conv_block(img, k7, w, w),
+             "conv_block at node 8: kernel 7x7 too large for input 5x5 with padding 0"),
             (lambda: tape.global_avg_pool(a), "global_avg_pool at node 8: expects 4-D"),
-            (lambda: tape.channel_norm(a, v, v), "channel_norm at node 8: expects 4-D input"),
-            (lambda: tape.channel_norm(img, w, v),
-             r"channel_norm at node 8: scale/shift must have shape \(3,\)"),
-            (lambda: tape.channel_norm(img, v, w),
-             r"channel_norm at node 8: scale/shift must have shape \(3,\)"),
+            (lambda: tape.conv_block(img, k, v, w),
+             r"conv_block at node 8: scale/shift must have shape \(4,\)"),
+            (lambda: tape.conv_block(img, k, w, v),
+             r"conv_block at node 8: scale/shift must have shape \(4,\)"),
         ]
+        for stride, padding in ((0, 0), (1, -1)):
+            with pytest.raises(ValueError, match=f"invalid conv_block stride={stride} "
+                                                 f"padding={padding}"):
+                tape.conv_block(img, k, w, w, stride=stride, padding=padding)
         for build, message in cases:
             with pytest.raises(ValueError, match=message):
                 build()
@@ -116,17 +122,25 @@ class TestForward:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 3, 6, 7))
         k = rng.normal(size=(4, 3, 3, 3))
+        gamma, beta = rng.normal(size=4), rng.normal(size=4)
         tape = Tape()
-        out = tape.conv2d(tape.leaf("x", x), tape.leaf("k", k), stride=2, padding=1)
+        out = tape.conv_block(*(tape.leaf(name, v) for name, v in
+                                (("x", x), ("k", k), ("gamma", gamma), ("beta", beta))),
+                              stride=2, padding=1)
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        expect = np.zeros(out.value.shape)
+        conv = np.zeros((2, 4, 3, 4))
         for n in range(2):
             for f in range(4):
-                for i in range(expect.shape[2]):
-                    for j in range(expect.shape[3]):
+                for i in range(conv.shape[2]):
+                    for j in range(conv.shape[3]):
                         patch = xp[n, :, 2 * i:2 * i + 3, 2 * j:2 * j + 3]
-                        expect[n, f, i, j] = np.sum(patch * k[f])
-        np.testing.assert_allclose(out.value, expect, rtol=0, atol=1e-12)
+                        conv[n, f, i, j] = np.sum(patch * k[f])
+        norm, mean, var = reference_channel_norm(conv, gamma, beta, 1e-5)
+        np.testing.assert_allclose(out.value, np.maximum(norm, 0.0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.batch_stats[0], mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.batch_stats[1], var, rtol=1e-12)
+        xhat = (conv - mean[None, :, None, None]) / np.sqrt(var + 1e-5)[None, :, None, None]
+        np.testing.assert_allclose(out.xhat, xhat, rtol=0, atol=1e-10)
 
 
 class TestBackward:
@@ -232,14 +246,43 @@ class TestOpGradients:
         tape.mark_output("loss", tape.sum(tape.relu(tape.matmul(x, w))))
         self._check(tape)
 
+    # (input shape, kernel shape, stride, padding) of a conv_block: strided and
+    # padded, odd sizes with a non-square kernel, and a 1x1 kernel
+    CONV_BLOCK_GEOMETRIES = (((2, 2, 5, 5), (3, 2, 3, 3), 2, 1),
+                             ((3, 2, 7, 5), (2, 2, 2, 3), 2, 0),
+                             ((3, 2, 4, 4), (2, 2, 1, 1), 1, 0))
+
+    def _check_conv_block(self, seed, trainable):
+        """One conv_block per geometry, with `trainable` flags for (x, kernel,
+        gamma, beta). The loss weights the output unevenly: summed over a
+        channel, the normalized activations are constant in x and the kernel."""
+        rng = np.random.default_rng(seed)
+        for x_shape, k_shape, stride, padding in self.CONV_BLOCK_GEOMETRIES:
+            f = k_shape[0]
+            values = (rng.normal(size=x_shape), rng.normal(size=k_shape),
+                      1.0 + 0.1 * rng.normal(size=f), 0.1 * rng.normal(size=f))
+            tape = Tape()
+            leaves = [tape.leaf(name, v, trainable=t) for name, v, t in
+                      zip(("x", "k", "gamma", "beta"), values, trainable)]
+            h = tape.conv_block(*leaves, stride=stride, padding=padding)
+            w = tape.const(rng.normal(size=h.value.shape))
+            tape.mark_output("loss", tape.sum(tape.mul(h, w)))
+            self._check(tape)
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_conv2d(self, seed):
-        rng = np.random.default_rng(seed)
-        tape = Tape()
-        x = tape.leaf("x", rng.normal(size=(2, 2, 5, 5)), trainable=True)
-        k = tape.leaf("k", rng.normal(size=(3, 2, 3, 3)), trainable=True)
-        tape.mark_output("loss", tape.sum(tape.conv2d(x, k, stride=2, padding=1)))
-        self._check(tape)
+        # the conv of a conv_block: input and kernel gradients through the
+        # norm and relu, with everything trainable, a frozen kernel and a
+        # frozen input
+        for trainable in ((True, True, True, True), (True, False, True, True),
+                          (False, True, True, True)):
+            self._check_conv_block(seed, trainable)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_channel_norm_training_mode(self, seed):
+        # the batch-statistics norm of a conv_block with only its scale and
+        # shift trainable, so no conv backward runs
+        self._check_conv_block(seed, (False, False, True, True))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_global_avg_pool(self, seed):
@@ -248,20 +291,6 @@ class TestOpGradients:
         x = tape.leaf("x", rng.normal(size=(2, 3, 4, 4)), trainable=True)
         w = tape.leaf("w", rng.normal(size=(3, 2)), trainable=True)
         tape.mark_output("loss", tape.sum(tape.matmul(tape.global_avg_pool(x), w)))
-        self._check(tape)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_channel_norm_training_mode(self, seed):
-        # Loss must weight h unevenly: sum(h^2) is constant in x because the
-        # normalized activations have fixed per-channel second moments.
-        rng = np.random.default_rng(seed)
-        tape = Tape()
-        x = tape.leaf("x", rng.normal(size=(3, 2, 4, 4)), trainable=True)
-        gamma = tape.leaf("gamma", 1.0 + 0.1 * rng.normal(size=2), trainable=True)
-        beta = tape.leaf("beta", 0.1 * rng.normal(size=2), trainable=True)
-        h = tape.channel_norm(x, gamma, beta)
-        w = tape.const(rng.normal(size=(3, 2, 4, 4)))
-        tape.mark_output("loss", tape.sum(tape.mul(h, w)))
         self._check(tape)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -349,9 +378,9 @@ class TestL2NormalizeRows:
 
 # -- kernels against the expressions they replaced --------------------------------
 #
-# The forward kernels call ufunc reductions directly and finish channel_norm in
-# place. These are the numpy-wrapper expressions they replaced; every rewritten
-# kernel must match its reference bit for bit.
+# The forward kernels call ufunc reductions directly and finish conv_block's
+# norm and relu in place. These are the numpy-wrapper expressions they
+# replaced; every rewritten kernel must match its reference bit for bit.
 
 
 def reference_logsumexp(x, axis):
@@ -366,6 +395,23 @@ def reference_sum(x, axis):
 
 def reference_global_avg_pool(x):
     return np.mean(x, axis=(2, 3))
+
+
+def reference_conv2d(x, k, stride, padding):
+    """Convolution as one GEMM per tile: the (f, c*kh*kw) kernel matrix times
+    that tile's patch columns, taken from `sliding_window_view` of the
+    zero-padded input."""
+    f, c, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]  # (n, c, oh, ow, kh, kw)
+    n, _, oh, ow = windows.shape[:4]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
+    kmat = k.reshape(f, c * kh * kw)
+    out = np.empty((n, f, oh * ow))
+    for t in range(n):
+        out[t] = np.matmul(kmat, cols[t])
+    return out.reshape(n, f, oh, ow)
 
 
 def reference_channel_norm(x, gamma, beta, eps, mean=None, var=None):
@@ -390,10 +436,19 @@ def reference_l2_normalize_rows(m, eps=1e-12):
     return m / norms[:, None]
 
 
-def reference_value(node, vals, batch_stats):
+def reference_conv_block(x, k, gamma, beta, stride, padding, eps):
+    """relu of the reference norm of the reference conv, with the batch
+    (mean, var) and the normalized conv output."""
+    h = reference_conv2d(x, k, stride, padding)
+    value, mean, var = reference_channel_norm(h, gamma, beta, eps)
+    xhat = (h - mean[None, :, None, None]) * (1.0 / np.sqrt(var + eps))[None, :, None, None]
+    return np.maximum(value, 0.0), mean, var, xhat
+
+
+def reference_value(node, vals, saved):
     """The replaced expression's value for a node given its input values, or
-    None for an op whose kernel was not rewritten. A channel_norm's
-    statistics must also equal `batch_stats` when given."""
+    None for an op whose kernel was not rewritten. A conv_block's statistics
+    and `xhat` must also equal `saved`, (batch_stats, xhat), when given."""
     attrs = node.attrs
     if node.op == "logsumexp":
         return reference_logsumexp(vals[0], attrs["axis"])
@@ -403,11 +458,13 @@ def reference_value(node, vals, batch_stats):
         return reference_global_avg_pool(vals[0])
     if node.op == "l2norm_rows":
         return reference_l2_normalize_rows(vals[0])
-    if node.op == "channel_norm":
-        value, mean, var = reference_channel_norm(*vals, attrs["eps"])
-        if batch_stats is not None:
-            assert mean.tobytes() == batch_stats[0].tobytes(), node
-            assert var.tobytes() == batch_stats[1].tobytes(), node
+    if node.op == "conv_block":
+        value, mean, var, xhat = reference_conv_block(*vals, **attrs)
+        if saved is not None:
+            (batch_mean, batch_var), saved_xhat = saved
+            assert mean.tobytes() == batch_mean.tobytes(), node
+            assert var.tobytes() == batch_var.tobytes(), node
+            assert xhat.tobytes() == saved_xhat.tobytes(), node
         return value
     return None
 
@@ -430,18 +487,19 @@ def default_training_tape(seed=0):
     return tape
 
 
-def assert_nodes_match_references(tape, values, stats=None):
-    """Each rewritten node's value in `values`, and each batch (mean, var) in
-    `stats` when given, equals its reference's bytes."""
+def assert_nodes_match_references(tape, values, saved=None):
+    """Each rewritten node's value in `values`, and each conv_block's batch
+    (mean, var) and xhat in `saved` when given, equals its reference's
+    bytes."""
     checked = set()
     for node in tape.nodes:
         expect = reference_value(node, [values[i] for i in node.inputs],
-                                 None if stats is None else stats[node.idx])
+                                 None if saved is None else saved[node.idx])
         if expect is not None:
             got = values[node.idx]
             assert got.shape == expect.shape and got.tobytes() == expect.tobytes(), node
             checked.add(node.op)
-    assert checked == {"logsumexp", "sum", "l2norm_rows", "global_avg_pool", "channel_norm"}
+    assert checked == {"logsumexp", "sum", "l2norm_rows", "global_avg_pool", "conv_block"}
 
 
 @pytest.mark.parametrize("build", [lambda: _gradcheck_setup(3), default_training_tape],
@@ -449,7 +507,7 @@ def assert_nodes_match_references(tape, values, stats=None):
 def test_recorded_and_replayed_kernels_match_references(build):
     tape = build()
     assert_nodes_match_references(tape, [node.value for node in tape.nodes],
-                                  {node.idx: node.batch_stats for node in tape.nodes})
+                                  {node.idx: (node.batch_stats, node.xhat) for node in tape.nodes})
     # a perturbed full replay runs the same kernels on new values
     rng = np.random.default_rng(1)
     overrides = {}
@@ -482,22 +540,74 @@ def test_pool_norm_and_row_norm_kernels_match_references(shape):
     rng = np.random.default_rng(8)
     x = rng.normal(size=shape) * 5 + 2
     c = shape[1]
-    gamma, beta = rng.normal(size=c), rng.normal(size=c)
+    k = rng.normal(size=(c + 1, c, 1, 3))
+    gamma, beta = rng.normal(size=c + 1), rng.normal(size=c + 1)
     tape = Tape()
     leaves = [tape.leaf(name, v) for name, v in
-              (("x", x), ("gamma", gamma), ("beta", beta))]
+              (("x", x), ("k", k), ("gamma", gamma), ("beta", beta))]
     assert_same_bits(tape.global_avg_pool(leaves[0]).value, reference_global_avg_pool(x),
                      "global_avg_pool")
     with warnings.catch_warnings():  # batch statistics of zero samples are nan
         warnings.simplefilter("ignore", RuntimeWarning)
-        trained = tape.channel_norm(*leaves, eps=1e-5)
-        expect, mean, var = reference_channel_norm(x, gamma, beta, 1e-5)
-    assert_same_bits(trained.value, expect, "channel_norm")
-    assert_same_bits(trained.batch_stats[0], mean, "batch mean")
-    assert_same_bits(trained.batch_stats[1], var, "batch var")
+        block = tape.conv_block(*leaves, padding=1, eps=1e-5)
+        expect, mean, var, xhat = reference_conv_block(x, k, gamma, beta, 1, 1, 1e-5)
+    assert_same_bits(block.value, expect, "conv_block")
+    assert_same_bits(block.batch_stats[0], mean, "batch mean")
+    assert_same_bits(block.batch_stats[1], var, "batch var")
+    assert_same_bits(block.xhat, xhat, "xhat")
     rows = x.reshape(shape[0], c * shape[2] * shape[3])
     assert_same_bits(tape.l2norm_rows(tape.leaf("rows", rows)).value,
                      reference_l2_normalize_rows(rows), "l2norm_rows")
+
+
+def reference_conv_block_grads(x, k, gamma, beta, stride, padding, eps, g):
+    """Gradients of sum(conv_block(...) * g) into (x, k, gamma, beta) as the
+    separate relu, channel_norm and conv2d ops computed them: the relu mask
+    from the pre-activation, xhat recomputed from the batch statistics, the
+    conv's (c*kh*kw, n*oh*ow) patch columns, and the kh*kw col2im adds."""
+    h = reference_conv2d(x, k, stride, padding)
+    pre, mean, var = reference_channel_norm(h, gamma, beta, eps)
+    g = g * (pre > 0)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (h - mean[None, :, None, None]) * inv[None, :, None, None]
+    dgamma, dbeta = np.sum(g * xhat, axis=(0, 2, 3)), np.sum(g, axis=(0, 2, 3))
+    m = h.shape[0] * h.shape[2] * h.shape[3]
+    dh = g - (dbeta / m)[None, :, None, None]
+    dh -= xhat * (dgamma / m)[None, :, None, None]
+    dh *= (gamma * inv)[None, :, None, None]
+    (n, f, oh, ow), (_, c, kh, kw) = dh.shape, k.shape
+    g_t = dh.transpose(1, 0, 2, 3).reshape(f, n * oh * ow)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    cols = windows[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
+    dk = (g_t @ cols.reshape(c * kh * kw, n * oh * ow).T).reshape(k.shape)
+    dcols = (k.reshape(f, c * kh * kw).T @ g_t).reshape(c, kh, kw, n, oh, ow)
+    dxp = np.zeros(xp.shape)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
+                dcols[:, i, j].transpose(1, 0, 2, 3)
+    dx = dxp[:, :, padding:padding + x.shape[2], padding:padding + x.shape[3]]
+    return dx, dk, dgamma, dbeta
+
+
+@pytest.mark.parametrize("geometry", TestOpGradients.CONV_BLOCK_GEOMETRIES)
+def test_conv_block_gradients_match_the_replaced_ops(geometry):
+    x_shape, k_shape, stride, padding = geometry
+    rng = np.random.default_rng(9)
+    f = k_shape[0]
+    values = (rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=f),
+              rng.normal(size=f))
+    names = ("x", "k", "gamma", "beta")
+    tape = Tape()
+    block = tape.conv_block(*(tape.leaf(name, v, trainable=True) for name, v in zip(names, values)),
+                            stride=stride, padding=padding)
+    w = rng.normal(size=block.value.shape)
+    tape.mark_output("loss", tape.sum(tape.mul(block, tape.const(w))))
+    grads = backward(tape)
+    expect = reference_conv_block_grads(*values, stride, padding, 1e-5, w)
+    for name, want in zip(names, expect):
+        assert_same_bits(grads[name], want, name)
 
 
 # -- pruned backward on the full training graph --------------------------------
@@ -537,7 +647,8 @@ def test_pruned_backward_matches_all_trainable_bitwise(seed, mode, freeze_locati
 
 
 def counting_backward(monkeypatch, tape):
-    """Run backward, recording every `_im2col` call and every node given a VJP."""
+    """Run backward, recording every `_im2col` call and every node given a VJP
+    with the gradients it returned."""
     im2col_calls, vjp_nodes = [], []
     real_im2col, real_vjp = tape_module._im2col, tape_module._vjp
 
@@ -546,8 +657,9 @@ def counting_backward(monkeypatch, tape):
         return real_im2col(*args)
 
     def vjp(node, *args):
-        vjp_nodes.append(node)
-        return real_vjp(node, *args)
+        grads = real_vjp(node, *args)
+        vjp_nodes.append((node, grads))
+        return grads
 
     monkeypatch.setattr(tape_module, "_im2col", im2col)
     monkeypatch.setattr(tape_module, "_vjp", vjp)
@@ -563,15 +675,19 @@ def test_scale_shift_backward_never_calls_im2col(monkeypatch):
     frozen, _ = masked_setup(0, "scale_shift", False)
     calls, vjp_nodes = counting_backward(monkeypatch, frozen)
     assert calls == []
-    # conv2 still passes its input gradient on to norm1's scale and shift;
-    # conv1 reaches no trainable leaf at all.
-    assert sum(node.op == "conv2d" for node in vjp_nodes) == 2
+    # every block's scale and shift train; block 2 still passes its input
+    # gradient on to block 1's, and block 1 runs no conv backward at all
+    blocks = [grads for node, grads in vjp_nodes if node.op == "conv_block"]
+    assert len(blocks) == 4
+    assert all(dk is None and dgamma is not None and dbeta is not None
+               for _, dk, dgamma, dbeta in blocks)
+    assert sum(dx is not None for dx, *_ in blocks) == 2
 
 
 def test_frozen_location_tower_gets_no_vjp(monkeypatch):
     def location_matmuls(tape, nodes):
         loc_leaves = {tape._leaf_ids[n] for n in tape.leaf_names() if n.startswith("loc.")}
-        return [node for node in nodes
+        return [node for node, _ in nodes
                 if node.op == "matmul" and loc_leaves & set(node.inputs)]
 
     trainable, _ = masked_setup(0, "scale_shift", False)
@@ -603,7 +719,7 @@ def test_im2col_equals_slice_loop(stride, padding, kernel, hw):
     shape = (n, c, kernel, kernel, oh, ow)
     expect = loop_im2col(xp, kernel, kernel, stride, oh, ow, np.empty(shape))
     assert_same_bits(tape_module._im2col(xp, kernel, kernel, stride, oh, ow), expect, "new")
-    # the conv2d backward writes into a (c, kh, kw, n, oh, ow) block through
+    # the conv_block backward writes into a (c, kh, kw, n, oh, ow) block through
     # a transposed view, so its columns are one (c*kh*kw, n*oh*ow) matrix
     block = np.empty((c, kernel, kernel, n, oh, ow))
     tape_module._im2col(xp, kernel, kernel, stride, oh, ow, block.transpose(3, 0, 1, 2, 4, 5))
@@ -630,11 +746,15 @@ BATCHED_CASES = {
     "matmul_row_vector": ("matmul", [(1, 4), (4, 2)], {"trans_b": False}),
     "matmul_column_vector": ("matmul", [(3, 4), (1, 4)], {"trans_b": True}),
     "relu": ("relu", [(3, 4)], {}),
-    "conv2d_strided_padded": ("conv2d", [(2, 2, 5, 5), (3, 2, 3, 3)],
+    # conv_block cases, named after the geometries of the conv2d and
+    # channel_norm ops it replaced, plus odd sizes with a non-square kernel
+    "conv2d_strided_padded": ("conv_block", [(2, 2, 5, 5), (3, 2, 3, 3), (3,), (3,)],
                               {"stride": 2, "padding": 1}),
-    "conv2d": ("conv2d", [(2, 3, 6, 6), (4, 3, 3, 3)], {}),
+    "conv2d": ("conv_block", [(2, 3, 6, 6), (4, 3, 3, 3), (4,), (4,)], {}),
+    "channel_norm_training": ("conv_block", [(3, 2, 4, 4), (2, 2, 1, 1), (2,), (2,)], {}),
+    "conv_block_odd_non_square": ("conv_block", [(3, 2, 7, 5), (2, 2, 2, 3), (2,), (2,)],
+                                  {"stride": 2}),
     "global_avg_pool": ("global_avg_pool", [(2, 3, 4, 4)], {}),
-    "channel_norm_training": ("channel_norm", [(3, 2, 4, 4), (2,), (2,)], {}),
     "l2norm_rows": ("l2norm_rows", [(3, 5)], {}),
     "logsumexp_axis0": ("logsumexp", [(4, 6)], {"axis": 0}),
     "logsumexp_axis1": ("logsumexp", [(4, 6)], {"axis": 1}),

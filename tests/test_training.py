@@ -11,6 +11,7 @@ from satalign.training import (Checkpoint, TrainConfig, assemble_batch,
                                build_training_graph, config_from_dict, config_to_dict,
                                initial_model, load_checkpoint, model_from_checkpoint,
                                save_checkpoint, steps_per_epoch, train)
+from test_tape import reference_conv2d
 
 
 def checkpoints_equal(a: Checkpoint, b: Checkpoint) -> bool:
@@ -310,9 +311,11 @@ def test_running_stats_are_momentum_update_of_batch_stats(shared_world_samples,
     tape, norm_nodes = graphs[0]
     expected = initial_model(config).stats
     momentum = config.model.image.norm_momentum
+    image = config.model.image
     for key, node in norm_nodes:  # tile_a tower first, then tile_b
-        x = tape.nodes[node.inputs[0]].value
-        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        x, kernel = (tape.nodes[i].value for i in node.inputs[:2])
+        h = reference_conv2d(x, kernel, image.stride, image.padding)
+        mean, var = h.mean(axis=(0, 2, 3)), h.var(axis=(0, 2, 3))
         expected[f"{key}.mean"] = (1 - momentum) * expected[f"{key}.mean"] + momentum * mean
         expected[f"{key}.var"] = (1 - momentum) * expected[f"{key}.var"] + momentum * var
     assert sorted(ckpt.stats) == sorted(expected)
