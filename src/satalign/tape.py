@@ -29,11 +29,12 @@ The op set is the model's and no more: dense matmul, broadcasting add/mul,
 relu, the conv stage (conv_block), global average pooling, row
 L2-normalization, log-sum-exp and sum. Everything runs in float64.
 
-A conv_block is one conv stage as one node: a strided conv2d (patch
-columns times the kernel matrix), per-channel scale-shift normalization with
-the batch's mean and variance, then relu. Its value is the relu output; it
-also keeps the batch (mean, var), which the running-statistics update reads,
-and the normalized activation `xhat`, which its backward reads. Its backward
+A conv_block is one conv stage as one node: a strided 2-D convolution
+(patch columns times the kernel matrix), per-channel scale-shift
+normalization with the batch's mean and variance, then relu. Its value is
+the relu output; it also keeps the batch (mean, var), which the
+running-statistics update reads, and the normalized activation `xhat`,
+which its backward reads. Its backward
 masks the output gradient by the relu, takes the scale and shift gradients
 from `xhat`, reuses their sums for the norm's input gradient, and then lays
 the patch columns out as one (c*kh*kw, n*oh*ow) matrix for the whole batch,
@@ -160,8 +161,9 @@ class Tape:
 
     def conv_block(self, x: Node, kernel: Node, gamma: Node, beta: Node, stride: int = 1,
                    padding: int = 0, eps: float = 1e-5) -> Node:
-        """relu(gamma * xhat + beta), where xhat is conv2d(x, kernel)
-        normalized with the batch's per-channel mean and variance."""
+        """relu(gamma * xhat + beta), where xhat is the strided convolution of
+        x with kernel, normalized with the batch's per-channel mean and
+        variance."""
         if stride < 1 or padding < 0:
             raise ValueError(f"invalid conv_block stride={stride} padding={padding}")
         return self._op("conv_block", [x, kernel, gamma, beta], stride=stride, padding=padding,
