@@ -67,8 +67,11 @@ def _finite_positive(text: str) -> float:
 def _hash_file(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
+        # one buffer of at most 1 MB: zeroing more than the file costs more
+        # than hashing a small file
+        buf = memoryview(bytearray(min(1 << 20, os.fstat(f.fileno()).st_size + 1)))
+        while size := f.readinto(buf):
+            h.update(buf[:size])
     return h.hexdigest()
 
 

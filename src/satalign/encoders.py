@@ -12,6 +12,8 @@ into one shared unit-norm space.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +27,15 @@ PEFT_MODES = ("full", "scale_shift")
 IMAGE_HEADS = ("heads.image.weight", "heads.image_to_text.weight",
                "heads.image_to_location.weight")
 
-# Rows per eval-mode encoding slice, sized so one conv stage's buffers (padded
-# input, patch columns, output: 116 and 132 KB per tile for the default model
-# on 32 px tiles) fit in a 2 MB L2 cache. On 1,024 such tiles (one BLAS thread,
-# 30 alternating in-process calls) 8, 16 and 32 took 87.3, 84.5 and 92.4 ms
-# per call. The bits do not depend on the size.
+# Tiles in flight in one eval-mode encoding call, split into sub-slices of
+# ENCODE_CHUNK // workers, so a worker's conv stage buffers (padded input,
+# patch columns, output: 116 and 132 KB per tile for the default model on
+# 32 px tiles) fit in its core's 2 MB L2 cache. On 1,024 such tiles (2 vCPUs,
+# two workers, one BLAS thread, medians of 30 calls in 6 processes) 8, 16 and
+# 32 took 94, 72 and 68 ms per call; one worker at 16 took 95 ms. 32 would
+# double the buffers for a gain inside the noise. The bits do not depend on it.
 ENCODE_CHUNK = 16
+ENCODE_WORKERS = 2  # most threads one call encodes on, the caller's included
 
 
 @dataclass(frozen=True)
@@ -180,13 +185,19 @@ class Model:
         """Eval-mode features for a batch of tiles, shape (n, d_img).
 
         `pixels` is an (n, C, H, W) array or a list of n (C, H, W) tile
-        arrays; a list is stacked one slice at a time, never copied whole.
-        No tape is recorded: each conv stage runs the tape's per-tile conv
-        GEMMs, the norm with the running statistics, and relu on slices of
-        ENCODE_CHUNK tiles, in buffers allocated once per call. The bits
-        equal one whole-batch plain-numpy forward, `reference_image_features`
-        in tests/test_encoders.py. Non-finite pixels or conv and norm
-        parameters raise a tape leaf's error.
+        arrays; a list is stacked one sub-slice at a time, never copied whole.
+        No tape is recorded: the tape's per-tile conv GEMMs, the norm with the
+        running statistics and relu run on sub-slices of ENCODE_CHUNK // w
+        tiles on w = min(ENCODE_WORKERS, usable CPUs, sub-slices) workers, the
+        caller one of them. Each worker claims the next sub-slice and writes
+        only through `out=`: into buffers the caller allocated before any
+        worker started, for min(n, ENCODE_CHUNK) tiles in all, and into its
+        own pooled rows. Numpy and BLAS release the GIL inside each copy, GEMM
+        and ufunc. No tile's arithmetic reads another tile, so the bits depend
+        on neither the split nor w: they equal one whole-batch plain-numpy
+        forward, `reference_image_features` in tests/test_encoders.py.
+        Non-finite pixels or conv and norm parameters raise a tape leaf's
+        error, on the caller.
         """
         if isinstance(pixels, list):
             shapes = {np.shape(tile) for tile in pixels}
@@ -204,43 +215,79 @@ class Model:
         for name in (n for n in self.params.names() if n.startswith(("img.conv", "img.norm"))):
             if not np.all(np.isfinite(self.params.get(name))):
                 raise ValueError(f"non-finite values in leaf {name!r}")
-        k, s, p, size = img.kernel, img.stride, img.padding, img.in_size
-        m = min(len(pixels), ENCODE_CHUNK)
-        # per stage: padded input, its patches (a strided view), patch columns,
-        # kernel matrix, output, and the norm's mean, inv, gamma, beta columns
-        stages = []
-        for i, (c, f) in enumerate(zip((img.in_channels, *img.widths), img.widths), start=1):
-            o = (size + 2 * p - k) // s + 1
-            pad = np.zeros((m, c, size + 2 * p, size + 2 * p))
-            sn, sc, sh, sw = pad.strides
-            norm = (self.stats[f"img.norm{i}.mean"],
-                    1.0 / np.sqrt(self.stats[f"img.norm{i}.var"] + img.norm_eps),
-                    self.params.get(f"img.norm{i}.gamma"), self.params.get(f"img.norm{i}.beta"))
-            stages.append((pad, np.ndarray((m, c, k, k, o, o), pad.dtype, pad, 0,
-                                           (sn, sc, sh, sw, s * sh, s * sw)),
-                           np.empty((m, c * k * k, o * o)),
-                           self.params.get(f"img.conv{i}.kernel").reshape(1, f, c * k * k),
-                           np.empty((m, f, o * o)),
-                           [v[:, None] for v in norm]))
-            size = o
-        pooled = np.empty((len(pixels), img.widths[-1]))
-        for start in range(0, len(pixels), ENCODE_CHUNK):
-            n = min(ENCODE_CHUNK, len(pixels) - start)
-            x = stages[0][0][:n]
-            np.stack(pixels[start:start + n], out=x[:, :, p:p + img.in_size, p:p + img.in_size])
-            if not np.all(np.isfinite(x)):
-                raise ValueError("non-finite values in leaf 'pixels'")
-            for j, (_, patches, cols, kernel, out, norm) in enumerate(stages):
-                np.copyto(cols[:n].reshape(patches[:n].shape), patches[:n])
-                h = np.matmul(kernel, cols[:n], out=out[:n])
-                # (h - mean) * inv * gamma + beta, in that order
-                for op, v in zip((np.subtract, np.multiply, np.multiply, np.add), norm):
-                    op(h, v, out=h)
-                o = patches.shape[-1]
-                relu = stages[j + 1][0][:n, :, p:p + o, p:p + o] if j + 1 < len(stages) else h
-                np.maximum(h.reshape(relu.shape), 0.0, out=relu)
-            np.add.reduce(h, axis=-1, out=pooled[start:start + n])
-        pooled /= size * size
+        k, s, p = img.kernel, img.stride, img.padding
+        n = len(pixels)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = min(ENCODE_WORKERS, cpus or 1)
+        step = ENCODE_CHUNK // workers  # tiles per sub-slice
+        workers = max(1, min(workers, -(-n // step)))
+
+        def buffers(m):  # a worker's stages for sub-slices of m tiles, and a finite mask
+            # per stage: padded input, its patches (a strided view), patch
+            # columns, kernel matrix, output, the norm's mean, inv, gamma, beta
+            stages, size = [], img.in_size
+            for i, (c, f) in enumerate(zip((img.in_channels, *img.widths), img.widths), start=1):
+                o = (size + 2 * p - k) // s + 1
+                pad = np.zeros((m, c, size + 2 * p, size + 2 * p))
+                sn, sc, sh, sw = pad.strides
+                norm = (self.stats[f"img.norm{i}.mean"],
+                        1.0 / np.sqrt(self.stats[f"img.norm{i}.var"] + img.norm_eps),
+                        self.params.get(f"img.norm{i}.gamma"),
+                        self.params.get(f"img.norm{i}.beta"))
+                stages.append((pad, np.ndarray((m, c, k, k, o, o), pad.dtype, pad, 0,
+                                               (sn, sc, sh, sw, s * sh, s * sw)),
+                               np.empty((m, c * k * k, o * o)),
+                               self.params.get(f"img.conv{i}.kernel").reshape(1, f, c * k * k),
+                               np.empty((m, f, o * o)),
+                               [v[:, None] for v in norm]))
+                size = o
+            return stages, np.empty(stages[0][0].shape, dtype=bool)
+
+        # worker j encodes sub-slice j, then claims the next unclaimed one,
+        # so a stalled worker leaves the rest to the others; its buffers fit
+        # its first (largest) sub-slice, min(n, ENCODE_CHUNK) tiles in all
+        per_worker = [buffers(min(step, n - j * step)) for j in range(workers)]
+        pooled = np.empty((n, img.widths[-1]))
+        lock, unclaimed, errors = threading.Lock(), iter(range(workers * step, n, step)), []
+
+        def encode(j):
+            stages, finite = per_worker[j]
+            start = j * step if n else None  # zero tiles: no sub-slice
+            while start is not None and not errors:
+                try:
+                    b = min(step, n - start)
+                    x = stages[0][0][:b]
+                    np.stack(pixels[start:start + b],
+                             out=x[:, :, p:p + img.in_size, p:p + img.in_size])
+                    if not np.isfinite(x, out=finite[:b]).all():
+                        raise ValueError("non-finite values in leaf 'pixels'")
+                    for i, (_, patches, cols, kernel, out, norm) in enumerate(stages):
+                        np.copyto(cols[:b].reshape(patches[:b].shape), patches[:b])
+                        h = np.matmul(kernel, cols[:b], out=out[:b])
+                        # (h - mean) * inv * gamma + beta, in that order
+                        for op, v in zip((np.subtract, np.multiply, np.multiply, np.add), norm):
+                            op(h, v, out=h)
+                        o = patches.shape[-1]
+                        relu = stages[i + 1][0][:b, :, p:p + o, p:p + o] if stages[i + 1:] else h
+                        np.maximum(h.reshape(relu.shape), 0.0, out=relu)
+                    np.add.reduce(h, axis=-1, out=pooled[start:start + b])
+                except Exception as e:  # a worker's error is raised on the caller
+                    errors.append(e)
+                with lock:
+                    start = next(unclaimed, None)
+
+        threads = []
+        try:
+            for thread in (threading.Thread(target=encode, args=(j,)) for j in range(1, workers)):
+                thread.start()
+                threads.append(thread)
+            encode(0)
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
+        pooled /= per_worker[0][0][-1][4].shape[-1]  # the last stage's o * o pixels
         # the same expressions as the tape's pool, matmul and add nodes
         return pooled @ self.params.get("img.fc.weight") + self.params.get("img.fc.bias")
 

@@ -59,14 +59,15 @@ class RowNormError(ValueError):
         self.problem = problem
 
 
-def row_norms(m: np.ndarray) -> np.ndarray:
+def row_norms(m: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
     """The Euclidean norm of each row of a 2-D float64 matrix, as
-    l2_normalize_rows divides by it.
+    l2_normalize_rows divides by it. `squares`, if given, is a buffer of m's
+    shape that takes m * m in place of a fresh temporary.
 
     A norm that is not finite or is <= NORM_EPS raises a RowNormError naming
     the row.
     """
-    norms = np.sqrt(np.add.reduce(m * m, axis=1))
+    norms = np.sqrt(np.add.reduce(np.multiply(m, m, out=squares), axis=1))
     # a NaN fails both comparisons, so one min/max test clears every row
     if norms.size and not (np.minimum.reduce(norms) > NORM_EPS
                            and np.maximum.reduce(norms) < np.inf):

@@ -1,9 +1,13 @@
+import os
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from satalign import encoders
 from satalign.encoders import (ENCODE_CHUNK, ImageEncoderConfig, LocationEncoderConfig, Model,
                                ModelConfig, location_feature_graph, location_input_features,
                                trainable_mask)
@@ -135,6 +139,54 @@ class TestImageEncoder:
                          dict(stride=0), dict(kernel=0), dict(padding=-1)):
             with pytest.raises(ValueError, match="leave no output for 12 px tiles"):
                 ImageEncoderConfig(in_size=12, **geometry)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, ENCODE_CHUNK, 37, 16 * ENCODE_CHUNK])
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    def test_worker_count_leaves_the_bits(self, monkeypatch, cap, n, as_list):
+        # four CPUs, so the cap sets the worker count; cap 3 puts more workers
+        # than cores on a two-core machine, switching threads every microsecond
+        monkeypatch.setattr(encoders, "ENCODE_WORKERS", cap)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert_features_equal_the_graph(tiny_config(), n, as_list)
+        finally:
+            sys.setswitchinterval(interval)
+        step = ENCODE_CHUNK // cap
+        assert len(started) == min(cap, -(-n // step)) - 1
+        assert not any(thread.is_alive() for thread in started)
+
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    def test_non_finite_pixels_of_the_second_worker_rejected(self, monkeypatch, model, as_list):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pixels = np.random.default_rng(7).random((3 * ENCODE_CHUNK, 3, 16, 16))
+        pixels[ENCODE_CHUNK // 2 + 1, 0, 3, 4] = np.nan  # the second worker's first sub-slice
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="non-finite values in leaf 'pixels'"):
+            model.image_features(list(pixels) if as_list else pixels)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus, n", [(2, ENCODE_CHUNK // 2), (1, 3 * ENCODE_CHUNK + 1)],
+                             ids=["one_sub_slice", "one_cpu"])
+    def test_one_worker_starts_no_thread(self, monkeypatch, cpus, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        assert_features_equal_the_graph(tiny_config(), n, as_list=True)
 
     def test_working_set_does_not_grow_with_the_batch(self):
         model = Model.initialize(ModelConfig(), seed=0)

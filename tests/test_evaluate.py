@@ -291,7 +291,7 @@ def unit_rows(rng, n, d):
 
 
 class TestPartialTopK:
-    N = INDEX_SLAB_ROWS + 37  # more rows than one slab
+    N = 4133  # more rows than one slab of INDEX_SLAB_ROWS
 
     @pytest.mark.parametrize("k", [1, 2, 10, 500, N - 1, N, N + 5])
     def test_matches_a_full_sort_under_heavy_ties(self, k):
@@ -354,7 +354,7 @@ class TestIndexValidation:
     def test_query_never_holds_the_whole_matrix(self, tmp_path):
         # large enough that one (n, d) float64 matrix outweighs the header's
         # Python ids and a slab's temporaries together
-        n, d = 12 * INDEX_SLAB_ROWS, 64
+        n, d = 49_152, 64
         rng = np.random.default_rng(6)
         save_index(RetrievalIndex(tile_ids=list(range(n)), matrix=unit_rows(rng, n, d)),
                    tmp_path / "idx")
@@ -380,6 +380,18 @@ class TestIndexValidation:
         with pytest.raises(ValueError) as err:
             query_index(index, np.ones(d), k=1)
         assert str(err.value) == f"{tmp_path / 'idx.bin'}: row {row} has a {problem} norm"
+
+    def test_blob_cut_after_load_named_by_file(self, tmp_path):
+        n, d = INDEX_SLAB_ROWS + 10, 4
+        save_index(RetrievalIndex(tile_ids=list(range(n)),
+                                  matrix=unit_rows(np.random.default_rng(4), n, d)),
+                   tmp_path / "idx")
+        index = load_index(tmp_path / "idx")
+        blob = (tmp_path / "idx.bin").read_bytes()
+        (tmp_path / "idx.bin").write_bytes(blob[:-4 * d])  # the last slab ends short
+        with pytest.raises(ValueError) as err:
+            query_index(index, np.ones(d), k=1)
+        assert str(err.value) == f"{tmp_path / 'idx.bin'}: changed while it was read"
 
     @pytest.mark.parametrize("ids, pos, message", [
         (["1", 2, 3], 0, "must be an integer, got '1'"),
