@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import shutil
 import sys
+import threading
 import time
 import traceback
 from pathlib import Path
@@ -64,38 +67,72 @@ def _finite_positive(text: str) -> float:
 # -- manifests and atomic output ----------------------------------------------
 
 
-def _hash_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        # one buffer of at most 1 MB: zeroing more than the file costs more
-        # than hashing a small file
-        buf = memoryview(bytearray(min(1 << 20, os.fstat(f.fileno()).st_size + 1)))
-        while size := f.readinto(buf):
-            h.update(buf[:size])
-    return h.hexdigest()
+class _InputHashes:
+    """The sha256 of each input path of a command, hashed in order on one
+    worker thread that starts on construction, beside the command's work. Its
+    read buffer is allocated and freed on the caller's thread, as the
+    encoder's worker buffers are, so the worker allocates nothing large. The
+    worker calls nothing a caller may wrap, such as `hash_path`. A path's
+    failure, and every later path's, is raised when its digest is asked for."""
 
+    def __init__(self, paths: list[Path]):
+        self.paths, self._digests, self._error = paths, {}, None
+        self._stop = threading.Event()
+        self._buf = memoryview(np.empty(1 << 20 if paths else 0, dtype=np.uint8))  # not zeroed
+        self._thread = threading.Thread(target=self._run)
+        self._thread.start()
 
-def hash_path(path: str | Path) -> str:
-    """Content hash of a file, or of a directory's sorted (relpath, hash) list."""
-    path = Path(path)
-    if path.is_file():
-        return _hash_file(path)
-    if path.is_dir():
+    def _run(self) -> None:
+        try:
+            for path in self.paths:
+                self._digests[path] = self._digest(path)
+        except Exception as e:  # raised on the caller, at manifest time
+            self._error = e
+
+    def _digest(self, path: Path) -> str:
+        """A file's sha256, or that of a directory's sorted (relpath, hash) list."""
         h = hashlib.sha256()
-        for sub in sorted(p for p in path.rglob("*") if p.is_file()):
-            h.update(str(sub.relative_to(path)).encode())
-            h.update(_hash_file(sub).encode())
+        if path.is_file():
+            with open(path, "rb") as f:
+                while not self._stop.is_set() and (size := f.readinto(self._buf)):
+                    h.update(self._buf[:size])
+        elif path.is_dir():
+            walk = itertools.takewhile(lambda _: not self._stop.is_set(), path.rglob("*"))
+            for sub in sorted(p for p in walk if p.is_file()):
+                h.update(str(sub.relative_to(path)).encode())
+                h.update(self._digest(sub).encode())
+        else:
+            raise ValueError(f"input path not found: {path}")
         return h.hexdigest()
-    raise ValueError(f"input path not found: {path}")
+
+    def join(self, stop: bool = False) -> None:
+        """Wait for the worker; with `stop`, it stops at its next file or read
+        first, so a command that failed does not wait for a large input."""
+        if stop:
+            self._stop.set()
+        self._thread.join()
+
+    def digest(self, path: Path) -> str:
+        self.join()
+        if path not in self._digests:
+            raise self._error
+        return self._digests[path]
+
+
+def hash_path(path: str | Path, hashes: _InputHashes | None = None) -> str:
+    """Content hash of a file, or of a directory's sorted (relpath, hash) list:
+    the one `hashes` computed for `path`, or else one computed now."""
+    path = Path(path)
+    return (hashes or _InputHashes([path])).digest(path)
 
 
 def _write_manifest(command: str, config: dict, seed: int | None,
-                    inputs: list[Path], outputs: list[Path], started: float) -> None:
+                    hashes: _InputHashes, outputs: list[Path], started: float) -> None:
     manifest = {
         "command": command,
         "config": config,
         "seed": seed,
-        "inputs": {str(p): hash_path(p) for p in inputs},
+        "inputs": {str(p): hash_path(p, hashes) for p in hashes.paths},
         "outputs": [str(p) for p in outputs],
         "wall_time_s": time.monotonic() - started,
     }
@@ -149,15 +186,15 @@ def _config_from_file(path: str | None, cls, **fixed):
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args, hashes: _InputHashes) -> int:
     started = time.monotonic()
     config = _config_from_file(args.config, SyntheticWorldConfig, seed=args.seed)
     world = generate_synthetic_world(config)
     dataset = dataset_from_world(world)
     out = Path(args.out)
+    hashes.join()  # each command hashes its inputs before writing an output
     _atomic(out, lambda tmp: save_dataset(tmp, dataset))
-    _write_manifest("synth", dataclasses.asdict(config), args.seed,
-                    [Path(args.config)] if args.config else [], [out], started)
+    _write_manifest("synth", dataclasses.asdict(config), args.seed, hashes, [out], started)
     print(json.dumps({"out": str(out), "tiles": len(world.tiles),
                       "observations": len(world.observations),
                       "species": config.n_species, "habitats": config.n_habitats},
@@ -176,7 +213,7 @@ def _train_config(args) -> TrainConfig:
     return config
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args, hashes: _InputHashes) -> int:
     started = time.monotonic()
     config = _train_config(args)
     dataset = ingest_dataset(args.data)
@@ -191,10 +228,9 @@ def _cmd_train(args) -> int:
          f"({sum(paired.skips.values())} observations skipped{reasons})")
     ckpt = train(config, paired.samples)
     out = pair_paths(args.out)
+    hashes.join()
     _atomic(out[0], lambda tmp: save_checkpoint(ckpt, tmp))
-    _write_manifest("train", config_to_dict(config), config.seed,
-                    [Path(args.data)] + ([Path(args.config)] if args.config else []),
-                    list(out), started)
+    _write_manifest("train", config_to_dict(config), config.seed, hashes, list(out), started)
     print(json.dumps({"ckpt": str(out[0]), "epochs": ckpt.epoch,
                       "steps": len(ckpt.step_losses),
                       "final_epoch_loss": ckpt.epoch_losses[-1]}, sort_keys=True))
@@ -226,7 +262,7 @@ def _gradcheck_setup(seed: int):
     return tape
 
 
-def _cmd_gradcheck(args) -> int:
+def _cmd_gradcheck(args, hashes: _InputHashes) -> int:
     started = time.monotonic()
     tape = _gradcheck_setup(args.seed)
     report = finite_diff_check(tape, tolerance=args.tolerance)
@@ -247,7 +283,7 @@ def _cmd_gradcheck(args) -> int:
         _atomic(out, lambda tmp: tmp.write_text(text + "\n"))
         outputs.append(out)
     _write_manifest("gradcheck", {"seed": args.seed, "tolerance": args.tolerance},
-                    args.seed, [], outputs, started)
+                    args.seed, hashes, outputs, started)
     return 0 if report.passed else 2
 
 
@@ -312,7 +348,7 @@ def _dataset_and_model(args):
     return dataset, ckpt, model_from_checkpoint(ckpt)
 
 
-def _cmd_probe(args) -> int:
+def _cmd_probe(args, hashes: _InputHashes) -> int:
     started = time.monotonic()
     dataset, ckpt, model = _dataset_and_model(args)
     metrics = _probe_metrics(dataset, model, args.task, args.seed,
@@ -322,22 +358,23 @@ def _cmd_probe(args) -> int:
     outputs = []
     if args.out:
         out = Path(args.out)
+        hashes.join()
         _atomic(out, lambda tmp: tmp.write_text(text + "\n"))
         outputs.append(out)
     _write_manifest("probe", {"task": args.task, "seed": args.seed,
                               "probe_epochs": args.probe_epochs},
-                    args.seed, [Path(args.data), pair_paths(args.ckpt)[0]], outputs, started)
+                    args.seed, hashes, outputs, started)
     return 0
 
 
-def _cmd_index(args) -> int:
+def _cmd_index(args, hashes: _InputHashes) -> int:
     started = time.monotonic()
     dataset, _, model = _dataset_and_model(args)
     index = build_index(model, dataset.tiles)
     out = pair_paths(args.out)
+    hashes.join()
     _atomic(out[0], lambda tmp: save_index(index, tmp))
-    _write_manifest("index", {"tiles": index.n}, None,
-                    [Path(args.data), pair_paths(args.ckpt)[0]], list(out), started)
+    _write_manifest("index", {"tiles": index.n}, None, hashes, list(out), started)
     print(json.dumps({"index": str(out[0]), "tiles": index.n, "dim": index.d},
                      sort_keys=True))
     return 0
@@ -380,7 +417,7 @@ def _read_query(source: str) -> np.ndarray:
     return query
 
 
-def _cmd_retrieve(args) -> int:
+def _cmd_retrieve(args, hashes: _InputHashes) -> int:
     started = time.monotonic()
     index = load_index(args.index)
     query = _read_query(args.query)
@@ -393,16 +430,11 @@ def _cmd_retrieve(args) -> int:
                          f"{e.problem} norm") from None
     for tile_id, cosine in results:
         print(f"{tile_id}\t{cosine!r}")
-    inputs = [pair_paths(args.index)[0]]
-    if query_file is not None:
-        inputs.append(query_file)
-    if args.ckpt:
-        inputs.append(pair_paths(args.ckpt)[0])
-    _write_manifest("retrieve", {"k": args.k}, None, inputs, [], started)
+    _write_manifest("retrieve", {"k": args.k}, None, hashes, [], started)
     return 0
 
 
-def _cmd_zeroshot(args) -> int:
+def _cmd_zeroshot(args, hashes: _InputHashes) -> int:
     started = time.monotonic()
     dataset, _, model = _dataset_and_model(args)
     if args.classes:
@@ -426,13 +458,11 @@ def _cmd_zeroshot(args) -> int:
     outputs = []
     if args.out:
         out = Path(args.out)
+        hashes.join()
         _atomic(out, lambda tmp: tmp.write_text("\n".join(lines) + "\n"))
         outputs.append(out)
-    inputs = [Path(args.data), pair_paths(args.ckpt)[0]]
-    if args.classes:
-        inputs.append(Path(args.classes))
     _write_manifest("zeroshot", {"classes": int(classes.shape[0])}, None,
-                    inputs, outputs, started)
+                    hashes, outputs, started)
     return 0
 
 
@@ -448,7 +478,7 @@ def _read_json_list(path: str, nested: bool) -> list:
     return obj
 
 
-def _cmd_eval_metrics(args) -> int:
+def _cmd_eval_metrics(args, hashes: _InputHashes) -> int:
     started = time.monotonic()
     nested = args.task != "cls"
     preds = _read_json_list(args.preds, nested)
@@ -467,15 +497,21 @@ def _cmd_eval_metrics(args) -> int:
     else:
         raise ValueError(f"unknown task {args.task!r}")
     print(json.dumps(metrics, sort_keys=True))
-    _write_manifest("eval-metrics", {"task": args.task}, None,
-                    [Path(args.preds), Path(args.labels)], [], started)
+    _write_manifest("eval-metrics", {"task": args.task}, None, hashes, [], started)
     return 0
 
 
 # -- argument grammar -----------------------------------------------------------
 
 
+def _optional(*paths) -> list[Path]:
+    """The paths, in order, of the optional flags that are set."""
+    return [Path(p) for p in paths if p]
+
+
 def build_parser() -> _Parser:
+    """The grammar; each subcommand sets `handler`, and `inputs`, its flags'
+    input paths, which its manifest hashes."""
     parser = _Parser(prog="satalign", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -483,7 +519,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON file with synthetic-world fields")
-    p.set_defaults(handler=_cmd_synth)
+    p.set_defaults(handler=_cmd_synth, inputs=lambda a: _optional(a.config))
 
     p = sub.add_parser("train", help="train an encoder on a dataset directory")
     p.add_argument("--data", required=True)
@@ -495,13 +531,13 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float)
     p.add_argument("--peft", choices=["full", "scale_shift"])
     p.add_argument("--freeze-location", action="store_true")
-    p.set_defaults(handler=_cmd_train)
+    p.set_defaults(handler=_cmd_train, inputs=lambda a: [Path(a.data)] + _optional(a.config))
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full loss")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=_finite_positive, default=1e-4)
     p.add_argument("--out", help="optional JSON report path")
-    p.set_defaults(handler=_cmd_gradcheck)
+    p.set_defaults(handler=_cmd_gradcheck, inputs=lambda a: [])
 
     p = sub.add_parser("probe", help="linear-probe a frozen checkpoint")
     p.add_argument("--data", required=True)
@@ -510,20 +546,22 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--probe-epochs", dest="probe_epochs", type=int, default=200)
     p.add_argument("--out", help="optional metrics JSON path")
-    p.set_defaults(handler=_cmd_probe)
+    p.set_defaults(handler=_cmd_probe, inputs=lambda a: [Path(a.data), pair_paths(a.ckpt)[0]])
 
     p = sub.add_parser("index", help="build a retrieval index over dataset tiles")
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True, help="index path prefix or .json")
-    p.set_defaults(handler=_cmd_index)
+    p.set_defaults(handler=_cmd_index, inputs=lambda a: [Path(a.data), pair_paths(a.ckpt)[0]])
 
     p = sub.add_parser("retrieve", help="top-k cosine retrieval against an index")
     p.add_argument("--index", required=True, help="index path prefix")
     p.add_argument("--query", required=True, help="float32 .bin or .csv vector")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--ckpt", help="checkpoint for projecting raw text queries")
-    p.set_defaults(handler=_cmd_retrieve)
+    p.set_defaults(handler=_cmd_retrieve,
+                   inputs=lambda a: [pair_paths(a.index)[0]] + _optional(
+                       _query_file(a.query), a.ckpt and pair_paths(a.ckpt)[0]))
 
     p = sub.add_parser("zeroshot", help="classify tiles against class text embeddings")
     p.add_argument("--data", required=True)
@@ -531,33 +569,40 @@ def build_parser() -> _Parser:
     p.add_argument("--classes", help="float32 .bin of class embeddings "
                                      "(default: ground-truth text prototypes)")
     p.add_argument("--out", help="optional TSV output path")
-    p.set_defaults(handler=_cmd_zeroshot)
+    p.set_defaults(handler=_cmd_zeroshot,
+                   inputs=lambda a: [Path(a.data), pair_paths(a.ckpt)[0]] + _optional(a.classes))
 
     p = sub.add_parser("eval-metrics", help="compute metrics from prediction files")
     p.add_argument("--task", choices=["cls", "multilabel", "encounter"], required=True)
     p.add_argument("--preds", required=True, help="JSON predictions")
     p.add_argument("--labels", required=True, help="JSON labels")
-    p.set_defaults(handler=_cmd_eval_metrics)
+    p.set_defaults(handler=_cmd_eval_metrics, inputs=lambda a: [Path(a.preds), Path(a.labels)])
     return parser
+
+
+_parser = functools.cache(build_parser)  # parsing leaves the parser as it was
 
 
 def dispatch(argv=None) -> int:
     """Run one subcommand. Exit codes: 0 success; 1 bad flags or inputs (a
     ValueError, which includes malformed JSON, or a missing file); 2 anything
-    else, which is a bug or a runtime failure, and a failed gradcheck."""
-    parser = build_parser()
+    else, which is a bug or a runtime failure, and a failed gradcheck.
+    The command's input hashing has ended when this returns."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError:
         return 1
+    hashes = _InputHashes(args.inputs(args))
     try:
-        return args.handler(args)
+        return args.handler(args, hashes)
     except (ValueError, FileNotFoundError) as e:
         _log(f"error: {e}")
         return 1
     except Exception:
         traceback.print_exc()
         return 2
+    finally:
+        hashes.join(stop=True)
 
 
 def main(argv=None) -> None:

@@ -36,7 +36,7 @@ from .geodata import (CovariateRaster, Observations, TextSections, TileRecord,
                       invalid_observation)
 from .synthworld import SyntheticWorld
 
-TILE_READ_BYTES = 1 << 19  # tile pixel bytes read and widened together
+TILE_READ_BYTES = 1 << 19  # tile pixel bytes read together into one float32 array
 
 
 @dataclass
@@ -287,29 +287,53 @@ def _check_tile_record(entry, where: str) -> None:
         raise ValueError(f"{where}: lon out of range, got {entry['lon']!r}")
 
 
+def _tile_records_valid(manifest: list) -> bool:
+    """Whether every record passes _check_tile_record and no tile id repeats,
+    checked one field at a time over the whole list."""
+    try:  # a record that is not an object, or lacks a field
+        columns = {name: [entry[name] for entry in manifest] for name in _TILE_FIELDS}
+    except (TypeError, KeyError):
+        return False
+    columns["offset"] = [entry.get("offset", 0) for entry in manifest]
+    for name, kind in dict(_TILE_FIELDS, offset=int).items():
+        if not {type(v) for v in columns[name]} <= ({int, float} if kind is float else {kind}):
+            return False
+    # an int center of 2 ** 1023 or more, not a float field, is out of range anyway
+    return (min(min(columns[name]) for name in "chw") >= 1
+            and all(-90.0 <= lat <= 90.0 for lat in columns["lat"])
+            and all(-180.0 <= lon < 180.0 for lon in columns["lon"])
+            and len(set(columns["tile_id"])) == len(manifest))
+
+
 def _load_tiles(root: Path) -> list[TileRecord]:
-    """The manifest's tiles. Each file it names is read once, front to back,
-    after a check that its records cover it exactly. The pixels are widened
-    a group of records at a time, and each tile's pixels are a view into its
-    group's float64 array. Arrays of ~1 MB, unlike one array of the whole
-    dataset, fit the heap's free blocks, so eval peak RSS does not grow."""
+    """The manifest's tiles. The records are checked in one pass over the
+    whole list; only when that fails are they checked one at a time, to name
+    the first bad record. Each file the manifest names is read once, front
+    to back, after a check that its records cover it exactly. The pixels stay
+    float32, as stored: the records starting in one TILE_READ_BYTES window
+    are read into one array, and each tile's pixels are a view into it.
+    Arrays of ~512 KB, unlike one array of the whole dataset, fit the heap's
+    free blocks, so eval peak RSS does not grow."""
     manifest_path = root / "tiles" / "manifest.json"
     manifest = read_json(manifest_path)
     if not isinstance(manifest, list):
         raise ValueError(f"{manifest_path}: expected a JSON list of tile records")
     if not manifest:
         raise ValueError(f"{manifest_path}: no tile records")
+    if not _tile_records_valid(manifest):
+        for i, entry in enumerate(manifest):
+            _check_tile_record(entry, f"{manifest_path} record {i}")
+        first_record: dict[int, int] = {}  # tile id -> its first record
+        for i, entry in enumerate(manifest):
+            if first_record.setdefault(entry["tile_id"], i) != i:
+                raise ValueError(f"{manifest_path} record {i}: repeats tile id "
+                                 f"{entry['tile_id']}")
     spans: dict[str, list[tuple[int, int, int]]] = {}  # file -> (offset, bytes, record)
     for i, entry in enumerate(manifest):
-        _check_tile_record(entry, f"{manifest_path} record {i}")
         spans.setdefault(entry["file"], []).append(
             (entry.get("offset", 0), 4 * entry["c"] * entry["h"] * entry["w"], i))
-    first_record: dict[int, int] = {}  # tile id -> its first record
-    for i, entry in enumerate(manifest):
-        if first_record.setdefault(entry["tile_id"], i) != i:
-            raise ValueError(f"{manifest_path} record {i}: repeats tile id {entry['tile_id']}")
 
-    flat: list[np.ndarray] = [None] * len(manifest)  # each record's widened pixels
+    flat: list[np.ndarray] = [None] * len(manifest)  # each record's pixels
     for name, records in spans.items():
         path = root / "tiles" / name
         records.sort()
@@ -330,8 +354,8 @@ def _load_tiles(root: Path) -> list[TileRecord]:
                 if end != size:
                     raise ValueError(f"{where}: {path} has {size - end} bytes after this "
                                      f"record, its last")
-                # the records starting in one TILE_READ_BYTES window are read and
-                # widened together, into an array of their own
+                # the records starting in one TILE_READ_BYTES window are read
+                # together, into an array of their own
                 for _, group in itertools.groupby(records, lambda r: r[0] // TILE_READ_BYTES):
                     group = list(group)
                     first = group[0][0]
@@ -339,9 +363,8 @@ def _load_tiles(root: Path) -> list[TileRecord]:
                     if f.readinto(raw) != raw.nbytes:
                         raise ValueError(f"{manifest_path} record {group[0][2]}: {path} "
                                          f"changed while it was read")
-                    wide = raw.astype(np.float64)
                     for offset, nbytes, i in group:
-                        flat[i] = wide[(offset - first) // 4:(offset + nbytes - first) // 4]
+                        flat[i] = raw[(offset - first) // 4:(offset + nbytes - first) // 4]
         except OSError as e:
             raise ValueError(f"{manifest_path} record {records[0][2]}: cannot read {path} "
                              f"({e.strerror})") from None

@@ -185,7 +185,9 @@ class Model:
         """Eval-mode features for a batch of tiles, shape (n, d_img).
 
         `pixels` is an (n, C, H, W) array or a list of n (C, H, W) tile
-        arrays; a list is stacked one sub-slice at a time, never copied whole.
+        arrays; a list is stacked, and a float32 array (or float32 tiles, as
+        ingest reads them) widened to float64, one sub-slice at a time, never
+        copied whole. The compute is float64 either way.
         No tape is recorded: the tape's per-tile conv GEMMs, the norm with the
         running statistics and relu run on sub-slices of ENCODE_CHUNK // w
         tiles on w = min(ENCODE_WORKERS, usable CPUs, sub-slices) workers, the
@@ -203,7 +205,9 @@ class Model:
             shapes = {np.shape(tile) for tile in pixels}
             shape = (len(pixels), *shapes.pop()) if len(shapes) == 1 else None
         else:
-            pixels = np.asarray(pixels, dtype=np.float64)
+            pixels = np.asarray(pixels)
+            if pixels.dtype != np.float32:
+                pixels = np.asarray(pixels, dtype=np.float64)
             shape = pixels.shape
         img = self.cfg.image
         if shape is None or len(shape) != 4 or shape[1:] != (img.in_channels, img.in_size,

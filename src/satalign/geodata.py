@@ -135,7 +135,8 @@ class CovariateRaster:
 
 @dataclass
 class TileRecord:
-    """One satellite tile: center coordinates, acquisition time, pixels in [0, 1]."""
+    """One satellite tile: center coordinates, acquisition time, pixels in [0, 1].
+    Float32 pixels (as ingested) are kept; consumers widen them. Others become float64."""
 
     tile_id: int
     lat: float
@@ -144,7 +145,8 @@ class TileRecord:
     pixels: np.ndarray  # (C, H, W)
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
+        if not (isinstance(self.pixels, np.ndarray) and self.pixels.dtype == np.float32):
+            self.pixels = np.asarray(self.pixels, dtype=np.float64)
         if self.pixels.ndim != 3:
             raise ValueError(f"tile {self.tile_id}: pixels must be (C, H, W), "
                              f"got shape {self.pixels.shape}")

@@ -181,7 +181,7 @@ def assemble_batch(samples: PairedSamples, config: TrainConfig,
         by_size.setdefault(pixels.shape, []).append(i)
     tiles_a = np.empty(tiles_b.shape)
     for idx in by_size.values():
-        fitted = fit_to_input(np.stack([pixels_a[i] for i in idx]), in_size)
+        fitted = fit_to_input(np.stack([pixels_a[i] for i in idx], dtype=np.float64), in_size)
         tiles_a[idx] = augment_photometric(fitted, config.jitter, config.channel_mix,
                                            shift_a[idx], mix_a[idx])
     covariates = samples.covariates if config.model.location.use_covariates else None

@@ -1,7 +1,13 @@
 import json
 import math
+import os
 import pathlib
+import re
 import shutil
+import subprocess
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -837,3 +843,133 @@ def test_train_reports_skipped_observations_by_reason(workspace, tmp_path, capsy
     assert dispatch(["train", "--data", str(world), "--out", str(tmp_path / "ckpt"),
                      "--config", str(workspace / "train.json"), "--epochs", "1"]) == 0
     assert "(2 observations skipped, 1 no_tile, 1 no_text)" in capsys.readouterr().err
+
+
+# -- one parser per process, input hashing beside the command ----------------------
+
+
+def _without_wall_time(text: str) -> str:
+    return re.sub(r'"wall_time_s": [^\n]*', '"wall_time_s": _', text)
+
+
+def test_one_process_runs_commands_as_fresh_processes_do(workspace, tmp_path, capsys):
+    world, ckpt = str(workspace / "world"), str(workspace / "run" / "ckpt.json")
+    idx = str(tmp_path / "idx")
+    assert dispatch(["index", "--data", world, "--ckpt", ckpt, "--out", idx]) == 0
+    query = tmp_path / "q.bin"
+    np.linspace(-1, 1, TRAIN_CFG["model"]["d_txt"]).astype("<f4").tofile(query)
+    commands = [["retrieve", "--k", "3"],  # usage error: no --index, no --query
+                ["retrieve", "--index", idx, "--query", ",".join(["0.5"] * 12), "--k", "3"],
+                ["retrieve", "--index", idx, "--query", str(query), "--k", "5", "--ckpt", ckpt],
+                ["probe", "--data", world, "--ckpt", ckpt, "--task", "encounter",
+                 "--probe-epochs", "5"]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    capsys.readouterr()
+    for argv in commands:
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "satalign.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, captured.out, _without_wall_time(captured.err)) == (
+            fresh.returncode, fresh.stdout, _without_wall_time(fresh.stderr)), argv
+    assert code == 0
+
+
+def _slow_digest(monkeypatch, hashed, fail=None, delay=0.01):
+    """Make the hashing worker sleep before each input path (and raise on
+    `fail`), recording every path it hashes."""
+    digest = cli._InputHashes._digest
+
+    def slow(self, path):
+        hashed.append(path)
+        if path in self.paths:
+            time.sleep(delay)
+        if path == fail:
+            raise ValueError(f"input path not found: {path}")
+        return digest(self, path)
+
+    monkeypatch.setattr(cli._InputHashes, "_digest", slow)
+
+
+def test_failing_command_reports_its_own_error_and_leaves_no_thread(workspace, tmp_path,
+                                                                    monkeypatch, capsys):
+    _slow_digest(monkeypatch, [], fail=tmp_path / "absent.json")
+    threads = threading.active_count()
+    query = ",".join(["0.5"] * 12)
+    assert dispatch(["retrieve", "--index", str(tmp_path / "absent"), "--query", query]) == 1
+    err = capsys.readouterr().err
+    assert "absent.json" in err and "input path not found" not in err
+    assert threading.active_count() == threads
+
+    monkeypatch.setattr(cli, "pair_samples", lambda *args, **kwargs: {}["bug"])
+    assert dispatch(["train", "--data", str(workspace / "world"), "--epochs", "1",
+                     "--config", str(workspace / "train.json"),
+                     "--out", str(tmp_path / "ckpt")]) == 2
+    assert "Traceback" in capsys.readouterr().err
+    assert threading.active_count() == threads
+
+
+def test_hashing_error_surfaces_at_manifest_time(workspace, tmp_path, monkeypatch, capsys):
+    world, ckpt = str(workspace / "world"), workspace / "run" / "ckpt.json"
+    assert dispatch(["index", "--data", world, "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "idx")]) == 0
+    _slow_digest(monkeypatch, [], fail=ckpt)
+    capsys.readouterr()
+    assert dispatch(["retrieve", "--index", str(tmp_path / "idx"),
+                     "--query", ",".join(["0.5"] * 12), "--ckpt", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 10  # the command's work was done
+    assert captured.err == f"error: input path not found: {ckpt}\n"
+
+
+def test_failing_command_stops_hashing_a_large_input(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "not_a_dataset"
+    data.mkdir()
+    for i in range(200):
+        (data / f"file{i:03d}").write_bytes(b"x")
+    hashed = []
+    _slow_digest(monkeypatch, hashed, delay=0.5)  # the command fails meanwhile
+    threads = threading.active_count()
+    assert dispatch(["train", "--data", str(data), "--out", str(tmp_path / "ckpt")]) == 1
+    assert "dataset is missing observations.csv" in capsys.readouterr().err
+    assert threading.active_count() == threads
+    assert len(hashed) < 100  # 201 paths when hashed in full
+
+
+def test_hash_path_runs_on_the_main_thread_once_per_input(workspace, tmp_path, monkeypatch):
+    calls = []
+    original = cli.hash_path
+
+    def recording(path, *args):
+        calls.append((str(path), threading.current_thread() is threading.main_thread()))
+        return original(path, *args)
+
+    monkeypatch.setattr(cli, "hash_path", recording)
+    world, ckpt = str(workspace / "world"), str(workspace / "run" / "ckpt.json")
+    out = tmp_path / "out"
+    commands = [["synth", "--config", str(workspace / "synth.json"), "--out", str(out / "world")],
+                ["train", "--data", world, "--config", str(workspace / "train.json"),
+                 "--epochs", "1", "--out", str(out / "ckpt.json")],
+                ["index", "--data", world, "--ckpt", ckpt, "--out", str(out / "idx.json")],
+                ["probe", "--data", world, "--ckpt", ckpt, "--probe-epochs", "5",
+                 "--out", str(out / "probe.json")],
+                ["zeroshot", "--data", world, "--ckpt", ckpt, "--out", str(out / "zs.tsv")]]
+    for argv in commands:
+        calls.clear()
+        assert dispatch(argv) == 0
+        manifest = json.loads(pathlib.Path(argv[-1] + ".manifest.json").read_text())
+        assert sorted(path for path, _ in calls) == sorted(manifest["inputs"]), argv
+        assert all(main for _, main in calls), argv
+
+
+def test_outputs_inside_an_input_directory_are_not_hashed(workspace, tmp_path, monkeypatch):
+    world = tmp_path / "world"
+    shutil.copytree(workspace / "world", world)
+    before = hash_path(world)
+    # the world is listed after training has ended, unless writing waits for it
+    _slow_digest(monkeypatch, [], delay=0.5)
+    assert dispatch(["train", "--data", str(world), "--config", str(workspace / "train.json"),
+                     "--epochs", "1", "--out", str(world / "ckpt")]) == 0
+    manifest = json.loads((world / "ckpt.json.manifest.json").read_text())
+    assert manifest["inputs"][str(world)] == before != hash_path(world)

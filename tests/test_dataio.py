@@ -126,9 +126,18 @@ def test_per_tile_layout_ingests_to_the_same_pixels(world_dir, per_tile_dir):
     assert len(old.tiles) == len(packed.tiles) > 2
     for a, b in zip(old.tiles, packed.tiles):
         assert (a.tile_id, a.lat, a.lon, a.timestamp) == (b.tile_id, b.lat, b.lon, b.timestamp)
-        assert a.pixels.dtype == b.pixels.dtype == np.float64
+        assert a.pixels.dtype == b.pixels.dtype == np.float32
         assert a.pixels.shape == b.pixels.shape
         assert a.pixels.tobytes() == b.pixels.tobytes()
+
+
+def test_ingested_tiles_are_float32_views_and_world_tiles_float64(world_dir):
+    out, dataset = world_dir
+    assert all(t.pixels.dtype == np.float64 for t in dataset.tiles)
+    loaded = ingest_dataset(out)
+    for a, b in zip(loaded.tiles, dataset.tiles):
+        assert a.pixels.dtype == np.float32 and a.pixels.base is not None
+        assert a.pixels.astype(np.float64).tobytes() == b.pixels.tobytes()
 
 
 def test_truncated_tile_named(per_tile_dir):

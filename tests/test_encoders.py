@@ -114,6 +114,11 @@ class TestImageEncoder:
     def test_odd_geometries_equal_one_whole_batch_graph(self, image, n, as_list):
         assert_features_equal_the_graph(tiny_config(image=image), n, as_list)
 
+    @pytest.mark.parametrize("n", [1, ENCODE_CHUNK + 3, 37])
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    def test_float32_tiles_equal_their_float64_widening(self, n, as_list):
+        assert_features_equal_the_graph(tiny_config(), n, as_list, dtype=np.float32)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pixels_rejected(self, model, bad):
         pixels = np.random.default_rng(5).random((ENCODE_CHUNK + 3, 3, 16, 16))
@@ -219,10 +224,12 @@ def reference_image_features(model: Model, pixels: np.ndarray) -> np.ndarray:
     return reference_global_avg_pool(h) @ get("img.fc.weight") + get("img.fc.bias")
 
 
-def assert_features_equal_the_graph(cfg: ModelConfig, n: int, as_list: bool) -> None:
-    """image_features bit for bit against reference_image_features over the
-    whole batch, with running statistics and norm scales and shifts away from
-    their initial values."""
+def assert_features_equal_the_graph(cfg: ModelConfig, n: int, as_list: bool,
+                                    dtype=np.float64) -> None:
+    """image_features of `dtype` pixels bit for bit against
+    reference_image_features of their float64 widening over the whole batch,
+    with running statistics and norm scales and shifts away from their
+    initial values."""
     model = Model.initialize(cfg, seed=3)
     rng = np.random.default_rng(n)
     for name in model.stats:
@@ -231,9 +238,10 @@ def assert_features_equal_the_graph(cfg: ModelConfig, n: int, as_list: bool) -> 
         if name.startswith("img.norm"):
             model.params.set(name, rng.normal(size=model.params.get(name).shape))
     image = cfg.image
-    pixels = rng.random((n, image.in_channels, image.in_size, image.in_size))
+    pixels = rng.random((n, image.in_channels, image.in_size, image.in_size)).astype(dtype)
     features = model.image_features(list(pixels) if as_list else pixels)
-    assert features.tobytes() == reference_image_features(model, pixels).tobytes()
+    reference = reference_image_features(model, pixels.astype(np.float64))
+    assert features.tobytes() == reference.tobytes()
 
 
 def location_outputs(model: Model, features: np.ndarray) -> np.ndarray:

@@ -331,6 +331,56 @@ def per_record_error(manifest_path):
     return None
 
 
+def _write_tiles(root, n, size=2):
+    """A tiles/ directory of `n` size x size tiles in one blob."""
+    nbytes = 4 * 3 * size * size
+    records = [{"tile_id": i, "lat": (i % 170) - 85.0, "lon": (i % 350) - 175.0,
+                "timestamp": 0, "file": "pixels.bin", "offset": nbytes * i,
+                "c": 3, "h": size, "w": size} for i in range(n)]
+    (root / "tiles").mkdir(parents=True)
+    np.full(n * nbytes // 4, 0.5, dtype="<f4").tofile(root / "tiles" / "pixels.bin")
+    (root / "tiles" / "manifest.json").write_text(json.dumps(records))
+    return root / "tiles" / "manifest.json"
+
+
+def _repeat_tile_id(records, i):
+    records[i]["tile_id"] = records[3]["tile_id"]
+
+
+@pytest.mark.parametrize("edit", [
+    _set_item(1000, "lat", math.nan), _set_item(1000, "lon", 180.0),
+    _set_item(1000, "lat", 10 ** 400), _set_item(1000, "lat", 2 ** 1023),
+    _set_item(1000, "tile_id", True), _set_item(1000, "file", 5),
+    _set_item(1000, "offset", "48"), _set_item(1000, "c", 0), _set_item(1000, "timestamp", 1.5),
+    lambda records: records[1000].pop("h"), lambda records: records.__setitem__(1000, [1, 2]),
+    lambda records: _repeat_tile_id(records, 1000),
+], ids=["nan_lat", "lon_180", "huge_int_lat", "lat_2_to_1023", "bool_id", "int_file",
+        "string_offset", "zero_channels", "float_timestamp", "no_h", "not_object", "repeat_id"])
+def test_bad_record_1000_of_1024_named_as_checked_one_at_a_time(tmp_path, edit):
+    manifest_path = _write_tiles(tmp_path, 1024)
+    records = json.loads(manifest_path.read_text())
+    assert dataio._tile_records_valid(records)
+    assert len(dataio._load_tiles(tmp_path)) == 1024
+    edit(records)
+    manifest_path.write_text(json.dumps(records))
+    assert not dataio._tile_records_valid(read_json(manifest_path))
+    with pytest.raises(ValueError) as err:
+        dataio._load_tiles(tmp_path)
+    assert str(err.value) == per_record_error(manifest_path)
+    assert str(err.value).startswith(f"{manifest_path} record 1000: ")
+
+
+def test_integer_centers_and_missing_offsets_pass_the_whole_list_check(tmp_path):
+    manifest_path = _write_tiles(tmp_path, 1024)
+    records = json.loads(manifest_path.read_text())
+    records[1000].update(lat=90, lon=-180)
+    del records[0]["offset"]
+    assert dataio._tile_records_valid(records)
+    manifest_path.write_text(json.dumps(records))
+    tiles = dataio._load_tiles(tmp_path)
+    assert (tiles[1000].lat, tiles[1000].lon) == (90, -180)
+
+
 _CENTERS = [math.nan, math.inf, -math.inf, 90.0, 90.5, -90.0, -90.01, 180.0, -180.0,
             179.999, -180.5, 123.0, 1e300, 10 ** 400, 45, -200]
 

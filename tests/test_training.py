@@ -4,8 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from conftest import small_train_config, world_and_samples
+from conftest import small_train_config, small_world_config, world_and_samples
+from satalign.dataio import dataset_from_world, ingest_dataset, save_dataset
 from satalign.encoders import trainable_mask
+from satalign.geodata import pair_samples
+from satalign.synthworld import generate_synthetic_world
 from satalign.tape import Tape
 from satalign.training import (Checkpoint, TrainConfig, assemble_batch,
                                build_training_graph, config_from_dict, config_to_dict,
@@ -87,6 +90,25 @@ def test_epoch_accounting_drop_last(shared_world_samples):
     ckpt = train(config, samples)
     assert len(ckpt.step_losses) == 2 * usable
     assert len(ckpt.epoch_losses) == 2
+
+
+@pytest.mark.parametrize("tile_size", [16, 20], ids=["no_resize", "resize"])
+def test_float32_tiles_train_to_the_checkpoint_of_their_widening(tmp_path, tile_size):
+    # 16 px tiles are the model's input size; 20 px tiles are resized to it
+    world = generate_synthetic_world(small_world_config(seed=5, tile_size=tile_size))
+    save_dataset(tmp_path / "world", dataset_from_world(world))
+    dataset = ingest_dataset(tmp_path / "world")
+    assert {t.pixels.dtype for t in dataset.tiles} == {np.dtype(np.float32)}
+    widened = [dataclasses.replace(t, pixels=t.pixels.astype(np.float64)) for t in dataset.tiles]
+    blobs = []
+    for i, tiles in enumerate((dataset.tiles, widened)):
+        samples = pair_samples(dataset.observations, tiles, dataset.texts, dataset.raster,
+                               matching_radius=0.05, seed=5).samples
+        save_checkpoint(train(small_train_config(seed=5, epochs=2), samples),
+                        tmp_path / f"ckpt{i}.json")
+        blobs.append([(tmp_path / f"ckpt{i}{suffix}").read_bytes() for suffix in (".json", ".bin")])
+    assert widened[0].pixels.dtype == np.float64
+    assert blobs[0] == blobs[1]
 
 
 def test_dataset_smaller_than_batch_rejected(shared_world_samples):
