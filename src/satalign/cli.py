@@ -22,6 +22,7 @@ import sys
 import threading
 import time
 import traceback
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,13 @@ def _finite_positive(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type for a --seed, which must be >= 0."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
 
@@ -127,7 +135,7 @@ def hash_path(path: str | Path, hashes: _InputHashes | None = None) -> str:
 
 
 def _write_manifest(command: str, config: dict, seed: int | None,
-                    hashes: _InputHashes, outputs: list[Path], started: float) -> None:
+                    hashes: _InputHashes, outputs: tuple[Path, ...], started: float) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -166,6 +174,26 @@ def _atomic(out: Path, build) -> None:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+@dataclasses.dataclass(frozen=True)
+class _Run:
+    """What a command computed: the manifest's `config` and `seed`, the
+    `stdout` text, and the `outputs` that `build(tmp)` writes, anchored at
+    `outputs[0]`; `status` is the exit code."""
+    config: dict
+    seed: int | None
+    stdout: str
+    outputs: tuple[Path, ...] = ()
+    build: Callable[[Path], None] | None = None
+    status: int = 0
+
+
+def _text_output(out: str | None, text: str) -> dict:
+    """The `_Run` outputs and build of an optional --out file holding `text`."""
+    if not out:
+        return {}
+    return {"outputs": (Path(out),), "build": lambda tmp: tmp.write_text(text + "\n")}
+
+
 def _config_from_file(path: str | None, cls, **fixed):
     """The validated `cls` config from the JSON object in `path` ({} without
     a file), with the `fixed` fields set. A field of the wrong type, an
@@ -186,20 +214,17 @@ def _config_from_file(path: str | None, cls, **fixed):
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_synth(args, hashes: _InputHashes) -> int:
-    started = time.monotonic()
+def _cmd_synth(args) -> _Run:
     config = _config_from_file(args.config, SyntheticWorldConfig, seed=args.seed)
     world = generate_synthetic_world(config)
     dataset = dataset_from_world(world)
     out = Path(args.out)
-    hashes.join()  # each command hashes its inputs before writing an output
-    _atomic(out, lambda tmp: save_dataset(tmp, dataset))
-    _write_manifest("synth", dataclasses.asdict(config), args.seed, hashes, [out], started)
-    print(json.dumps({"out": str(out), "tiles": len(world.tiles),
-                      "observations": len(world.observations),
-                      "species": config.n_species, "habitats": config.n_habitats},
-                     sort_keys=True))
-    return 0
+    stdout = json.dumps({"out": str(out), "tiles": len(world.tiles),
+                         "observations": len(world.observations),
+                         "species": config.n_species, "habitats": config.n_habitats},
+                        sort_keys=True)
+    return _Run(dataclasses.asdict(config), args.seed, stdout, (out,),
+                lambda tmp: save_dataset(tmp, dataset))
 
 
 def _train_config(args) -> TrainConfig:
@@ -213,8 +238,7 @@ def _train_config(args) -> TrainConfig:
     return config
 
 
-def _cmd_train(args, hashes: _InputHashes) -> int:
-    started = time.monotonic()
+def _cmd_train(args) -> _Run:
     config = _train_config(args)
     dataset = ingest_dataset(args.data)
     channels = dataset.raster.channels
@@ -228,13 +252,11 @@ def _cmd_train(args, hashes: _InputHashes) -> int:
          f"({sum(paired.skips.values())} observations skipped{reasons})")
     ckpt = train(config, paired.samples)
     out = pair_paths(args.out)
-    hashes.join()
-    _atomic(out[0], lambda tmp: save_checkpoint(ckpt, tmp))
-    _write_manifest("train", config_to_dict(config), config.seed, hashes, list(out), started)
-    print(json.dumps({"ckpt": str(out[0]), "epochs": ckpt.epoch,
-                      "steps": len(ckpt.step_losses),
-                      "final_epoch_loss": ckpt.epoch_losses[-1]}, sort_keys=True))
-    return 0
+    stdout = json.dumps({"ckpt": str(out[0]), "epochs": ckpt.epoch,
+                         "steps": len(ckpt.step_losses),
+                         "final_epoch_loss": ckpt.epoch_losses[-1]}, sort_keys=True)
+    return _Run(config_to_dict(config), config.seed, stdout, out,
+                lambda tmp: save_checkpoint(ckpt, tmp))
 
 
 def _gradcheck_setup(seed: int):
@@ -262,29 +284,21 @@ def _gradcheck_setup(seed: int):
     return tape
 
 
-def _cmd_gradcheck(args, hashes: _InputHashes) -> int:
-    started = time.monotonic()
+def _cmd_gradcheck(args) -> _Run:
     tape = _gradcheck_setup(args.seed)
     report = finite_diff_check(tape, tolerance=args.tolerance)
-    lines = [f"max_rel_err\t{report.max_rel_err!r}",
-             f"checked\t{report.checked}",
-             f"status\t{'PASS' if report.passed else 'FAIL'}"]
-    print("\n".join(lines))
+    stdout = (f"max_rel_err\t{report.max_rel_err!r}\n"
+              f"checked\t{report.checked}\n"
+              f"status\t{'PASS' if report.passed else 'FAIL'}")
     if not report.passed and report.worst is not None:
         leaf, coord = report.worst
         crossing = "crosses" if report.crosses_relu_kink else "does not cross"
         _log(f"gradcheck worst coordinate: {leaf}[{coord}] "
              f"rel_err={report.max_rel_err:.3e}; its +-step {crossing} a relu kink")
-    outputs = []
-    if args.out:
-        out = Path(args.out)
-        text = json.dumps({"max_rel_err": report.max_rel_err, "checked": report.checked,
-                           "passed": report.passed}, sort_keys=True)
-        _atomic(out, lambda tmp: tmp.write_text(text + "\n"))
-        outputs.append(out)
-    _write_manifest("gradcheck", {"seed": args.seed, "tolerance": args.tolerance},
-                    args.seed, hashes, outputs, started)
-    return 0 if report.passed else 2
+    text = json.dumps({"max_rel_err": report.max_rel_err, "checked": report.checked,
+                       "passed": report.passed}, sort_keys=True)
+    return _Run({"seed": args.seed, "tolerance": args.tolerance}, args.seed, stdout,
+                status=0 if report.passed else 2, **_text_output(args.out, text))
 
 
 def _probe_metrics(dataset, model: Model, task: str, seed: int,
@@ -323,16 +337,13 @@ def _probe_metrics(dataset, model: Model, task: str, seed: int,
         true_sets = [{int(labels[i])} for i in test_idx]
         return {"task": "multilabel", "micro_f1": micro_f1(pred_sets, true_sets)}
 
-    if task == "encounter":
-        targets = tile_species_targets(tiles, dataset.observations, radius)
-        head = fit_linear_probe(None, features[train_idx], targets[train_idx],
-                                "encounter_rate", probe_cfg)
-        rates = head.predict(features[test_idx])
-        observed = [set(np.flatnonzero(targets[i])) for i in test_idx]
-        score, skipped = mean_top_k_accuracy(rates, observed)
-        return {"task": "encounter", "top_k_accuracy": score,
-                "skipped_empty": skipped}
-    raise ValueError(f"unknown task {task!r}")
+    targets = tile_species_targets(tiles, dataset.observations, radius)
+    head = fit_linear_probe(None, features[train_idx], targets[train_idx],
+                            "encounter_rate", probe_cfg)
+    rates = head.predict(features[test_idx])
+    observed = [set(np.flatnonzero(targets[i])) for i in test_idx]
+    score, skipped = mean_top_k_accuracy(rates, observed)
+    return {"task": "encounter", "top_k_accuracy": score, "skipped_empty": skipped}
 
 
 def _dataset_and_model(args):
@@ -348,36 +359,22 @@ def _dataset_and_model(args):
     return dataset, ckpt, model_from_checkpoint(ckpt)
 
 
-def _cmd_probe(args, hashes: _InputHashes) -> int:
-    started = time.monotonic()
+def _cmd_probe(args) -> _Run:
     dataset, ckpt, model = _dataset_and_model(args)
     metrics = _probe_metrics(dataset, model, args.task, args.seed,
                              args.probe_epochs, ckpt.config.matching_radius)
     text = json.dumps(metrics, sort_keys=True, indent=2)
-    print(text)
-    outputs = []
-    if args.out:
-        out = Path(args.out)
-        hashes.join()
-        _atomic(out, lambda tmp: tmp.write_text(text + "\n"))
-        outputs.append(out)
-    _write_manifest("probe", {"task": args.task, "seed": args.seed,
-                              "probe_epochs": args.probe_epochs},
-                    args.seed, hashes, outputs, started)
-    return 0
+    return _Run({"task": args.task, "seed": args.seed, "probe_epochs": args.probe_epochs},
+                args.seed, text, **_text_output(args.out, text))
 
 
-def _cmd_index(args, hashes: _InputHashes) -> int:
-    started = time.monotonic()
+def _cmd_index(args) -> _Run:
     dataset, _, model = _dataset_and_model(args)
     index = build_index(model, dataset.tiles)
     out = pair_paths(args.out)
-    hashes.join()
-    _atomic(out[0], lambda tmp: save_index(index, tmp))
-    _write_manifest("index", {"tiles": index.n}, None, hashes, list(out), started)
-    print(json.dumps({"index": str(out[0]), "tiles": index.n, "dim": index.d},
-                     sort_keys=True))
-    return 0
+    stdout = json.dumps({"index": str(out[0]), "tiles": index.n, "dim": index.d},
+                        sort_keys=True)
+    return _Run({"tiles": index.n}, None, stdout, out, lambda tmp: save_index(index, tmp))
 
 
 def _query_file(source: str) -> Path | None:
@@ -417,8 +414,7 @@ def _read_query(source: str) -> np.ndarray:
     return query
 
 
-def _cmd_retrieve(args, hashes: _InputHashes) -> int:
-    started = time.monotonic()
+def _cmd_retrieve(args) -> _Run:
     index = load_index(args.index)
     query = _read_query(args.query)
     query_file = _query_file(args.query)
@@ -428,14 +424,11 @@ def _cmd_retrieve(args, hashes: _InputHashes) -> int:
     except RowNormError as e:
         raise ValueError(f"{query_file or 'inline query'}: query has a "
                          f"{e.problem} norm") from None
-    for tile_id, cosine in results:
-        print(f"{tile_id}\t{cosine!r}")
-    _write_manifest("retrieve", {"k": args.k}, None, hashes, [], started)
-    return 0
+    stdout = "\n".join(f"{tile_id}\t{cosine!r}" for tile_id, cosine in results)
+    return _Run({"k": args.k}, None, stdout)
 
 
-def _cmd_zeroshot(args, hashes: _InputHashes) -> int:
-    started = time.monotonic()
+def _cmd_zeroshot(args) -> _Run:
     dataset, _, model = _dataset_and_model(args)
     if args.classes:
         classes = _read_query(args.classes)
@@ -451,37 +444,34 @@ def _cmd_zeroshot(args, hashes: _InputHashes) -> int:
         classes = dataset.truth.text_prototypes
         labels = [dataset.truth.tile_habitats[t.tile_id] for t in dataset.tiles]
     preds = zero_shot_classify(model, dataset.tiles, classes)
-    lines = [f"{tile.tile_id}\t{chosen}" for tile, chosen in zip(dataset.tiles, preds)]
-    print("\n".join(lines))
-    if labels is not None:
-        print(f"accuracy\t{accuracy(preds, labels)!r}")
-    outputs = []
-    if args.out:
-        out = Path(args.out)
-        hashes.join()
-        _atomic(out, lambda tmp: tmp.write_text("\n".join(lines) + "\n"))
-        outputs.append(out)
-    _write_manifest("zeroshot", {"classes": int(classes.shape[0])}, None,
-                    hashes, outputs, started)
-    return 0
+    text = "\n".join(f"{tile.tile_id}\t{chosen}" for tile, chosen in zip(dataset.tiles, preds))
+    stdout = text if labels is None else f"{text}\naccuracy\t{accuracy(preds, labels)!r}"
+    return _Run({"classes": int(classes.shape[0])}, None, stdout,
+                **_text_output(args.out, text))
 
 
-def _read_json_list(path: str, nested: bool) -> list:
-    """A JSON list of numbers, or of number lists when `nested`, from `path`."""
+def _read_json_list(path: str, nested: bool, ids: bool = True) -> list:
+    """A non-empty JSON list from `path` of class ids (JSON integers >= 0), or
+    of numbers without `ids`; of lists of them when `nested`. A bad entry is
+    named by its position."""
     obj = read_json(path)
-    rows = obj if nested else [obj]
-    if not (isinstance(obj, list) and all(
-            isinstance(row, list) and all(isinstance(v, (int, float)) for v in row)
-            for row in rows)):
-        raise ValueError(f"{path}: expected a JSON list of "
-                         f"{'number lists' if nested else 'numbers'}")
+    if not (isinstance(obj, list) and obj):
+        raise ValueError(f"{path}: expected a non-empty JSON list")
+    what = "a class id (an integer >= 0)" if ids else "a number"
+    for i, row in enumerate(obj if nested else [obj]):
+        if not isinstance(row, list):
+            raise ValueError(f"{path}: entry [{i}]: expected a list, got {row!r}")
+        for j, v in enumerate(row):
+            ok = isinstance(v, int) and v >= 0 if ids else isinstance(v, (int, float))
+            if isinstance(v, bool) or not ok:
+                where = f"[{i}][{j}]" if nested else f"[{j}]"
+                raise ValueError(f"{path}: entry {where}: expected {what}, got {v!r}")
     return obj
 
 
-def _cmd_eval_metrics(args, hashes: _InputHashes) -> int:
-    started = time.monotonic()
+def _cmd_eval_metrics(args) -> _Run:
     nested = args.task != "cls"
-    preds = _read_json_list(args.preds, nested)
+    preds = _read_json_list(args.preds, nested, ids=args.task != "encounter")
     labels = _read_json_list(args.labels, nested)
     if args.task == "cls":
         k = max(max(preds), max(labels)) + 1
@@ -490,78 +480,82 @@ def _cmd_eval_metrics(args, hashes: _InputHashes) -> int:
     elif args.task == "multilabel":
         metrics = {"micro_f1": micro_f1([set(p) for p in preds],
                                         [set(t) for t in labels])}
-    elif args.task == "encounter":
+    else:
         score, skipped = mean_top_k_accuracy([np.asarray(r) for r in preds],
                                              [set(t) for t in labels])
         metrics = {"top_k_accuracy": score, "skipped_empty": skipped}
-    else:
-        raise ValueError(f"unknown task {args.task!r}")
-    print(json.dumps(metrics, sort_keys=True))
-    _write_manifest("eval-metrics", {"task": args.task}, None, hashes, [], started)
-    return 0
+    return _Run({"task": args.task}, None, json.dumps(metrics, sort_keys=True))
 
 
 # -- argument grammar -----------------------------------------------------------
 
 
-def _optional(*paths) -> list[Path]:
-    """The paths, in order, of the optional flags that are set."""
-    return [Path(p) for p in paths if p]
+def _inputs(args) -> list[Path]:
+    """The input paths a command's manifest hashes: every input flag that is
+    set, in one fixed order. A checkpoint or an index is its `.json` header,
+    and a query counts only when it names a file."""
+    paths = []
+    for flag in ("data", "index", "query", "ckpt", "classes", "config", "preds", "labels"):
+        value = getattr(args, flag, None)
+        if value and flag in ("index", "ckpt"):
+            value = pair_paths(value)[0]
+        elif value and flag == "query":
+            value = _query_file(value)
+        if value:
+            paths.append(Path(value))
+    return paths
 
 
 def build_parser() -> _Parser:
-    """The grammar; each subcommand sets `handler`, and `inputs`, its flags'
-    input paths, which its manifest hashes."""
+    """The grammar; each subcommand sets `handler`, which computes a `_Run`."""
     parser = _Parser(prog="satalign", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--config", help="JSON file with synthetic-world fields")
-    p.set_defaults(handler=_cmd_synth, inputs=lambda a: _optional(a.config))
+    p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("train", help="train an encoder on a dataset directory")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="checkpoint path (.json)")
     p.add_argument("--config", help="JSON file with training-config fields")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--peft", choices=["full", "scale_shift"])
     p.add_argument("--freeze-location", action="store_true")
-    p.set_defaults(handler=_cmd_train, inputs=lambda a: [Path(a.data)] + _optional(a.config))
+    p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full loss")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tolerance", type=_finite_positive, default=1e-4)
     p.add_argument("--out", help="optional JSON report path")
-    p.set_defaults(handler=_cmd_gradcheck, inputs=lambda a: [])
+    p.set_defaults(handler=_cmd_gradcheck)
 
     p = sub.add_parser("probe", help="linear-probe a frozen checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--task", choices=["cls", "multilabel", "encounter"], default="cls")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--probe-epochs", dest="probe_epochs", type=int, default=200)
     p.add_argument("--out", help="optional metrics JSON path")
-    p.set_defaults(handler=_cmd_probe, inputs=lambda a: [Path(a.data), pair_paths(a.ckpt)[0]])
+    p.set_defaults(handler=_cmd_probe)
 
     p = sub.add_parser("index", help="build a retrieval index over dataset tiles")
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True, help="index path prefix or .json")
-    p.set_defaults(handler=_cmd_index, inputs=lambda a: [Path(a.data), pair_paths(a.ckpt)[0]])
+    p.set_defaults(handler=_cmd_index)
 
     p = sub.add_parser("retrieve", help="top-k cosine retrieval against an index")
     p.add_argument("--index", required=True, help="index path prefix")
     p.add_argument("--query", required=True, help="float32 .bin or .csv vector")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--ckpt", help="checkpoint for projecting raw text queries")
-    p.set_defaults(handler=_cmd_retrieve,
-                   inputs=lambda a: [pair_paths(a.index)[0]] + _optional(
-                       _query_file(a.query), a.ckpt and pair_paths(a.ckpt)[0]))
+    p.set_defaults(handler=_cmd_retrieve)
 
     p = sub.add_parser("zeroshot", help="classify tiles against class text embeddings")
     p.add_argument("--data", required=True)
@@ -569,14 +563,13 @@ def build_parser() -> _Parser:
     p.add_argument("--classes", help="float32 .bin of class embeddings "
                                      "(default: ground-truth text prototypes)")
     p.add_argument("--out", help="optional TSV output path")
-    p.set_defaults(handler=_cmd_zeroshot,
-                   inputs=lambda a: [Path(a.data), pair_paths(a.ckpt)[0]] + _optional(a.classes))
+    p.set_defaults(handler=_cmd_zeroshot)
 
     p = sub.add_parser("eval-metrics", help="compute metrics from prediction files")
     p.add_argument("--task", choices=["cls", "multilabel", "encounter"], required=True)
     p.add_argument("--preds", required=True, help="JSON predictions")
     p.add_argument("--labels", required=True, help="JSON labels")
-    p.set_defaults(handler=_cmd_eval_metrics, inputs=lambda a: [Path(a.preds), Path(a.labels)])
+    p.set_defaults(handler=_cmd_eval_metrics)
     return parser
 
 
@@ -584,17 +577,25 @@ _parser = functools.cache(build_parser)  # parsing leaves the parser as it was
 
 
 def dispatch(argv=None) -> int:
-    """Run one subcommand. Exit codes: 0 success; 1 bad flags or inputs (a
-    ValueError, which includes malformed JSON, or a missing file); 2 anything
-    else, which is a bug or a runtime failure, and a failed gradcheck.
-    The command's input hashing has ended when this returns."""
+    """Run one subcommand: the handler computes, then its output is written,
+    its stdout printed and its manifest recorded. Exit codes: 0 success; 1 bad
+    flags or inputs (a ValueError, which includes malformed JSON, or a missing
+    file); 2 anything else, which is a bug or a runtime failure, and a failed
+    gradcheck. The command's input hashing has ended when this returns."""
     try:
         args = _parser().parse_args(argv)
     except UsageError:
         return 1
-    hashes = _InputHashes(args.inputs(args))
+    hashes = _InputHashes(_inputs(args))
+    started = time.monotonic()
     try:
-        return args.handler(args, hashes)
+        run = args.handler(args)
+        hashes.join()  # the inputs are hashed as found, before an output lands in one
+        if run.outputs:
+            _atomic(run.outputs[0], run.build)
+        print(run.stdout)
+        _write_manifest(args.command, run.config, run.seed, hashes, run.outputs, started)
+        return run.status
     except (ValueError, FileNotFoundError) as e:
         _log(f"error: {e}")
         return 1

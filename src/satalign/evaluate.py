@@ -155,13 +155,16 @@ def accuracy(preds, labels) -> float:
 
 
 def confusion_matrix(preds, labels, n_classes: int) -> np.ndarray:
-    """Counts indexed [true, predicted]."""
+    """Counts indexed [true, predicted]; every id must be in [0, n_classes)."""
     preds = np.asarray(preds, dtype=int)
     labels = np.asarray(labels, dtype=int)
     if preds.shape != labels.shape:
         raise ValueError("prediction/label length mismatch")
     out = np.zeros((n_classes, n_classes), dtype=int)
     for t, p in zip(labels, preds):
+        if not (0 <= t < n_classes and 0 <= p < n_classes):
+            raise ValueError(f"class ids must be in [0, {n_classes}), got label {t}, "
+                             f"prediction {p}")
         out[t, p] += 1
     return out
 

@@ -57,6 +57,8 @@ class TrainConfig:
                      "image_weight", "text_weight", "location_weight"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be >= 1")
         if self.lr <= 0 or self.temperature <= 0:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -15,10 +16,12 @@ import pytest
 
 import satalign.cli as cli
 from satalign.cli import dispatch, hash_path
+from satalign.dataio import pair_paths
 from satalign.evaluate import INDEX_SLAB_ROWS, RetrievalIndex, save_index
 from satalign.geodata import MAX_RADIUS
+from satalign.synthworld import SyntheticWorldConfig
 from satalign.tape import Tape, l2_normalize_rows
-from satalign.training import load_checkpoint, model_from_checkpoint
+from satalign.training import TrainConfig, config_to_dict, load_checkpoint, model_from_checkpoint
 
 SYNTH_CFG = {"n_species": 6, "n_habitats": 3, "raster_rows": 12, "raster_cols": 12,
              "tiles_per_habitat": 6, "n_observations": 80, "d_txt": 12,
@@ -382,6 +385,21 @@ def test_gradcheck_tolerance_must_be_finite_and_positive(capsys, tolerance):
     assert f"argument --tolerance: must be finite and > 0, got '{tolerance}'" in captured.err
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "gradcheck", "probe"])
+def test_negative_seed_exits_1_naming_the_flag(workspace, tmp_path, capsys, command):
+    world, ckpt = str(workspace / "world"), str(workspace / "run" / "ckpt.json")
+    argv = {"synth": ["synth", "--out", str(tmp_path / "world")],
+            "train": ["train", "--data", world, "--out", str(tmp_path / "ckpt")],
+            "gradcheck": ["gradcheck", "--out", str(tmp_path / "report.json")],
+            "probe": ["probe", "--data", world, "--ckpt", ckpt,
+                      "--out", str(tmp_path / "metrics.json")]}[command]
+    assert dispatch(argv + ["--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{command}: error: argument --seed: must be >= 0, got '-1'" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flags, config, field", [
     (["--lr", "nan"], None, "lr"),
     (["--lr", "inf"], None, "lr"),
@@ -617,9 +635,62 @@ def test_failed_save_leaves_outputs_untouched(workspace, tmp_path, monkeypatch, 
         monkeypatch.setattr(pathlib.Path, "write_text", partial_write_text)
     before = {p.name: hash_path(p) for p in out.iterdir()}
     assert dispatch(argv) == 1
-    assert "simulated failure while saving" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # a command prints only once its outputs exist
+    assert "simulated failure while saving" in captured.err
     after = {p.name: hash_path(p) for p in out.iterdir()}
     assert after == before
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "index", "probe", "zeroshot",
+                                     "gradcheck", "retrieve", "eval-metrics"])
+def test_each_command_records_its_run_in_one_manifest(workspace, tmp_path, capsys, command):
+    # the manifest lands beside the first output, or on stderr without one
+    world, prefix = workspace / "world", workspace / "run" / "ckpt"
+    ckpt, header = str(prefix), pair_paths(prefix)[0]
+    synth_cfg, train_cfg = workspace / "synth.json", workspace / "train.json"
+    query, classes = tmp_path / "q.bin", tmp_path / "classes.bin"
+    np.linspace(-1, 1, 12).astype("<f4").tofile(query)
+    np.linspace(-1, 1, 36).astype("<f4").tofile(classes)
+    save_index(RetrievalIndex(tile_ids=[0, 1, 2], matrix=np.eye(3, 12)), tmp_path / "idx")
+    preds, labels = tmp_path / "p.json", tmp_path / "l.json"
+    preds.write_text("[0, 1]")
+    labels.write_text("[1, 1]")
+    out = tmp_path / "out"
+    # argv, seed, config keys, inputs, outputs
+    argv, seed, config, inputs, outputs = {
+        "synth": (["synth", "--out", str(out), "--seed", "4", "--config", str(synth_cfg)],
+                  4, set(dataclasses.asdict(SyntheticWorldConfig())), [synth_cfg], [out]),
+        "train": (["train", "--data", str(world), "--config", str(train_cfg), "--epochs", "1",
+                   "--seed", "5", "--out", str(out)], 5, set(config_to_dict(TrainConfig())),
+                  [world, train_cfg], list(pair_paths(out))),
+        "index": (["index", "--data", str(world), "--ckpt", ckpt, "--out", str(out)], None,
+                  {"tiles"}, [world, header], list(pair_paths(out))),
+        "probe": (["probe", "--data", str(world), "--ckpt", ckpt, "--probe-epochs", "5",
+                   "--seed", "2", "--out", str(out)], 2, {"task", "seed", "probe_epochs"},
+                  [world, header], [out]),
+        "zeroshot": (["zeroshot", "--data", str(world), "--ckpt", ckpt, "--classes",
+                      str(classes), "--out", str(out)], None, {"classes"},
+                     [world, header, classes], [out]),
+        "gradcheck": (["gradcheck", "--seed", "3", "--out", str(out)], 3,
+                      {"seed", "tolerance"}, [], [out]),
+        "retrieve": (["retrieve", "--index", str(tmp_path / "idx"), "--query", str(query),
+                      "--ckpt", ckpt], None, {"k"},
+                     [tmp_path / "idx.json", query, header], []),
+        "eval-metrics": (["eval-metrics", "--task", "cls", "--preds", str(preds),
+                          "--labels", str(labels)], None, {"task"}, [preds, labels], []),
+    }[command]
+    assert dispatch(argv) == 0
+    err = capsys.readouterr().err
+    if outputs:
+        assert '"command"' not in err
+        manifest = json.loads(pathlib.Path(f"{outputs[0]}.manifest.json").read_text())
+    else:
+        manifest = json.loads(err)
+    assert (manifest["command"], manifest["seed"]) == (command, seed)
+    assert set(manifest["config"]) == config
+    assert sorted(manifest["inputs"]) == sorted(map(str, inputs))
+    assert manifest["outputs"] == [str(p) for p in outputs]
 
 
 # -- exit codes: 1 for bad input, 2 for a bug ------------------------------------
@@ -755,6 +826,7 @@ _BAD_CONFIGS = [
     ("synth", {"tile_size": 16.0}, "field 'tile_size' must be an integer, got 16.0"),
     ("synth", {"tiles_per_habitat": True},
      "field 'tiles_per_habitat' must be an integer, got True"),
+    ("train", {"seed": -1}, "seed must be >= 0, got -1"),
 ]
 
 
@@ -799,14 +871,35 @@ def test_checkpoint_config_of_the_wrong_type_exits_1_naming_file_and_field(
     assert captured.err == f"error: {header_path}: malformed config ({says})\n"
 
 
-@pytest.mark.parametrize("task,preds", [("cls", '{"a": 1}'), ("cls", "[[0], [1]]"),
-                                        ("multilabel", "[1, 2]"), ("encounter", '[["x"]]')])
-def test_eval_metrics_malformed_predictions_exit_1(tmp_path, capsys, task, preds):
+_CLASS_ID = "expected a class id (an integer >= 0), got"
+_BAD_METRIC_FILES = [
+    ("cls", '{"a": 1}', None, "p.json: expected a non-empty JSON list"),
+    ("cls", "[[0], [1]]", None, f"p.json: entry [0]: {_CLASS_ID} [0]"),
+    ("multilabel", "[1, 2]", None, "p.json: entry [0]: expected a list, got 1"),
+    ("encounter", '[["x"]]', None, "p.json: entry [0][0]: expected a number, got 'x'"),
+    # class ids that once wrapped (-1 as the last class), were truncated
+    # (0.7 as class 0) or counted as a class (true as class 1)
+    ("cls", "[-1, 1]", None, f"p.json: entry [0]: {_CLASS_ID} -1"),
+    ("cls", "[0.7, 1]", None, f"p.json: entry [0]: {_CLASS_ID} 0.7"),
+    ("cls", "[0, true]", None, f"p.json: entry [1]: {_CLASS_ID} True"),
+    ("cls", "[]", None, "p.json: expected a non-empty JSON list"),
+    ("cls", "[0, 1]", "[0, -1]", f"l.json: entry [1]: {_CLASS_ID} -1"),
+    ("multilabel", "[[0], [1, -2]]", None, f"p.json: entry [1][1]: {_CLASS_ID} -2"),
+    ("encounter", "[[0.5], [true]]", None, "p.json: entry [1][0]: expected a number, got True"),
+    ("encounter", "[[0.5], [0.1]]", "[[0], [1.0]]", f"l.json: entry [1][0]: {_CLASS_ID} 1.0"),
+]
+
+
+@pytest.mark.parametrize("task, preds, labels, says", _BAD_METRIC_FILES, ids=[
+    "-".join(filter(None, case[:3])) for case in _BAD_METRIC_FILES])
+def test_eval_metrics_malformed_predictions_exit_1(tmp_path, capsys, task, preds, labels, says):
     (tmp_path / "p.json").write_text(preds)
-    (tmp_path / "l.json").write_text("[[0], [1]]" if task != "cls" else "[0, 1]")
+    (tmp_path / "l.json").write_text(labels or ("[[0], [1]]" if task != "cls" else "[0, 1]"))
     assert dispatch(["eval-metrics", "--task", task, "--preds", str(tmp_path / "p.json"),
                      "--labels", str(tmp_path / "l.json")]) == 1
-    assert str(tmp_path / "p.json") in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / says}\n"
 
 
 @pytest.mark.parametrize("kind", ["config", "checkpoint", "index", "preds"])

@@ -42,6 +42,14 @@ class TestAccuracy:
         assert mat[1, 1] == 2  # two correct class-1 predictions
         assert mat[0, 0] == 1 and mat[2, 2] == 1
 
+    @pytest.mark.parametrize("preds, labels, says", [
+        ([-1, 1], [0, 1], "got label 0, prediction -1"),  # would wrap to class 1
+        ([0, 1], [0, 3], "got label 3, prediction 1"),
+    ])
+    def test_confusion_matrix_rejects_ids_outside_the_classes(self, preds, labels, says):
+        with pytest.raises(ValueError, match=rf"class ids must be in \[0, 3\), {says}"):
+            confusion_matrix(preds, labels, 3)
+
     def test_exhaustive_small_cases_match_brute_force(self):
         for preds in itertools.product(range(3), repeat=4):
             for labels in itertools.product(range(3), repeat=4):
