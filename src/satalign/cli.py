@@ -452,17 +452,18 @@ def _cmd_zeroshot(args) -> _Run:
 
 def _read_json_list(path: str, nested: bool, ids: bool = True) -> list:
     """A non-empty JSON list from `path` of class ids (JSON integers >= 0), or
-    of numbers without `ids`; of lists of them when `nested`. A bad entry is
-    named by its position."""
+    of finite numbers without `ids`; of lists of them when `nested`. A bad
+    entry is named by its position."""
     obj = read_json(path)
     if not (isinstance(obj, list) and obj):
         raise ValueError(f"{path}: expected a non-empty JSON list")
-    what = "a class id (an integer >= 0)" if ids else "a number"
+    what = "a class id (an integer >= 0)" if ids else "a finite number"
     for i, row in enumerate(obj if nested else [obj]):
         if not isinstance(row, list):
             raise ValueError(f"{path}: entry [{i}]: expected a list, got {row!r}")
         for j, v in enumerate(row):
-            ok = isinstance(v, int) and v >= 0 if ids else isinstance(v, (int, float))
+            ok = (isinstance(v, int) and v >= 0 if ids
+                  else isinstance(v, (int, float)) and abs(v) <= sys.float_info.max)
             if isinstance(v, bool) or not ok:
                 where = f"[{i}][{j}]" if nested else f"[{j}]"
                 raise ValueError(f"{path}: entry {where}: expected {what}, got {v!r}")
@@ -473,6 +474,9 @@ def _cmd_eval_metrics(args) -> _Run:
     nested = args.task != "cls"
     preds = _read_json_list(args.preds, nested, ids=args.task != "encounter")
     labels = _read_json_list(args.labels, nested)
+    if len(preds) != len(labels):
+        raise ValueError(f"{args.preds} and {args.labels} differ in length "
+                         f"({len(preds)} vs {len(labels)})")
     if args.task == "cls":
         k = max(max(preds), max(labels)) + 1
         metrics = {"accuracy": accuracy(preds, labels),

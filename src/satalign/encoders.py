@@ -20,7 +20,7 @@ import numpy as np
 
 from .geodata import COVARIATE_CHANNELS
 from .optim import ParameterStore
-from .tape import Node, Tape, l2_normalize_rows
+from .tape import Node, Tape, conv_gemm, conv_size, l2_normalize_rows
 
 PEFT_MODES = ("full", "scale_shift")
 
@@ -57,10 +57,13 @@ class ImageEncoderConfig:
             raise ValueError("conv stage widths must be positive")
         size = self.in_size
         for _ in self.widths:
-            size = (size + 2 * self.padding - self.kernel) // max(self.stride, 1) + 1
+            size = conv_size(size, self.kernel, max(self.stride, 1), self.padding)
         if self.kernel < 1 or self.stride < 1 or self.padding < 0 or size < 1:
             raise ValueError(f"conv kernel {self.kernel}, stride {self.stride} and padding "
                              f"{self.padding} leave no output for {self.in_size} px tiles")
+        if self.padding >= self.kernel:  # a window could lie wholly inside the zero border
+            raise ValueError(f"conv padding {self.padding} must be smaller than the kernel "
+                             f"{self.kernel}")
         if not 0 < self.norm_eps < math.inf:
             raise ValueError(f"norm_eps must be finite and > 0, got {self.norm_eps!r}")
         if not 0 <= self.norm_momentum <= 1:
@@ -188,13 +191,14 @@ class Model:
         arrays; a list is stacked, and a float32 array (or float32 tiles, as
         ingest reads them) widened to float64, one sub-slice at a time, never
         copied whole. The compute is float64 either way.
-        No tape is recorded: the tape's per-tile conv GEMMs, the norm with the
-        running statistics and relu run on sub-slices of ENCODE_CHUNK // w
-        tiles on w = min(ENCODE_WORKERS, usable CPUs, sub-slices) workers, the
-        caller one of them. Each worker claims the next sub-slice and writes
-        only through `out=`: into buffers the caller allocated before any
-        worker started, for min(n, ENCODE_CHUNK) tiles in all, and into its
-        own pooled rows. Numpy and BLAS release the GIL inside each copy, GEMM
+        No tape is recorded: each stage runs the tape's conv kernel, conv_gemm
+        (one GEMM per tile), then the norm with the running statistics and
+        relu, on sub-slices of ENCODE_CHUNK // w tiles on w = min(ENCODE_WORKERS,
+        usable CPUs, sub-slices) workers, the caller one of them. Each worker
+        claims the next sub-slice and writes only through `out=`: into pad,
+        column and output buffers the caller allocated before any worker
+        started, for min(n, ENCODE_CHUNK) tiles in all, and into its own
+        pooled rows. Numpy and BLAS release the GIL inside each copy, GEMM
         and ufunc. No tile's arithmetic reads another tile, so the bits depend
         on neither the split nor w: they equal one whole-batch plain-numpy
         forward, `reference_image_features` in tests/test_encoders.py.
@@ -227,23 +231,19 @@ class Model:
         workers = max(1, min(workers, -(-n // step)))
 
         def buffers(m):  # a worker's stages for sub-slices of m tiles, and a finite mask
-            # per stage: padded input, its patches (a strided view), patch
-            # columns, kernel matrix, output, the norm's mean, inv, gamma, beta
+            # per stage: conv_gemm's padded input, patch columns and output,
+            # the kernel, and the norm's mean, inv, gamma, beta
             stages, size = [], img.in_size
             for i, (c, f) in enumerate(zip((img.in_channels, *img.widths), img.widths), start=1):
-                o = (size + 2 * p - k) // s + 1
-                pad = np.zeros((m, c, size + 2 * p, size + 2 * p))
-                sn, sc, sh, sw = pad.strides
+                o = conv_size(size, k, s, p)
                 norm = (self.stats[f"img.norm{i}.mean"],
                         1.0 / np.sqrt(self.stats[f"img.norm{i}.var"] + img.norm_eps),
                         self.params.get(f"img.norm{i}.gamma"),
                         self.params.get(f"img.norm{i}.beta"))
-                stages.append((pad, np.ndarray((m, c, k, k, o, o), pad.dtype, pad, 0,
-                                               (sn, sc, sh, sw, s * sh, s * sw)),
-                               np.empty((m, c * k * k, o * o)),
-                               self.params.get(f"img.conv{i}.kernel").reshape(1, f, c * k * k),
-                               np.empty((m, f, o * o)),
-                               [v[:, None] for v in norm]))
+                stages.append((np.zeros((m, c, size + 2 * p, size + 2 * p)),
+                               np.empty((m, c, k, k, o, o)), np.empty((m, f, o, o)),
+                               self.params.get(f"img.conv{i}.kernel"),
+                               [v[:, None, None] for v in norm]))
                 size = o
             return stages, np.empty(stages[0][0].shape, dtype=bool)
 
@@ -265,16 +265,17 @@ class Model:
                              out=x[:, :, p:p + img.in_size, p:p + img.in_size])
                     if not np.isfinite(x, out=finite[:b]).all():
                         raise ValueError("non-finite values in leaf 'pixels'")
-                    for i, (_, patches, cols, kernel, out, norm) in enumerate(stages):
-                        np.copyto(cols[:b].reshape(patches[:b].shape), patches[:b])
-                        h = np.matmul(kernel, cols[:b], out=out[:b])
+                    for i, (pad, cols, out, kernel, norm) in enumerate(stages):
+                        h = conv_gemm(pad[:b], kernel, s, cols[:b], out[:b])
                         # (h - mean) * inv * gamma + beta, in that order
                         for op, v in zip((np.subtract, np.multiply, np.multiply, np.add), norm):
                             op(h, v, out=h)
-                        o = patches.shape[-1]
+                        o = h.shape[-1]
                         relu = stages[i + 1][0][:b, :, p:p + o, p:p + o] if stages[i + 1:] else h
-                        np.maximum(h.reshape(relu.shape), 0.0, out=relu)
-                    np.add.reduce(h, axis=-1, out=pooled[start:start + b])
+                        np.maximum(h, 0.0, out=relu)
+                    # the same expressions as the tape's pool, then its matmul and add
+                    np.add.reduce(h, axis=(-2, -1), out=pooled[start:start + b])
+                    pooled[start:start + b] /= o * o
                 except Exception as e:  # a worker's error is raised on the caller
                     errors.append(e)
                 with lock:
@@ -291,8 +292,6 @@ class Model:
                 thread.join()
         if errors:
             raise errors[0]
-        pooled /= per_worker[0][0][-1][4].shape[-1]  # the last stage's o * o pixels
-        # the same expressions as the tape's pool, matmul and add nodes
         return pooled @ self.params.get("img.fc.weight") + self.params.get("img.fc.bias")
 
     def _project(self, head: str, rows: np.ndarray) -> np.ndarray:

@@ -229,6 +229,8 @@ def top_k_accuracy(rates, observed) -> float:
 def mean_top_k_accuracy(rate_rows, observed_sets) -> tuple[float, int]:
     """Average top-k accuracy over samples; empty-label samples are skipped
     and counted."""
+    if len(rate_rows) != len(observed_sets):
+        raise ValueError("prediction/label length mismatch")
     scores = []
     skipped = 0
     for rates, observed in zip(rate_rows, observed_sets):

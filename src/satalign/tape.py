@@ -13,10 +13,10 @@ shapes, runs each op's arithmetic alone.
 A batched replay runs P replays at once. Each override stacks P copies of its
 leaf on a new leading axis, and the nodes that depend on it carry that axis
 through the same forward kernels that record the tape: matmul runs stacked
-per-matrix GEMMs, conv_block per-sample GEMMs over P*n samples, add and mul
-line a batched operand of lower rank up with its own row, and the reductions
-run over trailing axes. Row p of every value has the bits an unbatched replay
-of row p computes.
+per-matrix GEMMs, conv_block per-tile GEMMs broadcast over the leading axes,
+add and mul line a batched operand of lower rank up with its own row, and the
+reductions run over trailing axes. Row p of every value has the bits an
+unbatched replay of row p computes.
 
 :func:`backward` computes only the gradients some trainable leaf needs: a
 node whose inputs reach no trainable leaf gets no vector-Jacobian product,
@@ -30,7 +30,7 @@ relu, the conv stage (conv_block), global average pooling, row
 L2-normalization, log-sum-exp and sum. Everything runs in float64.
 
 A conv_block is one conv stage as one node: a strided 2-D convolution
-(patch columns times the kernel matrix), per-channel scale-shift
+(:func:`conv_gemm`, which the frozen encoder runs too), per-channel scale-shift
 normalization with the batch's mean and variance, then relu. Its value is
 the relu output; it also keeps the batch (mean, var), which the
 running-statistics update reads, and the normalized activation `xhat`,
@@ -234,40 +234,57 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def conv_size(size: int, kernel: int, stride: int, padding: int = 0) -> int:
+    """Output length of a convolution along one axis of `size` pixels."""
+    return (size + 2 * padding - kernel) // stride + 1
+
+
 def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
+    """x, (..., H, W), inside a border of p zeros."""
     if p == 0:
         return x
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * p, w + 2 * p))
-    out[:, :, p:p + h, p:p + w] = x
+    out = np.zeros((*x.shape[:-2], x.shape[-2] + 2 * p, x.shape[-1] + 2 * p))
+    out[..., p:-p, p:-p] = x
     return out
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int,
             cols: np.ndarray | None = None) -> np.ndarray:
-    """Patch columns of a padded (n, c, H, W) batch, written into `cols`: an
-    (n, c, kh, kw, oh, ow) array or view, by default a new C-ordered one.
+    """Patch columns of a padded (..., c, H, W) batch, written into `cols`: a
+    (..., c, kh, kw, oh, ow) array or view, by default a new C-ordered one.
 
-    One copy from a strided view of `xp` whose entry (b, ch, i, j, y, x) is
-    xp[b, ch, i + stride*y, j + stride*x]. The view is built by the ndarray
+    One copy from a strided view of `xp` whose entry (..., ch, i, j, y, x) is
+    xp[..., ch, i + stride*y, j + stride*x]. The view is built by the ndarray
     constructor, which checks that it stays inside `xp`'s buffer and, unlike
     `as_strided`, makes no Python-level wrapper objects per call.
     """
     xp = np.ascontiguousarray(xp)  # the constructor views a contiguous buffer
-    sn, sc, sh, sw = xp.strides
-    patches = np.ndarray((*xp.shape[:2], kh, kw, oh, ow), xp.dtype, xp, 0,
-                         (sn, sc, sh, sw, stride * sh, stride * sw))
+    patches = np.ndarray((*xp.shape[:-2], kh, kw, oh, ow), xp.dtype, xp, 0,
+                         (*xp.strides, stride * xp.strides[-2], stride * xp.strides[-1]))
     if cols is None:
         return patches.copy()
     np.copyto(cols, patches)
     return cols
 
 
-def _conv_geometry(node: Node, x: np.ndarray, k: np.ndarray):
-    n, c, h, w = x.shape
-    f, _, kh, kw = k.shape
-    s, p = node.attrs["stride"], node.attrs["padding"]
-    return n, c, f, kh, kw, s, p, (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
+def conv_gemm(xp: np.ndarray, kernel: np.ndarray, stride: int, cols: np.ndarray | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """The strided convolution of a zero-padded (..., c, H, W) batch with an
+    (f, c, kh, kw) kernel, or with (P, f, c, kh, kw) stacked kernels that
+    broadcast over the batch's leading axes but the last: (..., f, oh, ow).
+
+    One GEMM per tile, the kernel matrix times the tile's patch columns, so no
+    tile's bits depend on another tile. `cols`, (..., c, kh, kw, oh, ow), and
+    `out`, when given, are C-ordered buffers that take the columns and product.
+    """
+    (*lead, _, height, width), (f, c, kh, kw) = xp.shape, kernel.shape[-4:]
+    oh, ow = conv_size(height, kh, stride), conv_size(width, kw, stride)
+    cols = _im2col(xp, kh, kw, stride, oh, ow, cols)
+    del xp  # a temporary padded input is freed before the product is allocated
+    h = np.matmul(kernel.reshape(*kernel.shape[:-4], 1, f, c * kh * kw),
+                  cols.reshape(*lead, c * kh * kw, oh * ow),
+                  out=None if out is None else out.reshape(*out.shape[:-2], oh * ow))
+    return h.reshape(*h.shape[:-1], oh, ow)
 
 
 def _check_shapes(node: Node, vals: list[np.ndarray]) -> None:
@@ -296,11 +313,10 @@ def _check_shapes(node: Node, vals: list[np.ndarray]) -> None:
         if k.shape[1] != x.shape[1]:
             raise ValueError(f"conv_block at node {node.idx}: kernel expects {k.shape[1]} "
                              f"channels, input has {x.shape[1]}")
-        oh, ow = _conv_geometry(node, x, k)[-2:]
-        if oh < 1 or ow < 1:
+        s, p = node.attrs["stride"], node.attrs["padding"]
+        if min(conv_size(x.shape[i], k.shape[i], s, p) for i in (2, 3)) < 1:
             raise ValueError(f"conv_block at node {node.idx}: kernel {k.shape[2]}x{k.shape[3]} "
-                             f"too large for input {x.shape[2]}x{x.shape[3]} with "
-                             f"padding {node.attrs['padding']}")
+                             f"too large for input {x.shape[2]}x{x.shape[3]} with padding {p}")
         if gamma.shape != (k.shape[0],) or beta.shape != (k.shape[0],):
             raise ValueError(f"conv_block at node {node.idx}: scale/shift must have "
                              f"shape ({k.shape[0]},)")
@@ -356,24 +372,11 @@ def _compute(node: Node, vals: list[np.ndarray], record: bool = False,
         return np.maximum(vals[0], 0.0)
     if op == "conv_block":
         x, k, gamma, beta = vals
-        x_rows, k_rows, gamma_rows, beta_rows = batched or (False,) * 4
-        # (P, n) or (n,) leading axes of the conv output; a batched input runs
-        # as P*n samples
-        lead = (k.shape[:1] if k_rows and not x_rows else ()) + x.shape[:-3]
-        x = x.reshape(-1, *x.shape[-3:])
-        n, c, f, kh, kw, s, p, oh, ow = _conv_geometry(node, x, k[0] if k_rows else k)
-        cols = _im2col(_pad2d(x, p), kh, kw, s, oh, ow).reshape(n, c * kh * kw, oh * ow)
-        if k_rows:
-            kmat = k.reshape(k.shape[0], 1, f, c * kh * kw)
-            if x_rows:
-                cols = cols.reshape(lead[0], -1, c * kh * kw, oh * ow)
-        else:
-            kmat = k.reshape(f, c * kh * kw)[None]
-        h = np.matmul(kmat, cols).reshape(*lead, f, oh, ow)
-        del cols  # freed before the norm allocates xhat
+        gamma_rows, beta_rows = (batched or (False,) * 4)[2:]
+        h = conv_gemm(_pad2d(x, node.attrs["padding"]), k, node.attrs["stride"])
         # per-channel batch statistics over (n, H, W), kept with h's rank;
         # h's buffer holds the square, then the block's value
-        axes, count = (-4, -2, -1), h.shape[-4] * oh * ow
+        axes, count = (-4, -2, -1), h.shape[-4] * h.shape[-2] * h.shape[-1]
         mean = np.add.reduce(h, axis=axes, keepdims=True)
         mean /= count
         xhat = h - mean
@@ -582,7 +585,8 @@ def _vjp(node: Node, g: np.ndarray, tape: Tape,
         g -= xhat * (dgamma / m)[None, :, None, None]
         inv = 1.0 / np.sqrt(node.batch_stats[1] + node.attrs["eps"])
         g *= (gamma * inv)[None, :, None, None]
-        n, c, f, kh, kw, s, p, oh, ow = _conv_geometry(node, x, k)
+        (n, c, _, _), (f, _, kh, kw), (oh, ow) = x.shape, k.shape, xhat.shape[2:]
+        s, p = node.attrs["stride"], node.attrs["padding"]
         # the conv output gradient as (f, n*oh*ow), matching the im2col columns
         g_t = g.reshape(n, f, oh * ow).transpose(1, 0, 2).reshape(f, n * oh * ow)
         dx = dk = None

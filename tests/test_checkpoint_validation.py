@@ -216,6 +216,7 @@ def _swap_mean_and_var(h):  # the blob's means are read as variances, some negat
 @example(edit=_pinned(("config", "model", "image", "in_size"), 14), command="probe")
 @example(edit=_pinned(("config", "model", "image", "d_img"), 10 ** 9), command="retrieve")
 @example(edit=_pinned(("config", "model", "location", "depth"), 2 ** 62), command="probe")
+@example(edit=_pinned(("config", "model", "image", "padding"), 2538), command="probe")
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fuzzed_checkpoint_header_exits_0_or_1_naming_the_file(base, capsys, edit, command):

@@ -876,7 +876,7 @@ _BAD_METRIC_FILES = [
     ("cls", '{"a": 1}', None, "p.json: expected a non-empty JSON list"),
     ("cls", "[[0], [1]]", None, f"p.json: entry [0]: {_CLASS_ID} [0]"),
     ("multilabel", "[1, 2]", None, "p.json: entry [0]: expected a list, got 1"),
-    ("encounter", '[["x"]]', None, "p.json: entry [0][0]: expected a number, got 'x'"),
+    ("encounter", '[["x"]]', None, "p.json: entry [0][0]: expected a finite number, got 'x'"),
     # class ids that once wrapped (-1 as the last class), were truncated
     # (0.7 as class 0) or counted as a class (true as class 1)
     ("cls", "[-1, 1]", None, f"p.json: entry [0]: {_CLASS_ID} -1"),
@@ -885,13 +885,22 @@ _BAD_METRIC_FILES = [
     ("cls", "[]", None, "p.json: expected a non-empty JSON list"),
     ("cls", "[0, 1]", "[0, -1]", f"l.json: entry [1]: {_CLASS_ID} -1"),
     ("multilabel", "[[0], [1, -2]]", None, f"p.json: entry [1][1]: {_CLASS_ID} -2"),
-    ("encounter", "[[0.5], [true]]", None, "p.json: entry [1][0]: expected a number, got True"),
+    ("encounter", "[[0.5], [true]]", None,
+     "p.json: entry [1][0]: expected a finite number, got True"),
+    # rates that once scored: NaN as 0.5, Infinity as 1.0, and an integer too
+    # large for a float64
+    ("encounter", "[[0.5, 0.2], [NaN, 0.1]]", None,
+     "p.json: entry [1][0]: expected a finite number, got nan"),
+    ("encounter", "[[0.5, 0.2], [0.1, Infinity]]", None,
+     "p.json: entry [1][1]: expected a finite number, got inf"),
+    ("encounter", f"[[0.5], [{'9' * 400}]]", None,
+     f"p.json: entry [1][0]: expected a finite number, got {'9' * 400}"),
     ("encounter", "[[0.5], [0.1]]", "[[0], [1.0]]", f"l.json: entry [1][0]: {_CLASS_ID} 1.0"),
 ]
 
 
 @pytest.mark.parametrize("task, preds, labels, says", _BAD_METRIC_FILES, ids=[
-    "-".join(filter(None, case[:3])) for case in _BAD_METRIC_FILES])
+    "-".join(filter(None, case[:3]))[:48] for case in _BAD_METRIC_FILES])
 def test_eval_metrics_malformed_predictions_exit_1(tmp_path, capsys, task, preds, labels, says):
     (tmp_path / "p.json").write_text(preds)
     (tmp_path / "l.json").write_text(labels or ("[[0], [1]]" if task != "cls" else "[0, 1]"))
@@ -900,6 +909,24 @@ def test_eval_metrics_malformed_predictions_exit_1(tmp_path, capsys, task, preds
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {tmp_path / says}\n"
+
+
+@pytest.mark.parametrize("task, preds, labels", [
+    ("cls", "[0]", "[0, 1]"),
+    ("multilabel", "[[0], [1]]", "[[0]]"),
+    ("encounter", "[[0.5, 0.2]]", "[[0], [1]]"),  # once scored 1.0 on the first sample
+    ("encounter", "[[0.5, 0.2], [0.1, 0.3]]", "[[0]]"),
+])
+def test_eval_metrics_length_mismatch_exits_1_naming_both_files(tmp_path, capsys, task, preds,
+                                                                labels):
+    p, l = tmp_path / "p.json", tmp_path / "l.json"
+    p.write_text(preds)
+    l.write_text(labels)
+    assert dispatch(["eval-metrics", "--task", task, "--preds", str(p), "--labels", str(l)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lengths = f"({len(json.loads(preds))} vs {len(json.loads(labels))})"
+    assert captured.err == f"error: {p} and {l} differ in length {lengths}\n"
 
 
 @pytest.mark.parametrize("kind", ["config", "checkpoint", "index", "preds"])

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from satalign import encoders
+from satalign import tape as tape_module
 from satalign.encoders import (ENCODE_CHUNK, ImageEncoderConfig, LocationEncoderConfig, Model,
                                ModelConfig, location_feature_graph, location_input_features,
                                trainable_mask)
 from satalign.optim import AdamState, adam_step
-from satalign.tape import Tape
+from satalign.tape import Tape, _evaluate
 from test_tape import reference_channel_norm, reference_conv2d, reference_global_avg_pool
 
 
@@ -145,6 +146,11 @@ class TestImageEncoder:
             with pytest.raises(ValueError, match="leave no output for 12 px tiles"):
                 ImageEncoderConfig(in_size=12, **geometry)
 
+    def test_conv_padding_as_wide_as_the_kernel_rejected(self):
+        ImageEncoderConfig(in_size=12, kernel=3, padding=2)
+        with pytest.raises(ValueError, match="conv padding 3 must be smaller than the kernel 3"):
+            ImageEncoderConfig(in_size=12, kernel=3, padding=3)
+
     @pytest.mark.parametrize("cap", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, ENCODE_CHUNK, 37, 16 * ENCODE_CHUNK])
     @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
@@ -206,6 +212,41 @@ class TestImageEncoder:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 2 * peaks[0], peaks
+
+
+def test_one_conv_kernel_for_the_tape_its_batched_replay_and_the_frozen_encoder(monkeypatch):
+    """`tape.conv_gemm` is the one conv: image_features calls it once per stage
+    per sub-slice, a conv_block once when recorded and once per batched
+    replay. Each call is logged by the leading axes of its input and kernel."""
+    real, calls = tape_module.conv_gemm, []
+    assert encoders.conv_gemm is real
+
+    def logged(xp, kernel, *args):
+        calls.append((xp.shape[:-3], kernel.shape[:-4]))
+        return real(xp, kernel, *args)
+
+    for module in (tape_module, encoders):
+        monkeypatch.setattr(module, "conv_gemm", logged)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    model = Model.initialize(tiny_config(), seed=0)
+    model.image_features(np.zeros((37, 3, 16, 16)))
+    step = ENCODE_CHUNK // 2  # two workers
+    assert sorted(calls) == sorted(((min(step, 37 - start),), ()) for start in range(0, 37, step)
+                                   for _ in model.cfg.image.widths)
+
+    calls.clear()
+    rng = np.random.default_rng(0)
+    tape = Tape()
+    leaves = [tape.leaf(name, rng.normal(size=shape)) for name, shape in
+              (("x", (2, 2, 5, 5)), ("k", (3, 2, 3, 3)), ("gamma", (3,)), ("beta", (3,)))]
+    tape.conv_block(*leaves, stride=2, padding=1)
+    assert calls == [((2,), ())]
+    xs, ks = rng.normal(size=(4, 2, 2, 5, 5)), rng.normal(size=(4, 3, 2, 3, 3))
+    for overrides, call in (({"x": xs}, ((4, 2), ())), ({"k": ks}, ((2,), (4,))),
+                            ({"x": xs, "k": ks}, ((4, 2), (4,)))):
+        calls.clear()
+        _evaluate(tape, overrides, batched=True)
+        assert calls == [call]
 
 
 def reference_image_features(model: Model, pixels: np.ndarray) -> np.ndarray:

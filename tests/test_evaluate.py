@@ -154,6 +154,12 @@ class TestTopK:
         assert skipped == 1
         assert score == pytest.approx(0.5)  # 1.0 and 0.0
 
+    def test_mean_rejects_a_length_mismatch(self):
+        for rows, observed in (([np.array([0.5, 0.2])], [{0}, {1}]),
+                               ([np.array([0.5, 0.2])] * 2, [{0}])):
+            with pytest.raises(ValueError, match="prediction/label length mismatch"):
+                mean_top_k_accuracy(rows, observed)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_invariant_under_monotone_transform(self, seed):
