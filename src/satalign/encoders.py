@@ -12,31 +12,19 @@ into one shared unit-norm space.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geodata import COVARIATE_CHANNELS
 from .optim import ParameterStore
-from .tape import Node, Tape, conv_gemm, conv_size, l2_normalize_rows
+from .tape import (ENCODE_CHUNK, ENCODE_WORKERS, Node, Tape, conv_gemm, conv_size,
+                   l2_normalize_rows, run_sub_slices, sub_slice_workers)
 
 PEFT_MODES = ("full", "scale_shift")
 
 IMAGE_HEADS = ("heads.image.weight", "heads.image_to_text.weight",
                "heads.image_to_location.weight")
-
-# Tiles in flight in one eval-mode encoding call, split into sub-slices of
-# ENCODE_CHUNK // workers, so a worker's conv stage buffers (padded input,
-# patch columns, output: 116 and 132 KB per tile for the default model on
-# 32 px tiles) fit in its core's 2 MB L2 cache. On 1,024 such tiles (2 vCPUs,
-# two workers, one BLAS thread, medians of 30 calls in 6 processes) 8, 16 and
-# 32 took 94, 72 and 68 ms per call; one worker at 16 took 95 ms. 32 would
-# double the buffers for a gain inside the noise. The bits do not depend on it.
-ENCODE_CHUNK = 16
-ENCODE_WORKERS = 2  # most threads one call encodes on, the caller's included
-
 
 @dataclass(frozen=True)
 class ImageEncoderConfig:
@@ -194,16 +182,12 @@ class Model:
         No tape is recorded: each stage runs the tape's conv kernel, conv_gemm
         (one GEMM per tile), then the norm with the running statistics and
         relu, on sub-slices of ENCODE_CHUNK // w tiles on w = min(ENCODE_WORKERS,
-        usable CPUs, sub-slices) workers, the caller one of them. Each worker
-        claims the next sub-slice and writes only through `out=`: into pad,
-        column and output buffers the caller allocated before any worker
-        started, for min(n, ENCODE_CHUNK) tiles in all, and into its own
-        pooled rows. Numpy and BLAS release the GIL inside each copy, GEMM
-        and ufunc. No tile's arithmetic reads another tile, so the bits depend
-        on neither the split nor w: they equal one whole-batch plain-numpy
-        forward, `reference_image_features` in tests/test_encoders.py.
-        Non-finite pixels or conv and norm parameters raise a tape leaf's
-        error, on the caller.
+        usable CPUs) workers (`tape.run_sub_slices`), each writing only through
+        `out=` into its own buffers and pooled rows. No tile's arithmetic reads
+        another tile, so the bits depend on neither the split nor w: they equal
+        one whole-batch plain-numpy forward, `reference_image_features` in
+        tests/test_encoders.py. Non-finite pixels or conv and norm parameters
+        raise a tape leaf's error, on the caller.
         """
         if isinstance(pixels, list):
             shapes = {np.shape(tile) for tile in pixels}
@@ -225,10 +209,7 @@ class Model:
                 raise ValueError(f"non-finite values in leaf {name!r}")
         k, s, p = img.kernel, img.stride, img.padding
         n = len(pixels)
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        workers = min(ENCODE_WORKERS, cpus or 1)
-        step = ENCODE_CHUNK // workers  # tiles per sub-slice
-        workers = max(1, min(workers, -(-n // step)))
+        step = ENCODE_CHUNK // sub_slice_workers(ENCODE_WORKERS)  # tiles per sub-slice
 
         def buffers(m):  # a worker's stages for sub-slices of m tiles, and a finite mask
             # per stage: conv_gemm's padded input, patch columns and output,
@@ -247,51 +228,27 @@ class Model:
                 size = o
             return stages, np.empty(stages[0][0].shape, dtype=bool)
 
-        # worker j encodes sub-slice j, then claims the next unclaimed one,
-        # so a stalled worker leaves the rest to the others; its buffers fit
-        # its first (largest) sub-slice, min(n, ENCODE_CHUNK) tiles in all
-        per_worker = [buffers(min(step, n - j * step)) for j in range(workers)]
         pooled = np.empty((n, img.widths[-1]))
-        lock, unclaimed, errors = threading.Lock(), iter(range(workers * step, n, step)), []
 
-        def encode(j):
-            stages, finite = per_worker[j]
-            start = j * step if n else None  # zero tiles: no sub-slice
-            while start is not None and not errors:
-                try:
-                    b = min(step, n - start)
-                    x = stages[0][0][:b]
-                    np.stack(pixels[start:start + b],
-                             out=x[:, :, p:p + img.in_size, p:p + img.in_size])
-                    if not np.isfinite(x, out=finite[:b]).all():
-                        raise ValueError("non-finite values in leaf 'pixels'")
-                    for i, (pad, cols, out, kernel, norm) in enumerate(stages):
-                        h = conv_gemm(pad[:b], kernel, s, cols[:b], out[:b])
-                        # (h - mean) * inv * gamma + beta, in that order
-                        for op, v in zip((np.subtract, np.multiply, np.multiply, np.add), norm):
-                            op(h, v, out=h)
-                        o = h.shape[-1]
-                        relu = stages[i + 1][0][:b, :, p:p + o, p:p + o] if stages[i + 1:] else h
-                        np.maximum(h, 0.0, out=relu)
-                    # the same expressions as the tape's pool, then its matmul and add
-                    np.add.reduce(h, axis=(-2, -1), out=pooled[start:start + b])
-                    pooled[start:start + b] /= o * o
-                except Exception as e:  # a worker's error is raised on the caller
-                    errors.append(e)
-                with lock:
-                    start = next(unclaimed, None)
+        def encode(bufs, start, stop):
+            (stages, finite), b = bufs, stop - start
+            x = stages[0][0][:b]
+            np.stack(pixels[start:stop], out=x[:, :, p:p + img.in_size, p:p + img.in_size])
+            if not np.isfinite(x, out=finite[:b]).all():
+                raise ValueError("non-finite values in leaf 'pixels'")
+            for i, (pad, cols, out, kernel, norm) in enumerate(stages):
+                h = conv_gemm(pad[:b], kernel, s, cols[:b], out[:b])
+                # (h - mean) * inv * gamma + beta, in that order
+                for op, v in zip((np.subtract, np.multiply, np.multiply, np.add), norm):
+                    op(h, v, out=h)
+                o = h.shape[-1]
+                relu = stages[i + 1][0][:b, :, p:p + o, p:p + o] if stages[i + 1:] else h
+                np.maximum(h, 0.0, out=relu)
+            # the same expressions as the tape's pool, then its matmul and add
+            np.add.reduce(h, axis=(-2, -1), out=pooled[start:stop])
+            pooled[start:stop] /= o * o
 
-        threads = []
-        try:
-            for thread in (threading.Thread(target=encode, args=(j,)) for j in range(1, workers)):
-                thread.start()
-                threads.append(thread)
-            encode(0)
-        finally:
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
+        run_sub_slices(n, step, ENCODE_WORKERS, buffers, encode)
         return pooled @ self.params.get("img.fc.weight") + self.params.get("img.fc.bias")
 
     def _project(self, head: str, rows: np.ndarray) -> np.ndarray:

@@ -33,20 +33,33 @@ A conv_block is one conv stage as one node: a strided 2-D convolution
 (:func:`conv_gemm`, which the frozen encoder runs too), per-channel scale-shift
 normalization with the batch's mean and variance, then relu. Its value is
 the relu output; it also keeps the batch (mean, var), which the
-running-statistics update reads, and the normalized activation `xhat`,
-which its backward reads. Its backward
-masks the output gradient by the relu, takes the scale and shift gradients
-from `xhat`, reuses their sums for the norm's input gradient, and then lays
-the patch columns out as one (c*kh*kw, n*oh*ow) matrix for the whole batch,
-so the kernel gradient and the input-column gradient are each one BLAS
-matrix product.
+running-statistics update reads, and the normalized activation `xhat`, which
+its backward reads. Its per-tile work, the padding, patch columns, input-column
+GEMM and col2im, runs on sub-slices of a few tiles that fit in L2, on up to two
+workers (:func:`run_sub_slices`); what sums over the whole batch, the batch
+statistics, the norm's gradients and the one kernel-gradient GEMM over the
+(c*kh*kw, n*oh*ow) patch columns, runs on the caller.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 NORM_EPS = 1e-12
+
+# Tiles in flight in one frozen-encoder call, split into sub-slices of
+# ENCODE_CHUNK // workers (a training conv_block's are ENCODE_CHUNK //
+# ENCODE_WORKERS), so a worker's conv buffers (116 and 132 KB per tile for the
+# default model on 32 px tiles) fit in its core's 2 MB L2 cache. On 1,024 such
+# tiles (2 vCPUs, two workers, one BLAS thread, medians of 30 calls in 6
+# processes) 8, 16 and 32 took 94, 72 and 68 ms per encoder call; one worker at
+# 16 took 95 ms. 32 would double the buffers for a gain inside the noise. The
+# bits do not depend on it.
+ENCODE_CHUNK = 16
+ENCODE_WORKERS = 2  # most threads one call runs on, the caller's included
 
 
 class RowNormError(ValueError):
@@ -239,15 +252,6 @@ def conv_size(size: int, kernel: int, stride: int, padding: int = 0) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
-    """x, (..., H, W), inside a border of p zeros."""
-    if p == 0:
-        return x
-    out = np.zeros((*x.shape[:-2], x.shape[-2] + 2 * p, x.shape[-1] + 2 * p))
-    out[..., p:-p, p:-p] = x
-    return out
-
-
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int,
             cols: np.ndarray | None = None) -> np.ndarray:
     """Patch columns of a padded (..., c, H, W) batch, written into `cols`: a
@@ -267,24 +271,66 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int,
     return cols
 
 
-def conv_gemm(xp: np.ndarray, kernel: np.ndarray, stride: int, cols: np.ndarray | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
+def conv_gemm(xp: np.ndarray, kernel: np.ndarray, stride: int, cols: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
     """The strided convolution of a zero-padded (..., c, H, W) batch with an
     (f, c, kh, kw) kernel, or with (P, f, c, kh, kw) stacked kernels that
-    broadcast over the batch's leading axes but the last: (..., f, oh, ow).
+    broadcast over the batch's leading axes but the last, written into and
+    returned as `out`, (..., f, oh, ow).
 
     One GEMM per tile, the kernel matrix times the tile's patch columns, so no
     tile's bits depend on another tile. `cols`, (..., c, kh, kw, oh, ow), and
-    `out`, when given, are C-ordered buffers that take the columns and product.
+    `out` are C-ordered buffers that take the columns and the product.
     """
-    (*lead, _, height, width), (f, c, kh, kw) = xp.shape, kernel.shape[-4:]
-    oh, ow = conv_size(height, kh, stride), conv_size(width, kw, stride)
-    cols = _im2col(xp, kh, kw, stride, oh, ow, cols)
-    del xp  # a temporary padded input is freed before the product is allocated
-    h = np.matmul(kernel.reshape(*kernel.shape[:-4], 1, f, c * kh * kw),
-                  cols.reshape(*lead, c * kh * kw, oh * ow),
-                  out=None if out is None else out.reshape(*out.shape[:-2], oh * ow))
-    return h.reshape(*h.shape[:-1], oh, ow)
+    (*lead, _, _, _), (f, c, kh, kw), (oh, ow) = xp.shape, kernel.shape[-4:], out.shape[-2:]
+    _im2col(xp, kh, kw, stride, oh, ow, cols)
+    np.matmul(kernel.reshape(*kernel.shape[:-4], 1, f, c * kh * kw),
+              cols.reshape(*lead, c * kh * kw, oh * ow), out=out.reshape(*out.shape[:-2], oh * ow))
+    return out
+
+
+def sub_slice_workers(cap: int) -> int:
+    """Most threads a sub-slice loop runs on: `cap`, or the CPUs in the
+    process's affinity mask if they are fewer."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cap, cpus or 1)
+
+
+def run_sub_slices(n: int, step: int, cap: int, buffers, work) -> None:
+    """Call work(bufs, start, stop) for each sub-slice [start, stop) of
+    range(n), `step` long but the last. More than one sub-slice runs on
+    min(sub_slice_workers(cap), sub-slices) threads, the caller one of them:
+    worker j gets bufs = buffers(m), allocated on the caller before any work
+    starts, for its first sub-slice, j, of m rows, then claims each next
+    unclaimed one. When work writes only through its buffers and into its own
+    rows of the caller's outputs, the bits depend on neither the split nor the
+    worker count. A worker's first error is raised on the caller once all
+    have stopped."""
+    workers = 1 if n <= step else min(sub_slice_workers(cap), -(-n // step))
+    per_worker = [buffers(min(step, n - j * step)) for j in range(workers)]
+    lock, unclaimed, errors = threading.Lock(), iter(range(workers * step, n, step)), []
+
+    def run(j):
+        start = j * step if n else None  # zero rows: no sub-slice
+        while start is not None and not errors:
+            try:
+                work(per_worker[j], start, min(start + step, n))
+            except Exception as e:  # raised on the caller
+                errors.append(e)
+            with lock:
+                start = next(unclaimed, None)
+
+    threads = []
+    try:
+        for thread in (threading.Thread(target=run, args=(j,)) for j in range(1, workers)):
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _check_shapes(node: Node, vals: list[np.ndarray]) -> None:
@@ -341,6 +387,65 @@ def _channel_vector(v: np.ndarray, batched: bool) -> np.ndarray:
     return v.reshape(v.shape[0], 1, -1, 1, 1) if batched else v[:, None, None]
 
 
+def _conv_block_conv(x: np.ndarray, k: np.ndarray, s: int, p: int) -> np.ndarray:
+    """A conv_block's convolution, conv_gemm on each sub-slice of
+    ENCODE_CHUNK // ENCODE_WORKERS tiles into its rows of the result. A
+    batched replay's P rows ride along in one sub-slice of all n tiles."""
+    (*lead, n, c, height, width), (f, _, kh, kw) = x.shape, k.shape[-4:]
+    oh, ow = conv_size(height, kh, s, p), conv_size(width, kw, s, p)
+
+    def buffers(m):  # conv_gemm's padded input and patch columns for m tiles
+        return (np.zeros((*lead, m, c, height + 2 * p, width + 2 * p)),
+                np.empty((*lead, m, c, kh, kw, oh, ow)))
+
+    def conv(bufs, start, stop):
+        xp, cols = bufs if lead else (buf[:stop - start] for buf in bufs)
+        xp[..., p:p + height, p:p + width] = x[..., start:stop, :, :, :]
+        conv_gemm(xp, k, s, cols, h[..., start:stop, :, :, :])
+
+    h = np.empty((*(tuple(lead) or k.shape[:-4]), n, f, oh, ow))
+    run_sub_slices(n, ENCODE_CHUNK // ENCODE_WORKERS if h.ndim == 4 else max(n, 1),
+                   ENCODE_WORKERS, buffers, conv)
+    return h
+
+
+def _conv_block_conv_grads(x: np.ndarray, k: np.ndarray, g_t: np.ndarray, s: int, p: int,
+                           wanted: list[bool]) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The wanted gradients (dx, dk) of a conv_block's convolution from its
+    output gradient g_t, laid out (f, n*oh*ow) like the patch columns. Each
+    sub-slice's padding, patch columns, input-column GEMM and col2im run in
+    its worker's buffers; the kernel gradient is one GEMM over the
+    (c*kh*kw, n*oh*ow) columns of the whole batch."""
+    (n, c, height, width), (f, _, kh, kw) = x.shape, k.shape
+    oh, ow = conv_size(height, kh, s, p), conv_size(width, kw, s, p)
+    ckk, o = c * kh * kw, oh * ow
+    cols = np.empty((c, kh, kw, n, oh, ow)) if wanted[1] else None
+    dx = np.empty(x.shape) if wanted[0] else None
+
+    def buffers(m):  # padded input, input-column gradient, padded input gradient
+        return (np.zeros((m, c, height + 2 * p, width + 2 * p)), np.empty((ckk, m * o)),
+                np.empty((m, c, height + 2 * p, width + 2 * p)))
+
+    def conv_grads(bufs, start, stop):
+        b = stop - start
+        xp, dxp = bufs[0][:b], bufs[2][:b]
+        if wanted[1]:
+            xp[:, :, p:p + height, p:p + width] = x[start:stop]
+            _im2col(xp, kh, kw, s, oh, ow, cols.transpose(3, 0, 1, 2, 4, 5)[start:stop])
+        if wanted[0]:
+            d = np.matmul(k.reshape(f, ckk).T, g_t[:, start * o:stop * o],
+                          out=bufs[1][:, :b * o]).reshape(c, kh, kw, b, oh, ow)
+            dxp.fill(0.0)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += d[:, i, j].swapaxes(0, 1)
+            dx[start:stop] = dxp[:, :, p:p + height, p:p + width]
+
+    run_sub_slices(n, ENCODE_CHUNK // ENCODE_WORKERS, ENCODE_WORKERS, buffers, conv_grads)
+    dk = (g_t @ cols.reshape(ckk, n * o).T).reshape(k.shape) if wanted[1] else None
+    return dx, dk
+
+
 def _compute(node: Node, vals: list[np.ndarray], record: bool = False,
              batched: list[bool] | None = None) -> np.ndarray:
     """Value of `node` from its input values, whose shapes
@@ -373,7 +478,7 @@ def _compute(node: Node, vals: list[np.ndarray], record: bool = False,
     if op == "conv_block":
         x, k, gamma, beta = vals
         gamma_rows, beta_rows = (batched or (False,) * 4)[2:]
-        h = conv_gemm(_pad2d(x, node.attrs["padding"]), k, node.attrs["stride"])
+        h = _conv_block_conv(x, k, node.attrs["stride"], node.attrs["padding"])
         # per-channel batch statistics over (n, H, W), kept with h's rank;
         # h's buffer holds the square, then the block's value
         axes, count = (-4, -2, -1), h.shape[-4] * h.shape[-2] * h.shape[-1]
@@ -585,24 +690,11 @@ def _vjp(node: Node, g: np.ndarray, tape: Tape,
         g -= xhat * (dgamma / m)[None, :, None, None]
         inv = 1.0 / np.sqrt(node.batch_stats[1] + node.attrs["eps"])
         g *= (gamma * inv)[None, :, None, None]
-        (n, c, _, _), (f, _, kh, kw), (oh, ow) = x.shape, k.shape, xhat.shape[2:]
-        s, p = node.attrs["stride"], node.attrs["padding"]
+        n, f, oh, ow = xhat.shape
         # the conv output gradient as (f, n*oh*ow), matching the im2col columns
         g_t = g.reshape(n, f, oh * ow).transpose(1, 0, 2).reshape(f, n * oh * ow)
-        dx = dk = None
-        if wanted[1]:
-            # columns laid out (c*kh*kw, n*oh*ow) in memory: one GEMM
-            cols = np.empty((c, kh, kw, n, oh, ow))
-            _im2col(_pad2d(x, p), kh, kw, s, oh, ow, cols.transpose(3, 0, 1, 2, 4, 5))
-            dk = (g_t @ cols.reshape(c * kh * kw, n * oh * ow).T).reshape(f, c, kh, kw)
-        if wanted[0]:
-            dcols = (k.reshape(f, c * kh * kw).T @ g_t).reshape(c, kh, kw, n, oh, ow)
-            dxp = np.zeros((n, c, x.shape[2] + 2 * p, x.shape[3] + 2 * p))
-            dxt = dxp.transpose(1, 0, 2, 3)
-            for i in range(kh):
-                for j in range(kw):
-                    dxt[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols[:, i, j]
-            dx = dxp[:, :, p:p + x.shape[2], p:p + x.shape[3]] if p else dxp
+        dx, dk = _conv_block_conv_grads(x, k, g_t, node.attrs["stride"], node.attrs["padding"],
+                                        wanted)
         return [dx, dk, dgamma, dbeta]
     if op == "global_avg_pool":
         x = vals[0]

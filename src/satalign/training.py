@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +30,13 @@ from .encoders import (Model, ModelConfig, PEFT_MODES, head_graph, image_feature
                        trainable_mask)
 from .geodata import MAX_RADIUS, PairedSamples
 from .optim import AdamState, ParameterStore, adam_step
-from .tape import Tape, backward
+from .tape import Tape, backward, conv_size
 
 CHECKPOINT_VERSION = 1
+# train's size limits, the same on every machine: 2**27 float64 parameters (1 GiB
+# each for values, gradients and Adam's two moments) in at most 2**16 tensors,
+# and 2**32 activation bytes a step
+MAX_PARAMETERS, MAX_TENSORS, MAX_STEP_BYTES = 2**27, 2**16, 2**32
 
 
 @dataclass
@@ -74,6 +79,25 @@ class TrainConfig:
                              f"got {self.matching_radius!r}")
         if min(self.image_weight, self.text_weight, self.location_weight) < 0:
             raise ValueError("loss-term weights must be >= 0")
+        img, loc, size = self.model.image, self.model.location, self.model.image.in_size
+        per_tile = img.in_channels * size * size  # and each conv_block's value and xhat
+        for width in img.widths:
+            size = conv_size(size, img.kernel, img.stride, img.padding)
+            per_tile += 2 * width * size * size
+        # two tile towers, three values per location block, three (batch, batch) logits
+        step_bytes = 8 * self.batch_size * (2 * per_tile + 3 * loc.depth * loc.hidden
+                                            + 3 * self.batch_size)
+        shapes = [shape for _, shape in itertools.islice(parameter_shapes(self.model),
+                                                         MAX_TENSORS + 1)]
+        if (step_bytes > MAX_STEP_BYTES or len(shapes) > MAX_TENSORS
+                or sum(math.prod(shape) for shape in shapes) > MAX_PARAMETERS):
+            name = max(("batch_size", "model.image.in_size", "model.image.widths",
+                        "model.image.d_img", "model.location.hidden", "model.location.depth",
+                        "model.location.d_loc", "model.d_txt", "model.embed_dim"),
+                       key=lambda name: max(np.atleast_1d(attrgetter(name)(self))))
+            raise ValueError(f"{name} {attrgetter(name)(self)} is the largest size of a model or "
+                             f"step over the {MAX_PARAMETERS:,} parameters, {MAX_TENSORS:,} "
+                             f"tensors or {MAX_STEP_BYTES:,} activation bytes train takes")
 
     def loss_config(self) -> LossConfig:
         return LossConfig(temperature=self.temperature,

@@ -827,6 +827,18 @@ _BAD_CONFIGS = [
     ("synth", {"tiles_per_habitat": True},
      "field 'tiles_per_habitat' must be an integer, got True"),
     ("train", {"seed": -1}, "seed must be >= 0, got -1"),
+    ("train", {"model": {"image": {"d_img": 1000000000}}},
+     "model.image.d_img 1000000000 is the largest size of a model or step over the "
+     "134,217,728 parameters, 65,536 tensors or 4,294,967,296 activation bytes train takes"),
+    ("train", {"batch_size": 100000},
+     "batch_size 100000 is the largest size of a model or step over the "
+     "134,217,728 parameters, 65,536 tensors or 4,294,967,296 activation bytes train takes"),
+    ("train", {"batch_size": 1, "model": {"location": {"depth": 10**8, "hidden": 1}}},
+     "model.location.depth 100000000 is the largest size of a model or step over the "
+     "134,217,728 parameters, 65,536 tensors or 4,294,967,296 activation bytes train takes"),
+    ("train", {"model": {"location": {"depth": 10**18}}},
+     f"model.location.depth {10**18} is the largest size of a model or step over the "
+     "134,217,728 parameters, 65,536 tensors or 4,294,967,296 activation bytes train takes"),
 ]
 
 

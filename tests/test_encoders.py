@@ -10,10 +10,10 @@ import pytest
 from satalign import encoders
 from satalign import tape as tape_module
 from satalign.encoders import (ENCODE_CHUNK, ImageEncoderConfig, LocationEncoderConfig, Model,
-                               ModelConfig, location_feature_graph, location_input_features,
-                               trainable_mask)
+                               ModelConfig, image_feature_graph, location_feature_graph,
+                               location_input_features, trainable_mask)
 from satalign.optim import AdamState, adam_step
-from satalign.tape import Tape, _evaluate
+from satalign.tape import Tape, _evaluate, backward
 from test_tape import reference_channel_norm, reference_conv2d, reference_global_avg_pool
 
 
@@ -216,8 +216,9 @@ class TestImageEncoder:
 
 def test_one_conv_kernel_for_the_tape_its_batched_replay_and_the_frozen_encoder(monkeypatch):
     """`tape.conv_gemm` is the one conv: image_features calls it once per stage
-    per sub-slice, a conv_block once when recorded and once per batched
-    replay. Each call is logged by the leading axes of its input and kernel."""
+    per sub-slice, a conv_block once per sub-slice of ENCODE_CHUNK // 2 tiles
+    when recorded and once per batched replay. Each call is logged by the
+    leading axes of its input and kernel."""
     real, calls = tape_module.conv_gemm, []
     assert encoders.conv_gemm is real
 
@@ -238,15 +239,38 @@ def test_one_conv_kernel_for_the_tape_its_batched_replay_and_the_frozen_encoder(
     rng = np.random.default_rng(0)
     tape = Tape()
     leaves = [tape.leaf(name, rng.normal(size=shape)) for name, shape in
-              (("x", (2, 2, 5, 5)), ("k", (3, 2, 3, 3)), ("gamma", (3,)), ("beta", (3,)))]
+              (("x", (19, 2, 5, 5)), ("k", (3, 2, 3, 3)), ("gamma", (3,)), ("beta", (3,)))]
     tape.conv_block(*leaves, stride=2, padding=1)
-    assert calls == [((2,), ())]
-    xs, ks = rng.normal(size=(4, 2, 2, 5, 5)), rng.normal(size=(4, 3, 2, 3, 3))
-    for overrides, call in (({"x": xs}, ((4, 2), ())), ({"k": ks}, ((2,), (4,))),
-                            ({"x": xs, "k": ks}, ((4, 2), (4,)))):
+    assert sorted(calls) == [((3,), ()), ((step,), ()), ((step,), ())]
+    xs, ks = rng.normal(size=(4, 19, 2, 5, 5)), rng.normal(size=(4, 3, 2, 3, 3))
+    for overrides, call in (({"x": xs}, ((4, 19), ())), ({"k": ks}, ((19,), (4,))),
+                            ({"x": xs, "k": ks}, ((4, 19), (4,)))):
         calls.clear()
         _evaluate(tape, overrides, batched=True)
         assert calls == [call]
+
+
+def test_training_conv_stages_keep_a_sub_slice_working_set():
+    """One default-shape training tower (64 tiles of 32 px), recorded and
+    differentiated, peaks at 18.3 MB under tracemalloc (17.4 MB on one
+    worker), against 21.1 MB when each conv_block padded and im2col'd the
+    whole batch in its forward and backward and ran col2im into a whole-batch
+    padded buffer."""
+    model = Model.initialize(ModelConfig(), seed=0)
+    rng = np.random.default_rng(0)
+    pixels, w = rng.random((64, 3, 32, 32)), rng.normal(size=(64, model.cfg.image.d_img))
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        leaves = {name: tape.leaf(name, model.params.get(name), trainable=True)
+                  for name in model.params.names() if name.startswith("img.")}
+        feat, _ = image_feature_graph(tape, leaves, model.cfg.image, tape.leaf("pixels", pixels))
+        tape.mark_output("loss", tape.sum(tape.mul(feat, tape.const(w))))
+        backward(tape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 19.5e6, peak
 
 
 def reference_image_features(model: Model, pixels: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
 import itertools
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -591,23 +594,55 @@ def reference_conv_block_grads(x, k, gamma, beta, stride, padding, eps, g):
     return dx, dk, dgamma, dbeta
 
 
-@pytest.mark.parametrize("geometry", TestOpGradients.CONV_BLOCK_GEOMETRIES)
-def test_conv_block_gradients_match_the_replaced_ops(geometry):
-    x_shape, k_shape, stride, padding = geometry
+# batches that cross sub-slice boundaries (the last one short), with padding 0
+# and with kernel 4 / stride 3 / padding 1, on one and two CPUs (sub-slices of
+# 8 tiles), and on three workers of 5 tiles each
+SUB_SLICE_GEOMETRIES = tuple(((n, 3, 9, 8), (2, 3, *shape), *geometry, cpus)
+                             for n in (9, 19) for shape, geometry in (((3, 3), (2, 0)),
+                                                                      ((4, 4), (3, 1)))
+                             for cpus in (1, 2, 3))
+
+
+@pytest.mark.parametrize("geometry",
+                         TestOpGradients.CONV_BLOCK_GEOMETRIES + SUB_SLICE_GEOMETRIES)
+def test_conv_block_gradients_match_the_replaced_ops(monkeypatch, geometry):
+    x_shape, k_shape, stride, padding, *cpus = geometry
+    started = []
+    if cpus:  # the worker count, forced through the affinity mask
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus[0])),
+                            raising=False)
+        monkeypatch.setattr(tape_module, "ENCODE_WORKERS", max(2, cpus[0]))
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountedThread)
     rng = np.random.default_rng(9)
     f = k_shape[0]
     values = (rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=f),
               rng.normal(size=f))
     names = ("x", "k", "gamma", "beta")
     tape = Tape()
-    block = tape.conv_block(*(tape.leaf(name, v, trainable=True) for name, v in zip(names, values)),
-                            stride=stride, padding=padding)
-    w = rng.normal(size=block.value.shape)
-    tape.mark_output("loss", tape.sum(tape.mul(block, tape.const(w))))
-    grads = backward(tape)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # workers switch every microsecond
+    try:
+        block = tape.conv_block(*(tape.leaf(name, v, trainable=True)
+                                  for name, v in zip(names, values)),
+                                stride=stride, padding=padding)
+        w = rng.normal(size=block.value.shape)
+        tape.mark_output("loss", tape.sum(tape.mul(block, tape.const(w))))
+        grads = backward(tape)
+    finally:
+        sys.setswitchinterval(interval)
     expect = reference_conv_block_grads(*values, stride, padding, 1e-5, w)
     for name, want in zip(names, expect):
         assert_same_bits(grads[name], want, name)
+    if cpus:  # the forward and the backward each start all workers but the caller
+        step = tape_module.ENCODE_CHUNK // tape_module.ENCODE_WORKERS
+        assert len(started) == 2 * (min(cpus[0], -(-x_shape[0] // step)) - 1)
+    assert not any(thread.is_alive() for thread in started)
 
 
 # -- pruned backward on the full training graph --------------------------------
@@ -714,7 +749,7 @@ def test_im2col_equals_slice_loop(stride, padding, kernel, hw):
     n, c = 3, 2
     # a transposed, so non-contiguous, input: with padding 0 it is xp itself
     x = np.random.default_rng(11).normal(size=(n, c, hw[1], hw[0])).swapaxes(2, 3)
-    xp = tape_module._pad2d(x, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
     oh, ow = ((size + 2 * padding - kernel) // stride + 1 for size in hw)
     shape = (n, c, kernel, kernel, oh, ow)
     expect = loop_im2col(xp, kernel, kernel, stride, oh, ow, np.empty(shape))
