@@ -157,19 +157,29 @@ def _atomic(out: Path, build) -> None:
     """Run `build(tmp)` on a path named like `out` inside a temporary
     directory beside it, then rename everything it wrote into place (a file,
     a `.json`/`.bin` pair, or a directory). Only a produced directory
-    replaces an existing directory; a file never does. When `build` raises,
-    existing targets stay untouched and the temporary directory is removed."""
-    out.parent.mkdir(parents=True, exist_ok=True)
+    replaces an existing directory, and only a produced file an existing
+    file: any other pair raises a ValueError naming the destination before
+    anything is renamed. When that or `build` raises, existing targets stay
+    untouched and the temporary directory is removed."""
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as e:  # a file where a directory goes
+        raise ValueError(f"{out.parent}: cannot make the output directory "
+                         f"({e.strerror})") from None
     tmp = out.parent / f".{out.name}.tmp-{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
     tmp.mkdir()
     try:
         build(tmp / out.name)
-        for produced in sorted(tmp.iterdir()):
-            dest = out.parent / produced.name
-            if produced.is_dir() and dest.is_dir():
+        produced = [(p, out.parent / p.name) for p in sorted(tmp.iterdir())]
+        for p, dest in produced:
+            if dest.exists() and p.is_dir() != dest.is_dir():
+                new, old = ("directory", "file") if p.is_dir() else ("file", "directory")
+                raise ValueError(f"{dest}: an output {new} cannot replace a {old}")
+        for p, dest in produced:
+            if p.is_dir() and dest.is_dir():
                 shutil.rmtree(dest)
-            os.replace(produced, dest)
+            os.replace(p, dest)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -583,9 +593,10 @@ _parser = functools.cache(build_parser)  # parsing leaves the parser as it was
 def dispatch(argv=None) -> int:
     """Run one subcommand: the handler computes, then its output is written,
     its stdout printed and its manifest recorded. Exit codes: 0 success; 1 bad
-    flags or inputs (a ValueError, which includes malformed JSON, or a missing
-    file); 2 anything else, which is a bug or a runtime failure, and a failed
-    gradcheck. The command's input hashing has ended when this returns."""
+    flags or inputs (a ValueError, which includes malformed JSON, a missing
+    file, or any OSError of the handler, which only reads, so an input it
+    cannot read); 2 anything else, which is a bug or a runtime failure, and a
+    failed gradcheck. The command's input hashing has ended when this returns."""
     try:
         args = _parser().parse_args(argv)
     except UsageError:
@@ -593,7 +604,10 @@ def dispatch(argv=None) -> int:
     hashes = _InputHashes(_inputs(args))
     started = time.monotonic()
     try:
-        run = args.handler(args)
+        try:
+            run = args.handler(args)
+        except OSError as e:  # such as a directory named as an input file
+            raise ValueError(e) from None
         hashes.join()  # the inputs are hashed as found, before an output lands in one
         if run.outputs:
             _atomic(run.outputs[0], run.build)

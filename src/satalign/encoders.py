@@ -18,8 +18,7 @@ import numpy as np
 
 from .geodata import COVARIATE_CHANNELS
 from .optim import ParameterStore
-from .tape import (ENCODE_CHUNK, ENCODE_WORKERS, Node, Tape, conv_gemm, conv_size,
-                   l2_normalize_rows, run_sub_slices, sub_slice_workers)
+from .tape import Node, Tape, conv_gemm, conv_size, l2_normalize_rows, run_sub_slices
 
 PEFT_MODES = ("full", "scale_shift")
 
@@ -181,11 +180,11 @@ class Model:
         copied whole. The compute is float64 either way.
         No tape is recorded: each stage runs the tape's conv kernel, conv_gemm
         (one GEMM per tile), then the norm with the running statistics and
-        relu, on sub-slices of ENCODE_CHUNK // w tiles on w = min(ENCODE_WORKERS,
-        usable CPUs) workers (`tape.run_sub_slices`), each writing only through
-        `out=` into its own buffers and pooled rows. No tile's arithmetic reads
-        another tile, so the bits depend on neither the split nor w: they equal
-        one whole-batch plain-numpy forward, `reference_image_features` in
+        relu, on the sub-slices and workers `tape.run_sub_slices` gives every
+        conv stage, each writing only through `out=` into its own buffers and
+        pooled rows. No tile's arithmetic reads another tile, so the bits
+        depend on neither the split nor the worker count: they equal one
+        whole-batch plain-numpy forward, `reference_image_features` in
         tests/test_encoders.py. Non-finite pixels or conv and norm parameters
         raise a tape leaf's error, on the caller.
         """
@@ -209,7 +208,6 @@ class Model:
                 raise ValueError(f"non-finite values in leaf {name!r}")
         k, s, p = img.kernel, img.stride, img.padding
         n = len(pixels)
-        step = ENCODE_CHUNK // sub_slice_workers(ENCODE_WORKERS)  # tiles per sub-slice
 
         def buffers(m):  # a worker's stages for sub-slices of m tiles, and a finite mask
             # per stage: conv_gemm's padded input, patch columns and output,
@@ -248,7 +246,7 @@ class Model:
             np.add.reduce(h, axis=(-2, -1), out=pooled[start:stop])
             pooled[start:stop] /= o * o
 
-        run_sub_slices(n, step, ENCODE_WORKERS, buffers, encode)
+        run_sub_slices(n, buffers, encode)
         return pooled @ self.params.get("img.fc.weight") + self.params.get("img.fc.bias")
 
     def _project(self, head: str, rows: np.ndarray) -> np.ndarray:

@@ -364,9 +364,9 @@ def zero_shot_classify(model: Model, tiles: list[TileRecord],
                        class_text_embeddings: np.ndarray) -> np.ndarray:
     """Per tile, the nearest class by cosine between the tile's text-head
     embedding and the projected class embeddings; ties go to the lower class
-    index. Tiles are encoded by Model.image_features: ENCODE_CHUNK tiles in
-    flight, in sub-slices split between up to ENCODE_WORKERS threads. Each
-    tile's arithmetic is its own, so the labels do not depend on the split."""
+    index. Tiles are encoded by Model.image_features, in the sub-slices that
+    `tape.run_sub_slices` shares out between up to ENCODE_WORKERS threads.
+    Each tile's arithmetic is its own, so the labels do not depend on the split."""
     z = model.tile_text_embeddings([t.pixels for t in tiles])
     return np.argmax(z @ model.project_text_rows(class_text_embeddings).T, axis=1)
 

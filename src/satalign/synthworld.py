@@ -70,6 +70,21 @@ class SyntheticWorldConfig:
         if self.tile_shift + self.clutter > 0.3:
             raise ValueError("tile_shift + clutter must stay within 0.3 so pixels "
                              "remain inside [0, 1] without clipping")
+        # fixed bounds, the same on every machine: tiles, observations, text
+        # sections and raster cells, and the float64 values they hold
+        max_records, max_bytes = 2**22, 2**32
+        tiles = self.n_habitats * self.tiles_per_habitat
+        sections = self.n_species * self.sections_per_species
+        cells = self.raster_rows * self.raster_cols
+        floats = (tiles * self.tile_channels * self.tile_size**2 + 2 * self.n_observations
+                  + (sections + self.n_habitats) * self.d_txt + cells * COVARIATE_CHANNELS)
+        if tiles + self.n_observations + sections + cells > max_records or 8 * floats > max_bytes:
+            name = max(("n_species", "n_habitats", "raster_rows", "raster_cols",
+                        "tiles_per_habitat", "n_observations", "d_txt", "tile_channels",
+                        "tile_size", "sections_per_species"), key=lambda name: getattr(self, name))
+            raise ValueError(f"{name} {getattr(self, name)} is the largest size of a world over "
+                             f"the {max_records:,} records or {max_bytes:,} float64 bytes "
+                             f"synth takes")
 
 
 @dataclass

@@ -35,10 +35,11 @@ normalization with the batch's mean and variance, then relu. Its value is
 the relu output; it also keeps the batch (mean, var), which the
 running-statistics update reads, and the normalized activation `xhat`, which
 its backward reads. Its per-tile work, the padding, patch columns, input-column
-GEMM and col2im, runs on sub-slices of a few tiles that fit in L2, on up to two
-workers (:func:`run_sub_slices`); what sums over the whole batch, the batch
-statistics, the norm's gradients and the one kernel-gradient GEMM over the
-(c*kh*kw, n*oh*ow) patch columns, runs on the caller.
+GEMM and col2im, runs on the sub-slices of :func:`run_sub_slices`, the one
+split of every conv stage, recorded, replayed or frozen; what sums over the
+whole batch, the batch statistics, the norm's gradients and the one
+kernel-gradient GEMM over the (c*kh*kw, n*oh*ow) patch columns, runs on the
+caller.
 """
 
 from __future__ import annotations
@@ -50,15 +51,14 @@ import numpy as np
 
 NORM_EPS = 1e-12
 
-# Tiles in flight in one frozen-encoder call, split into sub-slices of
-# ENCODE_CHUNK // workers (a training conv_block's are ENCODE_CHUNK //
-# ENCODE_WORKERS), so a worker's conv buffers (116 and 132 KB per tile for the
-# default model on 32 px tiles) fit in its core's 2 MB L2 cache. On 1,024 such
-# tiles (2 vCPUs, two workers, one BLAS thread, medians of 30 calls in 6
-# processes) 8, 16 and 32 took 94, 72 and 68 ms per encoder call; one worker at
-# 16 took 95 ms. 32 would double the buffers for a gain inside the noise. The
-# bits do not depend on it.
-ENCODE_CHUNK = 16
+# Tiles per sub-slice of every conv stage, frozen or training, so a worker's
+# conv buffers (116 and 132 KB per tile for the default model on 32 px tiles)
+# fit in its core's 2 MB L2 cache. On 1,024 such tiles (2 vCPUs, two workers,
+# one BLAS thread, medians of 30 calls in 6 processes) frozen-encoder
+# sub-slices of 4, 8 and 16 tiles took 94, 72 and 68 ms per call; 16 would
+# double the buffers for a gain inside the noise. On one CPU, 8 and 16 took
+# 76.8 and 76.2 ms (12 alternating calls). The bits do not depend on it.
+SUB_SLICE_TILES = 8
 ENCODE_WORKERS = 2  # most threads one call runs on, the caller's included
 
 
@@ -253,9 +253,9 @@ def conv_size(size: int, kernel: int, stride: int, padding: int = 0) -> int:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int,
-            cols: np.ndarray | None = None) -> np.ndarray:
+            cols: np.ndarray) -> None:
     """Patch columns of a padded (..., c, H, W) batch, written into `cols`: a
-    (..., c, kh, kw, oh, ow) array or view, by default a new C-ordered one.
+    (..., c, kh, kw, oh, ow) array or view.
 
     One copy from a strided view of `xp` whose entry (..., ch, i, j, y, x) is
     xp[..., ch, i + stride*y, j + stride*x]. The view is built by the ndarray
@@ -265,10 +265,7 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int,
     xp = np.ascontiguousarray(xp)  # the constructor views a contiguous buffer
     patches = np.ndarray((*xp.shape[:-2], kh, kw, oh, ow), xp.dtype, xp, 0,
                          (*xp.strides, stride * xp.strides[-2], stride * xp.strides[-1]))
-    if cols is None:
-        return patches.copy()
     np.copyto(cols, patches)
-    return cols
 
 
 def conv_gemm(xp: np.ndarray, kernel: np.ndarray, stride: int, cols: np.ndarray,
@@ -289,24 +286,20 @@ def conv_gemm(xp: np.ndarray, kernel: np.ndarray, stride: int, cols: np.ndarray,
     return out
 
 
-def sub_slice_workers(cap: int) -> int:
-    """Most threads a sub-slice loop runs on: `cap`, or the CPUs in the
-    process's affinity mask if they are fewer."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cap, cpus or 1)
-
-
-def run_sub_slices(n: int, step: int, cap: int, buffers, work) -> None:
+def run_sub_slices(n: int, buffers, work) -> None:
     """Call work(bufs, start, stop) for each sub-slice [start, stop) of
-    range(n), `step` long but the last. More than one sub-slice runs on
-    min(sub_slice_workers(cap), sub-slices) threads, the caller one of them:
-    worker j gets bufs = buffers(m), allocated on the caller before any work
-    starts, for its first sub-slice, j, of m rows, then claims each next
+    range(n), SUB_SLICE_TILES long but the last. More than one sub-slice runs
+    on min(ENCODE_WORKERS, usable CPUs, sub-slices) threads, the caller one of
+    them: worker j gets bufs = buffers(m), allocated on the caller before any
+    work starts, for its first sub-slice, j, of m rows, then claims each next
     unclaimed one. When work writes only through its buffers and into its own
     rows of the caller's outputs, the bits depend on neither the split nor the
     worker count. A worker's first error is raised on the caller once all
     have stopped."""
-    workers = 1 if n <= step else min(sub_slice_workers(cap), -(-n // step))
+    step, workers = SUB_SLICE_TILES, 1
+    if n > step:  # the CPU mask is read only when there is more than one sub-slice
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = min(ENCODE_WORKERS, cpus or 1, -(-n // step))
     per_worker = [buffers(min(step, n - j * step)) for j in range(workers)]
     lock, unclaimed, errors = threading.Lock(), iter(range(workers * step, n, step)), []
 
@@ -388,24 +381,23 @@ def _channel_vector(v: np.ndarray, batched: bool) -> np.ndarray:
 
 
 def _conv_block_conv(x: np.ndarray, k: np.ndarray, s: int, p: int) -> np.ndarray:
-    """A conv_block's convolution, conv_gemm on each sub-slice of
-    ENCODE_CHUNK // ENCODE_WORKERS tiles into its rows of the result. A
-    batched replay's P rows ride along in one sub-slice of all n tiles."""
+    """A conv_block's convolution, conv_gemm on each sub-slice of tiles into
+    its rows of the result. A batched replay's P rows ride along in each."""
     (*lead, n, c, height, width), (f, _, kh, kw) = x.shape, k.shape[-4:]
     oh, ow = conv_size(height, kh, s, p), conv_size(width, kw, s, p)
+    rows = (slice(None),) * len(lead)  # a batched x's P rows, whole
 
     def buffers(m):  # conv_gemm's padded input and patch columns for m tiles
         return (np.zeros((*lead, m, c, height + 2 * p, width + 2 * p)),
                 np.empty((*lead, m, c, kh, kw, oh, ow)))
 
     def conv(bufs, start, stop):
-        xp, cols = bufs if lead else (buf[:stop - start] for buf in bufs)
+        xp, cols = (buf[(*rows, slice(stop - start))] for buf in bufs)
         xp[..., p:p + height, p:p + width] = x[..., start:stop, :, :, :]
         conv_gemm(xp, k, s, cols, h[..., start:stop, :, :, :])
 
     h = np.empty((*(tuple(lead) or k.shape[:-4]), n, f, oh, ow))
-    run_sub_slices(n, ENCODE_CHUNK // ENCODE_WORKERS if h.ndim == 4 else max(n, 1),
-                   ENCODE_WORKERS, buffers, conv)
+    run_sub_slices(n, buffers, conv)
     return h
 
 
@@ -441,7 +433,7 @@ def _conv_block_conv_grads(x: np.ndarray, k: np.ndarray, g_t: np.ndarray, s: int
                     dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += d[:, i, j].swapaxes(0, 1)
             dx[start:stop] = dxp[:, :, p:p + height, p:p + width]
 
-    run_sub_slices(n, ENCODE_CHUNK // ENCODE_WORKERS, ENCODE_WORKERS, buffers, conv_grads)
+    run_sub_slices(n, buffers, conv_grads)
     dk = (g_t @ cols.reshape(ckk, n * o).T).reshape(k.shape) if wanted[1] else None
     return dx, dk
 

@@ -642,6 +642,39 @@ def test_failed_save_leaves_outputs_untouched(workspace, tmp_path, monkeypatch, 
     assert after == before
 
 
+@pytest.mark.parametrize("command, dest, files, dirs, named", [
+    ("index", "ck", ["ck.bin"], ["ck.json"], "ck.json"),
+    ("train", "ck", ["ck.json"], ["ck.bin"], "ck.bin"),
+    ("probe", "metrics.json", [], ["metrics.json"], "metrics.json"),
+    ("gradcheck", "report.json", [], ["report.json"], "report.json"),
+    ("synth", "world", ["world"], [], "world"),
+    ("gradcheck", "blocked/report.json", ["blocked"], [], "blocked"),
+], ids=["index_header", "train_blob", "probe", "gradcheck", "synth", "gradcheck_parent"])
+def test_an_output_of_the_other_kind_than_its_target_exits_1_leaving_every_target(
+        workspace, tmp_path, capsys, command, dest, files, dirs, named):
+    # a produced file over a directory, or a produced directory over a file,
+    # is found before any output of the command replaces its target
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in files:
+        (out / name).write_text("old")
+    for name in dirs:
+        (out / name).mkdir()
+        (out / name / "old.txt").write_text("old")
+    world, ckpt = str(workspace / "world"), str(workspace / "run" / "ckpt.json")
+    argv = {"synth": ["--config", str(workspace / "synth.json")],
+            "train": ["--data", world, "--config", str(workspace / "train.json"), "--epochs", "1"],
+            "index": ["--data", world, "--ckpt", ckpt],
+            "probe": ["--data", world, "--ckpt", ckpt, "--probe-epochs", "2"],
+            "gradcheck": ["--seed", "0"]}[command]
+    before = {p.name: hash_path(p) for p in out.iterdir()}
+    assert dispatch([command, *argv, "--out", str(out / dest)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(f"error: {out / named}: "), captured.err
+    assert {p.name: hash_path(p) for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("command", ["synth", "train", "index", "probe", "zeroshot",
                                      "gradcheck", "retrieve", "eval-metrics"])
 def test_each_command_records_its_run_in_one_manifest(workspace, tmp_path, capsys, command):
@@ -700,6 +733,51 @@ def _copy_ckpt(workspace, dest):
     for suffix in (".json", ".bin"):
         (dest / f"ckpt{suffix}").write_bytes((workspace / "run" / f"ckpt{suffix}").read_bytes())
     return dest / "ckpt.json"
+
+
+# every input-file flag, with the file of a .json/.bin pair that is made a directory
+_FILE_FLAGS = [("synth", "--config", ""), ("train", "--config", ""), ("probe", "--ckpt", ".json"),
+               ("probe", "--ckpt", ".bin"), ("index", "--ckpt", ".json"),
+               ("retrieve", "--index", ".json"), ("retrieve", "--index", ".bin"),
+               ("retrieve", "--query", ""), ("retrieve", "--ckpt", ".json"),
+               ("zeroshot", "--ckpt", ".json"), ("zeroshot", "--classes", ""),
+               ("eval-metrics", "--preds", ""), ("eval-metrics", "--labels", "")]
+
+
+@pytest.mark.parametrize("command, flag, suffix", _FILE_FLAGS)
+def test_a_directory_named_as_an_input_file_exits_1_naming_it(workspace, tmp_path, capsys,
+                                                              command, flag, suffix):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    world, ckpt = str(workspace / "world"), str(_copy_ckpt(workspace, inputs).with_suffix(""))
+    for name in ("synth.json", "train.json"):
+        shutil.copy(workspace / name, inputs / name)
+    np.linspace(-1, 1, 12).astype("<f4").tofile(inputs / "q.bin")
+    np.linspace(-1, 1, 36).astype("<f4").tofile(inputs / "classes.bin")
+    save_index(RetrievalIndex(tile_ids=[0, 1, 2], matrix=np.eye(3, 12)), inputs / "idx")
+    (inputs / "p.json").write_text("[0, 1]")
+    (inputs / "l.json").write_text("[1, 1]")
+    out = str(tmp_path / "out")
+    argv = {
+        "synth": ["--config", str(inputs / "synth.json"), "--out", out],
+        "train": ["--data", world, "--config", str(inputs / "train.json"), "--out", out],
+        "probe": ["--data", world, "--ckpt", ckpt, "--probe-epochs", "2"],
+        "index": ["--data", world, "--ckpt", ckpt, "--out", out],
+        "retrieve": ["--index", str(inputs / "idx"), "--query", str(inputs / "q.bin"),
+                     "--ckpt", ckpt],
+        "zeroshot": ["--data", world, "--ckpt", ckpt, "--classes", str(inputs / "classes.bin")],
+        "eval-metrics": ["--task", "cls", "--preds", str(inputs / "p.json"),
+                         "--labels", str(inputs / "l.json")],
+    }[command]
+    path = pathlib.Path(argv[argv.index(flag) + 1] + suffix)
+    path.unlink()
+    path.mkdir()
+    assert dispatch([command, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(path) in captured.err, captured.err
+    assert "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
 
 
 @pytest.mark.parametrize("error", [KeyError("tiles"), TypeError("unsupported operand")])
@@ -839,6 +917,18 @@ _BAD_CONFIGS = [
     ("train", {"model": {"location": {"depth": 10**18}}},
      f"model.location.depth {10**18} is the largest size of a model or step over the "
      "134,217,728 parameters, 65,536 tensors or 4,294,967,296 activation bytes train takes"),
+    ("synth", {"tile_size": 1000000, "tiles_per_habitat": 1, "n_habitats": 1},
+     "tile_size 1000000 is the largest size of a world over the 4,194,304 records or "
+     "4,294,967,296 float64 bytes synth takes"),
+    ("synth", {"n_observations": 10**9},
+     "n_observations 1000000000 is the largest size of a world over the 4,194,304 records or "
+     "4,294,967,296 float64 bytes synth takes"),
+    ("synth", {"d_txt": 10**8},
+     "d_txt 100000000 is the largest size of a world over the 4,194,304 records or "
+     "4,294,967,296 float64 bytes synth takes"),
+    ("synth", {"n_species": 2**21, "sections_per_species": 2},
+     "n_species 2097152 is the largest size of a world over the 4,194,304 records or "
+     "4,294,967,296 float64 bytes synth takes"),
 ]
 
 

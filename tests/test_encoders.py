@@ -9,11 +9,11 @@ import pytest
 
 from satalign import encoders
 from satalign import tape as tape_module
-from satalign.encoders import (ENCODE_CHUNK, ImageEncoderConfig, LocationEncoderConfig, Model,
-                               ModelConfig, image_feature_graph, location_feature_graph,
+from satalign.encoders import (ImageEncoderConfig, LocationEncoderConfig, Model, ModelConfig,
+                               image_feature_graph, location_feature_graph,
                                location_input_features, trainable_mask)
 from satalign.optim import AdamState, adam_step
-from satalign.tape import Tape, _evaluate, backward
+from satalign.tape import SUB_SLICE_TILES, Tape, _evaluate, backward
 from test_tape import reference_channel_norm, reference_conv2d, reference_global_avg_pool
 
 
@@ -82,7 +82,7 @@ class TestImageEncoder:
                 model.image_features(np.zeros(shape))
 
     def test_list_of_tiles_equals_stacked_batch(self, model):
-        pixels = np.random.default_rng(4).random((2 * ENCODE_CHUNK + 3, 3, 16, 16))
+        pixels = np.random.default_rng(4).random((4 * SUB_SLICE_TILES + 3, 3, 16, 16))
         tiles = list(pixels)
         assert model.image_features(tiles).tobytes() == model.image_features(pixels).tobytes()
         with pytest.raises(ValueError, match=r"\(n, 3, 16, 16\), got tiles of shapes \["):
@@ -98,8 +98,8 @@ class TestImageEncoder:
             np.testing.assert_allclose(feats[i], model.image_features(batch[i:i + 1])[0],
                                        atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, ENCODE_CHUNK - 1, ENCODE_CHUNK, ENCODE_CHUNK + 1,
-                                   16 * ENCODE_CHUNK])
+    @pytest.mark.parametrize("n", [1, 2 * SUB_SLICE_TILES - 1, 2 * SUB_SLICE_TILES,
+                                   2 * SUB_SLICE_TILES + 1, 32 * SUB_SLICE_TILES])
     def test_chunked_features_equal_one_whole_batch_graph(self, n):
         assert_features_equal_the_graph(tiny_config(), n, as_list=False)
 
@@ -115,15 +115,15 @@ class TestImageEncoder:
     def test_odd_geometries_equal_one_whole_batch_graph(self, image, n, as_list):
         assert_features_equal_the_graph(tiny_config(image=image), n, as_list)
 
-    @pytest.mark.parametrize("n", [1, ENCODE_CHUNK + 3, 37])
+    @pytest.mark.parametrize("n", [1, 2 * SUB_SLICE_TILES + 3, 37])
     @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
     def test_float32_tiles_equal_their_float64_widening(self, n, as_list):
         assert_features_equal_the_graph(tiny_config(), n, as_list, dtype=np.float32)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pixels_rejected(self, model, bad):
-        pixels = np.random.default_rng(5).random((ENCODE_CHUNK + 3, 3, 16, 16))
-        pixels[ENCODE_CHUNK + 1, 2, 7, 9] = bad  # in the short last slice
+        pixels = np.random.default_rng(5).random((2 * SUB_SLICE_TILES + 3, 3, 16, 16))
+        pixels[2 * SUB_SLICE_TILES + 1, 2, 7, 9] = bad  # in the short last slice
         for batch in (pixels, list(pixels)):
             with pytest.raises(ValueError, match="non-finite values in leaf 'pixels'"):
                 model.image_features(batch)
@@ -152,12 +152,12 @@ class TestImageEncoder:
             ImageEncoderConfig(in_size=12, kernel=3, padding=3)
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
-    @pytest.mark.parametrize("n", [1, ENCODE_CHUNK, 37, 16 * ENCODE_CHUNK])
+    @pytest.mark.parametrize("n", [1, 2 * SUB_SLICE_TILES, 37, 32 * SUB_SLICE_TILES])
     @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
     def test_worker_count_leaves_the_bits(self, monkeypatch, cap, n, as_list):
         # four CPUs, so the cap sets the worker count; cap 3 puts more workers
         # than cores on a two-core machine, switching threads every microsecond
-        monkeypatch.setattr(encoders, "ENCODE_WORKERS", cap)
+        monkeypatch.setattr(tape_module, "ENCODE_WORKERS", cap)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         started = []
 
@@ -173,21 +173,20 @@ class TestImageEncoder:
             assert_features_equal_the_graph(tiny_config(), n, as_list)
         finally:
             sys.setswitchinterval(interval)
-        step = ENCODE_CHUNK // cap
-        assert len(started) == min(cap, -(-n // step)) - 1
+        assert len(started) == min(cap, -(-n // SUB_SLICE_TILES)) - 1
         assert not any(thread.is_alive() for thread in started)
 
     @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
     def test_non_finite_pixels_of_the_second_worker_rejected(self, monkeypatch, model, as_list):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        pixels = np.random.default_rng(7).random((3 * ENCODE_CHUNK, 3, 16, 16))
-        pixels[ENCODE_CHUNK // 2 + 1, 0, 3, 4] = np.nan  # the second worker's first sub-slice
+        pixels = np.random.default_rng(7).random((6 * SUB_SLICE_TILES, 3, 16, 16))
+        pixels[SUB_SLICE_TILES + 1, 0, 3, 4] = np.nan  # the second worker's first sub-slice
         threads = threading.active_count()
         with pytest.raises(ValueError, match="non-finite values in leaf 'pixels'"):
             model.image_features(list(pixels) if as_list else pixels)
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("cpus, n", [(2, ENCODE_CHUNK // 2), (1, 3 * ENCODE_CHUNK + 1)],
+    @pytest.mark.parametrize("cpus, n", [(2, SUB_SLICE_TILES), (1, 6 * SUB_SLICE_TILES + 1)],
                              ids=["one_sub_slice", "one_cpu"])
     def test_one_worker_starts_no_thread(self, monkeypatch, cpus, n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
@@ -201,9 +200,9 @@ class TestImageEncoder:
 
     def test_working_set_does_not_grow_with_the_batch(self):
         model = Model.initialize(ModelConfig(), seed=0)
-        pixels = np.random.default_rng(0).random((16 * ENCODE_CHUNK, 3, 32, 32))
+        pixels = np.random.default_rng(0).random((32 * SUB_SLICE_TILES, 3, 32, 32))
         peaks = []
-        for n in (ENCODE_CHUNK, 16 * ENCODE_CHUNK):
+        for n in (2 * SUB_SLICE_TILES, 32 * SUB_SLICE_TILES):
             batch = np.ascontiguousarray(pixels[:n])
             tracemalloc.start()
             try:
@@ -216,9 +215,9 @@ class TestImageEncoder:
 
 def test_one_conv_kernel_for_the_tape_its_batched_replay_and_the_frozen_encoder(monkeypatch):
     """`tape.conv_gemm` is the one conv: image_features calls it once per stage
-    per sub-slice, a conv_block once per sub-slice of ENCODE_CHUNK // 2 tiles
-    when recorded and once per batched replay. Each call is logged by the
-    leading axes of its input and kernel."""
+    per sub-slice of SUB_SLICE_TILES tiles, a conv_block once per sub-slice
+    when recorded and when replayed, a batched replay's rows riding along.
+    Each call is logged by the leading axes of its input and kernel."""
     real, calls = tape_module.conv_gemm, []
     assert encoders.conv_gemm is real
 
@@ -231,7 +230,7 @@ def test_one_conv_kernel_for_the_tape_its_batched_replay_and_the_frozen_encoder(
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     model = Model.initialize(tiny_config(), seed=0)
     model.image_features(np.zeros((37, 3, 16, 16)))
-    step = ENCODE_CHUNK // 2  # two workers
+    step = SUB_SLICE_TILES
     assert sorted(calls) == sorted(((min(step, 37 - start),), ()) for start in range(0, 37, step)
                                    for _ in model.cfg.image.widths)
 
@@ -243,11 +242,11 @@ def test_one_conv_kernel_for_the_tape_its_batched_replay_and_the_frozen_encoder(
     tape.conv_block(*leaves, stride=2, padding=1)
     assert sorted(calls) == [((3,), ()), ((step,), ()), ((step,), ())]
     xs, ks = rng.normal(size=(4, 19, 2, 5, 5)), rng.normal(size=(4, 3, 2, 3, 3))
-    for overrides, call in (({"x": xs}, ((4, 19), ())), ({"k": ks}, ((19,), (4,))),
-                            ({"x": xs, "k": ks}, ((4, 19), (4,)))):
+    for overrides, x_rows, k_rows in (({"x": xs}, (4,), ()), ({"k": ks}, (), (4,)),
+                                      ({"x": xs, "k": ks}, (4,), (4,))):
         calls.clear()
         _evaluate(tape, overrides, batched=True)
-        assert calls == [call]
+        assert sorted(calls) == [((*x_rows, b), k_rows) for b in (3, step, step)]
 
 
 def test_training_conv_stages_keep_a_sub_slice_working_set():

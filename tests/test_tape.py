@@ -594,9 +594,9 @@ def reference_conv_block_grads(x, k, gamma, beta, stride, padding, eps, g):
     return dx, dk, dgamma, dbeta
 
 
-# batches that cross sub-slice boundaries (the last one short), with padding 0
-# and with kernel 4 / stride 3 / padding 1, on one and two CPUs (sub-slices of
-# 8 tiles), and on three workers of 5 tiles each
+# batches that cross sub-slice boundaries of SUB_SLICE_TILES (8) tiles, the
+# last one short, with padding 0 and with kernel 4 / stride 3 / padding 1, on
+# one, two and three workers
 SUB_SLICE_GEOMETRIES = tuple(((n, 3, 9, 8), (2, 3, *shape), *geometry, cpus)
                              for n in (9, 19) for shape, geometry in (((3, 3), (2, 0)),
                                                                       ((4, 4), (3, 1)))
@@ -608,10 +608,10 @@ SUB_SLICE_GEOMETRIES = tuple(((n, 3, 9, 8), (2, 3, *shape), *geometry, cpus)
 def test_conv_block_gradients_match_the_replaced_ops(monkeypatch, geometry):
     x_shape, k_shape, stride, padding, *cpus = geometry
     started = []
-    if cpus:  # the worker count, forced through the affinity mask
+    if cpus:  # the worker count, forced through its cap, on as many CPUs
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus[0])),
                             raising=False)
-        monkeypatch.setattr(tape_module, "ENCODE_WORKERS", max(2, cpus[0]))
+        monkeypatch.setattr(tape_module, "ENCODE_WORKERS", cpus[0])
 
         class CountedThread(threading.Thread):
             def start(self):
@@ -640,7 +640,7 @@ def test_conv_block_gradients_match_the_replaced_ops(monkeypatch, geometry):
     for name, want in zip(names, expect):
         assert_same_bits(grads[name], want, name)
     if cpus:  # the forward and the backward each start all workers but the caller
-        step = tape_module.ENCODE_CHUNK // tape_module.ENCODE_WORKERS
+        step = tape_module.SUB_SLICE_TILES
         assert len(started) == 2 * (min(cpus[0], -(-x_shape[0] // step)) - 1)
     assert not any(thread.is_alive() for thread in started)
 
@@ -753,7 +753,9 @@ def test_im2col_equals_slice_loop(stride, padding, kernel, hw):
     oh, ow = ((size + 2 * padding - kernel) // stride + 1 for size in hw)
     shape = (n, c, kernel, kernel, oh, ow)
     expect = loop_im2col(xp, kernel, kernel, stride, oh, ow, np.empty(shape))
-    assert_same_bits(tape_module._im2col(xp, kernel, kernel, stride, oh, ow), expect, "new")
+    cols = np.empty(shape)
+    tape_module._im2col(xp, kernel, kernel, stride, oh, ow, cols)
+    assert_same_bits(cols, expect, "new")
     # the conv_block backward writes into a (c, kh, kw, n, oh, ow) block through
     # a transposed view, so its columns are one (c*kh*kw, n*oh*ow) matrix
     block = np.empty((c, kernel, kernel, n, oh, ow))
@@ -818,6 +820,43 @@ def test_batched_replay_rows_equal_unbatched_replays(case):
             alone = _evaluate(tape, {name: v[p] for name, v in overrides.items()})[node.idx]
             assert_same_bits(got[p], alone, (mask, p))
             assert got[p].tobytes() != node.value.tobytes(), (mask, p)
+
+
+@pytest.mark.parametrize("batched", [("x",), ("k",), ("x", "k")], ids=["x", "kernel", "both"])
+def test_batched_replay_split_across_workers_equals_unbatched_replays(monkeypatch, batched):
+    """A batched replay of a 19-tile conv_block runs sub-slices of 8, 8 and 3
+    tiles on two workers, its P rows riding along in each sub-slice, and row p
+    has the bits of an unbatched replay of row p."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(tape_module, "ENCODE_WORKERS", 2)
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    rng = np.random.default_rng(12)
+    shapes = {"x": (19, 2, 7, 6), "k": (3, 2, 3, 3), "gamma": (3,), "beta": (3,)}
+    tape = Tape()
+    node = tape.conv_block(*(tape.leaf(name, rng.normal(size=shape))
+                             for name, shape in shapes.items()), stride=2, padding=1)
+    overrides = {name: tape.leaf_value(name) + 0.3 * rng.normal(size=(3, *shapes[name]))
+                 for name in batched}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # workers switch every microsecond
+    try:
+        started.clear()
+        got = _evaluate(tape, overrides, batched=True)[node.idx]
+        assert len(started) == 1  # the second worker
+        for p in range(3):
+            alone = _evaluate(tape, {name: v[p] for name, v in overrides.items()})[node.idx]
+            assert_same_bits(got[p], alone, p)
+            assert got[p].tobytes() != node.value.tobytes(), p
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in started)
 
 
 def test_batched_replay_checks_override_rows():
