@@ -134,23 +134,16 @@ def hash_path(path: str | Path, hashes: _InputHashes | None = None) -> str:
     return (hashes or _InputHashes([path])).digest(path)
 
 
-def _write_manifest(command: str, config: dict, seed: int | None,
-                    hashes: _InputHashes, outputs: tuple[Path, ...], started: float) -> None:
+def _manifest(command: str, run: _Run, hashes: _InputHashes, started: float) -> str:
     manifest = {
         "command": command,
-        "config": config,
-        "seed": seed,
+        "config": run.config,
+        "seed": run.seed,
         "inputs": {str(p): hash_path(p, hashes) for p in hashes.paths},
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(p) for p in run.outputs],
         "wall_time_s": time.monotonic() - started,
     }
-    text = json.dumps(manifest, sort_keys=True, indent=2)
-    if outputs:
-        anchor = outputs[0]
-        _atomic(anchor.with_name(anchor.name + ".manifest.json"),
-                lambda tmp: tmp.write_text(text + "\n"))
-    else:
-        _log(text)
+    return json.dumps(manifest, sort_keys=True, indent=2)
 
 
 def _atomic(out: Path, build) -> None:
@@ -591,12 +584,14 @@ _parser = functools.cache(build_parser)  # parsing leaves the parser as it was
 
 
 def dispatch(argv=None) -> int:
-    """Run one subcommand: the handler computes, then its output is written,
-    its stdout printed and its manifest recorded. Exit codes: 0 success; 1 bad
-    flags or inputs (a ValueError, which includes malformed JSON, a missing
-    file, or any OSError of the handler, which only reads, so an input it
-    cannot read); 2 anything else, which is a bug or a runtime failure, and a
-    failed gradcheck. The command's input hashing has ended when this returns."""
+    """Run one subcommand: the handler computes, then its outputs and their
+    manifest land together and its stdout is printed; a command without
+    outputs prints its stdout, then its manifest on stderr. Exit codes: 0
+    success; 1 bad flags or inputs (a ValueError, which includes malformed
+    JSON, a missing file, or any OSError of the handler, which only reads, so
+    an input it cannot read); 2 anything else, which is a bug or a runtime
+    failure, and a failed gradcheck. The command's input hashing has ended
+    when this returns."""
     try:
         args = _parser().parse_args(argv)
     except UsageError:
@@ -609,10 +604,17 @@ def dispatch(argv=None) -> int:
         except OSError as e:  # such as a directory named as an input file
             raise ValueError(e) from None
         hashes.join()  # the inputs are hashed as found, before an output lands in one
-        if run.outputs:
-            _atomic(run.outputs[0], run.build)
+        if run.outputs:  # the manifest lands beside the outputs, or nothing lands
+
+            def build(tmp: Path) -> None:
+                run.build(tmp)
+                tmp.with_name(tmp.name + ".manifest.json").write_text(
+                    _manifest(args.command, run, hashes, started) + "\n")
+
+            _atomic(run.outputs[0], build)
         print(run.stdout)
-        _write_manifest(args.command, run.config, run.seed, hashes, run.outputs, started)
+        if not run.outputs:
+            _log(_manifest(args.command, run, hashes, started))
         return run.status
     except (ValueError, FileNotFoundError) as e:
         _log(f"error: {e}")

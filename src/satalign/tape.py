@@ -34,17 +34,18 @@ A conv_block is one conv stage as one node: a strided 2-D convolution
 normalization with the batch's mean and variance, then relu. Its value is
 the relu output; it also keeps the batch (mean, var), which the
 running-statistics update reads, and the normalized activation `xhat`, which
-its backward reads. Its per-tile work, the padding, patch columns, input-column
-GEMM and col2im, runs on the sub-slices of :func:`run_sub_slices`, the one
-split of every conv stage, recorded, replayed or frozen; what sums over the
-whole batch, the batch statistics, the norm's gradients and the one
-kernel-gradient GEMM over the (c*kh*kw, n*oh*ow) patch columns, runs on the
-caller.
+its backward reads. Its per-tile work, the padding, patch columns, GEMMs,
+col2im and the norm's and relu's elementwise passes, runs on the sub-slices of
+:func:`run_sub_slices`, the one split of every conv stage, recorded, replayed
+or frozen. The caller sums the sub-slices' per-tile sums over tiles into the
+batch statistics and the scale and shift gradients, and runs the one
+kernel-gradient GEMM over the (c*kh*kw, n*oh*ow) patch columns.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import threading
 
 import numpy as np
@@ -286,25 +287,52 @@ def conv_gemm(xp: np.ndarray, kernel: np.ndarray, stride: int, cols: np.ndarray,
     return out
 
 
+def _serve(inbox: queue.SimpleQueue) -> None:
+    """A pool worker: runs each (run, j, done) handed to it, then reports on done."""
+    while True:
+        run, j, done = inbox.get()
+        try:
+            run(j)
+        finally:
+            run = None  # so the call's buffers go with the call
+            done.put(j)
+
+
+def _new_pool() -> None:  # also in a forked child, which has none of the workers
+    global _pool, _pool_busy
+    _pool, _pool_busy = [], threading.Lock()  # worker j's inbox is _pool[j - 1]
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
+
+
 def run_sub_slices(n: int, buffers, work) -> None:
     """Call work(bufs, start, stop) for each sub-slice [start, stop) of
     range(n), SUB_SLICE_TILES long but the last. More than one sub-slice runs
-    on min(ENCODE_WORKERS, usable CPUs, sub-slices) threads, the caller one of
-    them: worker j gets bufs = buffers(m), allocated on the caller before any
-    work starts, for its first sub-slice, j, of m rows, then claims each next
-    unclaimed one. When work writes only through its buffers and into its own
-    rows of the caller's outputs, the bits depend on neither the split nor the
-    worker count. A worker's first error is raised on the caller once all
-    have stopped."""
-    step, workers = SUB_SLICE_TILES, 1
-    if n > step:  # the CPU mask is read only when there is more than one sub-slice
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        workers = min(ENCODE_WORKERS, cpus or 1, -(-n // step))
-    per_worker = [buffers(min(step, n - j * step)) for j in range(workers)]
-    lock, unclaimed, errors = threading.Lock(), iter(range(workers * step, n, step)), []
+    on min(ENCODE_WORKERS, usable CPUs, sub-slices) workers, the caller one of
+    them: worker j gets bufs = buffers(m) (None without `buffers`), allocated
+    on the caller before any work starts, for its first sub-slice, j, of m
+    rows, then claims each next unclaimed one. When work writes only through
+    its buffers and into its own rows of the caller's outputs, the bits depend
+    on neither the split nor the worker count. A worker's first error is
+    raised on the caller once all have stopped. The other workers are daemon
+    threads kept across calls, each started when a call first needs it; while
+    one call holds them, a call from another thread runs alone."""
+    step = SUB_SLICE_TILES
+    if n <= step:  # one sub-slice, or none, runs on the caller
+        if n:
+            work(buffers and buffers(n), 0, n)
+        return
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    busy = _pool_busy.acquire(blocking=False)  # else another thread's call holds the pool
+    workers = min(ENCODE_WORKERS, cpus or 1, -(-n // step)) if busy else 1
+    lock, unclaimed, errors, done, handed = (threading.Lock(), iter(range(workers * step, n, step)),
+                                             [], queue.SimpleQueue(), 0)
 
     def run(j):
-        start = j * step if n else None  # zero rows: no sub-slice
+        start = j * step
         while start is not None and not errors:
             try:
                 work(per_worker[j], start, min(start + step, n))
@@ -313,15 +341,21 @@ def run_sub_slices(n: int, buffers, work) -> None:
             with lock:
                 start = next(unclaimed, None)
 
-    threads = []
     try:
-        for thread in (threading.Thread(target=run, args=(j,)) for j in range(1, workers)):
-            thread.start()
-            threads.append(thread)
+        per_worker = [buffers and buffers(min(step, n - j * step)) for j in range(workers)]
+        for j in range(1, workers):
+            if len(_pool) < j:
+                inbox = queue.SimpleQueue()
+                threading.Thread(target=_serve, args=(inbox,), daemon=True).start()
+                _pool.append(inbox)
+            _pool[j - 1].put((run, j, done))
+            handed += 1
         run(0)
     finally:
-        for thread in threads:
-            thread.join()
+        for _ in range(handed):
+            done.get()
+        if busy:
+            _pool_busy.release()
     if errors:
         raise errors[0]
 
@@ -380,9 +414,11 @@ def _channel_vector(v: np.ndarray, batched: bool) -> np.ndarray:
     return v.reshape(v.shape[0], 1, -1, 1, 1) if batched else v[:, None, None]
 
 
-def _conv_block_conv(x: np.ndarray, k: np.ndarray, s: int, p: int) -> np.ndarray:
-    """A conv_block's convolution, conv_gemm on each sub-slice of tiles into
-    its rows of the result. A batched replay's P rows ride along in each."""
+def _conv_block_conv(x: np.ndarray, k: np.ndarray, s: int,
+                     p: int) -> tuple[np.ndarray, np.ndarray]:
+    """A conv_block's convolution h, conv_gemm on each sub-slice of tiles into
+    its rows of h, and each tile's per-channel spatial sums into its rows of
+    `sums`, (..., n, f). A batched replay's P rows ride along in each."""
     (*lead, n, c, height, width), (f, _, kh, kw) = x.shape, k.shape[-4:]
     oh, ow = conv_size(height, kh, s, p), conv_size(width, kw, s, p)
     rows = (slice(None),) * len(lead)  # a batched x's P rows, whole
@@ -394,25 +430,31 @@ def _conv_block_conv(x: np.ndarray, k: np.ndarray, s: int, p: int) -> np.ndarray
     def conv(bufs, start, stop):
         xp, cols = (buf[(*rows, slice(stop - start))] for buf in bufs)
         xp[..., p:p + height, p:p + width] = x[..., start:stop, :, :, :]
-        conv_gemm(xp, k, s, cols, h[..., start:stop, :, :, :])
+        out = conv_gemm(xp, k, s, cols, h[..., start:stop, :, :, :])
+        np.add.reduce(out, axis=(-2, -1), out=sums[..., start:stop, :])
 
     h = np.empty((*(tuple(lead) or k.shape[:-4]), n, f, oh, ow))
+    sums = np.empty(h.shape[:-2])
     run_sub_slices(n, buffers, conv)
-    return h
+    return h, sums
 
 
-def _conv_block_conv_grads(x: np.ndarray, k: np.ndarray, g_t: np.ndarray, s: int, p: int,
+def _conv_block_conv_grads(x: np.ndarray, k: np.ndarray, g: np.ndarray, xhat: np.ndarray,
+                           norm: list[np.ndarray], s: int, p: int,
                            wanted: list[bool]) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The wanted gradients (dx, dk) of a conv_block's convolution from its
-    output gradient g_t, laid out (f, n*oh*ow) like the patch columns. Each
-    sub-slice's padding, patch columns, input-column GEMM and col2im run in
-    its worker's buffers; the kernel gradient is one GEMM over the
-    (c*kh*kw, n*oh*ow) columns of the whole batch."""
+    """The wanted gradients (dx, dk) of a conv_block's convolution. Each
+    sub-slice writes its columns of g_t, the conv output gradient laid out
+    (f, n*oh*ow) like the patch columns, from its rows of g, the relu-masked
+    output gradient: scale * (g - mean(g) - xhat * mean(g * xhat)), `norm`
+    holding (mean(g), mean(g * xhat), scale) as (f, 1) columns. Its padding,
+    patch columns, input-column GEMM and col2im then run in its worker's
+    buffers; the kernel gradient is one GEMM over the whole batch's columns."""
     (n, c, height, width), (f, _, kh, kw) = x.shape, k.shape
     oh, ow = conv_size(height, kh, s, p), conv_size(width, kw, s, p)
     ckk, o = c * kh * kw, oh * ow
     cols = np.empty((c, kh, kw, n, oh, ow)) if wanted[1] else None
     dx = np.empty(x.shape) if wanted[0] else None
+    g_t = np.empty((f, n * o))
 
     def buffers(m):  # padded input, input-column gradient, padded input gradient
         return (np.zeros((m, c, height + 2 * p, width + 2 * p)), np.empty((ckk, m * o)),
@@ -420,7 +462,12 @@ def _conv_block_conv_grads(x: np.ndarray, k: np.ndarray, g_t: np.ndarray, s: int
 
     def conv_grads(bufs, start, stop):
         b = stop - start
-        xp, dxp = bufs[0][:b], bufs[2][:b]
+        xp, dxp, gr = bufs[0][:b], bufs[2][:b], g[start:stop].reshape(b, f, o)
+        g_cols = g_t.reshape(f, n, o)[:, start:stop].swapaxes(0, 1)  # (b, f, o)
+        gr -= norm[0]
+        np.multiply(xhat[start:stop].reshape(b, f, o), norm[1], out=g_cols)
+        np.subtract(gr, g_cols, out=g_cols)
+        g_cols *= norm[2]
         if wanted[1]:
             xp[:, :, p:p + height, p:p + width] = x[start:stop]
             _im2col(xp, kh, kw, s, oh, ow, cols.transpose(3, 0, 1, 2, 4, 5)[start:stop])
@@ -470,24 +517,39 @@ def _compute(node: Node, vals: list[np.ndarray], record: bool = False,
     if op == "conv_block":
         x, k, gamma, beta = vals
         gamma_rows, beta_rows = (batched or (False,) * 4)[2:]
-        h = _conv_block_conv(x, k, node.attrs["stride"], node.attrs["padding"])
-        # per-channel batch statistics over (n, H, W), kept with h's rank;
-        # h's buffer holds the square, then the block's value
-        axes, count = (-4, -2, -1), h.shape[-4] * h.shape[-2] * h.shape[-1]
-        mean = np.add.reduce(h, axis=axes, keepdims=True)
-        mean /= count
-        xhat = h - mean
-        var = np.add.reduce(np.multiply(xhat, xhat, out=h), axis=axes, keepdims=True)
-        var /= count
-        xhat *= 1.0 / np.sqrt(var + node.attrs["eps"])
+        h, sums = _conv_block_conv(x, k, node.attrs["stride"], node.attrs["padding"])
+        # per-channel batch statistics over (n, H, W), each a tile-axis sum of
+        # per-tile sums: the bits of one whole-batch reduce. h's buffer holds
+        # the square, then the value
+        n, count = h.shape[-4], h.shape[-4] * h.shape[-2] * h.shape[-1]
+        mean = np.add.reduce(sums, axis=-2)[..., None, :, None, None] / count
+        xhat = np.empty(h.shape)
+
+        def center(_, start, stop):  # xhat's rows, and their squares' per-tile sums
+            rows, xhat_rows = h[..., start:stop, :, :, :], xhat[..., start:stop, :, :, :]
+            np.subtract(rows, mean, out=xhat_rows)
+            np.add.reduce(np.multiply(xhat_rows, xhat_rows, out=rows), axis=(-2, -1),
+                          out=sums[..., start:stop, :])
+
+        run_sub_slices(n, None, center)
+        var = np.add.reduce(sums, axis=-2)[..., None, :, None, None] / count
+        inv = 1.0 / np.sqrt(var + node.attrs["eps"])
         if record:
             node.batch_stats = (mean.reshape(-1), var.reshape(-1))
             node.xhat = xhat
         if h.ndim == 4 and (gamma_rows or beta_rows):  # only the scale or shift has rows
             h = np.empty(((gamma if gamma_rows else beta).shape[0], *h.shape))
-        np.multiply(xhat, _channel_vector(gamma, gamma_rows), out=h)
-        h += _channel_vector(beta, beta_rows)
-        return np.maximum(h, 0.0, out=h)
+        scale, shift = _channel_vector(gamma, gamma_rows), _channel_vector(beta, beta_rows)
+
+        def affine(_, start, stop):  # xhat's rows scaled, then the value's rows
+            rows, xhat_rows = h[..., start:stop, :, :, :], xhat[..., start:stop, :, :, :]
+            xhat_rows *= inv
+            np.multiply(xhat_rows, scale, out=rows)
+            rows += shift
+            np.maximum(rows, 0.0, out=rows)
+
+        run_sub_slices(n, None, affine)
+        return h
     if op == "global_avg_pool":
         x = vals[0]
         out = np.add.reduce(x, axis=(-2, -1))
@@ -668,25 +730,23 @@ def _vjp(node: Node, g: np.ndarray, tape: Tape,
         return [g * (vals[0] > 0)]
     if op == "conv_block":
         x, k, gamma, _ = vals
-        xhat = node.xhat
-        g = g * (node.value > 0)  # relu
-        dgamma = np.sum(g * xhat, axis=(0, 2, 3))
-        dbeta = np.sum(g, axis=(0, 2, 3))
+        xhat, (n, f, oh, ow) = node.xhat, node.xhat.shape
+        masked, sums = np.empty(xhat.shape), np.empty((2, n, f))
+
+        def relu(_, start, stop):  # g's relu-masked rows, per-tile sums of g * xhat and g
+            rows = np.multiply(g[start:stop], node.value[start:stop] > 0, out=masked[start:stop])
+            np.add.reduce(rows * xhat[start:stop], axis=(2, 3), out=sums[0, start:stop])
+            np.add.reduce(rows, axis=(2, 3), out=sums[1, start:stop])
+
+        run_sub_slices(n, None, relu)
+        dgamma, dbeta = (np.add.reduce(s, axis=0) for s in sums)  # the tile-axis sums
         if not (wanted[0] or wanted[1]):
             return [None, None, dgamma, dbeta]
-        # the norm's input gradient, in place in g:
-        # gamma * inv * (g - mean(g) - xhat * mean(g * xhat)); the two means
-        # are dbeta / m and dgamma / m
-        m = xhat.shape[0] * xhat.shape[2] * xhat.shape[3]
-        g -= (dbeta / m)[None, :, None, None]
-        g -= xhat * (dgamma / m)[None, :, None, None]
+        m = n * oh * ow  # mean(g) is dbeta / m, mean(g * xhat) dgamma / m
         inv = 1.0 / np.sqrt(node.batch_stats[1] + node.attrs["eps"])
-        g *= (gamma * inv)[None, :, None, None]
-        n, f, oh, ow = xhat.shape
-        # the conv output gradient as (f, n*oh*ow), matching the im2col columns
-        g_t = g.reshape(n, f, oh * ow).transpose(1, 0, 2).reshape(f, n * oh * ow)
-        dx, dk = _conv_block_conv_grads(x, k, g_t, node.attrs["stride"], node.attrs["padding"],
-                                        wanted)
+        norm = [v[:, None] for v in (dbeta / m, dgamma / m, gamma * inv)]
+        dx, dk = _conv_block_conv_grads(x, k, masked, xhat, norm, node.attrs["stride"],
+                                        node.attrs["padding"], wanted)
         return [dx, dk, dgamma, dbeta]
     if op == "global_avg_pool":
         x = vals[0]

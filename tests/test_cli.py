@@ -675,6 +675,31 @@ def test_an_output_of_the_other_kind_than_its_target_exits_1_leaving_every_targe
     assert {p.name: hash_path(p) for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("command, dest", [("gradcheck", "report.json"), ("index", "ck"),
+                                           ("synth", "world")])
+def test_a_manifest_over_a_directory_exits_1_before_any_output_lands(
+        workspace, tmp_path, capsys, command, dest):
+    # the manifest's destination is checked with the outputs', so nothing is
+    # printed and no output replaces its target
+    out = tmp_path / "out"
+    out.mkdir()
+    anchor = f"{dest}.json" if command == "index" else dest
+    (out / f"{anchor}.manifest.json").mkdir()
+    (out / f"{anchor}.manifest.json" / "old.txt").write_text("old")
+    (out / anchor).write_text("old") if command != "synth" else (out / anchor).mkdir()
+    world, ckpt = str(workspace / "world"), str(workspace / "run" / "ckpt.json")
+    argv = {"synth": ["--config", str(workspace / "synth.json")],
+            "index": ["--data", world, "--ckpt", ckpt],
+            "gradcheck": ["--seed", "0"]}[command]
+    before = {p.name: hash_path(p) for p in out.iterdir()}
+    assert dispatch([command, *argv, "--out", str(out / dest)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (f"error: {out / anchor}.manifest.json: an output "
+                                             f"file cannot replace a directory"), captured.err
+    assert {p.name: hash_path(p) for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("command", ["synth", "train", "index", "probe", "zeroshot",
                                      "gradcheck", "retrieve", "eval-metrics"])
 def test_each_command_records_its_run_in_one_manifest(workspace, tmp_path, capsys, command):

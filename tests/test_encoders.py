@@ -14,7 +14,8 @@ from satalign.encoders import (ImageEncoderConfig, LocationEncoderConfig, Model,
                                location_input_features, trainable_mask)
 from satalign.optim import AdamState, adam_step
 from satalign.tape import SUB_SLICE_TILES, Tape, _evaluate, backward
-from test_tape import reference_channel_norm, reference_conv2d, reference_global_avg_pool
+from test_tape import (assert_pool_contract, record_workers, reference_channel_norm,
+                       reference_conv2d, reference_global_avg_pool)
 
 
 def tiny_config(**overrides):
@@ -159,32 +160,32 @@ class TestImageEncoder:
         # than cores on a two-core machine, switching threads every microsecond
         monkeypatch.setattr(tape_module, "ENCODE_WORKERS", cap)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        started = []
-
-        class CountedThread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", CountedThread)
+        started, calls = record_workers(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             assert_features_equal_the_graph(tiny_config(), n, as_list)
         finally:
             sys.setswitchinterval(interval)
-        assert len(started) == min(cap, -(-n // SUB_SLICE_TILES)) - 1
-        assert not any(thread.is_alive() for thread in started)
+        assert_pool_contract(started, calls, cap, 4)
 
     @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
     def test_non_finite_pixels_of_the_second_worker_rejected(self, monkeypatch, model, as_list):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         pixels = np.random.default_rng(7).random((6 * SUB_SLICE_TILES, 3, 16, 16))
-        pixels[SUB_SLICE_TILES + 1, 0, 3, 4] = np.nan  # the second worker's first sub-slice
+        clean = model.image_features(pixels)  # the pool's worker runs from here on
+        assert clean.tobytes() == reference_image_features(model, pixels).tobytes()
+        bad = pixels.copy()
+        bad[SUB_SLICE_TILES + 1, 0, 3, 4] = np.nan  # the second worker's first sub-slice
         threads = threading.active_count()
         with pytest.raises(ValueError, match="non-finite values in leaf 'pixels'"):
-            model.image_features(list(pixels) if as_list else pixels)
+            model.image_features(list(bad) if as_list else bad)
         assert threading.active_count() == threads
+        # the next call runs on both workers again, with the same bits
+        started, calls = record_workers(monkeypatch)
+        assert model.image_features(list(pixels) if as_list else pixels).tobytes() == \
+            clean.tobytes()
+        assert_pool_contract(started, calls, 2, 2)
 
     @pytest.mark.parametrize("cpus, n", [(2, SUB_SLICE_TILES), (1, 6 * SUB_SLICE_TILES + 1)],
                              ids=["one_sub_slice", "one_cpu"])
@@ -251,10 +252,10 @@ def test_one_conv_kernel_for_the_tape_its_batched_replay_and_the_frozen_encoder(
 
 def test_training_conv_stages_keep_a_sub_slice_working_set():
     """One default-shape training tower (64 tiles of 32 px), recorded and
-    differentiated, peaks at 18.3 MB under tracemalloc (17.4 MB on one
+    differentiated, peaks at 18.5 MB under tracemalloc (17.6 MB on one
     worker), against 21.1 MB when each conv_block padded and im2col'd the
     whole batch in its forward and backward and ran col2im into a whole-batch
-    padded buffer."""
+    padded buffer, and 18.3 MB (17.4 MB) when its norm ran whole-batch."""
     model = Model.initialize(ModelConfig(), seed=0)
     rng = np.random.default_rng(0)
     pixels, w = rng.random((64, 3, 32, 32)), rng.normal(size=(64, model.cfg.image.d_img))

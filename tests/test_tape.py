@@ -1,13 +1,16 @@
 import itertools
 import os
+import signal
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 import satalign.tape as tape_module
+from satalign import encoders
 from satalign.cli import _gradcheck_setup
 from satalign.encoders import Model, location_input_features, trainable_mask
 from satalign.geodata import COVARIATE_CHANNELS
@@ -594,6 +597,45 @@ def reference_conv_block_grads(x, k, gamma, beta, stride, padding, eps, g):
     return dx, dk, dgamma, dbeta
 
 
+def record_workers(monkeypatch) -> tuple[list, list]:
+    """Record what the sub-slice workers do from now on: `started`, every
+    thread started, and `calls`, one (n, ids) per run_sub_slices call, ids
+    being the threads that ran one of its sub-slices."""
+    started, calls, real = [], [], tape_module.run_sub_slices
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def recorded(n, buffers, work):
+        ids = set()
+        calls.append((n, ids))
+
+        def traced(bufs, start, stop):
+            ids.add(threading.get_ident())
+            work(bufs, start, stop)
+
+        real(n, buffers, traced)
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    for module in (tape_module, encoders):
+        monkeypatch.setattr(module, "run_sub_slices", recorded)
+    return started, calls
+
+
+def assert_pool_contract(started, calls, cap, cpus):
+    """The sub-slice pool's contract: at most cap - 1 threads started, all of
+    them daemon, however many calls ran; each call ran on min(cap, CPUs,
+    sub-slices) workers, the caller one of them."""
+    step = tape_module.SUB_SLICE_TILES
+    assert len(started) <= cap - 1 and all(thread.daemon for thread in started)
+    assert calls
+    for n, ids in calls:
+        assert len(ids) == min(cap, cpus, -(-n // step)), (n, ids)
+        assert n == 0 or threading.get_ident() in ids, n
+
+
 # batches that cross sub-slice boundaries of SUB_SLICE_TILES (8) tiles, the
 # last one short, with padding 0 and with kernel 4 / stride 3 / padding 1, on
 # one, two and three workers
@@ -607,18 +649,11 @@ SUB_SLICE_GEOMETRIES = tuple(((n, 3, 9, 8), (2, 3, *shape), *geometry, cpus)
                          TestOpGradients.CONV_BLOCK_GEOMETRIES + SUB_SLICE_GEOMETRIES)
 def test_conv_block_gradients_match_the_replaced_ops(monkeypatch, geometry):
     x_shape, k_shape, stride, padding, *cpus = geometry
-    started = []
+    started, calls = record_workers(monkeypatch)
     if cpus:  # the worker count, forced through its cap, on as many CPUs
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus[0])),
                             raising=False)
         monkeypatch.setattr(tape_module, "ENCODE_WORKERS", cpus[0])
-
-        class CountedThread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", CountedThread)
     rng = np.random.default_rng(9)
     f = k_shape[0]
     values = (rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=f),
@@ -639,10 +674,9 @@ def test_conv_block_gradients_match_the_replaced_ops(monkeypatch, geometry):
     expect = reference_conv_block_grads(*values, stride, padding, 1e-5, w)
     for name, want in zip(names, expect):
         assert_same_bits(grads[name], want, name)
-    if cpus:  # the forward and the backward each start all workers but the caller
-        step = tape_module.SUB_SLICE_TILES
-        assert len(started) == 2 * (min(cpus[0], -(-x_shape[0] // step)) - 1)
-    assert not any(thread.is_alive() for thread in started)
+    if cpus:  # the forward's three passes and the backward's two, each on every worker
+        assert len(calls) == 5
+        assert_pool_contract(started, calls, cpus[0], cpus[0])
 
 
 # -- pruned backward on the full training graph --------------------------------
@@ -829,14 +863,7 @@ def test_batched_replay_split_across_workers_equals_unbatched_replays(monkeypatc
     has the bits of an unbatched replay of row p."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(tape_module, "ENCODE_WORKERS", 2)
-    started = []
-
-    class CountedThread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", CountedThread)
+    started, calls = record_workers(monkeypatch)
     rng = np.random.default_rng(12)
     shapes = {"x": (19, 2, 7, 6), "k": (3, 2, 3, 3), "gamma": (3,), "beta": (3,)}
     tape = Tape()
@@ -847,16 +874,137 @@ def test_batched_replay_split_across_workers_equals_unbatched_replays(monkeypatc
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # workers switch every microsecond
     try:
-        started.clear()
+        calls.clear()
         got = _evaluate(tape, overrides, batched=True)[node.idx]
-        assert len(started) == 1  # the second worker
+        assert_pool_contract(started, calls, 2, 2)  # each pass on the second worker too
         for p in range(3):
             alone = _evaluate(tape, {name: v[p] for name, v in overrides.items()})[node.idx]
             assert_same_bits(got[p], alone, p)
             assert got[p].tobytes() != node.value.tobytes(), p
     finally:
         sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in started)
+
+
+def test_sub_slice_workers_last_across_calls(monkeypatch):
+    """Forty calls on three workers start at most two threads, daemon ones
+    kept for the next call, and each call runs on all three workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(tape_module, "ENCODE_WORKERS", 3)
+    started, calls = record_workers(monkeypatch)
+    out = np.zeros(5 * tape_module.SUB_SLICE_TILES)
+    for call in range(40):
+        def work(_, start, stop):
+            out[start:stop] += call
+
+        tape_module.run_sub_slices(out.size, None, work)
+    assert out.tolist() == [sum(range(40))] * out.size
+    assert len(calls) == 40
+    assert_pool_contract(started, calls, 3, 4)
+    assert len(tape_module._pool) <= 2
+
+
+def test_a_call_while_another_holds_the_workers_runs_alone(monkeypatch):
+    """A call from a second thread, made while a first call holds the pool,
+    runs every sub-slice on its own thread and does not wait for the first."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(tape_module, "ENCODE_WORKERS", 2)
+    started, calls = record_workers(monkeypatch)
+    holding, release, second_ids = threading.Event(), threading.Event(), []
+    first, second = np.zeros(24), np.zeros(24)
+
+    def hold(_, start, stop):
+        first[start:stop] = 1.0
+        holding.set()
+        release.wait(60)
+
+    def alone(_, start, stop):
+        second[start:stop] = 2.0
+
+    def second_call():
+        tape_module.run_sub_slices(24, None, alone)
+        second_ids.append(threading.get_ident())
+
+    callers = [threading.Thread(target=tape_module.run_sub_slices, args=(24, None, hold)),
+               threading.Thread(target=second_call)]
+    callers[0].start()
+    try:
+        assert holding.wait(60)
+        callers[1].start()
+        callers[1].join(60)
+        second_done = not callers[1].is_alive()
+    finally:
+        release.set()
+        for caller in callers:
+            caller.join(60)
+    assert second_done and second.tolist() == [2.0] * 24
+    assert calls[1][1] == set(second_ids)
+    assert not callers[0].is_alive() and first.tolist() == [1.0] * 24
+    assert len(calls[0][1]) == 2  # the first call ran on both workers
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_after_the_pool_exists_runs_on_two_workers(monkeypatch):
+    """A child forked from a process whose pool has a worker starts its own:
+    its two-worker call finishes, with the parent's bits, within a minute."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(tape_module, "ENCODE_WORKERS", 2)
+    rng = np.random.default_rng(13)
+    values = (rng.normal(size=(19, 2, 7, 6)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3),
+              rng.normal(size=3))
+
+    def block():
+        tape = Tape()
+        leaves = [tape.leaf(name, v) for name, v in zip(("x", "k", "gamma", "beta"), values)]
+        return tape.conv_block(*leaves, stride=2, padding=1).value.tobytes()
+
+    started, calls = record_workers(monkeypatch)
+    expect = block()
+    assert tape_module._pool and all(len(ids) == 2 for _, ids in calls)
+    pid = os.fork()
+    if pid == 0:  # the child exits 0 only when its call ran on two workers with those bits
+        code = 1
+        try:
+            calls.clear()
+            code = 0 if block() == expect and all(len(ids) == 2 for _, ids in calls) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if status[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's two-worker call hung")
+    assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+# conv outputs for the reduction-order premise: the sub-slice geometries'
+# outputs, both default training stages, a 20-tile batch (sub-slices of 8, 8
+# and 4), 1x1 maps, and batched replays' ranks
+PREMISE_SHAPES = (*sorted({(x[0], k[0], *(tape_module.conv_size(x[i], k[i], s, p) for i in (2, 3)))
+                           for x, k, s, p, _ in SUB_SLICE_GEOMETRIES}),
+                  (64, 16, 16, 16), (64, 32, 8, 8), (20, 16, 16, 16), (20, 4, 1, 1), (1, 3, 1, 1),
+                  (3, 64, 16, 16, 16), (4, 19, 3, 2, 2))
+
+
+@pytest.mark.parametrize("shape", PREMISE_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_per_tile_sums_reduce_to_the_whole_batch_bits(shape):
+    """conv_block's batch statistics and dgamma/dbeta sum over (n, H, W) as
+    the tile-axis reduce of per-tile (H, W) sums that each sub-slice writes.
+    That equals one whole-batch reduce, bit for bit, only for numpy's
+    reduction order; a numpy build with another order fails here."""
+    rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+    step = tape_module.SUB_SLICE_TILES
+    for scale in (1.0, 1e-3, 1e4):
+        h = rng.normal(size=shape) * scale
+        tiles = np.empty(shape[:-2])
+        for start in range(0, shape[-4], step):
+            np.add.reduce(h[..., start:start + step, :, :, :], axis=(-2, -1),
+                          out=tiles[..., start:start + step, :])
+        whole = np.add.reduce(h, axis=(-4, -2, -1), keepdims=True)
+        assert_same_bits(np.add.reduce(tiles, axis=-2)[..., None, :, None, None], whole, scale)
+        if h.ndim == 4:  # the backward's dgamma and dbeta
+            assert_same_bits(np.add.reduce(tiles, axis=0), np.sum(h, axis=(0, 2, 3)), scale)
 
 
 def test_batched_replay_checks_override_rows():
