@@ -42,6 +42,12 @@ from .training import (TrainConfig, build_training_graph, config_to_dict, load_c
                        model_from_checkpoint, save_checkpoint, train)
 
 
+# class ids `eval-metrics --task cls` takes: its k x k confusion matrix, with
+# a JSON number per entry, then holds at most 2**22 entries on every machine,
+# the number of records synth takes
+MAX_CLASSES = 1 << 11
+
+
 class UsageError(Exception):
     pass
 
@@ -248,6 +254,14 @@ def _cmd_train(args) -> _Run:
     if config.model.location.use_covariates and channels != COVARIATE_CHANNELS:
         raise ValueError(f"{Path(args.data) / 'raster.json'}: {channels} covariate channels, "
                          f"the location encoder takes {COVARIATE_CHANNELS}")
+    c, crop = config.model.image.in_channels, config.crop_size
+    bad = next((i for i, tile in enumerate(dataset.tiles)
+                if tile.pixels.shape[0] != c or min(tile.pixels.shape[1:]) < crop), None)
+    if bad is not None:  # tile_a is resized per tile size, so sizes may differ
+        raise ValueError(f"{Path(args.data) / 'tiles' / 'manifest.json'} record {bad}: "
+                         f"expected {c} channels of at least {crop}x{crop} pixels "
+                         f"(model.image.in_channels, crop_size), got pixels of shape "
+                         f"{dataset.tiles[bad].pixels.shape}")
     paired = pair_samples(dataset.observations, dataset.tiles, dataset.texts, dataset.raster,
                           matching_radius=config.matching_radius, seed=config.seed)
     reasons = "".join(f", {n} {reason}" for reason, n in paired.skips.items())
@@ -481,6 +495,11 @@ def _cmd_eval_metrics(args) -> _Run:
         raise ValueError(f"{args.preds} and {args.labels} differ in length "
                          f"({len(preds)} vs {len(labels)})")
     if args.task == "cls":
+        for path, ids in ((args.preds, preds), (args.labels, labels)):
+            j = next((j for j, v in enumerate(ids) if v >= MAX_CLASSES), None)
+            if j is not None:
+                raise ValueError(f"{path}: entry [{j}]: class id {ids[j]} is not below the "
+                                 f"{MAX_CLASSES:,} classes a confusion matrix takes")
         k = max(max(preds), max(labels)) + 1
         metrics = {"accuracy": accuracy(preds, labels),
                    "confusion_matrix": confusion_matrix(preds, labels, k).tolist()}

@@ -16,7 +16,7 @@ import pytest
 
 import satalign.cli as cli
 from satalign.cli import dispatch, hash_path
-from satalign.dataio import pair_paths
+from satalign.dataio import ingest_dataset, pair_paths, save_dataset
 from satalign.evaluate import INDEX_SLAB_ROWS, RetrievalIndex, save_index
 from satalign.geodata import MAX_RADIUS
 from satalign.synthworld import SyntheticWorldConfig
@@ -574,6 +574,53 @@ def test_eval_rejects_tiles_of_another_size(workspace, tmp_path, capsys):
     assert not (tmp_path / "idx.json").exists()
 
 
+def _train_argv(world, tmp_path):
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps(TRAIN_CFG))
+    return ["train", "--data", str(world), "--out", str(tmp_path / "ckpt"), "--config",
+            str(config), "--epochs", "1"]
+
+
+@pytest.mark.parametrize("field, value, shape", [("tile_channels", 4, (4, 12, 12)),
+                                                 ("tile_size", 8, (3, 8, 8))])
+def test_train_rejects_tiles_the_model_cannot_take_before_pairing(tmp_path, capsys, field,
+                                                                  value, shape):
+    # these once failed after pairing, in conv_block or in the crop, naming no file
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(dict(SYNTH_CFG, **{field: value})))
+    world = tmp_path / "world"
+    assert dispatch(["synth", "--out", str(world), "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert dispatch(_train_argv(world, tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {world / 'tiles' / 'manifest.json'} record 0: expected "
+                            f"3 channels of at least 10x10 pixels (model.image.in_channels, "
+                            f"crop_size), got pixels of shape {shape}\n")
+    assert captured.out == ""
+    assert not (tmp_path / "ckpt.json").exists()
+
+
+def test_train_takes_mixed_tile_sizes_and_names_the_first_tile_it_cannot(workspace, tmp_path,
+                                                                          capsys):
+    dataset = ingest_dataset(workspace / "world")
+    tiles = dataset.tiles
+
+    def reshape(i, pixels):
+        tiles[i] = dataclasses.replace(tiles[i], pixels=pixels)
+
+    for i in range(0, len(tiles), 3):  # every third tile 16 px, the rest 12 px
+        reshape(i, np.pad(tiles[i].pixels, ((0, 0), (2, 2), (2, 2))))
+    save_dataset(tmp_path / "mixed", dataset)
+    assert dispatch(_train_argv(tmp_path / "mixed", tmp_path)) == 0
+    reshape(4, tiles[4].pixels[:, :9])  # 9 px high, below the 10 px crop
+    reshape(7, tiles[7].pixels[:2])  # 2 channels
+    save_dataset(tmp_path / "bad", dataset)
+    capsys.readouterr()
+    assert dispatch(_train_argv(tmp_path / "bad", tmp_path)) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {tmp_path / 'bad' / 'tiles' / 'manifest.json'} record 4: expected 3 channels")
+
+
 @pytest.mark.parametrize("command", ["probe", "zeroshot", "gradcheck"])
 def test_file_output_never_replaces_existing_directory(workspace, tmp_path, capsys, command):
     out = tmp_path / "out"
@@ -1036,6 +1083,32 @@ def test_eval_metrics_malformed_predictions_exit_1(tmp_path, capsys, task, preds
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {tmp_path / says}\n"
+
+
+@pytest.mark.parametrize("preds, labels, says", [
+    ("[18446744073709551616, 1]", "[0, 1]", "p.json: entry [0]: class id 18446744073709551616"),
+    ("[0, 1]", f"[0, {cli.MAX_CLASSES}]", f"l.json: entry [1]: class id {cli.MAX_CLASSES}"),
+])
+def test_eval_metrics_cls_class_ids_at_the_bound_exit_1(tmp_path, capsys, preds, labels, says):
+    # 2**64 once exited 2 with an OverflowError; 10**5 asked for 10**10 matrix entries
+    (tmp_path / "p.json").write_text(preds)
+    (tmp_path / "l.json").write_text(labels)
+    assert dispatch(["eval-metrics", "--task", "cls", "--preds", str(tmp_path / "p.json"),
+                     "--labels", str(tmp_path / "l.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {tmp_path / says} is not below the "
+                            f"{cli.MAX_CLASSES:,} classes a confusion matrix takes\n")
+
+
+def test_eval_metrics_cls_takes_the_largest_class_id_below_the_bound(tmp_path, capsys):
+    # 2,047 classes and more: a world of that many habitats is one synth takes
+    (tmp_path / "p.json").write_text("[0, 2047]")
+    (tmp_path / "l.json").write_text("[0, 1500]")
+    assert dispatch(["eval-metrics", "--task", "cls", "--preds", str(tmp_path / "p.json"),
+                     "--labels", str(tmp_path / "l.json")]) == 0
+    matrix = json.loads(capsys.readouterr().out)["confusion_matrix"]
+    assert len(matrix) == cli.MAX_CLASSES == 2048 and matrix[1500][2047] == 1
 
 
 @pytest.mark.parametrize("task, preds, labels", [

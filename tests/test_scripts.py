@@ -1,6 +1,9 @@
 """The experiment scripts run end to end at their smallest settings."""
 
+import hashlib
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,50 @@ def test_script_runs_at_smallest_settings(name, argv, rows, columns, capsys):
         matches = [line for line in lines if line.strip().startswith(row)]
         assert matches, f"{name}: no output row starting with {row!r}"
         trailing_scores(matches[0], columns)
+
+
+def test_same_bytes_names_a_flipped_byte_and_passes_identical_trees(tmp_path, monkeypatch,
+                                                                     capsys):
+    same_bytes = load_script("same_bytes")
+    trees = {"pinned": tmp_path / "a", "unpinned": tmp_path / "b"}
+    for wall_time, tree in enumerate(trees.values()):
+        (tree / "world").mkdir(parents=True)
+        (tree / "world" / "pixels.bin").write_bytes(bytes(range(256)))
+        manifest = {"command": "synth", "outputs": ["world"], "wall_time_s": wall_time}
+        (tree / "world.manifest.json").write_text(json.dumps(manifest))
+    # each run's digests are those of its small tree, in place of the commands' outputs
+    monkeypatch.setattr(same_bytes, "run",
+                        lambda root, cpus, threads: same_bytes.digests(trees[root.name]))
+    monkeypatch.setattr(same_bytes, "OUTPUTS", {"world/pixels.bin", "world.manifest.json"})
+    assert same_bytes.main() == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        f"{hashlib.sha256(bytes(range(256))).hexdigest()}  world/pixels.bin",
+        'world.manifest.json {"command": "synth", "outputs": ["world"], "wall_time_s": "masked"}']
+
+    flipped = bytearray(range(256))
+    flipped[100] ^= 1
+    (trees["unpinned"] / "world" / "pixels.bin").write_bytes(flipped)
+    assert same_bytes.main() == 1
+    assert capsys.readouterr().err == (
+        "differs between the pinned and the unpinned run: world/pixels.bin\n")
+
+    for tree in trees.values():  # a file both runs lack, which no comparison of the two shows
+        (tree / "world" / "pixels.bin").unlink()
+    assert same_bytes.main() == 1
+    assert capsys.readouterr().err == "missing from the pinned run: world/pixels.bin\n"
+
+
+def test_same_bytes_requires_a_manifest_for_every_out_of_its_commands():
+    same_bytes = load_script("same_bytes")
+    outs = re.findall(r"--out (\S+)", same_bytes.COMMANDS)
+    assert len(outs) == 13
+    for out in outs:  # a manifest is named after the command's first output
+        names = {f"{out}.manifest.json", f"{out}.json.manifest.json"}
+        assert len(names & same_bytes.OUTPUTS) == 1, out
+    manifests = {name for name in same_bytes.OUTPUTS if name.endswith(".manifest.json")}
+    assert len(manifests) == len(outs)
+    # each checkpoint and index is a .json/.bin pair
+    for out in ("ckpt", "ckpt_ss", "ckpt_odd", "idx", "idx_odd"):
+        assert {f"{out}.json", f"{out}.bin"} <= same_bytes.OUTPUTS
