@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from satalign.encoders import ImageEncoderConfig, LocationEncoderConfig, ModelConfig
-from satalign.evaluate import ProbeConfig, accuracy, fit_linear_probe
+from satalign.evaluate import ProbeConfig, accuracy, fit_linear_probe, probe_split
 from satalign.geodata import pair_samples
 from satalign.synthworld import SyntheticWorldConfig, generate_synthetic_world
 from satalign.training import TrainConfig, initial_model, model_from_checkpoint, train
@@ -37,16 +37,10 @@ ROWS = [
 
 
 def probe_accuracy(model, tiles, labels, seed):
-    """Linear-probe habitat accuracy on a 75/25 split made within each
-    habitat, so every habitat has the same share in both splits."""
+    """Linear-probe habitat accuracy on the CLI's `probe --task cls` split:
+    75/25 within each habitat, so every habitat has the same share in both."""
     features = model.image_features(np.stack([t.pixels for t in tiles]))
-    rng = np.random.default_rng(seed)
-    train_idx, test_idx = [], []
-    for habitat in np.unique(labels):
-        members = rng.permutation(np.flatnonzero(labels == habitat))
-        n_train = int(0.75 * len(members))
-        train_idx.extend(members[:n_train])
-        test_idx.extend(members[n_train:])
+    train_idx, test_idx = probe_split(labels, seed)
     head = fit_linear_probe(None, features[train_idx], labels[train_idx],
                             "single_label", ProbeConfig(lr=1e-3, epochs=200, seed=seed))
     return accuracy(head.predict(features[test_idx]), labels[test_idx])

@@ -33,7 +33,7 @@ from .encoders import (ImageEncoderConfig, LocationEncoderConfig, Model, ModelCo
                        location_input_features)
 from .evaluate import (ProbeConfig, accuracy, build_index, confusion_matrix,
                        fit_linear_probe, load_index, mean_top_k_accuracy, micro_f1,
-                       query_index, save_index, top_k_accuracy, zero_shot_classify)
+                       probe_split, query_index, save_index, zero_shot_classify)
 from .gradcheck import finite_diff_check
 from .geodata import COVARIATE_CHANNELS, pair_samples, tile_species_targets
 from .synthworld import SyntheticWorldConfig, generate_synthetic_world
@@ -320,46 +320,35 @@ def _cmd_gradcheck(args) -> _Run:
 
 def _probe_metrics(dataset, model: Model, task: str, seed: int,
                    probe_epochs: int, radius: float) -> dict:
+    """A linear probe's metrics on the frozen features, split by `probe_split`
+    with habitat strata for `cls` and `multilabel` and one for `encounter`."""
     tiles = dataset.tiles
-    features = model.image_features([t.pixels for t in tiles])
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(tiles))
-    n_train = max(1, int(0.75 * len(tiles)))
-    train_idx, test_idx = order[:n_train], order[n_train:]
-    if test_idx.size == 0:
-        raise ValueError("not enough tiles to hold out a test split")
-    probe_cfg = ProbeConfig(lr=1e-3, epochs=probe_epochs, seed=seed)
-
-    if task in ("cls", "multilabel"):
-        if dataset.truth is None:
-            raise ValueError("this task needs ground_truth.json habitat labels")
+    if task == "encounter":
+        targets = tile_species_targets(tiles, dataset.observations, radius)
+        labels, kind = np.zeros(len(tiles), dtype=int), "encounter_rate"
+    elif dataset.truth is None:
+        raise ValueError("this task needs ground_truth.json habitat labels")
+    else:
         labels = np.array([dataset.truth.tile_habitats[t.tile_id] for t in tiles])
         k = dataset.truth.n_habitats
-        if task == "cls":
-            head = fit_linear_probe(None, features[train_idx], labels[train_idx],
-                                    "single_label", probe_cfg)
-            preds = head.predict(features[test_idx])
-            return {"task": "cls",
-                    "train_accuracy": accuracy(head.predict(features[train_idx]),
-                                               labels[train_idx]),
-                    "test_accuracy": accuracy(preds, labels[test_idx]),
-                    "confusion_matrix": confusion_matrix(preds, labels[test_idx],
-                                                         k).tolist()}
-        onehot = np.zeros((len(tiles), k))
-        onehot[np.arange(len(tiles)), labels] = 1.0
-        head = fit_linear_probe(None, features[train_idx], onehot[train_idx],
-                                "multi_label", probe_cfg)
-        preds = head.predict(features[test_idx])
-        pred_sets = [set(np.flatnonzero(row)) for row in preds]
-        true_sets = [{int(labels[i])} for i in test_idx]
-        return {"task": "multilabel", "micro_f1": micro_f1(pred_sets, true_sets)}
-
-    targets = tile_species_targets(tiles, dataset.observations, radius)
-    head = fit_linear_probe(None, features[train_idx], targets[train_idx],
-                            "encounter_rate", probe_cfg)
-    rates = head.predict(features[test_idx])
+        targets, kind = ((labels, "single_label") if task == "cls"
+                         else (np.eye(k)[labels], "multi_label"))
+    train_idx, test_idx = probe_split(labels, seed)
+    features = model.image_features([t.pixels for t in tiles])
+    head = fit_linear_probe(None, features[train_idx], targets[train_idx], kind,
+                            ProbeConfig(lr=1e-3, epochs=probe_epochs, seed=seed))
+    preds = head.predict(features[test_idx])
+    if task == "cls":
+        return {"task": "cls",
+                "train_accuracy": accuracy(head.predict(features[train_idx]), labels[train_idx]),
+                "test_accuracy": accuracy(preds, labels[test_idx]),
+                "confusion_matrix": confusion_matrix(preds, labels[test_idx], k).tolist()}
+    if task == "multilabel":
+        return {"task": "multilabel",
+                "micro_f1": micro_f1([set(np.flatnonzero(row)) for row in preds],
+                                     [{int(labels[i])} for i in test_idx])}
     observed = [set(np.flatnonzero(targets[i])) for i in test_idx]
-    score, skipped = mean_top_k_accuracy(rates, observed)
+    score, skipped = mean_top_k_accuracy(preds, observed)
     return {"task": "encounter", "top_k_accuracy": score, "skipped_empty": skipped}
 
 
@@ -608,9 +597,9 @@ def dispatch(argv=None) -> int:
     outputs prints its stdout, then its manifest on stderr. Exit codes: 0
     success; 1 bad flags or inputs (a ValueError, which includes malformed
     JSON, a missing file, or any OSError of the handler, which only reads, so
-    an input it cannot read); 2 anything else, which is a bug or a runtime
-    failure, and a failed gradcheck. The command's input hashing has ended
-    when this returns."""
+    an input it cannot read), or a stdout closed before all of it was written;
+    2 anything else, which is a bug or a runtime failure, and a failed
+    gradcheck. The command's input hashing has ended when this returns."""
     try:
         args = _parser().parse_args(argv)
     except UsageError:
@@ -631,12 +620,17 @@ def dispatch(argv=None) -> int:
                     _manifest(args.command, run, hashes, started) + "\n")
 
             _atomic(run.outputs[0], build)
-        print(run.stdout)
+        print(run.stdout, flush=True)
         if not run.outputs:
             _log(_manifest(args.command, run, hashes, started))
         return run.status
     except (ValueError, FileNotFoundError) as e:
         _log(f"error: {e}")
+        return 1
+    except BrokenPipeError:  # the reader closed stdout; outputs that landed stay
+        with open(os.devnull, "w") as devnull:  # so flushing stdout at exit raises nothing
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        _log("error: stdout was closed before the command's output was written")
         return 1
     except Exception:
         traceback.print_exc()

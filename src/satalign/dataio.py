@@ -32,8 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geodata import (CovariateRaster, Observations, TextSections, TileRecord,
-                      invalid_observation)
+from .geodata import CovariateRaster, ObservationError, Observations, TextSections, TileRecord
 from .synthworld import SyntheticWorld
 
 TILE_READ_BYTES = 1 << 19  # tile pixel bytes read together into one float32 array
@@ -224,11 +223,11 @@ def _load_observations(path: Path) -> Observations:
         except (ValueError, OverflowError):
             raise ValueError(f"{path}: unparseable values, line {line_no}") from None
         numbers.append(line_no)
-    lat, lon, species = np.array(lat), np.array(lon), np.array(species, dtype=np.int64)
-    found = invalid_observation(lat, lon, species)
-    if found is not None:
-        raise ValueError(f"{path}: {found[1]}, line {numbers[found[0]]}")
-    return Observations(lat=lat, lon=lon, species=species)
+    try:
+        return Observations(lat=np.array(lat), lon=np.array(lon),
+                            species=np.array(species, dtype=np.int64))
+    except ObservationError as e:
+        raise ValueError(f"{path}: {e.reason}, line {numbers[e.row]}") from None
 
 
 def _json_floats(obj, where: str) -> np.ndarray:

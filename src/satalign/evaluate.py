@@ -77,6 +77,23 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
+def probe_split(strata, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probe's train and test rows: one seeded permutation per stratum, in
+    ascending stratum order, whose first max(1, int(0.75 * m)) of m rows train.
+    With a single stratum this is the split of rng.permutation(n)."""
+    strata = np.asarray(strata)
+    rng = np.random.default_rng(seed)
+    train, test = [], []
+    for stratum in np.unique(strata):
+        members = rng.permutation(np.flatnonzero(strata == stratum))
+        n_train = max(1, int(0.75 * len(members)))
+        train.append(members[:n_train])
+        test.append(members[n_train:])
+    if not any(map(len, test)):
+        raise ValueError("not enough tiles to hold out a test split")
+    return np.concatenate(train), np.concatenate(test)
+
+
 def fit_linear_probe(model: Model | None, features_or_tiles, labels, kind: str,
                      config: ProbeConfig = ProbeConfig()) -> ProbeHead:
     """Train only a linear head on frozen features with Adam.

@@ -25,15 +25,13 @@ MAX_RADIUS = sys.float_info.max / 2
 TARGET_JOIN_PAIRS = 1 << 18
 
 
-def invalid_observation(lat: np.ndarray, lon: np.ndarray,
-                        species: np.ndarray) -> tuple[int, str] | None:
-    """The first row holding an out-of-range value and its first failing
-    check, or None when every row is valid."""
-    failures = np.stack([~((lat >= -90.0) & (lat <= 90.0)),  # also catches NaN
-                         ~((lon >= -180.0) & (lon < 180.0)), species < 0])
-    bad = np.flatnonzero(failures.any(axis=0))
-    reasons = ("lat out of range", "lon out of range", "negative species_id")
-    return (int(bad[0]), reasons[np.argmax(failures[:, bad[0]])]) if bad.size else None
+class ObservationError(ValueError):
+    """An observation holding an out-of-range value: `row` is its index and
+    `reason` its first failing check."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"observation {row}: {reason}")
+        self.row, self.reason = row, reason
 
 
 @dataclass
@@ -50,9 +48,12 @@ class Observations:
         self.species = np.asarray(self.species, dtype=np.int64)
         if self.lat.ndim != 1 or not self.lat.shape == self.lon.shape == self.species.shape:
             raise ValueError("observation lat, lon and species must be vectors of one length")
-        found = invalid_observation(self.lat, self.lon, self.species)
-        if found is not None:
-            raise ValueError(f"observation {found[0]}: {found[1]}")
+        failures = np.stack([~((self.lat >= -90.0) & (self.lat <= 90.0)),  # also catches NaN
+                             ~((self.lon >= -180.0) & (self.lon < 180.0)), self.species < 0])
+        bad = np.flatnonzero(failures.any(axis=0))
+        if bad.size:
+            reasons = ("lat out of range", "lon out of range", "negative species_id")
+            raise ObservationError(int(bad[0]), reasons[np.argmax(failures[:, bad[0]])])
 
     def __len__(self):
         return len(self.species)

@@ -160,6 +160,64 @@ def test_probe_epochs_below_1_exit_1(workspace, capsys, epochs):
     assert captured.err == f"error: probe epochs must be >= 1, got {epochs}\n"
 
 
+@pytest.fixture(scope="module")
+def few_tile_worlds(tmp_path_factory):
+    """Worlds of 4 habitats with 2 tiles each and with 1, and a checkpoint
+    that takes their 16 px tiles."""
+    root = tmp_path_factory.mktemp("few_tiles")
+    world = {"n_habitats": 4, "n_species": 8, "n_observations": 64, "raster_rows": 8,
+             "raster_cols": 8, "tile_size": 16, "d_txt": 16}
+    for tiles in (2, 1):
+        (root / f"synth{tiles}.json").write_text(json.dumps(dict(world, tiles_per_habitat=tiles)))
+        assert dispatch(["synth", "--out", str(root / f"world{tiles}"),
+                         "--config", str(root / f"synth{tiles}.json")]) == 0
+    model = dict(TRAIN_CFG["model"], image={"in_size": 16, "widths": [4, 6], "d_img": 8},
+                 d_txt=16)
+    (root / "train.json").write_text(json.dumps(dict(TRAIN_CFG, epochs=1, batch_size=4,
+                                                     crop_size=12, model=model)))
+    assert dispatch(["train", "--data", str(root / "world2"), "--out", str(root / "ckpt"),
+                     "--config", str(root / "train.json")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("seed", ["2", "20"])
+def test_probe_cls_trains_on_every_habitat_of_a_two_tile_world(few_tile_worlds, capsys, seed):
+    # an unstratified split left a habitat out of training at these seeds
+    assert dispatch(["probe", "--data", str(few_tile_worlds / "world2"),
+                     "--ckpt", str(few_tile_worlds / "ckpt"), "--task", "cls",
+                     "--seed", seed, "--probe-epochs", "5"]) == 0
+    metrics = json.loads(capsys.readouterr().out)
+    assert np.array(metrics["confusion_matrix"]).sum(axis=1).tolist() == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("task", ["cls", "multilabel"])
+def test_probe_of_one_tile_per_habitat_exits_1(few_tile_worlds, capsys, task):
+    assert dispatch(["probe", "--data", str(few_tile_worlds / "world1"),
+                     "--ckpt", str(few_tile_worlds / "ckpt"), "--task", task]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: not enough tiles to hold out a test split\n")
+
+
+def test_each_probe_task_fits_through_the_cli_name_once(workspace, monkeypatch):
+    # perfbench times the probe fit by wrapping `satalign.cli.fit_linear_probe`
+    kinds = []
+    original = cli.fit_linear_probe
+
+    def recording(model, features, labels, kind, *args):
+        kinds.append(kind)
+        return original(model, features, labels, kind, *args)
+
+    monkeypatch.setattr(cli, "fit_linear_probe", recording)
+    for task, kind in (("cls", "single_label"), ("multilabel", "multi_label"),
+                       ("encounter", "encounter_rate")):
+        kinds.clear()
+        assert dispatch(["probe", "--data", str(workspace / "world"),
+                         "--ckpt", str(workspace / "run" / "ckpt.json"), "--task", task,
+                         "--probe-epochs", "2"]) == 0
+        assert kinds == [kind], task
+
+
 def test_repeated_tile_id_in_the_manifest_exits_1_naming_the_record(workspace, tmp_path,
                                                                      capsys):
     world = tmp_path / "world"
@@ -1194,6 +1252,30 @@ def test_one_process_runs_commands_as_fresh_processes_do(workspace, tmp_path, ca
         assert (code, captured.out, _without_wall_time(captured.err)) == (
             fresh.returncode, fresh.stdout, _without_wall_time(fresh.stderr)), argv
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["eval-metrics", "zeroshot"])
+def test_a_closed_stdout_exits_1_and_keeps_the_outputs(workspace, tmp_path, command):
+    preds, labels, out = tmp_path / "preds.json", tmp_path / "labels.json", tmp_path / "zs.tsv"
+    preds.write_text("[1023, 0]")  # a 1,024 x 1,024 confusion matrix: megabytes of stdout
+    labels.write_text("[0, 0]")
+    argv = {"eval-metrics": ["eval-metrics", "--task", "cls", "--preds", str(preds),
+                             "--labels", str(labels)],
+            "zeroshot": ["zeroshot", "--data", str(workspace / "world"),
+                         "--ckpt", str(workspace / "run" / "ckpt.json"), "--out", str(out)]}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    read, write = os.pipe()
+    os.close(read)  # each write to stdout fails with EPIPE, as after `| head -c 50`
+    try:
+        done = subprocess.run([sys.executable, "-m", "satalign.cli", *argv[command]], env=env,
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (
+        1, "error: stdout was closed before the command's output was written\n")
+    if command == "zeroshot":
+        assert out.exists() and pathlib.Path(f"{out}.manifest.json").exists()
 
 
 def _slow_digest(monkeypatch, hashed, fail=None, delay=0.01):

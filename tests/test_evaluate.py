@@ -11,7 +11,8 @@ from conftest import small_train_config
 from satalign.evaluate import (INDEX_SLAB_ROWS, ProbeConfig, RetrievalIndex, _sigmoid, accuracy,
                                build_index, confusion_matrix, fit_linear_probe,
                                load_index, mean_iou, mean_top_k_accuracy, micro_f1,
-                               query_index, save_index, top_k_accuracy, zero_shot_classify)
+                               probe_split, query_index, save_index, top_k_accuracy,
+                               zero_shot_classify)
 from satalign.geodata import TileRecord
 from satalign.tape import l2_normalize_rows
 from satalign.training import initial_model
@@ -228,6 +229,34 @@ class TestLinearProbe:
             fit_linear_probe(None, features, np.zeros((4, 2)), "single_label")
         with pytest.raises(ValueError, match="unknown task kind"):
             fit_linear_probe(None, features, np.zeros(4), "segmentation")
+
+
+class TestProbeSplit:
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=60), st.integers(0, 2 ** 32))
+    @settings(max_examples=100, deadline=None)
+    def test_each_stratum_trains_three_quarters_in_stratum_order(self, strata, seed):
+        strata = np.array(strata)
+        values, counts = np.unique(strata, return_counts=True)
+        if counts.max() == 1:  # every row trains
+            with pytest.raises(ValueError, match="not enough tiles to hold out a test split"):
+                probe_split(strata, seed)
+            return
+        train, test = probe_split(strata, seed)
+        assert sorted(np.concatenate([train, test])) == list(range(len(strata)))
+        for value, m in zip(values, counts):
+            assert np.sum(strata[train] == value) == max(1, int(0.75 * m))
+        for side in (train, test):
+            assert list(strata[side]) == sorted(strata[side])
+        again = probe_split(strata, seed)
+        assert np.array_equal(train, again[0]) and np.array_equal(test, again[1])
+
+    @given(st.integers(2, 2000), st.integers(0, 2 ** 32))
+    @settings(max_examples=50, deadline=None)
+    def test_one_stratum_is_the_split_of_one_permutation(self, n, seed):
+        order = np.random.default_rng(seed).permutation(n)
+        n_train = max(1, int(0.75 * n))
+        train, test = probe_split(np.zeros(n, dtype=int), seed)
+        assert np.array_equal(train, order[:n_train]) and np.array_equal(test, order[n_train:])
 
 
 class TestRetrievalIndex:
