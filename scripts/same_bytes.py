@@ -5,7 +5,8 @@ output that differs or that a run lacks. `PYTHONPATH=<tree>/src` picks the tree 
 
 Covered: 20 px tiles for 16 px models, pairing skips, `full`, `scale_shift
 --freeze-location`, an odd conv geometry, 8-tile sub-slices on one worker and two,
-84 eval tiles, joins of 50,000 observations, a 10,000-row index, gradcheck 0-19."""
+84 eval tiles, joins of 50,000 observations, a 10,000-row index read in 1,024-row slabs
+on one worker and two, gradcheck 0-19."""
 
 import hashlib
 import json

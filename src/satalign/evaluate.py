@@ -4,6 +4,7 @@ retrieval index, and zero-shot classification."""
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,16 +14,20 @@ from .dataio import pair_paths, read_json, require_fields
 from .encoders import Model
 from .geodata import TileRecord
 from .optim import AdamState, ParameterStore, adam_step
-from .tape import RowNormError, l2_normalize_rows, row_norms
+from .tape import RowNormError, l2_normalize_rows, row_norms, run_sub_slices
 
 TASK_KINDS = ("single_label", "multi_label", "encounter_rate")
 
 # Rows per slab when an index file is queried or an index is validated: the
-# temporaries stay slab-sized, however many rows it holds. At d = 64 a query's
-# three slab buffers take 640 KB, inside a 2 MB L2 cache. On a 10^5-row index
-# (2 vCPUs, one BLAS thread, medians of 40 queries in 4 to 8 alternating
-# processes) 4,096, 1,024 and 512 rows took 31.0, 26.9 and 25.7 ms per query.
-INDEX_SLAB_ROWS = 512
+# temporaries stay slab-sized, however many rows it holds. A query's slabs are
+# the sub-slices of tape.run_sub_slices, so the caller and the pool's worker
+# each read their own; a worker's three slab buffers take 1.28 MB at d = 64,
+# inside a 2 MB L2 cache, and a 1,000-row index is one slab, read on the
+# caller alone. On a 10^5-row index (2 vCPUs, one BLAS thread, medians of 40
+# alternating passes in one process) slabs of 512, 1,024 and 2,048 rows took
+# 20.5, 15.6 and 15.9 ms per pass on two workers, against 25.4 ms for 512 on
+# the caller alone, and 24.4, 25.1 and 27.1 ms pinned to one CPU.
+INDEX_SLAB_ROWS = 1024
 
 
 @dataclass
@@ -311,30 +316,42 @@ class IndexFile:
     bin_path: Path
 
     def cosines(self, q: np.ndarray) -> np.ndarray:
-        """The blob's rows at unit norm times q. Each slab is read into one
-        float32 buffer, widened into one float64 buffer and divided by its
-        row norms while in cache, squaring into one scratch buffer; the bits
-        equal one l2_normalize_rows of the whole blob's. A row that row_norms
-        accepts (finite, norm above NORM_EPS) divides to a norm within ~1e-15
-        of 1, so RetrievalIndex's 1e-9 unit-norm gate could not fail here."""
-        shape = (min(self.n, INDEX_SLAB_ROWS), self.d)
-        cosines, raw, slab, squares = (np.empty(self.n), np.empty(shape, dtype="<f4"),
-                                       np.empty(shape), np.empty(shape))
-        with open(self.bin_path, "rb") as f:
-            for start in range(0, self.n, INDEX_SLAB_ROWS):
-                r = min(INDEX_SLAB_ROWS, self.n - start)
-                if f.readinto(raw[:r]) != raw[:r].nbytes:
-                    raise ValueError(f"{self.bin_path}: changed while it was read")
-                rows = slab[:r]
-                np.copyto(rows, raw[:r])
-                # float32 storage perturbs norms at ~1e-7; restore exact unit rows
-                try:
-                    norms = row_norms(rows, squares[:r])
-                except RowNormError as e:
-                    raise ValueError(f"{self.bin_path}: row {start + e.row} has a {e.problem} "
-                                     f"norm") from None
-                np.divide(rows, norms[:, None], out=rows)
-                np.matmul(rows, q, out=cosines[start:start + r])
+        """The blob's rows at unit norm times q, one slab of INDEX_SLAB_ROWS
+        rows per sub-slice of tape.run_sub_slices, so the caller and the
+        pool's worker each take their own slabs. A slab is read with a
+        positional read into its worker's float32 buffer, widened into its
+        float64 buffer and divided by its row norms while in cache, squaring
+        into its scratch buffer; each row's arithmetic is its own, so the bits
+        equal one l2_normalize_rows of the whole blob's on any split. The
+        error raised is that of the first slab, in row order, with a short
+        read or a bad row. A row that row_norms accepts (finite, norm above
+        NORM_EPS) divides to a norm within ~1e-15 of 1, so RetrievalIndex's
+        1e-9 unit-norm gate could not fail here."""
+        cosines = np.empty(self.n)
+
+        def buffers(m):  # the float32 read, its float64 rows, their squares
+            return (np.empty((m, self.d), dtype="<f4"), np.empty((m, self.d)),
+                    np.empty((m, self.d)))
+
+        def slab(bufs, start, stop):
+            raw, rows, squares = (buf[:stop - start] for buf in bufs)
+            if os.preadv(fd, [raw], start * raw.itemsize * self.d) != raw.nbytes:
+                raise ValueError(f"{self.bin_path}: changed while it was read")
+            np.copyto(rows, raw)
+            # float32 storage perturbs norms at ~1e-7; restore exact unit rows
+            try:
+                norms = row_norms(rows, squares)
+            except RowNormError as e:
+                raise ValueError(f"{self.bin_path}: row {start + e.row} has a {e.problem} "
+                                 f"norm") from None
+            np.divide(rows, norms[:, None], out=rows)
+            np.matmul(rows, q, out=cosines[start:stop])
+
+        fd = os.open(self.bin_path, os.O_RDONLY)
+        try:
+            run_sub_slices(self.n, buffers, slab, INDEX_SLAB_ROWS)
+        finally:
+            os.close(fd)
         return cosines
 
 

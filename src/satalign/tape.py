@@ -308,19 +308,22 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
-def run_sub_slices(n: int, buffers, work) -> None:
+def run_sub_slices(n: int, buffers, work, step: int = SUB_SLICE_TILES) -> None:
     """Call work(bufs, start, stop) for each sub-slice [start, stop) of
-    range(n), SUB_SLICE_TILES long but the last. More than one sub-slice runs
-    on min(ENCODE_WORKERS, usable CPUs, sub-slices) workers, the caller one of
-    them: worker j gets bufs = buffers(m) (None without `buffers`), allocated
-    on the caller before any work starts, for its first sub-slice, j, of m
-    rows, then claims each next unclaimed one. When work writes only through
-    its buffers and into its own rows of the caller's outputs, the bits depend
-    on neither the split nor the worker count. A worker's first error is
-    raised on the caller once all have stopped. The other workers are daemon
-    threads kept across calls, each started when a call first needs it; while
-    one call holds them, a call from another thread runs alone."""
-    step = SUB_SLICE_TILES
+    range(n), `step` long but the last: SUB_SLICE_TILES tiles for every conv
+    stage, INDEX_SLAB_ROWS rows for a file-backed index's cosines. More than
+    one sub-slice runs on min(ENCODE_WORKERS, usable CPUs, sub-slices)
+    workers, the caller one of them: worker j gets bufs = buffers(m) (None
+    without `buffers`), allocated on the caller before any work starts, for
+    its first sub-slice, j, of m rows, then claims each next unclaimed one.
+    When work writes only through its buffers and into its own rows of the
+    caller's outputs, the bits depend on neither the split nor the worker
+    count. Once all workers have stopped, the caller raises the error of the
+    first sub-slice in range order that raised one: sub-slices are claimed in
+    that order, none is claimed after an error, and every claimed one runs.
+    The other workers are daemon threads kept across calls, each started when
+    a call first needs it; while one call holds them, a call from another
+    thread runs alone."""
     if n <= step:  # one sub-slice, or none, runs on the caller
         if n:
             work(buffers and buffers(n), 0, n)
@@ -333,13 +336,13 @@ def run_sub_slices(n: int, buffers, work) -> None:
 
     def run(j):
         start = j * step
-        while start is not None and not errors:
+        while start is not None:
             try:
                 work(per_worker[j], start, min(start + step, n))
             except Exception as e:  # raised on the caller
-                errors.append(e)
+                errors.append((start, e))
             with lock:
-                start = next(unclaimed, None)
+                start = None if errors else next(unclaimed, None)
 
     try:
         per_worker = [buffers and buffers(min(step, n - j * step)) for j in range(workers)]
@@ -357,7 +360,7 @@ def run_sub_slices(n: int, buffers, work) -> None:
         if busy:
             _pool_busy.release()
     if errors:
-        raise errors[0]
+        raise min(errors, key=lambda error: error[0])[1]
 
 
 def _check_shapes(node: Node, vals: list[np.ndarray]) -> None:

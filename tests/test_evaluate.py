@@ -1,12 +1,20 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satalign.evaluate as evaluate_module
+import satalign.tape as tape_module
 from conftest import small_train_config
 from satalign.evaluate import (INDEX_SLAB_ROWS, ProbeConfig, RetrievalIndex, _sigmoid, accuracy,
                                build_index, confusion_matrix, fit_linear_probe,
@@ -16,6 +24,7 @@ from satalign.evaluate import (INDEX_SLAB_ROWS, ProbeConfig, RetrievalIndex, _si
 from satalign.geodata import TileRecord
 from satalign.tape import l2_normalize_rows
 from satalign.training import initial_model
+from test_tape import assert_pool_contract, record_workers
 
 
 @pytest.fixture(scope="module")
@@ -464,6 +473,171 @@ class TestIndexValidation:
         (tmp_path / "idx.json").write_text(json.dumps(header))
         with pytest.raises(ValueError, match=message):
             load_index(tmp_path / "idx")
+
+
+S = INDEX_SLAB_ROWS
+# blob rows overwritten with a value and the row the blob is cut at, after
+# load_index, in an index of four slabs and 7 rows more, and the error a query gives
+BAD_BLOBS = {
+    "non_finite_in_slab_3_degenerate_in_slab_1": ({3 * S + 5: np.nan, S + 2: 0.0}, None,
+                                                  f"row {S + 2} has a degenerate norm"),
+    "degenerate_in_slab_3_non_finite_in_slab_1": ({3 * S + 5: 0.0, S + 2: np.nan}, None,
+                                                  f"row {S + 2} has a non-finite norm"),
+    "degenerate_before_non_finite_in_slab_1": ({S + 1: 0.0, S + 9: np.nan}, None,
+                                               f"row {S + 9} has a non-finite norm"),
+    "cut_in_slab_1": ({}, S + 5, "changed while it was read"),
+}
+
+
+def bad_blob_message(tmp_path, case) -> str:
+    """The message of a query of BAD_BLOBS[case]'s index. The row norms of a
+    slab that a thread other than the caller reads end 50 ms late, so with
+    two workers the caller reaches slab 3 before the worker has finished
+    slab 1."""
+    values, cut, _ = BAD_BLOBS[case]
+    n, d = 4 * S + 7, 4
+    save_index(RetrievalIndex(tile_ids=list(range(n)),
+                              matrix=unit_rows(np.random.default_rng(8), n, d)), tmp_path / "idx")
+    index = load_index(tmp_path / "idx")
+    blob = np.frombuffer((tmp_path / "idx.bin").read_bytes(), dtype="<f4").copy()
+    for row, value in values.items():
+        blob[row * d:(row + 1) * d] = value
+    (tmp_path / "idx.bin").write_bytes(blob[:None if cut is None else cut * d].tobytes())
+    caller, real = threading.get_ident(), evaluate_module.row_norms
+
+    def late_off_the_caller(*args):
+        if threading.get_ident() != caller:
+            time.sleep(0.05)
+        return real(*args)
+
+    evaluate_module.row_norms = late_off_the_caller
+    try:
+        query_index(index, np.ones(d), k=1)
+    except ValueError as e:
+        return str(e)
+    finally:
+        evaluate_module.row_norms = real
+    raise AssertionError(f"{case}: the query passed")
+
+
+def open_descriptors() -> set[str]:
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
+def on_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class TestIndexOnTwoWorkers:
+    """A file-backed index's cosines, one slab per sub-slice of the pool."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("case", BAD_BLOBS)
+    def test_the_first_bad_slab_in_row_order_is_reported(self, tmp_path, monkeypatch, cpus,
+                                                          case):
+        on_cpus(monkeypatch, cpus)
+        before = open_descriptors()
+        assert bad_blob_message(tmp_path, case) == f"{tmp_path / 'idx.bin'}: {BAD_BLOBS[case][2]}"
+        assert open_descriptors() == before
+
+    def test_no_descriptor_is_left_open_under_resource_warning_errors(self, tmp_path):
+        # an unclosed file warns where it is collected, which prints
+        # "Exception ignored" on stderr and keeps the exit code
+        script = f"""import os, sys
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from pathlib import Path
+from test_evaluate import BAD_BLOBS, bad_blob_message
+for cpus in (1, 2):
+    os.sched_getaffinity = lambda pid, cpus=cpus: set(range(cpus))
+    for i, case in enumerate(BAD_BLOBS):
+        (Path({str(tmp_path)!r}) / f"{{cpus}}_{{i}}").mkdir()
+        print(bad_blob_message(Path({str(tmp_path)!r}) / f"{{cpus}}_{{i}}", case).split(": ")[1])
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(evaluate_module.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-W", "error::ResourceWarning", "-c", script],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout.splitlines() == [message for _ in range(2)
+                                           for _, _, message in BAD_BLOBS.values()]
+
+    @pytest.fixture
+    def index(self, tmp_path):
+        n, d = 3 * S + 123, 16
+        save_index(RetrievalIndex(tile_ids=list(range(n)),
+                                  matrix=unit_rows(np.random.default_rng(10), n, d)),
+                   tmp_path / "idx")
+        return load_index(tmp_path / "idx")
+
+    def test_forty_retrieves_start_at_most_one_thread_and_run_on_both(self, monkeypatch,
+                                                                       index):
+        on_cpus(monkeypatch, 2)
+        started, calls = record_workers(monkeypatch)
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            query_index(index, rng.normal(size=index.d), k=5)
+        assert len(calls) == 40
+        assert_pool_contract(started, calls, tape_module.ENCODE_WORKERS, 2)
+
+    def test_cosines_have_the_same_bits_on_one_worker_and_on_two(self, monkeypatch, index):
+        stored = np.frombuffer(index.bin_path.read_bytes(), dtype="<f4")
+        whole = l2_normalize_rows(stored.astype(np.float64).reshape(index.n, index.d))
+        q = l2_normalize_rows(np.random.default_rng(12).normal(size=(1, index.d)))[0]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers switch every microsecond
+        try:
+            for cpus in (1, 2):
+                on_cpus(monkeypatch, cpus)
+                assert index.cosines(q).tobytes() == (whole @ q).tobytes(), cpus
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_one_slab_index_starts_no_thread(self, monkeypatch, tmp_path):
+        on_cpus(monkeypatch, 2)
+        monkeypatch.setattr(tape_module, "_pool", [])  # a pass of two slabs would start one
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        save_index(RetrievalIndex(tile_ids=list(range(S)),
+                                  matrix=unit_rows(np.random.default_rng(13), S, 8)),
+                   tmp_path / "idx")
+        index = load_index(tmp_path / "idx")
+        whole = l2_normalize_rows(np.fromfile(index.bin_path, dtype="<f4").astype(np.float64)
+                                  .reshape(S, 8))
+        q = l2_normalize_rows(np.random.default_rng(14).normal(size=(1, 8)))[0]
+        assert index.cosines(q).tobytes() == (whole @ q).tobytes()
+
+    def test_a_retrieve_while_another_call_holds_the_pool_runs_alone(self, monkeypatch, index):
+        on_cpus(monkeypatch, 2)
+        q = l2_normalize_rows(np.random.default_rng(15).normal(size=(1, index.d)))[0]
+        expect = index.cosines(q).tobytes()
+        started, calls = record_workers(monkeypatch)
+        holding, release, got, second_ids = (threading.Event(), threading.Event(), [], [])
+
+        def hold(_, start, stop):
+            holding.set()
+            release.wait(60)
+
+        def second_call():
+            got.append(index.cosines(q).tobytes())
+            second_ids.append(threading.get_ident())
+
+        callers = [threading.Thread(target=tape_module.run_sub_slices, args=(24, None, hold)),
+                   threading.Thread(target=second_call)]
+        callers[0].start()
+        try:
+            assert holding.wait(60)
+            callers[1].start()
+            callers[1].join(60)
+            second_done = not callers[1].is_alive()
+        finally:
+            release.set()
+            for caller in callers:
+                caller.join(60)
+        assert second_done and got == [expect]
+        assert calls[1] == (4, set(second_ids))
 
 
 class TestZeroShot:

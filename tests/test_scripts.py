@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from satalign.evaluate import INDEX_SLAB_ROWS
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -83,3 +85,13 @@ def test_same_bytes_requires_a_manifest_for_every_out_of_its_commands():
     # each checkpoint and index is a .json/.bin pair
     for out in ("ckpt", "ckpt_ss", "ckpt_odd", "idx", "idx_odd"):
         assert {f"{out}.json", f"{out}.bin"} <= same_bytes.OUTPUTS
+
+
+def test_same_bytes_retrieves_from_an_index_of_at_least_three_slabs():
+    """CI's unpinned run reads `big_idx` with the caller and the pool's worker
+    each taking slabs, whatever INDEX_SLAB_ROWS becomes."""
+    same_bytes = load_script("same_bytes")
+    shape = re.search(r"size=\((\d+), (\d+)\)", same_bytes.PROGRAMS["big_index"]).groups()
+    rows, d = map(int, shape)
+    assert (rows, d) == (10000, 16) and rows >= 3 * INDEX_SLAB_ROWS
+    assert "retrieve --index big_idx" in same_bytes.COMMANDS

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import satalign.tape as tape_module
-from satalign import encoders
+from satalign import encoders, evaluate
 from satalign.cli import _gradcheck_setup
 from satalign.encoders import Model, location_input_features, trainable_mask
 from satalign.geodata import COVARIATE_CHANNELS
@@ -599,8 +599,8 @@ def reference_conv_block_grads(x, k, gamma, beta, stride, padding, eps, g):
 
 def record_workers(monkeypatch) -> tuple[list, list]:
     """Record what the sub-slice workers do from now on: `started`, every
-    thread started, and `calls`, one (n, ids) per run_sub_slices call, ids
-    being the threads that ran one of its sub-slices."""
+    thread started, and `calls`, one (sub-slices, ids) per run_sub_slices
+    call, ids being the threads that ran one of its sub-slices."""
     started, calls, real = [], [], tape_module.run_sub_slices
 
     class CountedThread(threading.Thread):
@@ -608,18 +608,18 @@ def record_workers(monkeypatch) -> tuple[list, list]:
             started.append(self)
             super().start()
 
-    def recorded(n, buffers, work):
+    def recorded(n, buffers, work, step=tape_module.SUB_SLICE_TILES):
         ids = set()
-        calls.append((n, ids))
+        calls.append((-(-n // step), ids))
 
         def traced(bufs, start, stop):
             ids.add(threading.get_ident())
             work(bufs, start, stop)
 
-        real(n, buffers, traced)
+        real(n, buffers, traced, step)
 
     monkeypatch.setattr(threading, "Thread", CountedThread)
-    for module in (tape_module, encoders):
+    for module in (tape_module, encoders, evaluate):
         monkeypatch.setattr(module, "run_sub_slices", recorded)
     return started, calls
 
@@ -628,12 +628,11 @@ def assert_pool_contract(started, calls, cap, cpus):
     """The sub-slice pool's contract: at most cap - 1 threads started, all of
     them daemon, however many calls ran; each call ran on min(cap, CPUs,
     sub-slices) workers, the caller one of them."""
-    step = tape_module.SUB_SLICE_TILES
     assert len(started) <= cap - 1 and all(thread.daemon for thread in started)
     assert calls
-    for n, ids in calls:
-        assert len(ids) == min(cap, cpus, -(-n // step)), (n, ids)
-        assert n == 0 or threading.get_ident() in ids, n
+    for slices, ids in calls:
+        assert len(ids) == min(cap, cpus, slices), (slices, ids)
+        assert slices == 0 or threading.get_ident() in ids, slices
 
 
 # batches that cross sub-slice boundaries of SUB_SLICE_TILES (8) tiles, the
