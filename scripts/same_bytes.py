@@ -4,7 +4,8 @@ line per output (a sha256, or a manifest with `wall_time_s` masked) and exits 1 
 output that differs or that a run lacks. `PYTHONPATH=<tree>/src` picks the tree to check.
 
 Covered: 20 px tiles for 16 px models, pairing skips, `full`, `scale_shift
---freeze-location`, an odd conv geometry, 8-tile sub-slices on one worker and two,
+--freeze-location`, an odd conv geometry, the default 32 px model (16x16 and 8x8 conv
+outputs) trained and indexed on 32 px tiles, 8-tile sub-slices on one worker and two,
 84 eval tiles, joins of 50,000 observations, a 10,000-row index read in 1,024-row slabs
 on one worker and two, gradcheck 0-19."""
 
@@ -28,7 +29,9 @@ ODD = {**MODEL, "image": {**MODEL["image"], "kernel": 4, "stride": 3, "padding":
 CONFIGS = {"world": {**WORLD, "tiles_per_habitat": 7, "observation_jitter": 0.08, "tile_size": 20},
            "eval_world": {**WORLD, "tiles_per_habitat": 21},
            "dense_world": {**WORLD, "tiles_per_habitat": 20, "n_observations": 50000},
-           "train": TRAIN, "train_odd": {**TRAIN, "batch_size": 20, "model": ODD}}
+           "world32": {**WORLD, "tile_size": 32},
+           "train": TRAIN, "train_odd": {**TRAIN, "batch_size": 20, "model": ODD},
+           "train32": {"epochs": 2, "batch_size": 16}}  # the default model
 PROGRAMS = {  # commands that are not satalign.cli subcommands
     "pairing": """from satalign import dataio, geodata
 d = dataio.ingest_dataset("dense_world")
@@ -46,13 +49,16 @@ evaluate.save_index(evaluate.RetrievalIndex(rng.permutation(30000)[:10000].tolis
 COMMANDS = """synth --out world --seed 9 --config ../world.json
 synth --out eval_world --seed 9 --config ../eval_world.json
 synth --out dense_world --seed 9 --config ../dense_world.json
+synth --out world32 --seed 9 --config ../world32.json
 pairing > pairing_skips.txt
 big_index
 train --data world --config ../train.json --out ckpt
 train --data world --config ../train.json --out ckpt_ss --peft scale_shift --freeze-location
 train --data world --config ../train_odd.json --out ckpt_odd
+train --data world32 --config ../train32.json --out ckpt32
 index --data eval_world --ckpt ckpt --out idx
 index --data eval_world --ckpt ckpt_odd --out idx_odd
+index --data world32 --ckpt ckpt32 --out idx32
 probe --data eval_world --ckpt ckpt --task cls --out probe_cls.json
 probe --data eval_world --ckpt ckpt --task multilabel --out probe_multilabel.json
 probe --data eval_world --ckpt ckpt --task encounter --out probe_encounter.json
@@ -63,10 +69,12 @@ retrieve --index big_idx --query query.bin --ckpt ckpt > retrieve_big.tsv
 """ + "".join(f"gradcheck --seed {seed} > gradcheck_{seed}.txt\n" for seed in range(20))
 # files each run must write beside the worlds' and the stdout files: each `--out`'s outputs,
 # and a manifest named after its first (`ckpt.json.manifest.json`, `world.manifest.json`)
-FIRST = """ckpt.json ckpt_ss.json ckpt_odd.json idx.json idx_odd.json probe_cls.json
-probe_multilabel.json probe_encounter.json probe_encounter_dense.json zeroshot.tsv""".split()
-OUTPUTS = {*FIRST, "ckpt.bin", "ckpt_ss.bin", "ckpt_odd.bin", "idx.bin", "idx_odd.bin"} | {
-    f"{name}.manifest.json" for name in ["world", "eval_world", "dense_world", *FIRST]}
+FIRST = """ckpt.json ckpt_ss.json ckpt_odd.json ckpt32.json idx.json idx_odd.json idx32.json
+probe_cls.json probe_multilabel.json probe_encounter.json probe_encounter_dense.json
+zeroshot.tsv""".split()
+OUTPUTS = {*FIRST, "ckpt.bin", "ckpt_ss.bin", "ckpt_odd.bin", "ckpt32.bin", "idx.bin",
+           "idx_odd.bin", "idx32.bin"} | {
+    f"{name}.manifest.json" for name in ["world", "eval_world", "dense_world", "world32", *FIRST]}
 
 
 def digests(root: Path) -> dict[str, str]:

@@ -6,7 +6,7 @@ linear probes, cosine retrieval, and zero-shot classification.
 """
 
 from .contrastive import LossConfig, info_nce, pairwise_loss, trimodal_loss
-from .dataio import GeoDataset, dataset_from_world, ingest_dataset, save_dataset
+from .dataio import GeoDataset, ingest_dataset, save_dataset
 from .encoders import (ImageEncoderConfig, LocationEncoderConfig, Model, ModelConfig,
                        location_input_features, trainable_mask)
 from .evaluate import (ProbeConfig, ProbeHead, RetrievalIndex, accuracy, build_index,
@@ -27,7 +27,7 @@ __all__ = [
     "PairedSamples", "ParameterStore", "ProbeConfig", "ProbeHead", "RetrievalIndex",
     "SyntheticWorldConfig", "Tape", "TextSections", "TileRecord", "TrainConfig", "accuracy",
     "adam_step", "backward", "bilinear_sample", "build_index", "confusion_matrix",
-    "dataset_from_world", "finite_diff_check", "fit_linear_probe",
+    "finite_diff_check", "fit_linear_probe",
     "generate_synthetic_world", "info_nce", "ingest_dataset", "initial_model",
     "l2_normalize_rows", "load_checkpoint", "location_input_features", "mean_iou",
     "micro_f1", "model_from_checkpoint", "pair_samples", "pairwise_loss",

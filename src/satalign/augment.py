@@ -17,25 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def flip_pixels(pixels: np.ndarray, horizontal: bool, vertical: bool) -> np.ndarray:
-    """Mirror the last two axes of a (..., H, W) array; returns a view.
-    Involutive, and it preserves the pixel multiset."""
-    if horizontal:
-        pixels = pixels[..., ::-1]
-    if vertical:
-        pixels = pixels[..., ::-1, :]
-    return pixels
-
-
-def crop_pixels(pixels: np.ndarray, top: int, left: int, size: int) -> np.ndarray:
-    """The `size` x `size` window at (top, left) of a (..., H, W) array; a view."""
-    h, w = pixels.shape[-2:]
-    if top < 0 or left < 0 or top + size > h or left + size > w:
-        raise ValueError(f"crop [{top}:{top + size}, {left}:{left + size}] "
-                         f"outside tile of size {h}x{w}")
-    return pixels[..., top:top + size, left:left + size]
-
-
 def _bilinear_weights(n_in: int, n_out: int) -> np.ndarray:
     """(n_out, n_in) matrix of endpoint-aligned linear interpolation weights."""
     pos = np.linspace(0.0, n_in - 1, n_out) if n_out > 1 else np.zeros(1)
@@ -87,8 +68,14 @@ def augment_geometric(tiles, crop_size: int, flips: np.ndarray, offsets: np.ndar
             raise ValueError(f"crop size {crop_size} exceeds tile dims {h}x{w}")
         top = int(offsets[i, 0] * (h - crop_size + 1))
         left = int(offsets[i, 1] * (w - crop_size + 1))
-        crops[i] = crop_pixels(flip_pixels(pixels, flips[i, 0], flips[i, 1]),
-                               top, left, crop_size)
+        if top < 0 or left < 0 or top + crop_size > h or left + crop_size > w:
+            raise ValueError(f"crop [{top}:{top + crop_size}, {left}:{left + crop_size}] "
+                             f"outside tile of size {h}x{w}")
+        if flips[i, 0]:  # horizontal: the last axis
+            pixels = pixels[..., ::-1]
+        if flips[i, 1]:
+            pixels = pixels[..., ::-1, :]
+        crops[i] = pixels[..., top:top + crop_size, left:left + crop_size]
     return np.clip(resize_pixels(crops, out_size, out_size), 0.0, 1.0)
 
 

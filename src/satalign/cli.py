@@ -27,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (dataclass_from_json, dataset_from_world, ingest_dataset, pair_paths,
-                     read_json, save_dataset)
+from .dataio import dataclass_from_json, ingest_dataset, pair_paths, read_json, save_dataset
 from .encoders import (ImageEncoderConfig, LocationEncoderConfig, Model, ModelConfig,
                        location_input_features)
 from .evaluate import (ProbeConfig, accuracy, build_index, confusion_matrix,
@@ -211,9 +210,7 @@ def _config_from_file(path: str | None, cls, **fixed):
     if not isinstance(fields, dict):
         raise ValueError(f"{path}: expected a JSON object of config fields")
     try:
-        config = dataclass_from_json(cls, dict(fields, **fixed))
-        config.validate()
-        return config
+        return dataclass_from_json(cls, dict(fields, **fixed))
     except (TypeError, ValueError) as e:
         if path is None:
             raise
@@ -226,14 +223,13 @@ def _config_from_file(path: str | None, cls, **fixed):
 def _cmd_synth(args) -> _Run:
     config = _config_from_file(args.config, SyntheticWorldConfig, seed=args.seed)
     world = generate_synthetic_world(config)
-    dataset = dataset_from_world(world)
     out = Path(args.out)
     stdout = json.dumps({"out": str(out), "tiles": len(world.tiles),
                          "observations": len(world.observations),
                          "species": config.n_species, "habitats": config.n_habitats},
                         sort_keys=True)
     return _Run(dataclasses.asdict(config), args.seed, stdout, (out,),
-                lambda tmp: save_dataset(tmp, dataset))
+                lambda tmp: save_dataset(tmp, world))
 
 
 def _train_config(args) -> TrainConfig:
@@ -241,10 +237,8 @@ def _train_config(args) -> TrainConfig:
                if (value := getattr(args, flag, None)) is not None}
     if getattr(args, "freeze_location", False):
         updates["freeze_location"] = True
-    # validated before the flags apply, so a bad flag is not blamed on the file
-    config = dataclasses.replace(_config_from_file(args.config, TrainConfig), **updates)
-    config.validate()
-    return config
+    # the file's config is built before the flags apply, so a bad flag is not blamed on the file
+    return dataclasses.replace(_config_from_file(args.config, TrainConfig), **updates)
 
 
 def _cmd_train(args) -> _Run:
@@ -443,12 +437,17 @@ def _cmd_zeroshot(args) -> _Run:
             raise ValueError(f"{args.classes}: {classes.size} values do not form class "
                              f"rows of length d_txt = {d_txt}")
         classes = classes.reshape(-1, d_txt)
-        labels = None
+        labels, source = None, args.classes
     else:
         if dataset.truth is None:
             raise ValueError("zeroshot needs --classes or a dataset with ground_truth.json")
         classes = dataset.truth.text_prototypes
         labels = [dataset.truth.tile_habitats[t.tile_id] for t in dataset.tiles]
+        source = f"{Path(args.data) / 'ground_truth.json'}: key 'text_prototypes'"
+    try:  # the class rows alone, so that a tile row's error is not blamed on them
+        model.project_text_rows(classes)
+    except RowNormError as e:
+        raise ValueError(f"{source}: class row {e.row} has a {e.problem} norm") from None
     preds = zero_shot_classify(model, dataset.tiles, classes)
     text = "\n".join(f"{tile.tile_id}\t{chosen}" for tile, chosen in zip(dataset.tiles, preds))
     stdout = text if labels is None else f"{text}\naccuracy\t{accuracy(preds, labels)!r}"

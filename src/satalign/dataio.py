@@ -33,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from .geodata import CovariateRaster, ObservationError, Observations, TextSections, TileRecord
-from .synthworld import SyntheticWorld
 
 TILE_READ_BYTES = 1 << 19  # tile pixel bytes read together into one float32 array
 
@@ -67,7 +66,8 @@ def pair_paths(path: str | Path) -> tuple[Path, Path]:
     return prefix.with_name(prefix.name + ".json"), prefix.with_name(prefix.name + ".bin")
 
 
-def _write_json(path: Path, obj) -> None:
+def write_json(path: Path, obj) -> None:
+    """`obj` as sorted JSON, indented by 2, and a newline: each header's bytes."""
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
@@ -149,7 +149,7 @@ def save_dataset(directory: str | Path, dataset: GeoDataset) -> None:
     (root / "observations.csv").write_text("\n".join(lines) + "\n")
 
     raster = dataset.raster
-    _write_json(root / "raster.json", {
+    write_json(root / "raster.json", {
         "rows": raster.rows, "cols": raster.cols, "channels": raster.channels,
         "lat0": raster.lat0, "lon0": raster.lon0,
         "dlat": raster.dlat, "dlon": raster.dlon,
@@ -167,31 +167,22 @@ def save_dataset(directory: str | Path, dataset: GeoDataset) -> None:
                              "timestamp": tile.timestamp, "file": "pixels.bin",
                              "offset": offset, "c": c, "h": h, "w": w})
             offset += 4 * c * h * w
-    _write_json(root / "tiles" / "manifest.json", manifest)
+    write_json(root / "tiles" / "manifest.json", manifest)
 
     texts = dataset.texts
     sections = [{"species_id": species, "section_id": section, "row": i} for i, (species, section)
                 in enumerate(zip(texts.species.tolist(), texts.section.tolist()))]
-    _write_json(root / "text" / "sections.json", {"d_txt": texts.d_txt, "sections": sections})
+    write_json(root / "text" / "sections.json", {"d_txt": texts.d_txt, "sections": sections})
     (root / "text" / "embeddings.bin").write_bytes(texts.embeddings.astype("<f4").tobytes())
 
     if dataset.truth is not None:
         t = dataset.truth
-        _write_json(root / "ground_truth.json", {
+        write_json(root / "ground_truth.json", {
             "n_habitats": t.n_habitats,
             "tile_habitats": {str(k): v for k, v in sorted(t.tile_habitats.items())},
             "species_habitats": {str(k): v for k, v in sorted(t.species_habitats.items())},
             "text_prototypes": t.text_prototypes.tolist(),
         })
-
-
-def dataset_from_world(world: SyntheticWorld) -> GeoDataset:
-    truth = GroundTruth(n_habitats=world.config.n_habitats,
-                        tile_habitats=dict(world.tile_habitats),
-                        species_habitats=dict(world.species_habitats),
-                        text_prototypes=world.text_prototypes.copy())
-    return GeoDataset(observations=world.observations, raster=world.raster,
-                      tiles=list(world.tiles), texts=world.texts, truth=truth)
 
 
 def _read_f32(path: Path, count: int) -> np.ndarray:

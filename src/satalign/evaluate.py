@@ -3,14 +3,13 @@ retrieval index, and zero-shot classification."""
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import pair_paths, read_json, require_fields
+from .dataio import pair_paths, read_json, require_fields, write_json
 from .encoders import Model
 from .geodata import TileRecord
 from .optim import AdamState, ParameterStore, adam_step
@@ -30,11 +29,15 @@ TASK_KINDS = ("single_label", "multi_label", "encounter_rate")
 INDEX_SLAB_ROWS = 1024
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbeConfig:
     lr: float = 1e-3
     epochs: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"probe epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass
@@ -110,8 +113,6 @@ def fit_linear_probe(model: Model | None, features_or_tiles, labels, kind: str,
     """
     if kind not in TASK_KINDS:
         raise ValueError(f"unknown task kind {kind!r}, expected one of {TASK_KINDS}")
-    if config.epochs < 1:
-        raise ValueError(f"probe epochs must be >= 1, got {config.epochs}")
     if isinstance(features_or_tiles, list):
         if model is None:
             raise ValueError("a model is required to probe raw tiles")
@@ -409,8 +410,7 @@ def save_index(index: RetrievalIndex, path: str | Path) -> tuple[Path, Path]:
     """Write `<prefix>.json` (ids and dims) and `<prefix>.bin` (float32 rows)."""
     json_path, bin_path = pair_paths(path)
     json_path.parent.mkdir(parents=True, exist_ok=True)
-    json_path.write_text(json.dumps({"tile_ids": index.tile_ids, "n": index.n,
-                                     "d": index.d}, sort_keys=True, indent=2) + "\n")
+    write_json(json_path, {"tile_ids": index.tile_ids, "n": index.n, "d": index.d})
     bin_path.write_bytes(index.matrix.astype("<f4").tobytes())
     return json_path, bin_path
 

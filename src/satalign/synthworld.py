@@ -12,11 +12,12 @@ are quantized through float32 so a written dataset round-trips bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .augment import resize_pixels
+from .dataio import GeoDataset, GroundTruth
 from .geodata import (COVARIATE_CHANNELS, CovariateRaster, Observations, TextSections,
                       TileRecord)
 
@@ -24,7 +25,7 @@ _BASE_TIMESTAMP = 1_600_000_000
 _TIMESTAMP_STEP = 432_000  # five days
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticWorldConfig:
     seed: int = 0
     n_species: int = 16
@@ -50,7 +51,7 @@ class SyntheticWorldConfig:
     dlat: float = 0.5
     dlon: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self):
         counts = (self.n_species, self.n_habitats, self.raster_rows, self.raster_cols,
                   self.tiles_per_habitat, self.n_observations, self.d_txt,
                   self.tile_channels, self.tile_size, self.sections_per_species,
@@ -87,23 +88,22 @@ class SyntheticWorldConfig:
                              f"synth takes")
 
 
-@dataclass
-class SyntheticWorld:
+@dataclass(kw_only=True)
+class SyntheticWorld(GeoDataset):
+    """A generated dataset: its config and its habitats' base tile colors
+    beside the inputs and ground truth that `save_dataset` writes."""
     config: SyntheticWorldConfig
-    raster: CovariateRaster
-    tiles: list[TileRecord]
-    observations: Observations
-    texts: TextSections
-    tile_habitats: dict[int, int]
-    species_habitats: dict[int, int]
-    text_prototypes: np.ndarray   # (habitats, d_txt)
     color_prototypes: np.ndarray  # (habitats, channels)
-    strip_height: float = field(init=False)
 
-    def __post_init__(self):
-        cfg = self.config
-        hull = (cfg.raster_rows - 1) * cfg.dlat
-        self.strip_height = hull / cfg.n_habitats
+    # the ground truth's fields, readable on the world itself
+    tile_habitats = property(lambda self: self.truth.tile_habitats)
+    species_habitats = property(lambda self: self.truth.species_habitats)
+    text_prototypes = property(lambda self: self.truth.text_prototypes)  # (habitats, d_txt)
+
+    @property
+    def strip_height(self) -> float:
+        """The latitude span of each habitat's strip."""
+        return (self.config.raster_rows - 1) * self.config.dlat / self.config.n_habitats
 
 
 def _f32(a: np.ndarray) -> np.ndarray:
@@ -136,7 +136,6 @@ def _clutter_field(rng: np.random.Generator, channels: int, size: int,
 
 def generate_synthetic_world(config: SyntheticWorldConfig) -> SyntheticWorld:
     """Build a deterministic synthetic dataset with ground-truth habitat labels."""
-    config.validate()
     cfg = config
     rng = np.random.default_rng(cfg.seed)
 
@@ -222,7 +221,7 @@ def generate_synthetic_world(config: SyntheticWorldConfig) -> SyntheticWorld:
     observations = Observations(lat=obs_lat, lon=obs_lon,
                                 species=np.arange(cfg.n_observations) % cfg.n_species)
 
-    return SyntheticWorld(config=cfg, raster=raster, tiles=tiles,
-                          observations=observations, texts=texts,
-                          tile_habitats=tile_habitats, species_habitats=species_habitats,
-                          text_prototypes=text_protos, color_prototypes=colors)
+    truth = GroundTruth(n_habitats=cfg.n_habitats, tile_habitats=tile_habitats,
+                        species_habitats=species_habitats, text_prototypes=text_protos)
+    return SyntheticWorld(observations=observations, raster=raster, tiles=tiles, texts=texts,
+                          truth=truth, config=cfg, color_prototypes=colors)

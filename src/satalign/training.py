@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -24,7 +23,7 @@ import numpy as np
 
 from .augment import augment_geometric, augment_photometric, fit_to_input
 from .contrastive import LossConfig, trimodal_loss_graph
-from .dataio import dataclass_from_json, pair_paths, read_json, require_fields
+from .dataio import dataclass_from_json, pair_paths, read_json, require_fields, write_json
 from .encoders import (Model, ModelConfig, PEFT_MODES, head_graph, image_feature_graph,
                        location_feature_graph, location_input_features, parameter_shapes,
                        trainable_mask)
@@ -39,7 +38,7 @@ CHECKPOINT_VERSION = 1
 MAX_PARAMETERS, MAX_TENSORS, MAX_STEP_BYTES = 2**27, 2**16, 2**32
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 25
     batch_size: int = 64
@@ -57,7 +56,7 @@ class TrainConfig:
     location_weight: float = 1.0
     model: ModelConfig = field(default_factory=ModelConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("lr", "temperature", "jitter", "channel_mix", "matching_radius",
                      "image_weight", "text_weight", "location_weight"):
             if not math.isfinite(getattr(self, name)):
@@ -236,7 +235,6 @@ def train(config: TrainConfig, samples: PairedSamples,
     With `resume`, continues a saved run from its epoch boundary; the
     stitched run is bit-identical to an uninterrupted one.
     """
-    config.validate()
     if len(samples) < config.batch_size:
         raise ValueError(f"dataset of {len(samples)} samples cannot fill one batch "
                          f"of {config.batch_size}")
@@ -318,7 +316,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> tuple[Path, Path]:
         "step_losses": ckpt.step_losses,
     }
     json_path.parent.mkdir(parents=True, exist_ok=True)
-    json_path.write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
+    write_json(json_path, header)
     bin_path.write_bytes(b"".join(blobs))
     return json_path, bin_path
 
@@ -341,7 +339,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise ValueError(f"{json_path}: tensor dtype {header['dtype']!r:.40}, expected 'f64le'")
     try:
         config = config_from_dict(header["config"])
-        config.validate()
     except (TypeError, ValueError) as e:
         raise ValueError(f"{json_path}: malformed config ({e})") from None
 

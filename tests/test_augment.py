@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satalign.augment import (augment_geometric, augment_photometric, crop_pixels,
-                              fit_to_input, flip_pixels, resize_pixels)
+from satalign.augment import augment_geometric, augment_photometric, fit_to_input, resize_pixels
 from satalign.geodata import TileRecord
 
 
@@ -31,28 +30,38 @@ def photometric_draws(seed, n=1, c=3):
     return rng.uniform(-1.0, 1.0, size=(n, c)), rng.uniform(-1.0, 1.0, size=(n, c, c))
 
 
+def flipped(px, horizontal, vertical):
+    """`px` after augment_geometric's flip alone: a crop of the whole tile."""
+    flips = np.array([[horizontal, vertical]])
+    return augment_geometric(px[None], px.shape[-1], flips, np.zeros((1, 2)))[0]
+
+
 class TestFlips:
     def test_horizontal_flip_is_involution(self):
         px = tile().pixels
-        np.testing.assert_array_equal(flip_pixels(flip_pixels(px, True, False), True, False), px)
+        once = flipped(px, True, False)
+        np.testing.assert_array_equal(once, np.flip(px, axis=2))
+        np.testing.assert_array_equal(flipped(once, True, False), px)
 
     def test_vertical_flip_is_involution(self):
         px = tile().pixels
-        np.testing.assert_array_equal(flip_pixels(flip_pixels(px, False, True), False, True), px)
+        once = flipped(px, False, True)
+        np.testing.assert_array_equal(once, np.flip(px, axis=1))
+        np.testing.assert_array_equal(flipped(once, False, True), px)
 
     def test_flips_preserve_pixel_multiset(self):
         px = tile(seed=4).pixels
         for hor in (False, True):
             for ver in (False, True):
-                flipped = flip_pixels(px, hor, ver)
-                np.testing.assert_array_equal(np.sort(flipped.ravel()), np.sort(px.ravel()))
+                np.testing.assert_array_equal(np.sort(flipped(px, hor, ver).ravel()),
+                                              np.sort(px.ravel()))
 
 
 class TestGeometric:
     def test_full_size_crop_is_identity_up_to_flips(self):
         t = tile(h=8, w=8)
         out = augment_geometric(batch(t), 8, *geometric_draws(11))[0]
-        candidates = [flip_pixels(t.pixels, h, v) for h in (False, True) for v in (False, True)]
+        candidates = [np.flip(t.pixels, axes) for axes in ((), 1, 2, (1, 2))]
         assert any(np.array_equal(out, cand) for cand in candidates)
 
     def test_output_dims_match_requested_input_size(self):
@@ -142,8 +151,12 @@ class TestResize:
         assert out[0, -1, -1] == pytest.approx(0.5)
 
     def test_crop_bounds_checked(self):
-        with pytest.raises(ValueError, match="outside tile"):
-            crop_pixels(tile().pixels, top=8, left=0, size=8)
+        # an offset draw outside [0, 1) places the crop past the tile's edge
+        flips = np.zeros((1, 2), dtype=bool)
+        with pytest.raises(ValueError, match=r"^crop \[5:13, 0:8\] outside tile of size 12x12$"):
+            augment_geometric(batch(tile()), 8, flips, np.array([[1.0, 0.0]]))
+        with pytest.raises(ValueError, match=r"^crop \[0:8, -5:3\] outside tile of size 12x12$"):
+            augment_geometric(batch(tile()), 8, flips, np.array([[0.0, -1.0]]))
 
     def test_fit_to_input(self):
         out = fit_to_input(batch(tile(h=20, w=20)), 12)

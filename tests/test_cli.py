@@ -21,7 +21,8 @@ from satalign.evaluate import INDEX_SLAB_ROWS, RetrievalIndex, save_index
 from satalign.geodata import MAX_RADIUS
 from satalign.synthworld import SyntheticWorldConfig
 from satalign.tape import Tape, l2_normalize_rows
-from satalign.training import TrainConfig, config_to_dict, load_checkpoint, model_from_checkpoint
+from satalign.training import (TrainConfig, config_to_dict, load_checkpoint, model_from_checkpoint,
+                               save_checkpoint)
 
 SYNTH_CFG = {"n_species": 6, "n_habitats": 3, "raster_rows": 12, "raster_cols": 12,
              "tiles_per_habitat": 6, "n_observations": 80, "d_txt": 12,
@@ -433,6 +434,41 @@ def test_zeroshot_classes_of_the_wrong_length_exit_1_naming_the_file(workspace, 
     assert captured.out == ""
     assert (f"error: {classes}: 10 values do not form class rows of length d_txt = 12"
             in captured.err)
+
+
+def test_zeroshot_names_the_source_of_a_degenerate_class_row(workspace, capsys, tmp_path):
+    ckpt = str(workspace / "run" / "ckpt.json")
+    classes = tmp_path / "classes.bin"
+    rows = np.ones((3, 12), dtype="<f4")
+    rows[1] = 0.0
+    rows.tofile(classes)
+    assert dispatch(["zeroshot", "--data", str(workspace / "world"), "--ckpt", ckpt,
+                     "--classes", str(classes)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {classes}: class row 1 has a degenerate norm\n"
+
+    # without --classes the rows are ground_truth.json's text prototypes
+    world = tmp_path / "world"
+    shutil.copytree(workspace / "world", world)
+    truth = json.loads((world / "ground_truth.json").read_text())
+    truth["text_prototypes"][2] = [0.0] * 12
+    (world / "ground_truth.json").write_text(json.dumps(truth))
+    assert dispatch(["zeroshot", "--data", str(world), "--ckpt", ckpt]) == 1
+    assert capsys.readouterr().err == (f"error: {world / 'ground_truth.json'}: key "
+                                       f"'text_prototypes': class row 2 has a degenerate norm\n")
+
+
+def test_zeroshot_does_not_blame_the_classes_for_a_tile_row(workspace, capsys, tmp_path):
+    # a text head of zeros gives every tile a zero embedding; the class rows are sound
+    ckpt = load_checkpoint(workspace / "run" / "ckpt.json")
+    ckpt.params["heads.image_to_text.weight"][:] = 0.0
+    save_checkpoint(ckpt, tmp_path / "ckpt.json")
+    classes = tmp_path / "classes.bin"
+    np.ones((3, 12), dtype="<f4").tofile(classes)
+    assert dispatch(["zeroshot", "--data", str(workspace / "world"),
+                     "--ckpt", str(tmp_path / "ckpt.json"), "--classes", str(classes)]) == 1
+    assert capsys.readouterr().err == "error: degenerate embedding row 0\n"
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "0", "-1", "inf"])

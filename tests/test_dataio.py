@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from satalign.cli import dispatch
-from satalign.dataio import dataset_from_world, ingest_dataset, save_dataset
+from satalign.dataio import ingest_dataset, save_dataset
 from satalign.synthworld import SyntheticWorldConfig, generate_synthetic_world
 
 
@@ -13,8 +13,7 @@ def world_dir(tmp_path):
     cfg = SyntheticWorldConfig(seed=3, n_species=6, n_habitats=3, raster_rows=12,
                                raster_cols=12, tiles_per_habitat=4, n_observations=24,
                                d_txt=8, tile_size=8, sections_per_species=2)
-    world = generate_synthetic_world(cfg)
-    dataset = dataset_from_world(world)
+    dataset = generate_synthetic_world(cfg)
     out = tmp_path / "world"
     save_dataset(out, dataset)
     return out, dataset

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from satalign.encoders import ImageEncoderConfig
 from satalign.evaluate import INDEX_SLAB_ROWS
+from satalign.tape import SUB_SLICE_TILES
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -76,14 +78,14 @@ def test_same_bytes_names_a_flipped_byte_and_passes_identical_trees(tmp_path, mo
 def test_same_bytes_requires_a_manifest_for_every_out_of_its_commands():
     same_bytes = load_script("same_bytes")
     outs = re.findall(r"--out (\S+)", same_bytes.COMMANDS)
-    assert len(outs) == 13
+    assert len(outs) == 16
     for out in outs:  # a manifest is named after the command's first output
         names = {f"{out}.manifest.json", f"{out}.json.manifest.json"}
         assert len(names & same_bytes.OUTPUTS) == 1, out
     manifests = {name for name in same_bytes.OUTPUTS if name.endswith(".manifest.json")}
     assert len(manifests) == len(outs)
     # each checkpoint and index is a .json/.bin pair
-    for out in ("ckpt", "ckpt_ss", "ckpt_odd", "idx", "idx_odd"):
+    for out in ("ckpt", "ckpt_ss", "ckpt_odd", "ckpt32", "idx", "idx_odd", "idx32"):
         assert {f"{out}.json", f"{out}.bin"} <= same_bytes.OUTPUTS
 
 
@@ -95,3 +97,16 @@ def test_same_bytes_retrieves_from_an_index_of_at_least_three_slabs():
     rows, d = map(int, shape)
     assert (rows, d) == (10000, 16) and rows >= 3 * INDEX_SLAB_ROWS
     assert "retrieve --index big_idx" in same_bytes.COMMANDS
+
+
+def test_same_bytes_trains_the_default_model_in_two_sub_slices_a_batch():
+    """The default 32 px geometry (16x16 and 8x8 conv outputs) is trained with
+    each batch's conv stage split into sub-slices, so the unpinned run shares
+    it between both workers."""
+    same_bytes = load_script("same_bytes")
+    train = same_bytes.CONFIGS["train32"]
+    assert "model" not in train and same_bytes.CONFIGS["world32"]["tile_size"] == 32
+    assert ImageEncoderConfig().in_size == 32
+    assert -(-train["batch_size"] // SUB_SLICE_TILES) >= 2
+    assert "train --data world32 --config ../train32.json --out ckpt32" in same_bytes.COMMANDS
+    assert "index --data world32 --ckpt ckpt32 --out idx32" in same_bytes.COMMANDS

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from satalign.dataio import GeoDataset, GroundTruth
 from satalign.synthworld import SyntheticWorldConfig, generate_synthetic_world
 
 
@@ -100,3 +101,13 @@ def test_noise_scale_validation():
 def test_counts_validated():
     with pytest.raises(ValueError, match=">= 1"):
         generate_synthetic_world(small_config(n_species=0))
+
+
+def test_world_is_the_dataset_it_writes():
+    cfg = small_config()
+    world = generate_synthetic_world(cfg)
+    assert isinstance(world, GeoDataset) and isinstance(world.truth, GroundTruth)
+    assert world.truth.n_habitats == cfg.n_habitats
+    assert world.tile_habitats is world.truth.tile_habitats
+    assert world.species_habitats is world.truth.species_habitats
+    assert world.text_prototypes is world.truth.text_prototypes
