@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
-"""Ablate the three loss terms and the covariate input on a synthetic world.
+"""Ablate the loss terms, the covariate input and PEFT on synthetic worlds.
 
-Trains one encoder per configuration row (loss-term weights toggle the image,
-text, and location terms; the covariate flag switches the location encoder
-input between coordinates-only and coordinates+environment) and reports
-frozen-encoder linear-probe habitat accuracy for each.
+For each seed, generate a world with known habitat structure and train one
+encoder per row: the loss-term weights toggle the image, text and location
+terms, the covariate flag switches the location encoder's input between
+coordinates-only and coordinates+environment, and the last row fine-tunes
+scale-shift parameters only (conv kernels frozen). The first row is the
+untrained encoder. Each row reports, as means over the seeds, the
+frozen-encoder linear-probe habitat accuracy, the habitat precision of the
+top 10 tiles retrieved for each habitat's text prototype, and zero-shot
+accuracy against those prototypes.
 
 Usage:
-    python scripts/modality_ablation.py [--seed 0] [--epochs 6]
+    python scripts/modality_ablation.py [--seeds 5] [--epochs 6]
 """
 
 import argparse
@@ -18,21 +23,23 @@ import time
 import numpy as np
 
 from satalign.encoders import ImageEncoderConfig, LocationEncoderConfig, ModelConfig
-from satalign.evaluate import ProbeConfig, accuracy, fit_linear_probe, probe_split
+from satalign.evaluate import (ProbeConfig, accuracy, build_index, fit_linear_probe,
+                               probe_split, query_index, zero_shot_classify)
 from satalign.geodata import pair_samples
 from satalign.synthworld import SyntheticWorldConfig, generate_synthetic_world
 from satalign.training import TrainConfig, initial_model, model_from_checkpoint, train
 
 ROWS = [
-    # (label, image_w, text_w, location_w, use_covariates)
-    ("random init (no training)", None, None, None, True),
-    ("image only", 1.0, 0.0, 0.0, True),
-    ("text only", 0.0, 1.0, 0.0, True),
-    ("location only (coords)", 0.0, 0.0, 1.0, False),
-    ("location only (coords+env)", 0.0, 0.0, 1.0, True),
-    ("image + text", 1.0, 1.0, 0.0, True),
-    ("image + location", 1.0, 0.0, 1.0, True),
-    ("all three terms", 1.0, 1.0, 1.0, True),
+    # (label, location encoder takes covariates, TrainConfig changes; None: no training)
+    ("random init (no training)", True, None),
+    ("image only", True, {"text_weight": 0.0, "location_weight": 0.0}),
+    ("text only", True, {"image_weight": 0.0, "location_weight": 0.0}),
+    ("location only (coords)", False, {"image_weight": 0.0, "text_weight": 0.0}),
+    ("location only (coords+env)", True, {"image_weight": 0.0, "text_weight": 0.0}),
+    ("image + text", True, {"location_weight": 0.0}),
+    ("image + location", True, {"text_weight": 0.0}),
+    ("all three terms", True, {}),
+    ("all three terms, scale_shift", True, {"peft": "scale_shift", "lr": 1e-2}),
 ]
 
 
@@ -46,40 +53,60 @@ def probe_accuracy(model, tiles, labels, seed):
     return accuracy(head.predict(features[test_idx]), labels[test_idx])
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--epochs", type=int, default=6)
-    args = parser.parse_args(argv)
+def retrieval_precision(model, world):
+    """Mean over habitats of the share of the top 10 tiles retrieved for the
+    habitat's text prototype that belong to that habitat."""
+    index = build_index(model, world.tiles)
+    return float(np.mean([
+        np.mean([world.tile_habitats[tid] == habitat for tid, _ in
+                 query_index(index, world.text_prototypes[habitat], k=10, model=model)])
+        for habitat in range(world.truth.n_habitats)]))
 
+
+def run_seed(seed, epochs):
+    """Each row's (probe accuracy, retrieval@10, zero-shot accuracy) at `seed`."""
     world = generate_synthetic_world(SyntheticWorldConfig(
-        seed=args.seed, n_species=32, n_habitats=8, raster_rows=24, raster_cols=24,
+        seed=seed, n_species=32, n_habitats=8, raster_rows=24, raster_cols=24,
         tiles_per_habitat=32, n_observations=384, d_txt=16, tile_size=16,
         sections_per_species=2, tile_shift=0.01, clutter=0.25))
     labels = np.array([world.tile_habitats[t.tile_id] for t in world.tiles])
     paired = pair_samples(world.observations, world.tiles, world.texts,
-                          world.raster, seed=args.seed)
-
-    print(f"{'configuration':<28}  {'probe accuracy':>14}")
-    started = time.monotonic()
-    for label, img_w, txt_w, loc_w, use_cov in ROWS:
+                          world.raster, seed=seed)
+    scores = []
+    for _, use_cov, changes in ROWS:
         model_cfg = ModelConfig(
             image=ImageEncoderConfig(in_size=16, widths=(8, 12), d_img=32),
             location=LocationEncoderConfig(use_covariates=use_cov, hidden=16,
                                            depth=2, d_loc=16),
             d_txt=16, embed_dim=16)
-        config = TrainConfig(epochs=args.epochs, batch_size=16, lr=1e-3,
-                             seed=args.seed, crop_size=12, jitter=0.02,
-                             channel_mix=0.05, model=model_cfg)
-        if img_w is None:
+        config = TrainConfig(epochs=epochs, batch_size=16, lr=1e-3, seed=seed,
+                             crop_size=12, jitter=0.02, channel_mix=0.05, model=model_cfg)
+        if changes is None:
             model = initial_model(config)
         else:
-            config = dataclasses.replace(config, image_weight=img_w,
-                                         text_weight=txt_w, location_weight=loc_w)
+            config = dataclasses.replace(config, **changes)
             model = model_from_checkpoint(train(config, paired.samples))
-        acc = probe_accuracy(model, world.tiles, labels, args.seed)
-        print(f"{label:<28}  {acc:>14.3f}")
-    print(f"\ndone in {time.monotonic() - started:.1f}s")
+        scores.append((probe_accuracy(model, world.tiles, labels, seed),
+                       retrieval_precision(model, world),
+                       accuracy(zero_shot_classify(model, world.tiles, world.text_prototypes),
+                                labels)))
+    return scores
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, default=5, help="run seeds 0..N-1")
+    parser.add_argument("--epochs", type=int, default=6)
+    args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error("--seeds must be >= 1")
+
+    started = time.monotonic()
+    means = np.mean([run_seed(seed, args.epochs) for seed in range(args.seeds)], axis=0)
+    print(f"{'configuration':<30}  {'probe':>6}  {'retrieval@10':>12}  {'zero-shot':>9}")
+    for (label, _, _), (probe, retrieval, zero_shot) in zip(ROWS, means):
+        print(f"{label:<30}  {probe:>6.3f}  {retrieval:>12.3f}  {zero_shot:>9.3f}")
+    print(f"\nmeans over seeds 0-{args.seeds - 1}, in {time.monotonic() - started:.1f}s")
     return 0
 
 

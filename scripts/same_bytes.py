@@ -18,7 +18,12 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import satalign
+try:
+    import satalign
+except ModuleNotFoundError as e:
+    if e.name != "satalign":
+        raise
+    sys.exit("same_bytes: cannot import satalign; run with PYTHONPATH=<tree>/src")
 
 SOURCE = str(Path(satalign.__file__).parents[1])  # the tree every command imports
 WORLD = {"n_species": 8, "n_habitats": 4, "n_observations": 128, "tile_size": 16}
@@ -60,7 +65,6 @@ index --data eval_world --ckpt ckpt --out idx
 index --data eval_world --ckpt ckpt_odd --out idx_odd
 index --data world32 --ckpt ckpt32 --out idx32
 probe --data eval_world --ckpt ckpt --task cls --out probe_cls.json
-probe --data eval_world --ckpt ckpt --task multilabel --out probe_multilabel.json
 probe --data eval_world --ckpt ckpt --task encounter --out probe_encounter.json
 probe --data dense_world --ckpt ckpt --task encounter --out probe_encounter_dense.json
 zeroshot --data eval_world --ckpt ckpt --out zeroshot.tsv
@@ -70,7 +74,7 @@ retrieve --index big_idx --query query.bin --ckpt ckpt > retrieve_big.tsv
 # files each run must write beside the worlds' and the stdout files: each `--out`'s outputs,
 # and a manifest named after its first (`ckpt.json.manifest.json`, `world.manifest.json`)
 FIRST = """ckpt.json ckpt_ss.json ckpt_odd.json ckpt32.json idx.json idx_odd.json idx32.json
-probe_cls.json probe_multilabel.json probe_encounter.json probe_encounter_dense.json
+probe_cls.json probe_encounter.json probe_encounter_dense.json
 zeroshot.tsv""".split()
 OUTPUTS = {*FIRST, "ckpt.bin", "ckpt_ss.bin", "ckpt_odd.bin", "ckpt32.bin", "idx.bin",
            "idx_odd.bin", "idx32.bin"} | {

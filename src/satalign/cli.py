@@ -315,7 +315,7 @@ def _cmd_gradcheck(args) -> _Run:
 def _probe_metrics(dataset, model: Model, task: str, seed: int,
                    probe_epochs: int, radius: float) -> dict:
     """A linear probe's metrics on the frozen features, split by `probe_split`
-    with habitat strata for `cls` and `multilabel` and one for `encounter`."""
+    with habitat strata for `cls` and one for `encounter`."""
     tiles = dataset.tiles
     if task == "encounter":
         targets = tile_species_targets(tiles, dataset.observations, radius)
@@ -324,9 +324,7 @@ def _probe_metrics(dataset, model: Model, task: str, seed: int,
         raise ValueError("this task needs ground_truth.json habitat labels")
     else:
         labels = np.array([dataset.truth.tile_habitats[t.tile_id] for t in tiles])
-        k = dataset.truth.n_habitats
-        targets, kind = ((labels, "single_label") if task == "cls"
-                         else (np.eye(k)[labels], "multi_label"))
+        targets, kind = labels, "single_label"
     train_idx, test_idx = probe_split(labels, seed)
     features = model.image_features([t.pixels for t in tiles])
     head = fit_linear_probe(None, features[train_idx], targets[train_idx], kind,
@@ -336,11 +334,8 @@ def _probe_metrics(dataset, model: Model, task: str, seed: int,
         return {"task": "cls",
                 "train_accuracy": accuracy(head.predict(features[train_idx]), labels[train_idx]),
                 "test_accuracy": accuracy(preds, labels[test_idx]),
-                "confusion_matrix": confusion_matrix(preds, labels[test_idx], k).tolist()}
-    if task == "multilabel":
-        return {"task": "multilabel",
-                "micro_f1": micro_f1([set(np.flatnonzero(row)) for row in preds],
-                                     [{int(labels[i])} for i in test_idx])}
+                "confusion_matrix": confusion_matrix(preds, labels[test_idx],
+                                                     dataset.truth.n_habitats).tolist()}
     observed = [set(np.flatnonzero(targets[i])) for i in test_idx]
     score, skipped = mean_top_k_accuracy(preds, observed)
     return {"task": "encounter", "top_k_accuracy": score, "skipped_empty": skipped}
@@ -552,7 +547,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("probe", help="linear-probe a frozen checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--task", choices=["cls", "multilabel", "encounter"], default="cls")
+    p.add_argument("--task", choices=["cls", "encounter"], default="cls")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--probe-epochs", dest="probe_epochs", type=int, default=200)
     p.add_argument("--out", help="optional metrics JSON path")

@@ -12,6 +12,7 @@ are quantized through float32 so a written dataset round-trips bit-exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,12 @@ from .geodata import (COVARIATE_CHANNELS, CovariateRaster, Observations, TextSec
 
 _BASE_TIMESTAMP = 1_600_000_000
 _TIMESTAMP_STEP = 432_000  # five days
+_TIMESTAMPS_PER_CENTER = 2  # tiles sharing one center, five days apart
+_CELL = 0.5  # raster cell size in degrees of latitude and longitude; the origin is (0, 0)
+_COVARIATE_NOISE = 0.1  # uniform per-cell offset around a habitat's covariate prototype
+_TEXT_NOISE = 0.1  # normal per-section offset around a habitat's text prototype
+_SIZES = ("n_species", "n_habitats", "raster_rows", "raster_cols", "tiles_per_habitat",
+          "n_observations", "d_txt", "tile_channels", "tile_size", "sections_per_species")
 
 
 @dataclass(frozen=True)
@@ -38,39 +45,23 @@ class SyntheticWorldConfig:
     tile_channels: int = 3
     tile_size: int = 32
     sections_per_species: int = 3
-    timestamps_per_center: int = 2
     # noise scales
     tile_shift: float = 0.02        # per-record mean-color offset (bounded uniform)
     clutter: float = 0.2            # zero-mean spatial texture amplitude
-    covariate_noise: float = 0.1
-    text_noise: float = 0.1
     min_color_separation: float = 0.12
     observation_jitter: float = 0.01  # degrees around a tile center
-    lat0: float = 0.0
-    lon0: float = 0.0
-    dlat: float = 0.5
-    dlon: float = 0.5
 
     def __post_init__(self):
-        counts = (self.n_species, self.n_habitats, self.raster_rows, self.raster_cols,
-                  self.tiles_per_habitat, self.n_observations, self.d_txt,
-                  self.tile_channels, self.tile_size, self.sections_per_species,
-                  self.timestamps_per_center)
-        if any(c < 1 for c in counts):
-            raise ValueError("all synthetic-world counts must be >= 1")
-        noise = (self.tile_shift, self.clutter, self.covariate_noise,
-                 self.text_noise, self.observation_jitter)
-        if any(s < 0 for s in noise):
-            raise ValueError("noise scales must be >= 0")
+        for name in _SIZES:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("tile_shift", "clutter", "min_color_separation", "observation_jitter"):
+            # a chained comparison, so that NaN and an int past the float range fail too
+            if not 0 <= getattr(self, name) <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.n_habitats > self.raster_rows - 1:
-            raise ValueError(f"{self.n_habitats} habitats need more than the "
-                             f"{self.raster_rows} raster rows available")
-        if self.tile_shift > 0.25 * self.min_color_separation:
-            raise ValueError(f"tile mean-color shift {self.tile_shift} exceeds a quarter "
-                             f"of the color separation {self.min_color_separation}")
-        if self.tile_shift + self.clutter > 0.3:
-            raise ValueError("tile_shift + clutter must stay within 0.3 so pixels "
-                             "remain inside [0, 1] without clipping")
+            raise ValueError(f"n_habitats {self.n_habitats} needs more than "
+                             f"raster_rows {self.raster_rows}")
         # fixed bounds, the same on every machine: tiles, observations, text
         # sections and raster cells, and the float64 values they hold
         max_records, max_bytes = 2**22, 2**32
@@ -80,12 +71,38 @@ class SyntheticWorldConfig:
         floats = (tiles * self.tile_channels * self.tile_size**2 + 2 * self.n_observations
                   + (sections + self.n_habitats) * self.d_txt + cells * COVARIATE_CHANNELS)
         if tiles + self.n_observations + sections + cells > max_records or 8 * floats > max_bytes:
-            name = max(("n_species", "n_habitats", "raster_rows", "raster_cols",
-                        "tiles_per_habitat", "n_observations", "d_txt", "tile_channels",
-                        "tile_size", "sections_per_species"), key=lambda name: getattr(self, name))
+            name = max(_SIZES, key=lambda name: getattr(self, name))
             raise ValueError(f"{name} {getattr(self, name)} is the largest size of a world over "
                              f"the {max_records:,} records or {max_bytes:,} float64 bytes "
                              f"synth takes")
+        # every tile and observation lies in lat [0, 90] and lon [0, 180)
+        if (self.raster_rows - 1) * _CELL > 90:
+            raise ValueError(f"raster_rows {self.raster_rows} spans more than the "
+                             f"90 degrees of latitude north of the origin")
+        if (self.raster_cols - 1) * _CELL >= 180:
+            raise ValueError(f"raster_cols {self.raster_cols} spans 180 or more "
+                             f"degrees of longitude east of the origin")
+        # tile centers sit a jitter inside their habitat's strip and the raster's width
+        span = min(self.strip_height, (self.raster_cols - 1) * _CELL)
+        if 2 * self.observation_jitter > span:
+            raise ValueError(f"observation_jitter {self.observation_jitter} is over half the "
+                             f"{span} degrees of a habitat strip's height or width")
+        # no two colors drawn from [0.3, 0.7]^channels lie further apart than its diagonal
+        if self.n_habitats > 1 and self.min_color_separation > 0.4 * math.sqrt(self.tile_channels):
+            raise ValueError(f"min_color_separation {self.min_color_separation} exceeds the "
+                             f"{0.4 * math.sqrt(self.tile_channels):.4f} that "
+                             f"{self.tile_channels} channels of habitat colors can reach")
+        if self.tile_shift > 0.25 * self.min_color_separation:
+            raise ValueError(f"tile_shift {self.tile_shift} exceeds a quarter of "
+                             f"min_color_separation {self.min_color_separation}")
+        if self.tile_shift + self.clutter > 0.3:
+            raise ValueError("tile_shift + clutter must stay within 0.3 so pixels "
+                             "remain inside [0, 1] without clipping")
+
+    @property
+    def strip_height(self) -> float:
+        """The latitude span of each habitat's strip."""
+        return (self.raster_rows - 1) * _CELL / self.n_habitats
 
 
 @dataclass(kw_only=True)
@@ -99,11 +116,6 @@ class SyntheticWorld(GeoDataset):
     tile_habitats = property(lambda self: self.truth.tile_habitats)
     species_habitats = property(lambda self: self.truth.species_habitats)
     text_prototypes = property(lambda self: self.truth.text_prototypes)  # (habitats, d_txt)
-
-    @property
-    def strip_height(self) -> float:
-        """The latitude span of each habitat's strip."""
-        return (self.config.raster_rows - 1) * self.config.dlat / self.config.n_habitats
 
 
 def _f32(a: np.ndarray) -> np.ndarray:
@@ -149,22 +161,18 @@ def generate_synthetic_world(config: SyntheticWorldConfig) -> SyntheticWorld:
     cov_protos = rng.uniform(-1.0, 1.0, size=(cfg.n_habitats, COVARIATE_CHANNELS))
     text_protos = _f32(rng.normal(size=(cfg.n_habitats, cfg.d_txt)))
 
-    hull_lat = (cfg.raster_rows - 1) * cfg.dlat
-    hull_lon = (cfg.raster_cols - 1) * cfg.dlon
-    strip = hull_lat / cfg.n_habitats
-
-    def habitat_of_lat(lat: float) -> int:
-        return min(int((lat - cfg.lat0) / strip), cfg.n_habitats - 1)
+    hull_lat = (cfg.raster_rows - 1) * _CELL
+    hull_lon = (cfg.raster_cols - 1) * _CELL
+    strip = cfg.strip_height
 
     # covariate raster: each cell carries its habitat's prototype plus noise
     values = np.empty((cfg.raster_rows, cfg.raster_cols, COVARIATE_CHANNELS))
     for r in range(cfg.raster_rows):
-        h = habitat_of_lat(cfg.lat0 + r * cfg.dlat)
-        noise = cfg.covariate_noise * rng.uniform(-1.0, 1.0,
-                                                  size=(cfg.raster_cols, COVARIATE_CHANNELS))
+        h = min(int(r * _CELL / strip), cfg.n_habitats - 1)
+        noise = _COVARIATE_NOISE * rng.uniform(-1.0, 1.0,
+                                               size=(cfg.raster_cols, COVARIATE_CHANNELS))
         values[r] = cov_protos[h] + noise
-    raster = CovariateRaster(lat0=cfg.lat0, lon0=cfg.lon0, dlat=cfg.dlat,
-                             dlon=cfg.dlon, values=_f32(values))
+    raster = CovariateRaster(lat0=0.0, lon0=0.0, dlat=_CELL, dlon=_CELL, values=_f32(values))
 
     # tiles: fixed record count per habitat, grouped into multi-timestamp centers
     margin = cfg.observation_jitter
@@ -173,16 +181,16 @@ def generate_synthetic_world(config: SyntheticWorldConfig) -> SyntheticWorld:
     centers_by_habitat: list[list[tuple[float, float]]] = []
     tile_id = 0
     for h in range(cfg.n_habitats):
-        lat_lo = cfg.lat0 + h * strip
-        lat_hi = cfg.lat0 + (h + 1) * strip
-        n_centers = math.ceil(cfg.tiles_per_habitat / cfg.timestamps_per_center)
+        lat_lo = h * strip
+        lat_hi = (h + 1) * strip
+        n_centers = math.ceil(cfg.tiles_per_habitat / _TIMESTAMPS_PER_CENTER)
         centers = []
         remaining = cfg.tiles_per_habitat
         for _ in range(n_centers):
             lat = rng.uniform(lat_lo + margin, lat_hi - margin)
-            lon = rng.uniform(cfg.lon0 + margin, cfg.lon0 + hull_lon - margin)
+            lon = rng.uniform(margin, hull_lon - margin)
             centers.append((lat, lon))
-            for k in range(min(cfg.timestamps_per_center, remaining)):
+            for k in range(min(_TIMESTAMPS_PER_CENTER, remaining)):
                 base = colors[h] + rng.uniform(-cfg.tile_shift, cfg.tile_shift,
                                                size=cfg.tile_channels)
                 pixels = base[:, None, None] + _clutter_field(rng, cfg.tile_channels,
@@ -192,7 +200,7 @@ def generate_synthetic_world(config: SyntheticWorldConfig) -> SyntheticWorld:
                                         pixels=_f32(pixels)))
                 tile_habitats[tile_id] = h
                 tile_id += 1
-            remaining -= min(cfg.timestamps_per_center, remaining)
+            remaining -= min(_TIMESTAMPS_PER_CENTER, remaining)
         centers_by_habitat.append(centers)
 
     # species and their text sections
@@ -202,7 +210,7 @@ def generate_synthetic_world(config: SyntheticWorldConfig) -> SyntheticWorld:
     texts = TextSections(species=text_species,
                          section=np.tile(np.arange(cfg.sections_per_species), cfg.n_species),
                          embeddings=_f32(text_protos[text_species % cfg.n_habitats]
-                                         + cfg.text_noise * noise))
+                                         + _TEXT_NOISE * noise))
 
     # observations: jittered around a random tile center of the species' habitat
     obs_lat, obs_lon = [], []
@@ -213,9 +221,9 @@ def generate_synthetic_world(config: SyntheticWorldConfig) -> SyntheticWorld:
         lat_c, lon_c = centers[rng.integers(len(centers))]
         lat = lat_c + rng.uniform(-margin, margin)
         lon = lon_c + rng.uniform(-margin, margin)
-        lat = min(max(lat, cfg.lat0 + h * strip), cfg.lat0 + (h + 1) * strip - 1e-9)
-        lat = min(max(lat, cfg.lat0), cfg.lat0 + hull_lat)
-        lon = min(max(lon, cfg.lon0), cfg.lon0 + hull_lon)
+        lat = min(max(lat, h * strip), (h + 1) * strip - 1e-9)
+        lat = min(max(lat, 0.0), hull_lat)
+        lon = min(max(lon, 0.0), hull_lon)
         obs_lat.append(lat)
         obs_lon.append(lon)
     observations = Observations(lat=obs_lat, lon=obs_lon,

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -7,12 +9,15 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import satalign.cli as cli
 from satalign.cli import dispatch, hash_path
@@ -191,13 +196,21 @@ def test_probe_cls_trains_on_every_habitat_of_a_two_tile_world(few_tile_worlds, 
     assert np.array(metrics["confusion_matrix"]).sum(axis=1).tolist() == [1, 1, 1, 1]
 
 
-@pytest.mark.parametrize("task", ["cls", "multilabel"])
+@pytest.mark.parametrize("task", ["cls"])
 def test_probe_of_one_tile_per_habitat_exits_1(few_tile_worlds, capsys, task):
     assert dispatch(["probe", "--data", str(few_tile_worlds / "world1"),
                      "--ckpt", str(few_tile_worlds / "ckpt"), "--task", task]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
         "", "error: not enough tiles to hold out a test split\n")
+
+
+def test_probe_has_no_multilabel_task(few_tile_worlds, capsys):
+    assert dispatch(["probe", "--data", str(few_tile_worlds / "world2"),
+                     "--ckpt", str(few_tile_worlds / "ckpt"), "--task", "multilabel"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --task: invalid choice: 'multilabel'" in captured.err
 
 
 def test_each_probe_task_fits_through_the_cli_name_once(workspace, monkeypatch):
@@ -210,8 +223,7 @@ def test_each_probe_task_fits_through_the_cli_name_once(workspace, monkeypatch):
         return original(model, features, labels, kind, *args)
 
     monkeypatch.setattr(cli, "fit_linear_probe", recording)
-    for task, kind in (("cls", "single_label"), ("multilabel", "multi_label"),
-                       ("encounter", "encounter_rate")):
+    for task, kind in (("cls", "single_label"), ("encounter", "encounter_rate")):
         kinds.clear()
         assert dispatch(["probe", "--data", str(workspace / "world"),
                          "--ckpt", str(workspace / "run" / "ckpt.json"), "--task", task,
@@ -1095,6 +1107,18 @@ _BAD_CONFIGS = [
     ("synth", {"n_species": 2**21, "sections_per_species": 2},
      "n_species 2097152 is the largest size of a world over the 4,194,304 records or "
      "4,294,967,296 float64 bytes synth takes"),
+    # values no world can hold: a coordinate range, a noise scale, an unknown field
+    ("synth", {"clutter": math.nan}, "clutter must be finite and >= 0, got nan"),
+    ("synth", {"min_color_separation": math.nan},
+     "min_color_separation must be finite and >= 0, got nan"),
+    ("synth", {"observation_jitter": 1e9}, "observation_jitter 1000000000.0 is over half the "
+     "2.875 degrees of a habitat strip's height or width"),
+    ("synth", {"raster_rows": 400},
+     "raster_rows 400 spans more than the 90 degrees of latitude north of the origin"),
+    ("synth", {"raster_cols": 400},
+     "raster_cols 400 spans 180 or more degrees of longitude east of the origin"),
+    ("synth", {"dlat": 0},
+     "SyntheticWorldConfig.__init__() got an unexpected keyword argument 'dlat'"),
 ]
 
 
@@ -1113,6 +1137,31 @@ def test_config_value_of_the_wrong_type_exits_1_naming_file_and_field(workspace,
     assert captured.out == ""
     assert captured.err == f"error: {config}: invalid config ({says})\n"
     assert not list(tmp_path.glob("world*")) and not list(tmp_path.glob("ckpt*"))
+
+
+_WORLD_FIELDS = [field.name for field in dataclasses.fields(SyntheticWorldConfig)]
+_SMALL_WORLD = {"n_species": 4, "n_habitats": 2, "raster_rows": 6, "raster_cols": 6,
+                "tiles_per_habitat": 2, "n_observations": 8, "d_txt": 4, "tile_size": 4,
+                "sections_per_species": 1}
+
+
+@given(field=st.sampled_from(_WORLD_FIELDS + ["dlat", "lat0", "text_noise"]),
+       value=st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, 2**63, "1", [1], None]))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_synth_config_field_exits_0_or_1_naming_file_and_field(field, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = pathlib.Path(tmp, "synth.json")
+        config.write_text(json.dumps(dict(_SMALL_WORLD, **{field: value})))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(["synth", "--out", str(pathlib.Path(tmp, "world")),
+                             "--config", str(config)])
+    assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(f"error: {config}: invalid config ("), err.getvalue()
+        assert field in err.getvalue()
 
 
 @pytest.mark.parametrize("model, says", _BAD_MODEL_FIELDS)

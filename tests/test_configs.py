@@ -13,7 +13,7 @@ from satalign.training import TrainConfig
 # (class, an invalid field value, the message it raises)
 CASES = [
     (TrainConfig, {"epochs": 0}, "epochs and batch size must be >= 1"),
-    (SyntheticWorldConfig, {"n_species": 0}, "all synthetic-world counts must be >= 1"),
+    (SyntheticWorldConfig, {"n_species": 0}, "n_species must be >= 1, got 0"),
     (ProbeConfig, {"epochs": 0}, "probe epochs must be >= 1, got 0"),
     (ModelConfig, {"embed_dim": 0}, "embedding dimensions must be positive"),
     (ImageEncoderConfig, {"d_img": 4}, "d_img must be >= 8"),

@@ -1,9 +1,13 @@
 """The experiment scripts run end to end at their smallest settings."""
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,18 +32,35 @@ def trailing_scores(line, count):
     return scores
 
 
-@pytest.mark.parametrize("name, argv, rows, columns", [
-    ("synthetic_benchmark", ["--seeds", "1", "--epochs", "1"], ["0", "mean"], 5),
-    ("modality_ablation", ["--seed", "0", "--epochs", "1"],
-     ["random init", "image only", "all three terms"], 1),
-])
-def test_script_runs_at_smallest_settings(name, argv, rows, columns, capsys):
-    assert load_script(name).main(argv) == 0
-    lines = capsys.readouterr().out.splitlines()
-    for row in rows:
-        matches = [line for line in lines if line.strip().startswith(row)]
-        assert matches, f"{name}: no output row starting with {row!r}"
-        trailing_scores(matches[0], columns)
+@pytest.fixture(scope="module")
+def ablation_run():
+    """The merged experiment script at its smallest settings: its module and its output."""
+    ablation = load_script("modality_ablation")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert ablation.main(["--seeds", "1", "--epochs", "1"]) == 0
+    return ablation, out.getvalue().splitlines()
+
+
+def score_row(lines, label):
+    matches = [line for line in lines if line.startswith(label + "  ")]
+    assert len(matches) == 1, f"no output row for {label!r}"
+    return trailing_scores(matches[0], 3)
+
+
+def test_modality_ablation_prints_every_ablation_row(ablation_run):
+    ablation, lines = ablation_run
+    for label, _, _ in ablation.ROWS:
+        score_row(lines, label)
+
+
+def test_modality_ablation_prints_the_former_benchmark_rows(ablation_run):
+    # the random, trained and scale_shift runs, each with probe, retrieval@10 and zero-shot
+    _, lines = ablation_run
+    for label in ("random init (no training)", "all three terms",
+                  "all three terms, scale_shift"):
+        score_row(lines, label)
+    assert lines[-1].startswith("means over seeds 0-0, in "), lines[-1]
 
 
 def test_same_bytes_names_a_flipped_byte_and_passes_identical_trees(tmp_path, monkeypatch,
@@ -75,10 +96,18 @@ def test_same_bytes_names_a_flipped_byte_and_passes_identical_trees(tmp_path, mo
     assert capsys.readouterr().err == "missing from the pinned run: world/pixels.bin\n"
 
 
+def test_same_bytes_without_an_importable_satalign_names_the_pythonpath(tmp_path):
+    # -I -S: no PYTHONPATH, no site-packages, and not the script's own directory
+    done = subprocess.run([sys.executable, "-I", "-S", str(SCRIPTS / "same_bytes.py")],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "same_bytes: cannot import satalign; run with PYTHONPATH=<tree>/src\n")
+
+
 def test_same_bytes_requires_a_manifest_for_every_out_of_its_commands():
     same_bytes = load_script("same_bytes")
     outs = re.findall(r"--out (\S+)", same_bytes.COMMANDS)
-    assert len(outs) == 16
+    assert len(outs) == 15
     for out in outs:  # a manifest is named after the command's first output
         names = {f"{out}.manifest.json", f"{out}.json.manifest.json"}
         assert len(names & same_bytes.OUTPUTS) == 1, out

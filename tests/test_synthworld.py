@@ -49,8 +49,8 @@ def test_observations_inside_their_species_habitat(seed):
     for lat, species in zip(obs.lat.tolist(), obs.species.tolist()):
         habitat = world.species_habitats[species]
         # region-membership oracle: strip bounds by construction
-        lo = world.config.lat0 + habitat * world.strip_height
-        hi = world.config.lat0 + (habitat + 1) * world.strip_height
+        lo = habitat * world.config.strip_height
+        hi = (habitat + 1) * world.config.strip_height
         assert lo <= lat < hi
 
 
