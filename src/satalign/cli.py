@@ -202,15 +202,15 @@ def _text_output(out: str | None, text: str) -> dict:
     return {"outputs": (Path(out),), "build": lambda tmp: tmp.write_text(text + "\n")}
 
 
-def _config_from_file(path: str | None, cls, **fixed):
+def _config_from_file(path: str | None, cls):
     """The validated `cls` config from the JSON object in `path` ({} without
-    a file), with the `fixed` fields set. A field of the wrong type, an
-    unknown field or a bad value from a file is an input error naming it."""
+    a file). A field of the wrong type, an unknown field or a bad value from
+    a file is an input error naming it."""
     fields = read_json(path) if path else {}
     if not isinstance(fields, dict):
         raise ValueError(f"{path}: expected a JSON object of config fields")
     try:
-        return dataclass_from_json(cls, dict(fields, **fixed))
+        return dataclass_from_json(cls, fields)
     except (TypeError, ValueError) as e:
         if path is None:
             raise
@@ -221,14 +221,21 @@ def _config_from_file(path: str | None, cls, **fixed):
 
 
 def _cmd_synth(args) -> _Run:
-    config = _config_from_file(args.config, SyntheticWorldConfig, seed=args.seed)
-    world = generate_synthetic_world(config)
+    config = _config_from_file(args.config, SyntheticWorldConfig)
+    if args.seed is not None:  # the flag overrides the file's seed
+        config = dataclasses.replace(config, seed=args.seed)
+    try:
+        world = generate_synthetic_world(config)
+    except ValueError as e:  # a min_color_separation the palette's draws did not reach
+        if args.config is None:
+            raise
+        raise ValueError(f"{args.config}: invalid config ({e})") from None
     out = Path(args.out)
     stdout = json.dumps({"out": str(out), "tiles": len(world.tiles),
                          "observations": len(world.observations),
                          "species": config.n_species, "habitats": config.n_habitats},
                         sort_keys=True)
-    return _Run(dataclasses.asdict(config), args.seed, stdout, (out,),
+    return _Run(dataclasses.asdict(config), config.seed, stdout, (out,),
                 lambda tmp: save_dataset(tmp, world))
 
 
@@ -248,6 +255,9 @@ def _cmd_train(args) -> _Run:
     if config.model.location.use_covariates and channels != COVARIATE_CHANNELS:
         raise ValueError(f"{Path(args.data) / 'raster.json'}: {channels} covariate channels, "
                          f"the location encoder takes {COVARIATE_CHANNELS}")
+    if dataset.texts.d_txt != config.model.d_txt:
+        raise ValueError(f"{Path(args.data) / 'text' / 'sections.json'}: d_txt "
+                         f"{dataset.texts.d_txt}, the model takes model.d_txt {config.model.d_txt}")
     c, crop = config.model.image.in_channels, config.crop_size
     bad = next((i for i, tile in enumerate(dataset.tiles)
                 if tile.pixels.shape[0] != c or min(tile.pixels.shape[1:]) < crop), None)
@@ -436,6 +446,10 @@ def _cmd_zeroshot(args) -> _Run:
     else:
         if dataset.truth is None:
             raise ValueError("zeroshot needs --classes or a dataset with ground_truth.json")
+        if dataset.texts.d_txt != model.cfg.d_txt:
+            raise ValueError(f"{Path(args.data) / 'text' / 'sections.json'}: d_txt "
+                             f"{dataset.texts.d_txt}, {pair_paths(args.ckpt)[0]} takes "
+                             f"model.d_txt {model.cfg.d_txt}")
         classes = dataset.truth.text_prototypes
         labels = [dataset.truth.tile_habitats[t.tile_id] for t in dataset.tiles]
         source = f"{Path(args.data) / 'ground_truth.json'}: key 'text_prototypes'"
@@ -522,7 +536,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, help="overrides the config file's seed (default 0)")
     p.add_argument("--config", help="JSON file with synthetic-world fields")
     p.set_defaults(handler=_cmd_synth)
 

@@ -3,19 +3,19 @@
 Layout:
     observations.csv          header ``lat,lon,species_id``, decimal degrees
     raster.json / raster.bin  grid header + float32-LE values, (row, col, channel)
-    tiles/manifest.json       [{tile_id, lat, lon, timestamp, file, offset, c, h, w}]
+    tiles/manifest.json       [{tile_id, lat, lon, timestamp, c, h, w}]
     tiles/pixels.bin          float32-LE pixels of every tile in manifest order,
-                              each C x H x W, values in [0, 1]; a record's
-                              `offset` is where its pixels start, in bytes
-    text/sections.json        {"d_txt": D, "sections": [{species_id, section_id, row}]}
-    text/embeddings.bin       float32-LE matrix, one row per section
+                              each C x H x W, values in [0, 1], and nothing else
+    text/sections.json        {"d_txt": D, "sections": [{species_id, section_id}]}
+    text/embeddings.bin       float32-LE matrix, one row of D values per section,
+                              in the order of `sections`, and nothing else
     ground_truth.json         optional; habitat labels and text prototypes for
                               synthetic worlds (used by probing and zero-shot)
 
-A manifest record without `offset` starts at byte 0 of its file, so the
-older layout of one `tiles/tile_<id>.bin` per tile reads through the same
-code. Either way the records naming a file must cover it exactly: no gap, no
-overlap, no bytes after the last record.
+A record's pixels start where the previous record's end, so the records must
+cover pixels.bin exactly. A tile record that carries `file` or `offset`, or a
+section that carries `row`, is from an older layout, and is rejected naming
+the file, the record and the key rather than read with another meaning.
 """
 
 from __future__ import annotations
@@ -158,20 +158,18 @@ def save_dataset(directory: str | Path, dataset: GeoDataset) -> None:
     })
     (root / "raster.bin").write_bytes(raster.values.astype("<f4").tobytes())
 
-    manifest, offset = [], 0
+    manifest = []
     with open(root / "tiles" / "pixels.bin", "wb") as blob:
         for tile in dataset.tiles:
             c, h, w = tile.pixels.shape
             blob.write(tile.pixels.astype("<f4").tobytes())
             manifest.append({"tile_id": tile.tile_id, "lat": tile.lat, "lon": tile.lon,
-                             "timestamp": tile.timestamp, "file": "pixels.bin",
-                             "offset": offset, "c": c, "h": h, "w": w})
-            offset += 4 * c * h * w
+                             "timestamp": tile.timestamp, "c": c, "h": h, "w": w})
     write_json(root / "tiles" / "manifest.json", manifest)
 
     texts = dataset.texts
-    sections = [{"species_id": species, "section_id": section, "row": i} for i, (species, section)
-                in enumerate(zip(texts.species.tolist(), texts.section.tolist()))]
+    sections = [{"species_id": species, "section_id": section}
+                for species, section in zip(texts.species.tolist(), texts.section.tolist())]
     write_json(root / "text" / "sections.json", {"d_txt": texts.d_txt, "sections": sections})
     (root / "text" / "embeddings.bin").write_bytes(texts.embeddings.astype("<f4").tobytes())
 
@@ -186,10 +184,11 @@ def save_dataset(directory: str | Path, dataset: GeoDataset) -> None:
 
 
 def _read_f32(path: Path, count: int) -> np.ndarray:
-    data = np.frombuffer(path.read_bytes(), dtype="<f4")
-    if data.size != count:
-        raise ValueError(f"{path}: expected {count} float32 values, found {data.size}")
-    return data.astype(np.float64)
+    """Blob `path`'s `count` float32-LE values as float64, else a ValueError naming it."""
+    blob = path.read_bytes()
+    if len(blob) != 4 * count:
+        raise ValueError(f"{path}: expected {count} float32 values, found {len(blob)} bytes")
+    return np.frombuffer(blob, dtype="<f4").astype(np.float64)
 
 
 def _load_observations(path: Path) -> Observations:
@@ -257,7 +256,7 @@ def _load_raster(root: Path) -> CovariateRaster:
         raise ValueError(f"{header_path}: {e}") from None
 
 
-_TILE_FIELDS = {"tile_id": int, "lat": float, "lon": float, "timestamp": int, "file": str,
+_TILE_FIELDS = {"tile_id": int, "lat": float, "lon": float, "timestamp": int,
                 "c": int, "h": int, "w": int}
 
 
@@ -265,8 +264,9 @@ def _check_tile_record(entry, where: str) -> None:
     """One manifest record's fields, shape and center; a bad one is a
     ValueError naming `where`."""
     require_fields(entry, _TILE_FIELDS, where)
-    if "offset" in entry:
-        require_fields(entry, {"offset": int}, where)
+    if retired := [key for key in ("file", "offset") if key in entry]:  # see the module doc
+        raise ValueError(f"{where}: key {retired[0]!r} is from a retired dataset layout; "
+                         f"re-run synth")
     shape = entry["c"], entry["h"], entry["w"]
     if min(shape) < 1:
         raise ValueError(f"{where}: tile shape must be positive, got {shape}")
@@ -284,22 +284,22 @@ def _tile_records_valid(manifest: list) -> bool:
         columns = {name: [entry[name] for entry in manifest] for name in _TILE_FIELDS}
     except (TypeError, KeyError):
         return False
-    columns["offset"] = [entry.get("offset", 0) for entry in manifest]
-    for name, kind in dict(_TILE_FIELDS, offset=int).items():
+    for name, kind in _TILE_FIELDS.items():
         if not {type(v) for v in columns[name]} <= ({int, float} if kind is float else {kind}):
             return False
     # an int center of 2 ** 1023 or more, not a float field, is out of range anyway
     return (min(min(columns[name]) for name in "chw") >= 1
             and all(-90.0 <= lat <= 90.0 for lat in columns["lat"])
             and all(-180.0 <= lon < 180.0 for lon in columns["lon"])
-            and len(set(columns["tile_id"])) == len(manifest))
+            and len(set(columns["tile_id"])) == len(manifest)
+            and not any("file" in entry or "offset" in entry for entry in manifest))
 
 
 def _load_tiles(root: Path) -> list[TileRecord]:
     """The manifest's tiles. The records are checked in one pass over the
     whole list; only when that fails are they checked one at a time, to name
-    the first bad record. Each file the manifest names is read once, front
-    to back, after a check that its records cover it exactly. The pixels stay
+    the first bad record. pixels.bin is read once, front to back, after a
+    check that the records' sizes add up to its length. The pixels stay
     float32, as stored: the records starting in one TILE_READ_BYTES window
     are read into one array, and each tile's pixels are a view into it.
     Arrays of ~512 KB, unlike one array of the whole dataset, fit the heap's
@@ -318,55 +318,42 @@ def _load_tiles(root: Path) -> list[TileRecord]:
             if first_record.setdefault(entry["tile_id"], i) != i:
                 raise ValueError(f"{manifest_path} record {i}: repeats tile id "
                                  f"{entry['tile_id']}")
-    spans: dict[str, list[tuple[int, int, int]]] = {}  # file -> (offset, bytes, record)
-    for i, entry in enumerate(manifest):
-        spans.setdefault(entry["file"], []).append(
-            (entry.get("offset", 0), 4 * entry["c"] * entry["h"] * entry["w"], i))
-
-    flat: list[np.ndarray] = [None] * len(manifest)  # each record's pixels
-    for name, records in spans.items():
-        path = root / "tiles" / name
-        records.sort()
-        try:
-            with open(path, "rb") as f:
-                size = os.fstat(f.fileno()).st_size
-                end = 0
-                for offset, nbytes, i in records:
-                    where = f"{manifest_path} record {i}"
-                    if offset != end:
-                        raise ValueError(f"{where}: starts at byte {offset} of {path}, "
-                                         f"expected byte {end} "
-                                         f"({'a gap' if offset > end else 'an overlap'})")
-                    end = offset + nbytes
-                    if end > size:
-                        raise ValueError(f"{where}: bytes {offset}..{end} run past the end "
-                                         f"of {path} ({size} bytes)")
-                if end != size:
-                    raise ValueError(f"{where}: {path} has {size - end} bytes after this "
-                                     f"record, its last")
-                # the records starting in one TILE_READ_BYTES window are read
-                # together, into an array of their own
-                for _, group in itertools.groupby(records, lambda r: r[0] // TILE_READ_BYTES):
-                    group = list(group)
-                    first = group[0][0]
-                    raw = np.empty((group[-1][0] + group[-1][1] - first) // 4, dtype="<f4")
-                    if f.readinto(raw) != raw.nbytes:
-                        raise ValueError(f"{manifest_path} record {group[0][2]}: {path} "
-                                         f"changed while it was read")
-                    for offset, nbytes, i in group:
-                        flat[i] = raw[(offset - first) // 4:(offset + nbytes - first) // 4]
-        except OSError as e:
-            raise ValueError(f"{manifest_path} record {records[0][2]}: cannot read {path} "
-                             f"({e.strerror})") from None
-
-    tiles = []
-    for i, entry in enumerate(manifest):
-        try:
-            tiles.append(TileRecord(tile_id=entry["tile_id"], lat=entry["lat"],
-                                    lon=entry["lon"], timestamp=entry["timestamp"],
-                                    pixels=flat[i].reshape(entry["c"], entry["h"], entry["w"])))
-        except ValueError as e:
-            raise ValueError(f"{manifest_path} record {i}: {e}") from None
+    # record i's pixels are bytes starts[i]..starts[i + 1] of pixels.bin
+    starts = list(itertools.accumulate((4 * entry["c"] * entry["h"] * entry["w"]
+                                        for entry in manifest), initial=0))
+    path, tiles = root / "tiles" / "pixels.bin", []
+    try:
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            if starts[-1] > size:
+                i = next(i for i, end in enumerate(starts[1:]) if end > size)
+                raise ValueError(f"{manifest_path} record {i}: bytes {starts[i]}..{starts[i + 1]} "
+                                 f"run past the end of {path} ({size} bytes)")
+            if starts[-1] < size:
+                raise ValueError(f"{manifest_path} record {len(manifest) - 1}: {path} has "
+                                 f"{size - starts[-1]} bytes after this record, its last")
+            # the records starting in one TILE_READ_BYTES window are read
+            # together, into an array of their own
+            for _, group in itertools.groupby(enumerate(manifest),
+                                              lambda record: starts[record[0]] // TILE_READ_BYTES):
+                group = list(group)
+                first = starts[group[0][0]]
+                raw = np.empty((starts[group[-1][0] + 1] - first) // 4, dtype="<f4")
+                if f.readinto(raw) != raw.nbytes:
+                    raise ValueError(f"{manifest_path} record {group[0][0]}: {path} "
+                                     f"changed while it was read")
+                for i, entry in group:
+                    pixels = raw[(starts[i] - first) // 4:(starts[i + 1] - first) // 4]
+                    try:
+                        tiles.append(TileRecord(
+                            tile_id=entry["tile_id"], lat=entry["lat"], lon=entry["lon"],
+                            timestamp=entry["timestamp"],
+                            pixels=pixels.reshape(entry["c"], entry["h"], entry["w"])))
+                    except ValueError as e:
+                        raise ValueError(f"{manifest_path} record {i}: {e}") from None
+    except OSError as e:
+        raise ValueError(f"{manifest_path} record 0: cannot read {path} "
+                         f"({e.strerror})") from None
     return tiles
 
 
@@ -374,26 +361,24 @@ def _load_texts(root: Path) -> TextSections:
     header_path, blob_path = root / "text" / "sections.json", root / "text" / "embeddings.bin"
     header = require_fields(read_json(header_path), {"d_txt": int, "sections": list},
                             header_path)
-    d_txt = int(header["d_txt"])
-    blob = blob_path.read_bytes()
-    if d_txt <= 0 or len(blob) % (4 * d_txt) != 0:
-        raise ValueError(f"{blob_path}: length {len(blob)} bytes not divisible by d_txt "
-                         f"{d_txt} float32 values")
-    rows = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(-1, d_txt)
-    fields = {"species_id": int, "section_id": int, "row": int}
+    d_txt, n = header["d_txt"], len(header["sections"])
+    if d_txt < 1:
+        raise ValueError(f"{header_path}: d_txt must be >= 1, got {d_txt}")
+    embeddings = _read_f32(blob_path, n * d_txt)  # one row per section, in order
+    fields = {"species_id": int, "section_id": int}
     entries = [require_fields(entry, fields, f"{header_path} record {i}")
                for i, entry in enumerate(header["sections"])]
-    wide = next((i for i, entry in enumerate(entries)
-                 if not all(-2 ** 63 <= entry[name] < 2 ** 63 for name in fields)), None)
-    if wide is not None:
-        raise ValueError(f"{header_path} record {wide}: an integer does not fit in 64 bits")
-    species, section, row = (np.array([entry[name] for entry in entries], dtype=np.int64)
-                             for name in fields)
-    bad = np.flatnonzero((row < 0) | (row >= rows.shape[0]))
-    if bad.size:
-        raise ValueError(f"{header_path}: row index out of range, record {bad[0]}")
+    for i, entry in enumerate(entries):
+        if "row" in entry:  # the older layout's embedding row
+            raise ValueError(f"{header_path} record {i}: key 'row' is from a retired dataset "
+                             f"layout; re-run synth")
+        if not all(-2 ** 63 <= entry[name] < 2 ** 63 for name in fields):
+            raise ValueError(f"{header_path} record {i}: an integer does not fit in 64 bits")
+    species, section = (np.array([entry[name] for entry in entries], dtype=np.int64)
+                        for name in fields)
     try:
-        return TextSections(species=species, section=section, embeddings=rows[row])
+        return TextSections(species=species, section=section,
+                            embeddings=embeddings.reshape(n, d_txt))
     except ValueError as e:
         raise ValueError(f"{blob_path}: {e}") from None
 

@@ -40,6 +40,8 @@ class ImageEncoderConfig:
     def __post_init__(self):
         if self.d_img < 8:
             raise ValueError("d_img must be >= 8")
+        if self.in_channels < 1:
+            raise ValueError(f"in_channels must be >= 1, got {self.in_channels}")
         if not self.widths or any(w < 1 for w in self.widths):
             raise ValueError("conv stage widths must be positive")
         size = self.in_size
@@ -47,7 +49,12 @@ class ImageEncoderConfig:
             size = conv_size(size, self.kernel, max(self.stride, 1), self.padding)
         if self.kernel < 1 or self.stride < 1 or self.padding < 0 or size < 1:
             raise ValueError(f"conv kernel {self.kernel}, stride {self.stride} and padding "
-                             f"{self.padding} leave no output for {self.in_size} px tiles")
+                             f"{self.padding} leave no output for in_size {self.in_size} px tiles")
+        # a longer stride gives the same one output per axis, and overflows
+        # the patch view's byte strides when it is large enough
+        if self.stride > self.in_size + 2 * self.padding:
+            raise ValueError(f"stride {self.stride} exceeds the {self.in_size + 2 * self.padding} "
+                             f"px of a padded {self.in_size} px tile")
         if self.padding >= self.kernel:  # a window could lie wholly inside the zero border
             raise ValueError(f"conv padding {self.padding} must be smaller than the kernel "
                              f"{self.kernel}")
@@ -83,8 +90,9 @@ class ModelConfig:
     embed_dim: int = 64  # 512 mirrors the full-scale setup
 
     def __post_init__(self):
-        if self.embed_dim < 1 or self.d_txt < 1:
-            raise ValueError("embedding dimensions must be positive")
+        for name in ("d_txt", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def location_input_features(lat, lon, covariates: np.ndarray | None = None) -> np.ndarray:

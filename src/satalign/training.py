@@ -36,6 +36,12 @@ CHECKPOINT_VERSION = 1
 # each for values, gradients and Adam's two moments) in at most 2**16 tensors,
 # and 2**32 activation bytes a step
 MAX_PARAMETERS, MAX_TENSORS, MAX_STEP_BYTES = 2**27, 2**16, 2**32
+# the logits are cosines over the temperature, and the loss and its gradients
+# grow with each term's weight over the temperature; Adam squares those
+# gradients. These bounds keep all of it far inside float64 on every step
+MIN_TEMPERATURE, MAX_LOSS_WEIGHT = 1e-4, 1e4
+# each epoch is at least one step, and a checkpoint keeps every step's loss
+MAX_EPOCHS = 2**20
 
 
 @dataclass(frozen=True)
@@ -63,21 +69,32 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch size must be >= 1")
-        if self.lr <= 0 or self.temperature <= 0:
-            raise ValueError("learning rate and temperature must be positive")
+        for name in ("epochs", "batch_size", "crop_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.epochs > MAX_EPOCHS:
+            raise ValueError(f"epochs must be at most {MAX_EPOCHS:,}, got {self.epochs}")
+        if self.crop_size > self.model.image.in_size:
+            raise ValueError(f"crop_size {self.crop_size} exceeds model.image.in_size "
+                             f"{self.model.image.in_size}")
+        for name in ("lr", "matching_radius"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if self.temperature < MIN_TEMPERATURE:
+            raise ValueError(f"temperature must be at least {MIN_TEMPERATURE!r}, "
+                             f"got {self.temperature!r}")
         if self.peft not in PEFT_MODES:
-            raise ValueError(f"unknown fine-tuning mode {self.peft!r}")
-        if self.crop_size < 1 or self.crop_size > self.model.image.in_size:
-            raise ValueError("crop size must be in [1, model input size]")
-        if self.jitter < 0 or self.channel_mix < 0 or self.matching_radius <= 0:
-            raise ValueError("augmentation scales must be >= 0 and radius positive")
+            raise ValueError(f"peft must be one of {PEFT_MODES}, got {self.peft!r}")
+        for name in ("jitter", "channel_mix"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.matching_radius > MAX_RADIUS:  # the limit pairing and probes take
             raise ValueError(f"matching_radius must be at most {MAX_RADIUS!r}, "
                              f"got {self.matching_radius!r}")
-        if min(self.image_weight, self.text_weight, self.location_weight) < 0:
-            raise ValueError("loss-term weights must be >= 0")
+        for name in ("image_weight", "text_weight", "location_weight"):
+            if not 0 <= getattr(self, name) <= MAX_LOSS_WEIGHT:
+                raise ValueError(f"{name} must be in [0, {MAX_LOSS_WEIGHT!r}], "
+                                 f"got {getattr(self, name)!r}")
         img, loc, size = self.model.image, self.model.location, self.model.image.in_size
         per_tile = img.in_channels * size * size  # and each conv_block's value and xhat
         for width in img.widths:
@@ -90,7 +107,8 @@ class TrainConfig:
                                                          MAX_TENSORS + 1)]
         if (step_bytes > MAX_STEP_BYTES or len(shapes) > MAX_TENSORS
                 or sum(math.prod(shape) for shape in shapes) > MAX_PARAMETERS):
-            name = max(("batch_size", "model.image.in_size", "model.image.widths",
+            name = max(("batch_size", "model.image.in_channels", "model.image.in_size",
+                        "model.image.widths", "model.image.kernel", "model.image.padding",
                         "model.image.d_img", "model.location.hidden", "model.location.depth",
                         "model.location.d_loc", "model.d_txt", "model.embed_dim"),
                        key=lambda name: max(np.atleast_1d(attrgetter(name)(self))))

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -16,12 +17,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import satalign.cli as cli
 from satalign.cli import dispatch, hash_path
 from satalign.dataio import ingest_dataset, pair_paths, save_dataset
+from satalign.encoders import ImageEncoderConfig, LocationEncoderConfig, ModelConfig
 from satalign.evaluate import INDEX_SLAB_ROWS, RetrievalIndex, save_index
 from satalign.geodata import MAX_RADIUS
 from satalign.synthworld import SyntheticWorldConfig
@@ -80,6 +82,18 @@ def test_synth_writes_dataset_and_manifest(workspace):
     assert manifest["seed"] == 3
     assert str(world) in manifest["outputs"]
     assert "wall_time_s" in manifest
+
+
+def test_synth_reads_the_seed_from_its_config_and_the_flag_overrides_it(tmp_path):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(dict(_SMALL_WORLD, seed=5)))
+    for out, flags in (("file", []), ("flag", ["--seed", "5"]), ("over", ["--seed", "0"])):
+        assert dispatch(["synth", "--out", str(tmp_path / out), "--config", str(config)]
+                        + flags) == 0
+        manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+        assert manifest["seed"] == manifest["config"]["seed"] == (0 if out == "over" else 5)
+    assert hash_path(tmp_path / "file") == hash_path(tmp_path / "flag")
+    assert hash_path(tmp_path / "file") != hash_path(tmp_path / "over")
 
 
 def test_synth_determinism_byte_identical(workspace, tmp_path):
@@ -414,6 +428,32 @@ def test_retrieve_reports_a_bad_query_before_a_bad_index_row(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {tmp_path / 'idx.bin'}: row {row} has a non-finite norm\n"
+
+
+def test_train_rejects_a_dataset_of_another_text_width(workspace, tmp_path, capsys):
+    world = workspace / "world"
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps(dict(TRAIN_CFG, model=dict(TRAIN_CFG["model"], d_txt=8))))
+    assert dispatch(["train", "--data", str(world), "--out", str(tmp_path / "ckpt"),
+                     "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {world / 'text' / 'sections.json'}: d_txt 12, "
+                                 f"the model takes model.d_txt 8\n")
+    assert not (tmp_path / "ckpt.json").exists()
+
+
+def test_zeroshot_rejects_a_dataset_of_another_text_width(workspace, tmp_path, capsys):
+    synth_cfg = tmp_path / "synth.json"
+    synth_cfg.write_text(json.dumps(dict(SYNTH_CFG, d_txt=8)))
+    world, ckpt = tmp_path / "world", workspace / "run" / "ckpt.json"
+    assert dispatch(["synth", "--out", str(world), "--config", str(synth_cfg)]) == 0
+    capsys.readouterr()
+    assert dispatch(["zeroshot", "--data", str(world), "--ckpt", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {world / 'text' / 'sections.json'}: d_txt 8, {ckpt} "
+                            f"takes model.d_txt 12\n")
 
 
 def test_train_rejects_a_raster_of_another_channel_count(tmp_path, capsys):
@@ -1119,6 +1159,24 @@ _BAD_CONFIGS = [
      "raster_cols 400 spans 180 or more degrees of longitude east of the origin"),
     ("synth", {"dlat": 0},
      "SyntheticWorldConfig.__init__() got an unexpected keyword argument 'dlat'"),
+    # reachable by the config check, not by the palette's draws
+    ("synth", {"min_color_separation": 0.6},
+     "min_color_separation 0.6 is too wide to place 4 habitat colors in 5,000 draws"),
+    ("synth", {"seed": [1]}, "field 'seed' must be an integer, got [1]"),
+    ("synth", {"seed": -1}, "seed must be >= 0, got -1"),
+    # values that passed the check and failed in training, or blamed another field
+    ("train", {"model": {"image": {"stride": 10**20}}},
+     f"stride {10**20} exceeds the 34 px of a padded 32 px tile"),
+    ("train", {"temperature": 1e-320}, "temperature must be at least 0.0001, got 1e-320"),
+    ("train", {"model": {"image": {"in_channels": 0}}}, "in_channels must be >= 1, got 0"),
+    ("train", {"image_weight": 1e308}, "image_weight must be in [0, 10000.0], got 1e+308"),
+    ("train", {"epochs": 2**63}, f"epochs must be at most 1,048,576, got {2**63}"),
+    ("train", {"model": {"image": {"in_channels": 10**12}}},
+     "model.image.in_channels 1000000000000 is the largest size of a model or step over the "
+     "134,217,728 parameters, 65,536 tensors or 4,294,967,296 activation bytes train takes"),
+    ("train", {"model": {"image": {"kernel": 10**9, "padding": 10**9 - 1}}},
+     "model.image.kernel 1000000000 is the largest size of a model or step over the "
+     "134,217,728 parameters, 65,536 tensors or 4,294,967,296 activation bytes train takes"),
 ]
 
 
@@ -1162,6 +1220,52 @@ def test_fuzzed_synth_config_field_exits_0_or_1_naming_file_and_field(field, val
         assert out.getvalue() == ""
         assert err.getvalue().startswith(f"error: {config}: invalid config ("), err.getvalue()
         assert field in err.getvalue()
+
+
+_SMALL_TRAIN = {"epochs": 1, "batch_size": 4, "crop_size": 4,
+                "model": {"image": {"in_size": 4, "widths": [2], "d_img": 8},
+                          "location": {"hidden": 4, "depth": 1, "d_loc": 8},
+                          "d_txt": 4, "embed_dim": 4}}
+_TRAIN_FIELDS = ([f.name for f in dataclasses.fields(TrainConfig) if f.name != "model"]
+                 + [f"model.{f.name}" for f in dataclasses.fields(ModelConfig)
+                    if f.name not in ("image", "location")]
+                 + [f"model.image.{f.name}" for f in dataclasses.fields(ImageEncoderConfig)]
+                 + [f"model.location.{f.name}" for f in dataclasses.fields(LocationEncoderConfig)])
+
+
+@pytest.fixture(scope="module")
+def small_world(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small")
+    (root / "synth.json").write_text(json.dumps(_SMALL_WORLD))
+    assert dispatch(["synth", "--out", str(root / "world"), "--config",
+                     str(root / "synth.json")]) == 0
+    return root / "world"
+
+
+@given(field=st.sampled_from(_TRAIN_FIELDS),
+       value=st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, 2**63, 10**20, 1e-320,
+                              "1", [1], None]))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_train_config_field_exits_0_or_1_naming_the_field(small_world, field, value):
+    fields = json.loads(json.dumps(_SMALL_TRAIN))
+    *parents, name = field.split(".")
+    functools.reduce(lambda obj, key: obj[key], parents, fields)[name] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = pathlib.Path(tmp, "train.json")
+        config.write_text(json.dumps(fields))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(["train", "--data", str(small_world), "--out",
+                             str(pathlib.Path(tmp, "ckpt")), "--config", str(config)])
+    assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 1), err.getvalue()
+    if code == 1:  # a config the file holds names the field; a run on the data names its file
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: "), err.getvalue()
+        if err.getvalue().startswith(f"error: {config}: "):
+            assert name in err.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("model, says", _BAD_MODEL_FIELDS)

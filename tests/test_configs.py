@@ -12,10 +12,10 @@ from satalign.training import TrainConfig
 
 # (class, an invalid field value, the message it raises)
 CASES = [
-    (TrainConfig, {"epochs": 0}, "epochs and batch size must be >= 1"),
+    (TrainConfig, {"epochs": 0}, "epochs must be >= 1, got 0"),
     (SyntheticWorldConfig, {"n_species": 0}, "n_species must be >= 1, got 0"),
     (ProbeConfig, {"epochs": 0}, "probe epochs must be >= 1, got 0"),
-    (ModelConfig, {"embed_dim": 0}, "embedding dimensions must be positive"),
+    (ModelConfig, {"embed_dim": 0}, "embed_dim must be >= 1, got 0"),
     (ImageEncoderConfig, {"d_img": 4}, "d_img must be >= 8"),
     (LocationEncoderConfig, {"d_loc": 4}, "d_loc must be >= 8"),
     (LossConfig, {"temperature": 0.0}, "temperature must be positive"),

@@ -77,57 +77,65 @@ def test_malformed_header_rejected(world_dir):
 
 
 def test_embeddings_length_mismatch(world_dir):
-    out, _ = world_dir
+    out, dataset = world_dir
     blob = out / "text" / "embeddings.bin"
-    for cut in (1, 3):  # inside a float, then one float short
-        blob.write_bytes(blob.read_bytes()[:-cut])
-        with pytest.raises(ValueError, match=r"embeddings\.bin: length \d+ bytes not divisible"):
+    data = blob.read_bytes()
+    # inside a float, one float short, and one whole row more than the sections
+    for edited in (data[:-1], data[:-4], data + bytes(4 * dataset.texts.d_txt)):
+        blob.write_bytes(edited)
+        with pytest.raises(ValueError) as err:
             ingest_dataset(out)
+        assert str(err.value) == (f"{blob}: expected {len(data) // 4} float32 values, "
+                                  f"found {len(edited)} bytes")
 
 
-def save_per_tile_layout(directory, dataset):
-    """`dataset` in the older tile layout: one tiles/tile_<id>.bin per tile,
-    named by manifest records without an offset."""
-    save_dataset(directory, dataset)
-    tiles = directory / "tiles"
-    (tiles / "pixels.bin").unlink()
-    manifest = []
-    for tile in dataset.tiles:
-        c, h, w = tile.pixels.shape
-        name = f"tile_{tile.tile_id:06d}.bin"
-        (tiles / name).write_bytes(tile.pixels.astype("<f4").tobytes())
-        manifest.append({"tile_id": tile.tile_id, "lat": tile.lat, "lon": tile.lon,
-                         "timestamp": tile.timestamp, "file": name, "c": c, "h": h, "w": w})
-    (tiles / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-
-
-@pytest.fixture()
-def per_tile_dir(world_dir, tmp_path):
-    _, dataset = world_dir
-    out = tmp_path / "per_tile"
-    save_per_tile_layout(out, dataset)
-    return out
+def test_raster_blob_of_another_length_names_it(world_dir):
+    out, dataset = world_dir
+    blob = out / "raster.bin"
+    data = blob.read_bytes()
+    for edited in (data[:-1], data + bytes(4)):  # inside a float, and one float more
+        blob.write_bytes(edited)
+        with pytest.raises(ValueError) as err:
+            ingest_dataset(out)
+        assert str(err.value) == (f"{blob}: expected {dataset.raster.values.size} float32 "
+                                  f"values, found {len(edited)} bytes")
 
 
 def test_packed_layout_is_one_blob_in_manifest_order(world_dir):
     out, dataset = world_dir
     assert sorted(p.name for p in (out / "tiles").iterdir()) == ["manifest.json", "pixels.bin"]
     manifest = json.loads((out / "tiles" / "manifest.json").read_text())
-    assert [r["offset"] for r in manifest] == [4 * t.pixels.size * i
-                                               for i, t in enumerate(dataset.tiles)]
+    assert [sorted(r) for r in manifest] == [["c", "h", "lat", "lon", "tile_id", "timestamp",
+                                              "w"]] * len(dataset.tiles)
     blob = (out / "tiles" / "pixels.bin").read_bytes()
     assert blob == b"".join(t.pixels.astype("<f4").tobytes() for t in dataset.tiles)
+    sections = json.loads((out / "text" / "sections.json").read_text())["sections"]
+    assert [sorted(r) for r in sections] == [["section_id", "species_id"]] * len(sections)
+    embeddings = (out / "text" / "embeddings.bin").read_bytes()
+    assert embeddings == dataset.texts.embeddings.astype("<f4").tobytes()
 
 
-def test_per_tile_layout_ingests_to_the_same_pixels(world_dir, per_tile_dir):
-    packed, old = ingest_dataset(world_dir[0]), ingest_dataset(per_tile_dir)
-    assert not (per_tile_dir / "tiles" / "pixels.bin").exists()
-    assert len(old.tiles) == len(packed.tiles) > 2
-    for a, b in zip(old.tiles, packed.tiles):
-        assert (a.tile_id, a.lat, a.lon, a.timestamp) == (b.tile_id, b.lat, b.lon, b.timestamp)
-        assert a.pixels.dtype == b.pixels.dtype == np.float32
-        assert a.pixels.shape == b.pixels.shape
-        assert a.pixels.tobytes() == b.pixels.tobytes()
+# a key an older layout wrote: (file, record index, key and value)
+@pytest.mark.parametrize("file,record,key,value", [
+    ("tiles/manifest.json", 3, "offset", 0),
+    ("tiles/manifest.json", 0, "file", "pixels.bin"),
+    ("tiles/manifest.json", 2, "file", "tile_000002.bin"),
+    ("text/sections.json", 1, "row", 1),
+])
+def test_a_retired_layout_key_exits_1_naming_file_record_and_key(world_dir, tmp_path, capsys,
+                                                                  file, record, key, value):
+    out, _ = world_dir
+    path = out / file
+    obj = json.loads(path.read_text())
+    (obj["sections"] if file.startswith("text") else obj)[record][key] = value
+    path.write_text(json.dumps(obj))
+    says = (f"{path} record {record}: key {key!r} is from a retired dataset layout; "
+            f"re-run synth")
+    with pytest.raises(ValueError) as err:
+        ingest_dataset(out)
+    assert str(err.value) == says
+    assert dispatch(["train", "--data", str(out), "--out", str(tmp_path / "ckpt")]) == 1
+    assert capsys.readouterr().err == f"error: {says}\n"
 
 
 def test_ingested_tiles_are_float32_views_and_world_tiles_float64(world_dir):
@@ -139,23 +147,21 @@ def test_ingested_tiles_are_float32_views_and_world_tiles_float64(world_dir):
         assert a.pixels.astype(np.float64).tobytes() == b.pixels.tobytes()
 
 
-def test_truncated_tile_named(per_tile_dir):
-    tile_file = sorted((per_tile_dir / "tiles").glob("tile_*.bin"))[2]
-    tile_file.write_bytes(tile_file.read_bytes()[:-8])
-    with pytest.raises(ValueError, match="record 2"):
-        ingest_dataset(per_tile_dir)
+def test_truncated_tile_named(world_dir):
+    # a blob that ends inside record 2 names record 2, the first it cannot hold
+    out, dataset = world_dir
+    blob = out / "tiles" / "pixels.bin"
+    nbytes = 4 * dataset.tiles[0].pixels.size  # the world's tiles share one shape
+    blob.write_bytes(blob.read_bytes()[:2 * nbytes + 8])
+    with pytest.raises(ValueError) as err:
+        ingest_dataset(out)
+    assert str(err.value) == (f"{out / 'tiles' / 'manifest.json'} record 2: bytes "
+                              f"{2 * nbytes}..{3 * nbytes} run past the end of {blob} "
+                              f"({2 * nbytes + 8} bytes)")
 
 
 def _grow_last_tile(manifest):
     manifest[-1]["w"] += 1
-
-
-def _overlap(manifest):
-    manifest[5]["offset"] = manifest[4]["offset"]
-
-
-def _gap(manifest):
-    manifest[5]["offset"] += 4
 
 
 # (edit of tiles/manifest.json, bytes added to (+) or cut from (-) the blob,
@@ -164,9 +170,7 @@ def _gap(manifest):
     (None, -8, -1, r"run past the end of \S*tiles/pixels.bin"),       # truncated blob
     (None, +8, -1, r"tiles/pixels.bin has 8 bytes after this record"),  # overlong blob
     (_grow_last_tile, 0, -1, r"run past the end of \S*tiles/pixels.bin"),
-    (_overlap, 0, 5, r"tiles/pixels.bin, expected byte \d+ \(an overlap\)"),
-    (_gap, 0, 5, r"tiles/pixels.bin, expected byte \d+ \(a gap\)"),
-], ids=["truncated", "overlong", "past_end", "overlap", "gap"])
+], ids=["truncated", "overlong", "past_end"])
 def test_packed_blob_mismatch_names_blob_and_record(world_dir, tmp_path, capsys,
                                                     edit, resize, record, says):
     out, dataset = world_dir
@@ -184,19 +188,14 @@ def test_packed_blob_mismatch_names_blob_and_record(world_dir, tmp_path, capsys,
     assert f"record {record}: " in err and "tiles/pixels.bin" in err
 
 
-@pytest.mark.parametrize("layout,missing,record", [
-    ("packed", "pixels.bin", 0), ("per_tile", "tile_000002.bin", 2)])
-def test_missing_tile_file_names_its_record(world_dir, per_tile_dir, tmp_path, capsys,
-                                            layout, missing, record):
-    out = world_dir[0] if layout == "packed" else per_tile_dir
-    if layout == "per_tile":  # tile ids start at 0, so record 2 names tile_000002.bin
-        assert json.loads((out / "tiles" / "manifest.json").read_text())[2]["file"] == missing
-    (out / "tiles" / missing).unlink()
-    pattern = rf"manifest.json record {record}: cannot read .*tiles/{missing}"
+def test_missing_tile_file_names_its_record(world_dir, tmp_path, capsys):
+    out = world_dir[0]
+    (out / "tiles" / "pixels.bin").unlink()
+    pattern = r"manifest.json record 0: cannot read .*tiles/pixels.bin"
     with pytest.raises(ValueError, match=pattern):
         ingest_dataset(out)
     assert dispatch(["train", "--data", str(out), "--out", str(tmp_path / "ckpt")]) == 1
-    assert f"record {record}: cannot read" in capsys.readouterr().err
+    assert "record 0: cannot read" in capsys.readouterr().err
 
 
 def test_missing_raster_header_field(world_dir):
@@ -250,8 +249,8 @@ def _edit_json(path, edit):
 
 
 @pytest.mark.parametrize("file,edit,message", [
-    ("text/sections.json", lambda h: h["sections"][1].update(row="1"),
-     r"text/sections.json record 1: field 'row' must be an integer, got '1'"),
+    ("text/sections.json", lambda h: h["sections"][1].update(section_id="1"),
+     r"text/sections.json record 1: field 'section_id' must be an integer, got '1'"),
     ("text/sections.json", lambda h: h.update(sections={}),
      r"text/sections.json: field 'sections' must be a list"),
     ("ground_truth.json", lambda h: h.update(tile_habitats=[]),

@@ -144,7 +144,7 @@ class TestImageEncoder:
         ImageEncoderConfig(in_size=12, widths=(4, 4), kernel=5, stride=1, padding=0)
         for geometry in (dict(widths=(4, 4, 4), kernel=5, stride=1, padding=0),
                          dict(stride=0), dict(kernel=0), dict(padding=-1)):
-            with pytest.raises(ValueError, match="leave no output for 12 px tiles"):
+            with pytest.raises(ValueError, match="leave no output for in_size 12 px tiles"):
                 ImageEncoderConfig(in_size=12, **geometry)
 
     def test_conv_padding_as_wide_as_the_kernel_rejected(self):

@@ -282,24 +282,21 @@ def test_tile_centers_at_the_range_edges_load(base, tmp_path):
 
 
 def test_pixels_outside_unit_range_name_the_first_bad_record(base, tmp_path, monkeypatch):
-    # groups of about two tiles; the manifest lists the blob's last tile first,
-    # so the first bad record is in the last group read
+    # groups of about two tiles, so records 0 and 5 are read into different arrays
     monkeypatch.setattr(dataio, "TILE_READ_BYTES", 4096)
     world = _copy_world(base, tmp_path / "world")
     manifest_path = world / "tiles" / "manifest.json"
     records = json.loads(manifest_path.read_text())
-    records.insert(0, records.pop())
-    manifest_path.write_text(json.dumps(records))
     pixels = np.fromfile(world / "tiles" / "pixels.bin", dtype="<f4")
-    size = records[1]["c"] * records[1]["h"] * records[1]["w"]
-    pixels[records[5]["offset"] // 4 + 7] = np.nan
-    pixels[records[0]["offset"] // 4 + size - 1] = 1.5
+    size = records[0]["c"] * records[0]["h"] * records[0]["w"]  # every record's, in order
+    pixels[5 * size + 7] = np.nan
+    pixels[size - 1] = 1.5
     pixels.tofile(world / "tiles" / "pixels.bin")
     with pytest.raises(ValueError) as err:
         ingest_dataset(world)
     assert str(err.value) == (f"{manifest_path} record 0: tile {records[0]['tile_id']}: "
                               f"pixels outside [0, 1] (min 0, max 1.5)")
-    pixels[records[0]["offset"] // 4 + size - 1] = 0.5
+    pixels[size - 1] = 0.5
     pixels.tofile(world / "tiles" / "pixels.bin")
     with pytest.raises(ValueError) as err:
         ingest_dataset(world)
@@ -335,8 +332,7 @@ def _write_tiles(root, n, size=2):
     """A tiles/ directory of `n` size x size tiles in one blob."""
     nbytes = 4 * 3 * size * size
     records = [{"tile_id": i, "lat": (i % 170) - 85.0, "lon": (i % 350) - 175.0,
-                "timestamp": 0, "file": "pixels.bin", "offset": nbytes * i,
-                "c": 3, "h": size, "w": size} for i in range(n)]
+                "timestamp": 0, "c": 3, "h": size, "w": size} for i in range(n)]
     (root / "tiles").mkdir(parents=True)
     np.full(n * nbytes // 4, 0.5, dtype="<f4").tofile(root / "tiles" / "pixels.bin")
     (root / "tiles" / "manifest.json").write_text(json.dumps(records))
@@ -374,7 +370,6 @@ def test_integer_centers_and_missing_offsets_pass_the_whole_list_check(tmp_path)
     manifest_path = _write_tiles(tmp_path, 1024)
     records = json.loads(manifest_path.read_text())
     records[1000].update(lat=90, lon=-180)
-    del records[0]["offset"]
     assert dataio._tile_records_valid(records)
     manifest_path.write_text(json.dumps(records))
     tiles = dataio._load_tiles(tmp_path)
@@ -387,7 +382,7 @@ _CENTERS = [math.nan, math.inf, -math.inf, 90.0, 90.5, -90.0, -90.01, 180.0, -18
 
 @st.composite
 def _manifest_edit(draw):
-    kind = draw(st.sampled_from(["value", "center", "drop_key", "not_object", "offset",
+    kind = draw(st.sampled_from(["value", "center", "drop_key", "not_object", "shape",
                                  "not_utf8", "not_list", "repeat_id"]))
     record, other = draw(st.integers(0, 11)), draw(st.integers(0, 11))
     key = draw(st.sampled_from(["tile_id", "lat", "lon", "timestamp", "file", "offset",
@@ -417,11 +412,11 @@ def _manifest_edit(draw):
 
         def edit(records):
             records[record] = value
-    else:  # offsets with gaps, overlaps, shared and negative starts
-        shift = draw(st.sampled_from([4, -4, 1, 8, -1728, 1728, 10 ** 6]))
+    else:  # a shape the blob does not hold: every later record's pixels shift
+        dim, change = draw(st.sampled_from("chw")), draw(st.sampled_from([-1, 1, 2, 10 ** 6]))
 
         def edit(records):
-            records[record]["offset"] += shift
+            records[record][dim] += change
     return lambda world: _edit_json(path(world), edit)
 
 
@@ -535,12 +530,12 @@ def _sections_edit(draw):
         return apply
     record = draw(st.integers(0, SYNTH_CFG["n_species"] * SYNTH_CFG["sections_per_species"] - 1))
     key = draw(st.sampled_from(["species_id", "section_id", "row"]))
-    if kind == "value":  # wrong types, huge and negative rows
+    if kind == "value":  # wrong types and huge ids, or a retired row
         value = draw(st.one_of(_values, st.sampled_from([-1, 12, 2 ** 63, -2 ** 63 - 1, True,
                                                          "0", 3.0])))
         edit = lambda obj: obj["sections"][record].__setitem__(key, value)  # noqa: E731
-    elif kind == "drop_key":
-        edit = lambda obj: obj["sections"][record].pop(key)  # noqa: E731
+    elif kind == "drop_key":  # "row" is a retired key, which no section holds
+        edit = lambda obj: obj["sections"][record].pop(key, None)  # noqa: E731
     elif kind == "not_object":
         edit = _set_item("sections", record, draw(_json_values))
     elif kind == "sections":  # not a list, or a list of numbers
